@@ -13,7 +13,10 @@ fields.  That correspondence is what lets the equivariants module compute
 vector-field generators by averaging phase monomials.
 
 Averaging over the group (the Reynolds projector) lands on the fixed points
-of whichever action is requested, exactly.
+of whichever action is requested, exactly.  fixed_basis gives the canonical
+basis of those fixed points among the polynomials of one degree; for groups
+of monomial matrices it sums orbits under the generators instead of
+averaging over the whole group.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotXiLinear
 from .groups import MatGroup
-from .linalg import RatMatrix, block_diag
-from .poly import Exponents, MultiPoly
+from .linalg import RatMatrix, block_diag, rref
+from .poly import Exponents, MultiPoly, poly_to_vector, vector_to_poly
 
 PHI_DAGGER = "phi_dagger"
 THETA = "theta"
@@ -174,12 +177,21 @@ def unpairing(q: MultiPoly) -> PolyVectorField:
 # The actions themselves.
 
 
+def _substitution_matrix(group: MatGroup, action: str, g: int) -> RatMatrix:
+    """M with (g . q)(v) = q(M v), for the two actions that are substitutions."""
+    inv = group.matrix(group.inverse_index(g))
+    if action == PHI_DAGGER:
+        return inv
+    if action == PSI:
+        return block_diag(inv, group.matrix(g).transpose())
+    raise ValueError(f"action {action!r} is not a substitution; expected {PHI_DAGGER} or {PSI}")
+
+
 def act_phi_dagger(group: MatGroup, g: int, p: MultiPoly) -> MultiPoly:
     """(g . p)(x) = p(g^-1 x)."""
     if p.nvars != group.n:
         raise DimensionMismatch(f"polynomial has {p.nvars} variables, group acts on {group.n}")
-    inv = group.matrix(group.inverse_index(g))
-    return p.compose_linear(inv)
+    return p.compose_linear(_substitution_matrix(group, PHI_DAGGER, g))
 
 
 def act_theta(group: MatGroup, g: int, field: PolyVectorField) -> PolyVectorField:
@@ -201,9 +213,7 @@ def act_psi(group: MatGroup, g: int, q: MultiPoly) -> MultiPoly:
         raise DimensionMismatch(
             f"phase polynomial has {q.nvars} variables, expected {2 * group.n}"
         )
-    inv = group.matrix(group.inverse_index(g))
-    block = block_diag(inv, group.matrix(g).transpose())
-    return q.compose_linear(block)
+    return q.compose_linear(_substitution_matrix(group, PSI, g))
 
 
 def _act(group: MatGroup, action: str, g: int, obj):
@@ -240,6 +250,87 @@ def reynolds(group: MatGroup, action: str, obj):
     if isinstance(acc, PolyVectorField):
         return acc.scale(factor)
     return acc * factor
+
+
+def _monomial_form(m: RatMatrix) -> tuple[tuple[int, Fraction], ...] | None:
+    """(column, entry) of the single nonzero in each row, or None when some
+    row of m has more than one nonzero entry."""
+    form = []
+    for i in range(m.rows):
+        nonzero = [(j, c) for j, c in enumerate(m.row(i)) if c != 0]
+        if len(nonzero) != 1:
+            return None
+        form.append(nonzero[0])
+    return tuple(form)
+
+
+def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[MultiPoly]:
+    """Fixed-space basis of monomial substitutions: one sum per orbit.
+
+    Substituting x_i -> a_i x_j(i) sends x^e to c x^e', so p is fixed exactly
+    when coef[e'] == c coef[e] for every generator and every e.  Each orbit
+    is walked from its first monomial in `monos`, with coefficient 1 there
+    and the others forced by that rule; an orbit that forces two different
+    coefficients on one monomial carries no fixed vector.
+    """
+    nvars = len(monos[0])
+    seen: set[Exponents] = set()
+    out = []
+    for lead in monos:
+        if lead in seen:
+            continue
+        coef = {lead: Fraction(1)}
+        stack = [lead]
+        cancels = False
+        while stack:
+            e = stack.pop()
+            ce = coef[e]
+            for form in forms:
+                exps = [0] * nvars
+                c = ce
+                for (j, a), k in zip(form, e):
+                    if k:
+                        exps[j] = k
+                        c *= a**k
+                image = tuple(exps)
+                old = coef.get(image)
+                if old is None:
+                    coef[image] = c
+                    stack.append(image)
+                elif old != c:
+                    cancels = True
+        seen.update(coef)
+        if not cancels:
+            out.append(MultiPoly(nvars, coef))
+    return out
+
+
+def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> list[MultiPoly]:
+    """Basis of the polynomials in span(monos) fixed by a substitution action.
+
+    `monos` lists the columns in descending graded-lex order and must be
+    mapped into itself by the action (all monomials of one degree, or the
+    xi-linear ones of one bidegree).  The result is the reduced row echelon
+    basis over those columns: each element monic on its leading monomial,
+    zero on every other element's leading monomial, in column order.  That
+    basis is unique, so the two routes below agree exactly.
+
+    When every generator acts by a monomial matrix (one nonzero per row,
+    e.g. signed permutations), the fixed space is spanned by orbit sums over
+    the generators, with disjoint supports, so the monic sums already form
+    the echelon basis and no group-order loop runs.  Otherwise each monomial
+    is Reynolds-averaged over the whole group and the averages row-reduced.
+    """
+    mats = [_substitution_matrix(group, action, g) for g in group.gen_indices]
+    forms = [_monomial_form(m) for m in mats]
+    if all(f is not None for f in forms):
+        return _orbit_sums(forms, monos)
+    nvars = mats[0].rows
+    vectors = [
+        poly_to_vector(reynolds(group, action, MultiPoly.monomial(e)), monos) for e in monos
+    ]
+    rows, _ = rref(vectors)
+    return [vector_to_poly(r, monos, nvars) for r in rows]
 
 
 class InvarianceCheck:

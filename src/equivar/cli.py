@@ -34,6 +34,8 @@ def _load_group(args) -> MatGroup:
             cap_override = int(cap_env)
         except ValueError:
             raise ParseError(f"EQUIVAR_CAP must be an integer, got {cap_env!r}")
+        if cap_override < 1:
+            raise ParseError(f"EQUIVAR_CAP must be a positive integer, got {cap_env!r}")
     return sz.group_from_doc(sz.load_json(args.group), cap_override=cap_override)
 
 
@@ -83,6 +85,8 @@ def _cmd_equivariants(args) -> int:
 
 
 def _cmd_molien(args) -> int:
+    if args.degrees < 0:
+        raise ParseError(f"--degrees must be non-negative, got {args.degrees}")
     group = _load_group(args)
     inv_series = molien(group)
     eq_series = molien_equivariant(group)

@@ -4,31 +4,24 @@ A homogeneous degree-m vector field V corresponds to the phase polynomial
 sum_i V_i(x) xi_i, homogeneous of degree m+1 and linear in the xi block.
 That subspace is stable under the phase action, and its fixed points are
 exactly the pairings of the equivariant fields.  So the degree-m equivariant
-basis comes from Reynolds-averaging the monomials x^alpha xi_i under the
-phase action and row-reducing, and module generation over the invariant ring
-is again a degree-by-degree complement computation, checked against the
-trace-weighted Molien series.
+basis is the canonical fixed-space basis of the phase action on the
+monomials x^alpha xi_i (orbit sums over the generators when every generator
+is a monomial matrix, row-reduced Reynolds averages otherwise), and module
+generation over the invariant ring is again a degree-by-degree complement
+computation, checked against the trace-weighted Molien series.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .actions import (
-    PSI,
-    THETA,
-    PolyVectorField,
-    is_invariant,
-    pairing,
-    reynolds,
-    unpairing,
-)
+from .actions import PSI, THETA, PolyVectorField, fixed_basis, is_invariant, pairing, unpairing
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
 from .invariants import InvariantGens, invariant_basis, power_product, weighted_monomials
-from .linalg import Echelon, rref, solve_free_zero
+from .linalg import Echelon, solve_free_zero
 from .molien import MolienSeries, molien_equivariant
-from .poly import Exponents, MultiPoly, monomials_of_degree, poly_to_vector, vector_to_poly
+from .poly import Exponents, MultiPoly, monomials_of_degree, poly_to_vector
 
 
 def xilinear_monomials(n: int, m: int) -> list[Exponents]:
@@ -51,23 +44,16 @@ def field_to_vector(field: PolyVectorField, basis: Sequence[Exponents]):
 def equivariant_basis(group: MatGroup, m: int) -> list[PolyVectorField]:
     """Basis of the homogeneous degree-m equivariant vector fields.
 
-    Computed through the phase-polynomial route: average each x^alpha xi_i
-    over the group, row-reduce, and read the fields back off the xi
-    coefficients.  The direct route (averaging vector-field monomials under
-    the pushforward action) must span the same subspace; tests hold the two
-    against each other.
+    Computed through the phase-polynomial route: the canonical basis of the
+    phase-action fixed points among the x^alpha xi_i (the phase action
+    preserves bidegree, so it maps them into themselves), read back off the
+    xi coefficients.  The direct route (averaging vector-field monomials
+    under the pushforward action) must span the same subspace; tests hold
+    the two against each other.
     """
     if m < 0:
         raise ValueError("degree must be non-negative")
-    n = group.n
-    monos = xilinear_monomials(n, m)
-    vectors = []
-    for e in monos:
-        averaged = reynolds(group, PSI, MultiPoly.monomial(e))
-        # the phase action preserves bidegree, so support stays inside monos
-        vectors.append(poly_to_vector(averaged, monos))
-    rows, _ = rref(vectors)
-    return [unpairing(vector_to_poly(r, monos, 2 * n)) for r in rows]
+    return [unpairing(q) for q in fixed_basis(group, PSI, xilinear_monomials(group.n, m))]
 
 
 class EquivariantGens:
@@ -114,6 +100,13 @@ def equivariant_module_generators(
     if bound < 0:
         raise ValueError("degree bound must be non-negative")
     series = molien_equivariant(group)
+    invariants_of_degree: dict[int, list[MultiPoly]] = {}
+
+    def multipliers(d: int) -> list[MultiPoly]:
+        if d not in invariants_of_degree:
+            invariants_of_degree[d] = invariant_basis(group, d)
+        return invariants_of_degree[d]
+
     vgens: list[PolyVectorField] = []
     degrees: list[int] = []
     for m in range(bound + 1):
@@ -129,20 +122,25 @@ def equivariant_module_generators(
         monos = xilinear_monomials(group.n, m)
         span = Echelon()
         for w, m_w in zip(vgens, degrees):
-            for b in invariant_basis(group, m - m_w):
+            for b in multipliers(m - m_w):
                 span.add(field_to_vector(w.scale(b), monos))
         for cand in basis_m:
             if span.add(field_to_vector(cand, monos)):
                 vgens.append(cand)
                 degrees.append(m)
     result = EquivariantGens(group, vgens, degrees, inv)
-    _check_module_span_matches_molien(result, series, bound)
+    _check_module_span_matches_molien(result, series, bound, multipliers)
     return result
 
 
 def _check_module_span_matches_molien(
-    eg: EquivariantGens, series: MolienSeries, bound: int
+    eg: EquivariantGens,
+    series: MolienSeries,
+    bound: int,
+    multipliers: Callable[[int], list[MultiPoly]],
 ) -> None:
+    """Module span rank against Molien at every degree; `multipliers(d)` is a
+    basis of the degree-d invariants."""
     group = eg.group
     for m in range(bound + 1):
         monos = xilinear_monomials(group.n, m)
@@ -150,7 +148,7 @@ def _check_module_span_matches_molien(
         for w, m_w in zip(eg.vgens, eg.degrees):
             if m_w > m:
                 continue
-            for b in invariant_basis(group, m - m_w):
+            for b in multipliers(m - m_w):
                 span.add(field_to_vector(w.scale(b), monos))
         expected = series.coefficient(m)
         if span.rank != expected:

@@ -22,7 +22,7 @@ class MatGroup:
     from the generators, which makes the whole object deterministic.
     """
 
-    __slots__ = ("n", "elements", "gen_indices", "_index", "_inverses")
+    __slots__ = ("n", "elements", "gen_indices", "_index", "_inverses", "_derived")
 
     def __init__(self, n: int, elements: Sequence[RatMatrix], gen_indices: Sequence[int]) -> None:
         object.__setattr__(self, "n", n)
@@ -37,6 +37,9 @@ class MatGroup:
                 raise ValueError("element list is not closed under inversion")
             inverses.append(j)
         object.__setattr__(self, "_inverses", tuple(inverses))
+        # values that depend on the group alone (its Molien series), filled
+        # on first use by the module that computes them
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("MatGroup is immutable")

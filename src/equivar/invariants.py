@@ -1,11 +1,12 @@
 """Generators, expression, and relations for rings of invariant polynomials.
 
-The ring of G-invariant polynomials is computed degree by degree: average
-every degree-d monomial over the group, row-reduce to a basis of the degree-d
-fixed space, and keep whatever the products of already-found generators fail
-to span.  Noether's bound (degree <= |G| in characteristic zero) makes the
-loop finite; the Molien series supplies an independent dimension count that
-every step is checked against.
+The ring of G-invariant polynomials is computed degree by degree: take the
+canonical basis of the degree-d fixed space (orbit sums over the generators
+when every generator is a monomial matrix, otherwise Reynolds averages of
+every degree-d monomial, row-reduced), and keep whatever the products of
+already-found generators fail to span.  Noether's bound (degree <= |G| in
+characteristic zero) makes the loop finite; the Molien series supplies an
+independent dimension count that every step is checked against.
 
 Polynomials in the generators themselves ("P-polynomials") are ordinary
 MultiPoly values in k variables, where variable i stands for generator i and
@@ -21,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .actions import PHI_DAGGER, is_invariant, reynolds
+from .actions import PHI_DAGGER, fixed_basis, is_invariant
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
-from .linalg import Echelon, kernel_basis, rref, solve_free_zero
+from .linalg import Echelon, kernel_basis, solve_free_zero
 from .molien import MolienSeries, molien
 from .poly import (
     Exponents,
@@ -32,7 +33,6 @@ from .poly import (
     grlex_key,
     monomials_of_degree,
     poly_to_vector,
-    vector_to_poly,
 )
 
 
@@ -127,21 +127,15 @@ def hilbert_map_eval(gens: InvariantGens, point: Sequence) -> tuple[Fraction, ..
 def invariant_basis(group: MatGroup, degree: int) -> list[MultiPoly]:
     """Basis of the degree-d invariant polynomials.
 
-    Every degree-d monomial is Reynolds-averaged and the results are
-    row-reduced over the monomial basis (descending graded-lex), so each
-    basis element is monic on its pivot monomial and the output is canonical.
+    The reduced row echelon basis over the degree-d monomials in descending
+    graded-lex order (see actions.fixed_basis), so each basis element is
+    monic on its pivot monomial and the output is canonical.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if degree == 0:
         return [MultiPoly.constant(group.n, 1)]
-    basis_monos = monomials_of_degree(group.n, degree)
-    vectors = []
-    for e in basis_monos:
-        averaged = reynolds(group, PHI_DAGGER, MultiPoly.monomial(e))
-        vectors.append(poly_to_vector(averaged, basis_monos))
-    rows, _ = rref(vectors)
-    return [vector_to_poly(r, basis_monos, group.n) for r in rows]
+    return fixed_basis(group, PHI_DAGGER, monomials_of_degree(group.n, degree))
 
 
 def invariant_ring_generators(

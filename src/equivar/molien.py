@@ -174,23 +174,44 @@ class MolienSeries:
 
 
 def _averaged_series(group: MatGroup, weights: Sequence[Fraction]) -> MolienSeries:
-    """(1/|G|) sum_g weight_g / det(I - t g^-1) as one reduced fraction."""
+    """(1/|G|) sum_g weight_g / det(I - t g^-1) as one reduced fraction.
+
+    Weights are first added up per distinct denominator, so the rational
+    sum has one term per distinct det(I - t g^-1) rather than one per
+    element; the reduced, normalized fraction is the same either way.
+    """
+    by_denominator: dict[tuple[Fraction, ...], Fraction] = {}
+    for g in range(group.order):
+        d_g = tuple(det_one_minus_t(group.matrix(group.inverse_index(g))))
+        by_denominator[d_g] = by_denominator.get(d_g, Fraction(0)) + weights[g]
     num: UPoly = []
     den: UPoly = [Fraction(1)]
-    for g in range(group.order):
-        inv = group.matrix(group.inverse_index(g))
-        d_g = det_one_minus_t(inv)
-        num = _uadd(_umul(num, d_g), _uscale(den, weights[g]))
+    for d_g, weight in by_denominator.items():
+        if weight == 0:
+            continue
+        num = _uadd(_umul(num, d_g), _uscale(den, weight))
         den = _umul(den, d_g)
     num = _uscale(num, Fraction(1, group.order))
     return MolienSeries(num, den)
 
 
+def _series(group: MatGroup, equivariant: bool) -> MolienSeries:
+    """The series, built once per group: a generator loop and the CLI command
+    that writes its output both ask for it."""
+    key = ("molien", equivariant)
+    if key not in group._derived:
+        weights = [
+            group.matrix(g).trace() if equivariant else Fraction(1) for g in range(group.order)
+        ]
+        group._derived[key] = _averaged_series(group, weights)
+    return group._derived[key]
+
+
 def molien(group: MatGroup) -> MolienSeries:
     """Series whose t^d coefficient is dim of the degree-d invariants."""
-    return _averaged_series(group, [Fraction(1)] * group.order)
+    return _series(group, equivariant=False)
 
 
 def molien_equivariant(group: MatGroup) -> MolienSeries:
     """Series whose t^d coefficient is dim of the degree-d equivariant fields."""
-    return _averaged_series(group, [group.matrix(g).trace() for g in range(group.order)])
+    return _series(group, equivariant=True)

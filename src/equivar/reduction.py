@@ -210,10 +210,17 @@ def integrate_pair(
     coefficients are converted to floats only at this boundary.  The reduced
     trajectory starts from the (float) Hilbert-map image of the float start,
     so a constant pair has defect exactly zero.  Raises NonFiniteState on
-    overflow or NaN.
+    overflow or NaN, and ValueError unless t_end is a whole number (at least
+    one) of steps, so the run never stops short of t_end or passes without
+    integrating.
     """
     if step <= 0 or t_end <= 0:
         raise ValueError("step and t_end must be positive")
+    nsteps = int(round(t_end / step))
+    if nsteps < 1:
+        raise ValueError(f"step {step} is longer than t_end {t_end}; no step would be taken")
+    if abs(nsteps * step - t_end) > 1e-9 * t_end:
+        raise ValueError(f"t_end {t_end} is not a whole number of steps of {step}")
     comps = reduced.comps if isinstance(reduced, ReducedSystem) else tuple(reduced)
     if len(comps) != inv.k:
         raise DimensionMismatch(f"reduced system has {len(comps)} components, expected {inv.k}")
@@ -221,7 +228,6 @@ def integrate_pair(
         raise DimensionMismatch(f"x0 has length {len(x0)}, field dimension is {field.n}")
     x0_exact = [v if isinstance(v, Fraction) else Fraction(v) for v in x0]
 
-    nsteps = int(round(t_end / step))
     t_grid = np.arange(nsteps + 1, dtype=float) * step
     f_x = _compile_polys(field.comps)
     f_p = _compile_polys(comps)

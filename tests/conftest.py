@@ -1,9 +1,9 @@
 """Shared fixtures: the four desk-scale sample groups and brute-force oracles.
 
 The oracles here recompute dimensions and fixed spaces by stacking action
-matrices and rank-counting, independently of both the Reynolds-averaging
-production path and the Molien series, so the three agree only if all are
-right.
+matrices and rank-counting, independently of both the production
+fixed-space route (orbit sums or Reynolds averaging) and the Molien series,
+so the three agree only if all are right.
 """
 
 from __future__ import annotations

@@ -1,0 +1,87 @@
+"""Golden CLI outputs: the case list, and a script that rewrites them.
+
+Each case is one CLI invocation whose output bytes are committed next to
+this file as `<name>`.  `tests/test_golden.py` reruns every case and
+compares bytes, so any change to what the CLI prints fails there.  When a
+change to the output is intended, regenerate on purpose and review the diff:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+Argument templates use `{root}` for the repository root, `{groups}` for the
+group files kept here, and `{out}` for the directory the outputs go to;
+cases run in list order, so a later case may read an earlier one's output.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(GOLDEN_DIR))
+
+DEMO_GROUPS = ("c4", "swap", "z2_diag", "z2_line")
+
+# (name, group file, invariants bound, equivariants bound); None keeps the
+# CLI default.  d6_hex has a non-monomial generator, so it pins the
+# Reynolds-averaging route; b3 and s4 are monomial groups.
+GENERATOR_CASES = [(g, "{root}/demos/data/%s.json" % g, None, None) for g in DEMO_GROUPS] + [
+    ("b3", "{groups}/b3.json", 8, 5),
+    ("s4", "{groups}/s4.json", 6, 4),
+    ("d6_hex", "{groups}/d6_hex.json", None, None),
+]
+
+# (group, field) pairs for which the field is equivariant.
+REDUCE_CASES = [
+    ("z2_line", "cubic_line_field"),
+    ("z2_diag", "radial_plane_field"),
+    ("swap", "radial_plane_field"),
+    ("c4", "radial_plane_field"),
+]
+
+
+def _bound(b) -> list[str]:
+    return [] if b is None else ["--bound", str(b)]
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(output file name, argv template) for every golden, in run order."""
+    out = []
+    for name, group, inv_bound, eq_bound in GENERATOR_CASES:
+        inv = "{out}/%s.invariants.json" % name
+        out.append((f"{name}.invariants.json",
+                    ["invariants", "--group", group] + _bound(inv_bound)))
+        out.append((f"{name}.equivariants.json",
+                    ["equivariants", "--group", group, "--invariants", inv] + _bound(eq_bound)))
+        out.append((f"{name}.molien.json", ["molien", "--group", group, "--degrees", "12"]))
+        if name in DEMO_GROUPS:
+            out.append((f"{name}.relations.json",
+                        ["relations", "--group", group, "--invariants", inv]))
+    for name, field in REDUCE_CASES:
+        out.append((f"{name}.{field}.reduce.json", [
+            "reduce", "--group", "{root}/demos/data/%s.json" % name,
+            "--invariants", "{out}/%s.invariants.json" % name,
+            "--field", "{root}/demos/data/%s.json" % field,
+        ]))
+    return out
+
+
+def argv_for(template: list[str], out_dir: str, file_name: str) -> list[str]:
+    subst = {"root": ROOT, "groups": os.path.join(GOLDEN_DIR, "groups"), "out": out_dir}
+    return [a.format(**subst) for a in template] + ["--out", os.path.join(out_dir, file_name)]
+
+
+def main() -> int:
+    from equivar.cli import main as cli_main
+
+    for file_name, template in cases():
+        code = cli_main(argv_for(template, GOLDEN_DIR, file_name))
+        if code != 0:
+            print(f"{file_name}: exit {code}", file=sys.stderr)
+            return 1
+        print(file_name)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

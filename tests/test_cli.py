@@ -1,11 +1,16 @@
 """Command-line front end: pipelines, exit codes, determinism."""
 
+import importlib
 import json
+from unittest import mock
 
 import pytest
 
 from equivar.cli import main
 from equivar import serialize as sz
+
+# the package's `molien` attribute is the function of that name
+molien_module = importlib.import_module("equivar.molien")
 
 
 Z2_DOC = {"n": 1, "generators": [[["-1"]]]}
@@ -84,6 +89,21 @@ def test_full_pipeline_and_determinism(files, capsys):
             blobs.append(open(inv, "rb").read() + open(eq, "rb").read() + open(mol, "rb").read() + open(rel, "rb").read())
         outputs[run_idx] = blobs
     assert outputs[1] == outputs[2]
+
+
+def test_each_series_built_once_per_command(files, capsys):
+    _, write = files
+    group = write("c4.json", C4_DOC)
+    with mock.patch.object(
+        molien_module, "_averaged_series", wraps=molien_module._averaged_series
+    ) as built:
+        assert run(["invariants", "--group", group], capsys)[0] == 0
+        assert built.call_count == 1
+        built.reset_mock()
+        # the invariant series for the ring computed on the way, then the
+        # equivariant one, each shared by its loop and the output document
+        assert run(["equivariants", "--group", group], capsys)[0] == 0
+        assert built.call_count == 2
 
 
 def test_express_not_invariant_exit_1(files, capsys):
@@ -218,6 +238,25 @@ def test_integrate_check_fails_tight_tol(files, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "t_end, step",
+    [("0.001", "0.5"), ("1", "0.3")],
+    ids=["step-longer-than-t-end", "t-end-not-whole-steps"],
+)
+def test_integrate_check_vacuous_or_short_run_exit_2(files, capsys, t_end, step):
+    _, write = files
+    group = write("z2.json", Z2_DOC)
+    field = write("x.json", CUBIC_FIELD_DOC)
+    code, out, err = run(
+        ["integrate-check", "--group", group, "--field", field, "--x0", "1/2",
+         "--t-end", t_end, "--step", step],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_parse_error_exit_2(files, capsys):
     tmp, write = files
     bad = tmp / "bad.json"
@@ -243,6 +282,26 @@ def test_closure_cap_env_override(files, capsys, monkeypatch):
     monkeypatch.setenv("EQUIVAR_CAP", "not-a-number")
     code, _, err = run(["invariants", "--group", group], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_closure_cap_env_nonpositive_exit_2(files, capsys, monkeypatch, cap):
+    _, write = files
+    group = write("c4.json", C4_DOC)
+    monkeypatch.setenv("EQUIVAR_CAP", cap)
+    code, out, err = run(["invariants", "--group", group], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_molien_negative_degrees_exit_2(files, capsys):
+    _, write = files
+    group = write("c4.json", C4_DOC)
+    code, out, err = run(["molien", "--group", group, "--degrees", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_bad_bound_exit_2(files, capsys):

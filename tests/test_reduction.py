@@ -182,6 +182,17 @@ def test_integrate_validates_arguments(cubic_line):
         integrate_pair(field, rs, inv, [Fraction(1, 2)], -1.0, 1e-3)
 
 
+def test_integrate_rejects_zero_steps_and_partial_steps(cubic_line):
+    field, inv = cubic_line
+    rs = reduce_field(field, inv)
+    with pytest.raises(ValueError, match="no step"):
+        integrate_pair(field, rs, inv, [Fraction(1, 2)], 0.001, 0.5)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate_pair(field, rs, inv, [Fraction(1, 2)], 1.0, 0.3)
+    # floating-point round-off in t_end / step is not a partial step
+    assert len(integrate_pair(field, rs, inv, [Fraction(1, 2)], 0.3, 0.1).t_grid) == 4
+
+
 def test_reduced_system_validation():
     with pytest.raises(Exception):
         ReducedSystem([MultiPoly.zero(2)])  # one component in two variables
