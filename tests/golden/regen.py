@@ -23,13 +23,16 @@ ROOT = os.path.dirname(os.path.dirname(GOLDEN_DIR))
 DEMO_GROUPS = ("c4", "swap", "z2_diag", "z2_line")
 
 # (name, group file, invariants bound, equivariants bound); None keeps the
-# CLI default.  d6_hex has a non-monomial generator, so it pins the
-# Reynolds-averaging route; b3 and s4 are monomial groups.
+# CLI default.  b3 and s4 are monomial groups (orbit-sum route).  The rest
+# have non-monomial generators and pin the kernel route: d6_hex and c6_hex
+# in the hexagonal basis, d4_conj and s3_conj conjugated by dense unimodular
+# integer matrices, and d4_frac conjugated by [[2,1],[0,1]], so its entries
+# are not integers.
 GENERATOR_CASES = [(g, "{root}/demos/data/%s.json" % g, None, None) for g in DEMO_GROUPS] + [
     ("b3", "{groups}/b3.json", 8, 5),
     ("s4", "{groups}/s4.json", 6, 4),
-    ("d6_hex", "{groups}/d6_hex.json", None, None),
-]
+] + [(g, "{groups}/%s.json" % g, None, None)
+     for g in ("d6_hex", "c6_hex", "d4_conj", "s3_conj", "d4_frac")]
 
 # (group, field) pairs for which the field is equivariant.
 REDUCE_CASES = [
