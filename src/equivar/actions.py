@@ -10,24 +10,26 @@ Three actions of a finite matrix group G < GL(n, Q) are implemented:
 The phase action restricts to polynomials of xi-degree one, and under the
 pairing V <-> sum_i V_i(x) xi_i it matches the pushforward action on vector
 fields.  That correspondence is what lets the equivariants module compute
-vector-field generators by averaging phase monomials.
+vector-field generators as fixed phase polynomials.
 
-Averaging over the group (the Reynolds projector) lands on the fixed points
-of whichever action is requested, exactly.  fixed_basis gives the canonical
-basis of those fixed points among the polynomials of one degree; for groups
-of monomial matrices it sums orbits under the generators instead of
-averaging over the whole group.
+fixed_basis gives the canonical basis of the fixed points among the
+polynomials of one degree, from the group generators alone: orbit sums when
+every generator is a monomial matrix, otherwise the common kernel of
+rho_d(g) - I over the generators, found in integer arithmetic.  Averaging
+over the whole group (the Reynolds projector) lands on the same fixed
+points; it stays public, and the tests use it as the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotXiLinear
 from .groups import MatGroup
-from .linalg import RatMatrix, block_diag, rref
-from .poly import Exponents, MultiPoly, poly_to_vector, vector_to_poly
+from .linalg import RatMatrix, block_diag, kernel_rref
+from .poly import Exponents, MultiPoly, vector_to_poly
 
 PHI_DAGGER = "phi_dagger"
 THETA = "theta"
@@ -305,6 +307,47 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[MultiPoly]:
     return out
 
 
+def _image(e: Exponents, linear, images: dict) -> dict[Exponents, int]:
+    """The terms of x^e under x_i -> sum_j c x_j for (j, c) in linear[i], as
+    img(x^e) = img(x^(e - e_i)) * img(x_i); the images of lower degree are
+    memoised in `images`."""
+    i = next(k for k, x in enumerate(e) if x)
+    rest = e[:i] + (e[i] - 1,) + e[i + 1 :]
+    below = images.get(rest)
+    if below is None:
+        below = images[rest] = _image(rest, linear, images)
+    out: dict[Exponents, int] = {}
+    for ea, ca in below.items():
+        for j, c in linear[i]:
+            e2 = ea[:j] + (ea[j] + 1,) + ea[j + 1 :]
+            out[e2] = out.get(e2, 0) + ca * c
+    return out
+
+
+def _integer_block(m: RatMatrix, monos: Sequence[Exponents]) -> list[list[int]]:
+    """The rows of rho_d(D M) - D^d I on span(monos), D the lcm of the
+    denominators of m.
+
+    Column e holds the terms of (x^e)(D M x).  Every monomial in monos has
+    total degree d, so rho_d(D M) = D^d rho_d(M) and the block is an
+    integer multiple of rho_d(M) - I with the same kernel.
+    """
+    den = lcm(*(x.denominator for x in m.entries))
+    linear = [
+        [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(m.row(i)) if c]
+        for i in range(m.rows)
+    ]
+    one = (0,) * m.rows
+    images = {one: {one: 1}}
+    index = {e: i for i, e in enumerate(monos)}
+    block = [[0] * len(monos) for _ in monos]
+    for col, e in enumerate(monos):
+        for e2, c in _image(e, linear, images).items():
+            block[index[e2]][col] = c
+        block[col][col] -= den ** sum(e)
+    return block
+
+
 def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> list[MultiPoly]:
     """Basis of the polynomials in span(monos) fixed by a substitution action.
 
@@ -313,24 +356,23 @@ def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> lis
     xi-linear ones of one bidegree).  The result is the reduced row echelon
     basis over those columns: each element monic on its leading monomial,
     zero on every other element's leading monomial, in column order.  That
-    basis is unique, so the two routes below agree exactly.
+    basis is unique, so the two routes below agree exactly, and agree with
+    row-reducing the Reynolds average of every monomial.
 
-    When every generator acts by a monomial matrix (one nonzero per row,
-    e.g. signed permutations), the fixed space is spanned by orbit sums over
-    the generators, with disjoint supports, so the monic sums already form
-    the echelon basis and no group-order loop runs.  Otherwise each monomial
-    is Reynolds-averaged over the whole group and the averages row-reduced.
+    Both routes use the generators only, never the whole group.  When every
+    generator acts by a monomial matrix (one nonzero per row, e.g. signed
+    permutations), the fixed space is spanned by orbit sums, with disjoint
+    supports, so the monic sums already form the echelon basis.  Otherwise
+    it is the common kernel of rho_d(g) - I over the generators, with
+    rho_d(g) the action's matrix on span(monos), found in integer
+    arithmetic.
     """
     mats = [_substitution_matrix(group, action, g) for g in group.gen_indices]
     forms = [_monomial_form(m) for m in mats]
     if all(f is not None for f in forms):
         return _orbit_sums(forms, monos)
-    nvars = mats[0].rows
-    vectors = [
-        poly_to_vector(reynolds(group, action, MultiPoly.monomial(e)), monos) for e in monos
-    ]
-    rows, _ = rref(vectors)
-    return [vector_to_poly(r, monos, nvars) for r in rows]
+    rows = [row for m in mats for row in _integer_block(m, monos)]
+    return [vector_to_poly(v, monos, mats[0].rows) for v in kernel_rref(rows, len(monos))]
 
 
 class InvarianceCheck:

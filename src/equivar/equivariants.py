@@ -6,7 +6,8 @@ That subspace is stable under the phase action, and its fixed points are
 exactly the pairings of the equivariant fields.  So the degree-m equivariant
 basis is the canonical fixed-space basis of the phase action on the
 monomials x^alpha xi_i (orbit sums over the generators when every generator
-is a monomial matrix, row-reduced Reynolds averages otherwise), and module
+is a monomial matrix, the common kernel of rho_d(g) - I over the generators
+otherwise), and module
 generation over the invariant ring is again a degree-by-degree complement
 computation, checked against the trace-weighted Molien series.
 """

@@ -2,9 +2,9 @@
 
 The ring of G-invariant polynomials is computed degree by degree: take the
 canonical basis of the degree-d fixed space (orbit sums over the generators
-when every generator is a monomial matrix, otherwise Reynolds averages of
-every degree-d monomial, row-reduced), and keep whatever the products of
-already-found generators fail to span.  Noether's bound (degree <= |G| in
+when every generator is a monomial matrix, otherwise the common kernel of
+rho_d(g) - I over the generators; see actions.fixed_basis), and keep
+whatever the products of already-found generators fail to span.  Noether's bound (degree <= |G| in
 characteristic zero) makes the loop finite; the Molien series supplies an
 independent dimension count that every step is checked against.
 

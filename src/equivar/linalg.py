@@ -1,25 +1,32 @@
 """Exact rational matrices and row reduction.
 
-Everything here works over Fraction.  No floats enter: the degree-by-degree
-fixed-space computations downstream are only trustworthy in exact arithmetic.
-Vectors are plain lists of Fraction; matrices for elimination are lists of
-row lists.  RatMatrix is the immutable matrix type used for group elements.
+No floats enter: the degree-by-degree fixed-space computations downstream
+are only trustworthy in exact arithmetic.  Vectors are plain lists of
+Fraction; matrices for elimination are lists of row lists.  RatMatrix is the
+immutable matrix type used for group elements.
+
+All elimination (rref, kernel_basis, solve_free_zero, the matrix inverse and
+the kernel route of the fixed spaces) runs on one fraction-free Gauss-Jordan
+core over the integers: each row is cleared of denominators, rows are
+combined as p*row - f*pivot_row and divided by their content, and the pivots
+are divided out only when the result is read back as Fraction.  The reduced
+row echelon form is unique, so it is the same as Fraction elimination gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
-def _frac(x) -> Fraction:
+def as_rational(x, what: str = "expected exact rational") -> Fraction:
+    """x as a Fraction; ints and decimal or p/q strings are accepted, floats are not."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {type(x).__name__}")
+    raise TypeError(f"{what}, got {type(x).__name__}")
 
 
 class RatMatrix:
@@ -28,7 +35,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
-        ents = tuple(_frac(e) for e in entries)
+        ents = tuple(as_rational(e) for e in entries)
         if len(ents) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(ents)}")
         object.__setattr__(self, "rows", rows)
@@ -91,7 +98,7 @@ class RatMatrix:
         """Matrix-vector product, exact."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != {self.cols}")
-        v = [_frac(x) for x in vec]
+        v = [as_rational(x) for x in vec]
         return tuple(
             sum((self.row(i)[k] * v[k] for k in range(self.cols)), Fraction(0))
             for i in range(self.rows)
@@ -102,19 +109,10 @@ class RatMatrix:
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = 1 / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return RatMatrix(n, n, (aug[i][n + j] for i in range(n) for j in range(n)))
+        red, pivots = _reduce([list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)])
+        if pivots[:n] != list(range(n)):
+            raise ValueError("singular matrix")
+        return RatMatrix(n, n, (Fraction(red[i][n + j], red[i][i]) for i in range(n) for j in range(n)))
 
     def is_invertible(self) -> bool:
         try:
@@ -154,7 +152,59 @@ def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction over the rationals.
+# Row reduction: one fraction-free Gauss-Jordan core over the integers.
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """The row (ints or Fractions) scaled to coprime integers."""
+    den = lcm(*(x.denominator for x in row))
+    if den == 1:
+        ints = [int(x) for x in row]
+    else:
+        ints = [x.numerator * (den // x.denominator) for x in row]
+    c = gcd(*ints)
+    return ints if c <= 1 else [x // c for x in ints]
+
+
+def _reduce(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination.
+
+    Returns integer rows and their pivot columns: row i is a positive
+    multiple of row i of the reduced row echelon form, so it is zero in
+    every other pivot column, and it has content 1.  Zero rows are dropped
+    as soon as they appear; pivots are taken in the first column that has
+    one, scanning rows top-down.
+    """
+    ncols = len(rows[0]) if rows else 0
+    m = [r for r in map(_integer_row, rows) if any(r)]
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(ncols):
+        sel = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if sel is None:
+            continue
+        m[pr], m[sel] = m[sel], m[pr]
+        prow = m[pr]
+        p = prow[pc]
+        vanished = False
+        for r, row in enumerate(m):
+            f = row[pc]
+            if f and r != pr:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                c = gcd(*row)
+                if c > 1:
+                    row = [x // c for x in row]
+                m[r] = row
+                vanished = vanished or c == 0
+        if vanished:  # only a row below the pivot can vanish
+            m = [row for row in m if any(row)]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return [[-x for x in row] if row[pc] < 0 else row for row, pc in zip(m, pivots)], pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -165,28 +215,8 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     always chosen in the first column, scanning rows top-down; this is what
     makes every downstream basis deterministic.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        sel = next((r for r in range(pr, len(m)) if m[r][pc] != 0), None)
-        if sel is None:
-            continue
-        m[pr], m[sel] = m[sel], m[pr]
-        inv_p = 1 / m[pr][pc]
-        m[pr] = [x * inv_p for x in m[pr]]
-        for r in range(len(m)):
-            if r != pr and m[r][pc] != 0:
-                f = m[r][pc]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(m):
-            break
-    return m[:pr], pivots
+    red, pivots = _reduce(rows)
+    return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(red, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -237,7 +267,7 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fr
     One vector per free column, in ascending free-column order, with a 1 in
     the free coordinate.
     """
-    red, pivots = rref(rows)
+    red, pivots = _reduce(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -246,9 +276,21 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fr
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for row, p in zip(red, pivots):
-            v[p] = -row[f]
+            v[p] = Fraction(-row[f], row[p])
         basis.append(v)
     return basis
+
+
+def kernel_rref(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
+    """The reduced row echelon basis of the right null space.
+
+    Eliminating with the column order reversed makes each kernel vector 1 on
+    its free column, zero on the other free columns and supported otherwise
+    on later columns only, so read back in the original order the vectors
+    are already the unique rref of the kernel.
+    """
+    basis = kernel_basis([r[::-1] for r in rows], ncols)
+    return [v[::-1] for v in reversed(basis)]
 
 
 def solve_free_zero(
@@ -265,11 +307,10 @@ def solve_free_zero(
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = _reduce([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for row, p in zip(red, pivots):
-        x[p] = row[ncols]
+        x[p] = Fraction(row[ncols], row[p])
     return x

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import DimensionMismatchWithMolien
 from .groups import MatGroup
 from .linalg import RatMatrix
 
@@ -130,7 +131,11 @@ class MolienSeries:
         raise AttributeError("MolienSeries is immutable")
 
     def coefficient(self, d: int) -> int:
-        """The t^d coefficient; an exact non-negative dimension count."""
+        """The t^d coefficient; an exact non-negative dimension count.
+
+        Raises DimensionMismatchWithMolien when it is negative or not an
+        integer, since then the series counts no dimensions.
+        """
         if d < 0:
             raise ValueError("degree must be non-negative")
         coeffs: list[Fraction] = self._coeffs
@@ -143,7 +148,9 @@ class MolienSeries:
             coeffs.append(acc)  # denom[0] == 1
         value = coeffs[d]
         if value.denominator != 1 or value < 0:
-            raise ArithmeticError(f"series coefficient {value} at degree {d} is not a dimension")
+            raise DimensionMismatchWithMolien(
+                f"series coefficient {value} at degree {d} is not a dimension"
+            )
         return int(value)
 
     def coefficients(self, upto: int) -> list[int]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import RatMatrix
+from .linalg import RatMatrix, as_rational
 
 Exponents = tuple[int, ...]
 
@@ -38,14 +38,7 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
     return out
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be an exact rational, got {type(c).__name__}")
+_COEFFICIENT = "coefficient must be an exact rational"
 
 
 class MultiPoly:
@@ -64,7 +57,7 @@ class MultiPoly:
                 raise DimensionMismatch(f"exponent tuple {e} has length {len(e)}, expected {nvars}")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = _coerce(c)
+            c = as_rational(c, _COEFFICIENT)
             if c == 0:
                 continue
             c0 = acc.get(e)
@@ -252,7 +245,7 @@ class MultiPoly:
         """Exact value at a rational point."""
         if len(point) != self.nvars:
             raise DimensionMismatch(f"point length {len(point)} != {self.nvars} variables")
-        vals = [_coerce(v) for v in point]
+        vals = [as_rational(v, _COEFFICIENT) for v in point]
         total = Fraction(0)
         for e, c in self._terms.items():
             term = c
@@ -284,14 +277,15 @@ class MultiPoly:
                 powers[(i, k)] = got
             return got
 
-        acc = MultiPoly.zero(m)
-        for e, c in self.sorted_terms():
-            term = MultiPoly.constant(m, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * pw(i, k)
-            acc = acc + term
-        return acc
+        acc: dict[Exponents, Fraction] = {}
+        for e, c in self._terms.items():
+            factors = [pw(i, k) for i, k in enumerate(e) if k]
+            term = factors[0] if factors else MultiPoly.constant(m, 1)
+            for f in factors[1:]:
+                term = term * f
+            for e2, c2 in term._terms.items():
+                acc[e2] = acc.get(e2, 0) + c * c2
+        return MultiPoly(m, acc)
 
     def compose_linear(self, matrix: RatMatrix) -> "MultiPoly":
         """Return q with q(x) = p(M x).

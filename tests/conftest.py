@@ -2,7 +2,7 @@
 
 The oracles here recompute dimensions and fixed spaces by stacking action
 matrices and rank-counting, independently of both the production
-fixed-space route (orbit sums or Reynolds averaging) and the Molien series,
+fixed-space route (orbit sums or the generator kernel) and the Molien series,
 so the three agree only if all are right.
 """
 

@@ -106,6 +106,17 @@ def test_each_series_built_once_per_command(files, capsys):
         assert built.call_count == 2
 
 
+def test_non_dimension_series_coefficient_exit_1(files, capsys):
+    _, write = files
+    group = write("c4.json", C4_DOC)
+    bad = molien_module.MolienSeries([1], [2, -1])  # coefficients 1/2, 1/4, ...
+    with mock.patch.object(molien_module, "_averaged_series", return_value=bad):
+        code, out, err = run(["molien", "--group", group, "--degrees", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DimensionMismatchWithMolien"
+
+
 def test_express_not_invariant_exit_1(files, capsys):
     _, write = files
     group = write("z2d.json", Z2_DIAG_DOC)

@@ -1,10 +1,11 @@
-"""The orbit-sum fixed spaces and the bucketed Molien sums against oracles.
+"""The generator-only fixed spaces and the bucketed Molien sums against oracles.
 
-For groups of monomial matrices, invariant_basis and equivariant_basis sum
-orbits under the generators; the oracle here is the definition: Reynolds-
-average every monomial over the whole group and row-reduce.  The Molien
-series, summed once per distinct det(I - t g^-1), is held against the plain
-sum over every element.
+invariant_basis and equivariant_basis use the generators only: orbit sums
+for groups of monomial matrices, and the integer kernel of rho_d(g) - I for
+all other groups.  The oracle for both is the definition: Reynolds-average
+every monomial over the whole group and row-reduce.  The Molien series,
+summed once per distinct det(I - t g^-1), is held against the plain sum over
+every element.
 """
 
 from fractions import Fraction
@@ -72,7 +73,7 @@ def elementwise_series(group: MatGroup, weight) -> MolienSeries:
 
 def assert_matches_oracles(group: MatGroup, max_degree: int = MAX_DEGREE) -> None:
     n = group.n
-    # the monomial route must not average over the group at all
+    # neither route may average over the group
     with mock.patch("equivar.actions.reynolds", side_effect=AssertionError("Reynolds route")):
         inv = {d: invariant_basis(group, d) for d in range(1, max_degree + 1)}
         eq = {m: equivariant_basis(group, m) for m in range(max_degree)}
@@ -128,3 +129,45 @@ def test_z2_line_odd_degrees_cancel(z2_line):
         assert len(equivariant_basis(z2_line, m)) == 1
     for m in (0, 2, 4):
         assert equivariant_basis(z2_line, m) == []
+
+
+# Non-monomial groups: the kernel route.
+
+BASE_GROUPS = {
+    "C2": [[[0, 1], [1, 0]]],
+    "C3": [[[0, -1], [1, -1]]],
+    "C4": [[[0, -1], [1, 0]]],
+    "D4": [[[0, -1], [1, 0]], [[1, 0], [0, -1]]],
+    "S3": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]],
+}
+
+
+@st.composite
+def rational_conjugates(draw):
+    """T g T^-1 over the generators of a small group, T random and rational."""
+    gens = [RatMatrix.from_rows(g) for g in BASE_GROUPS[draw(st.sampled_from(sorted(BASE_GROUPS)))]]
+    n = gens[0].rows
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    t = RatMatrix.from_rows([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)])
+    try:
+        t_inv = t.inverse()
+    except ValueError:
+        assume(False)
+    return close_group([t @ g @ t_inv for g in gens])
+
+
+@settings(max_examples=12, deadline=None)
+@given(rational_conjugates())
+def test_rational_conjugates_match_oracles(group):
+    assert_matches_oracles(group)
+
+
+def test_non_integral_conjugate_matches_oracles():
+    # D4 conjugated by [[2, 1], [0, 1]]: entries 1/2 and -5/2, so the action
+    # blocks are scaled by powers of 2 before elimination
+    t = RatMatrix.from_rows([[2, 1], [0, 1]])
+    gens = [t @ RatMatrix.from_rows(g) @ t.inverse() for g in BASE_GROUPS["D4"]]
+    assert any(c.denominator != 1 for g in gens for c in g.entries)
+    group = close_group(gens)
+    assert group.order == 8
+    assert_matches_oracles(group, max_degree=5)

@@ -1,14 +1,24 @@
-"""Exact matrices and row reduction."""
+"""Exact matrices and row reduction.
+
+The integer Gauss-Jordan core under rref, kernel_basis, kernel_rref and
+solve_free_zero is held against a plain Fraction Gauss-Jordan kept here as
+the oracle, on random rational matrices.
+"""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equivar import MultiPoly
 from equivar.linalg import (
     Echelon,
     RatMatrix,
+    as_rational,
     block_diag,
     kernel_basis,
+    kernel_rref,
     rank,
     rref,
     solve_free_zero,
@@ -104,3 +114,110 @@ def test_echelon_incremental():
     assert e.rank == 2
     assert e.contains([F(1), F(0), F(-1)])
     assert not e.contains([F(0), F(0), F(1)])
+
+
+def test_as_rational_keeps_messages():
+    assert as_rational("3/4") == F(3, 4) and as_rational(2) == F(2)
+    with pytest.raises(TypeError, match="^expected exact rational, got float$"):
+        RatMatrix.from_rows([[0.5]])
+    with pytest.raises(TypeError, match="^coefficient must be an exact rational, got float$"):
+        MultiPoly(1, {(1,): 0.5})
+    with pytest.raises(TypeError, match="^coefficient must be an exact rational, got float$"):
+        MultiPoly.variable(1, 0).evaluate([0.5])
+
+
+# ---------------------------------------------------------------------------
+# The integer core against Fraction Gauss-Jordan.
+
+
+def fraction_rref(rows):
+    """Gauss-Jordan over Fraction: first pivot column, rows scanned top-down."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    pivots, pr = [], 0
+    for pc in range(len(m[0])):
+        sel = next((r for r in range(pr, len(m)) if m[r][pc] != 0), None)
+        if sel is None:
+            continue
+        m[pr], m[sel] = m[sel], m[pr]
+        inv_p = 1 / m[pr][pc]
+        m[pr] = [x * inv_p for x in m[pr]]
+        for r in range(len(m)):
+            if r != pr and m[r][pc] != 0:
+                f = m[r][pc]
+                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return m[:pr], pivots
+
+
+def _entries(max_den):
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    wide = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, max_den))
+    return st.one_of(st.just(Fraction(0)), small, wide)
+
+
+@st.composite
+def rational_matrices(draw, max_den=10**6):
+    """Tall, wide, single-column and empty matrices, some rows zero or repeated."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    rows = [draw(st.lists(_entries(max_den), min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in draw(st.lists(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if rows:
+            rows[i] = [Fraction(0)] * ncols
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        rows.append([k * x for x in rows[0]])
+    return rows, ncols
+
+
+def _apply(rows, x):
+    return [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_fraction_gauss_jordan(case):
+    rows, ncols = case
+    assert rref(rows) == fraction_rref(rows)
+    for v in kernel_basis(rows, ncols):
+        assert _apply(rows, v) == [0] * len(rows)
+    assert len(kernel_basis(rows, ncols)) == ncols - len(fraction_rref(rows)[1])
+    # kernel_rref is the rref of the null space, in the same column order
+    kernel = kernel_basis(rows, ncols)
+    assert kernel_rref(rows, ncols) == fraction_rref(kernel)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_free_zero_solves(case, data):
+    rows, ncols = case
+    x0 = data.draw(st.lists(_entries(10**6), min_size=ncols, max_size=ncols))
+    b = _apply(rows, x0)
+    if not rows:
+        assert solve_free_zero(rows, b) is None
+        return
+    x = solve_free_zero(rows, b)
+    assert x is not None and _apply(rows, x) == b
+    # free coordinates are zero
+    pivots = fraction_rref(rows)[1]
+    assert all(x[j] == 0 for j in range(ncols) if j not in pivots)
+    # a right-hand side outside the column space has no solution
+    bad = data.draw(st.lists(_entries(10**6), min_size=len(rows), max_size=len(rows)))
+    consistent = len(fraction_rref([r + [c] for r, c in zip(rows, bad)])[1]) == len(pivots)
+    assert (solve_free_zero(rows, bad) is not None) == consistent
+
+
+def test_core_edge_cases():
+    assert rref([]) == ([], [])
+    assert rref([[F(0), F(0)], [F(0), F(0)]]) == ([], [])
+    assert kernel_basis([[F(0), F(0)]], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert kernel_rref([], 2) == [[F(1), F(0)], [F(0), F(1)]]
+    assert rref([[F(-2, 3)], [F(5)]]) == ([[F(1)]], [0])
+    # integer rows as well as Fraction rows
+    assert rref([[2, 4], [1, 3]]) == ([[F(1), F(0)], [F(0), F(1)]], [0, 1])
+    big = F(999_983, 999_979)
+    assert rref([[big, F(1)], [F(1), 1 / big]]) == ([[F(1), 1 / big]], [0])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from equivar import RatMatrix, close_group, molien, molien_equivariant
+from equivar import DimensionMismatchWithMolien, RatMatrix, close_group, molien, molien_equivariant
 from equivar.molien import MolienSeries, det_one_minus_t
 
 from conftest import field_action_matrix, fixed_space_dim
@@ -26,6 +26,15 @@ def test_series_expansion():
     # 1 / (1 - t^2) = 1 + t^2 + t^4 + ...
     s = MolienSeries([F(1)], [F(1), F(0), F(-1)])
     assert s.coefficients(6) == [1, 0, 1, 0, 1, 0, 1]
+
+
+def test_non_dimension_coefficient_is_a_domain_error():
+    # 1 / (2 - t) = 1/2 + t/4 + ...: no coefficient counts dimensions
+    s = MolienSeries([F(1)], [F(2), F(-1)])
+    with pytest.raises(DimensionMismatchWithMolien, match="1/2 at degree 0"):
+        s.coefficient(0)
+    with pytest.raises(DimensionMismatchWithMolien):
+        MolienSeries([F(-1)], [F(1)]).coefficient(0)
 
 
 def test_series_reduces_fraction():
