@@ -2,7 +2,9 @@
 
 Every command reads JSON files, runs one pipeline, and writes canonical JSON
 (to --out, or stdout when --out is omitted).  Outputs are byte-identical
-across runs on identical inputs.
+across runs on identical inputs.  integrate-check also writes a one-line
+summary (max_defect, tol, PASS or FAIL) to stderr, so stdout stays one JSON
+document.
 
 Exit codes: 0 success, 1 domain error (non-invariant input, closure cap
 exceeded, failed check, ...) with a machine-readable JSON object on stderr,
@@ -195,7 +197,7 @@ def _cmd_integrate_check(args) -> int:
         "samples": int(len(report.t_grid)),
     }
     _emit(args, doc)
-    sys.stdout.write(f"max_defect={report.max_defect:.6e} tol={args.tol:.6e} {'PASS' if ok else 'FAIL'}\n")
+    sys.stderr.write(f"max_defect={report.max_defect:.6e} tol={args.tol:.6e} {'PASS' if ok else 'FAIL'}\n")
     return 0 if ok else 1
 
 

@@ -200,25 +200,42 @@ def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
     zero.  Raises NotInvariant if q is not invariant, NoSolution if the
     generators cannot reach q (which means they are incomplete).
     """
-    chk = is_invariant(inv.group, q, PHI_DAGGER)
-    if not chk:
-        raise NotInvariant("polynomial is not invariant", chk.generator_index, chk.difference)
-    result = MultiPoly.zero(inv.k)
-    for d, q_d in q.homogeneous_components().items():
-        candidates = weighted_monomials(inv.degrees, d)
-        if not candidates:
-            raise NoSolution(f"no generator products exist at degree {d}")
-        basis_monos = monomials_of_degree(inv.group.n, d)
-        columns = [
-            poly_to_vector(power_product(inv.gens, a), basis_monos) for a in candidates
-        ]
-        rows = [[col[r] for col in columns] for r in range(len(basis_monos))]
-        rhs = poly_to_vector(q_d, basis_monos)
-        sol = solve_free_zero(rows, rhs)
-        if sol is None:
-            raise NoSolution(f"degree-{d} component is outside the generator span")
-        result = result + MultiPoly(inv.k, {a: c for a, c in zip(candidates, sol)})
-    return result
+    return _express_all(inv, [q])[0]
+
+
+def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]:
+    """express for each polynomial in turn, building the generator products
+    of each degree once for all of them."""
+    systems: dict[int, tuple] = {}
+    out = []
+    for q in qs:
+        chk = is_invariant(inv.group, q, PHI_DAGGER)
+        if not chk:
+            raise NotInvariant("polynomial is not invariant", chk.generator_index, chk.difference)
+        result = MultiPoly.zero(inv.k)
+        for d, q_d in q.homogeneous_components().items():
+            if d not in systems:
+                candidates = weighted_monomials(inv.degrees, d)
+                if not candidates:
+                    raise NoSolution(f"no generator products exist at degree {d}")
+                systems[d] = (candidates, *_product_rows(inv, candidates, d))
+            candidates, basis_monos, rows = systems[d]
+            sol = solve_free_zero(rows, poly_to_vector(q_d, basis_monos))
+            if sol is None:
+                raise NoSolution(f"degree-{d} component is outside the generator span")
+            result = result + MultiPoly(inv.k, {a: c for a, c in zip(candidates, sol)})
+        out.append(result)
+    return out
+
+
+def _product_rows(
+    inv: InvariantGens, candidates: Sequence[Exponents], d: int
+) -> tuple[list[Exponents], list[list[Fraction]]]:
+    """The degree-d monomials in x and the rows of the matrix whose column a
+    holds the coefficients of the generator product p^a, a in candidates."""
+    basis_monos = monomials_of_degree(inv.group.n, d)
+    columns = [poly_to_vector(power_product(inv.gens, a), basis_monos) for a in candidates]
+    return basis_monos, [[col[r] for col in columns] for r in range(len(basis_monos))]
 
 
 class RelationSet:
@@ -272,11 +289,7 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
         candidates = weighted_monomials(inv.degrees, d)
         if len(candidates) < 2:
             continue
-        basis_monos = monomials_of_degree(inv.group.n, d)
-        columns = [
-            poly_to_vector(power_product(inv.gens, a), basis_monos) for a in candidates
-        ]
-        rows = [[col[r] for col in columns] for r in range(len(basis_monos))]
+        _, rows = _product_rows(inv, candidates, d)
         kernel = kernel_basis(rows, len(candidates))
         if not kernel:
             continue

@@ -9,19 +9,24 @@ check_related verifies the defining identity for a given (X, Y) pair, and
 integrate_pair witnesses it numerically by running classical fixed-step RK4
 on both systems in double precision.  Exact arithmetic stops at that
 boundary: coefficients are converted to floats only inside the integrator.
+There the field, the reduced system and the Hilbert map are each compiled
+once into a shared monomial table and a dense coefficient matrix; every
+evaluation builds one table of integer powers by repeated multiplication
+(no pow) and ends in one matrix-vector product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .actions import THETA, PolyVectorField, is_invariant
 from .errors import DimensionMismatch, NoSolution, NonFiniteState, NotInvariant
-from .invariants import InvariantGens, express
-from .poly import MultiPoly
+from .invariants import InvariantGens, _express_all
+from .poly import MultiPoly, grlex_key
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ReducedSystem:
@@ -87,12 +92,10 @@ def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:
     if not chk:
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
     derivs = directional_derivatives(field, inv)
-    comps = []
-    for i, q in enumerate(derivs):
-        f = express(inv, q)
+    comps = _express_all(inv, derivs)
+    for i, (f, q) in enumerate(zip(comps, derivs)):
         if inv.substitute(f) != q:
             raise NoSolution(f"internal: reduced component {i} fails the defining identity")
-        comps.append(f)
     return ReducedSystem(comps, source=(field, inv))
 
 
@@ -155,28 +158,44 @@ class TrajectoryReport:
         )
 
 
-def _compile_polys(polys: Sequence[MultiPoly]):
-    """Turn exact polynomials into a float numpy evaluator of a vector map."""
-    compiled = []
-    for p in polys:
-        terms = p.sorted_terms()
-        coeffs = np.array([float(c) for _, c in terms], dtype=float)
-        exps = np.array([e for e, _ in terms], dtype=np.int64).reshape(len(terms), p.nvars)
-        compiled.append((coeffs, exps))
+def _compile_polys(polys: Sequence[MultiPoly], nvars: int):
+    """Compile a polynomial map R^nvars -> R^len(polys) into one float evaluator.
+
+    The monomials of all components form one exponent table, and the
+    coefficients one dense (components x monomials) float matrix; exact
+    arithmetic ends here.  Each call builds the power table v_j^0..v_j^D
+    (D the top exponent in the table) by repeated multiplication, never
+    calling pow, multiplies the gathered powers into the monomial values and
+    finishes with one matrix-vector product.  A monomial that overflows
+    makes every component that lacks it nan (inf * 0.0), so divergence still
+    shows as a non-finite state.
+    """
+    import numpy as np
+
+    monos = sorted({e for p in polys for e, _ in p}, key=grlex_key, reverse=True)
+    column = {e: j for j, e in enumerate(monos)}
+    coeffs = np.zeros((len(polys), len(monos)))
+    for i, p in enumerate(polys):
+        for e, c in p:
+            coeffs[i, column[e]] = float(c)
+    exps = np.array(monos, dtype=np.intp).reshape(len(monos), nvars)
+    top = int(exps.max(initial=0))
+    # gather[j, t] is the flat index of v_j^exps[t, j] in the power table
+    gather = np.ascontiguousarray((exps * nvars + np.arange(nvars)).T)
 
     def evaluate(v: np.ndarray) -> np.ndarray:
-        out = np.empty(len(compiled), dtype=float)
-        for i, (coeffs, exps) in enumerate(compiled):
-            if coeffs.size == 0:
-                out[i] = 0.0
-            else:
-                out[i] = coeffs @ np.prod(v[np.newaxis, :] ** exps, axis=1)
-        return out
+        powers = np.empty((top + 1, nvars))
+        powers[0] = 1.0
+        powers[1:] = v
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        return coeffs @ np.multiply.reduce(powers.take(gather), axis=0)
 
     return evaluate
 
 
 def _rk4_path(f, y0: np.ndarray, nsteps: int, h: float, label: str) -> np.ndarray:
+    import numpy as np
+
     path = np.empty((nsteps + 1, y0.size), dtype=float)
     path[0] = y0
     y = y0
@@ -227,11 +246,14 @@ def integrate_pair(
     if len(x0) != field.n:
         raise DimensionMismatch(f"x0 has length {len(x0)}, field dimension is {field.n}")
     x0_exact = [v if isinstance(v, Fraction) else Fraction(v) for v in x0]
+    # numpy is imported here rather than with the module: only the integrator
+    # needs it, and it takes several times longer to load than all of equivar
+    import numpy as np
 
     t_grid = np.arange(nsteps + 1, dtype=float) * step
-    f_x = _compile_polys(field.comps)
-    f_p = _compile_polys(comps)
-    sigma = _compile_polys(inv.gens)
+    f_x = _compile_polys(field.comps, field.n)
+    f_p = _compile_polys(comps, inv.k)
+    sigma = _compile_polys(inv.gens, field.n)
     x0_float = np.array([float(v) for v in x0_exact])
     x_path = _rk4_path(f_x, x0_float, nsteps, step, "full")
     p_path = _rk4_path(f_p, sigma(x0_float), nsteps, step, "reduced")

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import os
 from unittest import mock
 
 import pytest
@@ -214,7 +215,7 @@ def test_integrate_check(files, capsys):
     _, write = files
     group = write("z2.json", Z2_DOC)
     field = write("x.json", CUBIC_FIELD_DOC)
-    code, out, _ = run(
+    code, out, err = run(
         [
             "integrate-check",
             "--group",
@@ -233,20 +234,40 @@ def test_integrate_check(files, capsys):
         capsys,
     )
     assert code == 0
-    assert "PASS" in out
-    assert "max_defect=" in out
+    assert json.loads(out)["pass"]
+    assert "PASS" in err
+    assert "max_defect=" in err
 
 
 def test_integrate_check_fails_tight_tol(files, capsys):
     _, write = files
     group = write("z2.json", Z2_DOC)
     field = write("x.json", CUBIC_FIELD_DOC)
-    code, out, _ = run(
+    code, out, err = run(
         ["integrate-check", "--group", group, "--field", field, "--x0", "1/2", "--step", "0.2", "--tol", "1e-18"],
         capsys,
     )
     assert code == 1
-    assert "FAIL" in out
+    assert json.loads(out)["pass"] is False
+    assert "FAIL" in err
+
+
+def test_integrate_check_out_is_deterministic(tmp_path, capsys):
+    # the radial field on z2_diag from demos/data, run twice: identical bytes,
+    # and the defect 1.83e-15 measured with each monomial evaluated by libm pow
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
+    texts = []
+    for name in ("a.json", "b.json"):
+        code, stdout, _ = run(
+            ["integrate-check", "--group", os.path.join(data, "z2_diag.json"),
+             "--field", os.path.join(data, "radial_plane_field.json"),
+             "--x0", "1/2,1/3", "--out", str(tmp_path / name)],
+            capsys,
+        )
+        assert code == 0 and stdout == ""
+        texts.append((tmp_path / name).read_bytes())
+    assert texts[0] == texts[1]
+    assert abs(json.loads(texts[0])["max_defect"] - 1.8318679906315083e-15) <= 1e-12
 
 
 @pytest.mark.parametrize(

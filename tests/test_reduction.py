@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivar import (
     MultiPoly,
@@ -18,6 +20,7 @@ from equivar import (
     reduce_field,
     variables,
 )
+from equivar.reduction import _compile_polys
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +173,62 @@ def test_non_finite_state(z2_line):
     rs = reduce_field(blowup, inv)
     with pytest.raises(NonFiniteState) as err:
         integrate_pair(blowup, rs, inv, [2], 2.0, 1e-2)
-    assert err.value.time > 0
+    # the exact solution blows up at t = 1/8; RK4 at step 1e-2 overflows at step 15
+    assert err.value.time == 0.15
+
+
+def test_non_finite_state_in_one_component(z2_diag):
+    # only the first component holds x1^3, so in the second the overflowing
+    # monomial meets a zero coefficient: inf * 0.0 must still end the run
+    x1, x2 = variables(2)
+    inv = invariant_ring_generators(z2_diag)
+    field = PolyVectorField([x1**3, -x2])
+    rs = reduce_field(field, inv)
+    with pytest.raises(NonFiniteState) as err:
+        integrate_pair(field, rs, inv, [2, Fraction(1, 2)], 2.0, 1e-2)
+    assert err.value.time == 0.15
+    assert "full" in str(err.value)
+
+
+# -- the compiled float evaluator against exact evaluation ----------------------
+
+
+@st.composite
+def poly_systems(draw):
+    """A system of polynomials in 1-4 variables of degree up to 12, always
+    with a zero and a constant component; the others either share monomials
+    or have pairwise disjoint supports."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    exps = st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n).filter(
+        lambda e: sum(e) <= 12
+    )
+    monos = draw(st.lists(exps.map(tuple), min_size=1, max_size=12, unique=True))
+    ncomps = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        owner = draw(st.lists(st.integers(0, ncomps - 1), min_size=len(monos), max_size=len(monos)))
+        supports = [[e for e, o in zip(monos, owner) if o == i] for i in range(ncomps)]
+    else:
+        supports = [draw(st.lists(st.sampled_from(monos), unique=True)) for _ in range(ncomps)]
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool)
+    comps = [MultiPoly(n, {e: draw(coeffs) for e in support}) for support in supports]
+    comps.insert(draw(st.integers(0, len(comps))), MultiPoly.zero(n))
+    comps.insert(draw(st.integers(0, len(comps))), MultiPoly.constant(n, draw(coeffs)))
+    point = draw(st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=7)),
+        min_size=n, max_size=n,
+    ))
+    return n, comps, point
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_systems())
+def test_compiled_evaluator_matches_exact(system):
+    n, comps, point = system
+    got = _compile_polys(comps, n)(np.array([float(v) for v in point]))
+    assert got.shape == (len(comps),)
+    for p, value in zip(comps, got):
+        scale = sum(abs(c * MultiPoly.monomial(e).evaluate(point)) for e, c in p)
+        assert abs(value - float(p.evaluate(point))) <= 1e-12 * float(scale)
 
 
 def test_integrate_validates_arguments(cubic_line):
