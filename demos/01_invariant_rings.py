@@ -12,7 +12,6 @@ from equivar import (
     RatMatrix,
     close_group,
     express,
-    hilbert_map_eval,
     invariant_basis,
     invariant_ring_generators,
     molien,
@@ -64,9 +63,9 @@ print(f"  q = {f.format(pnames)}  with P1, P2, P3 = x1^2, x1*x2, x2^2")
 print(f"  substitution check: {inv.substitute(f) == q}")
 
 banner("The Hilbert map sends points to orbit-space coordinates")
-print(f"  sigma(1, 2)  = {hilbert_map_eval(inv, [1, 2])}")
-print(f"  sigma(-1,-2) = {hilbert_map_eval(inv, [-1, -2])}   (same orbit, same image)")
-print(f"  sigma(1/2, 1/3) = {hilbert_map_eval(inv, [Fraction(1, 2), Fraction(1, 3)])}")
+print(f"  sigma(1, 2)  = {inv.hilbert_map([1, 2])}")
+print(f"  sigma(-1,-2) = {inv.hilbert_map([-1, -2])}   (same orbit, same image)")
+print(f"  sigma(1/2, 1/3) = {inv.hilbert_map([Fraction(1, 2), Fraction(1, 3)])}")
 
 banner("Relations among the generators")
 rset = relations(inv, 4)

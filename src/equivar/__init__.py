@@ -46,7 +46,6 @@ from .invariants import (
     InvariantGens,
     RelationSet,
     express,
-    hilbert_map_eval,
     invariant_basis,
     invariant_ring_generators,
     power_product,
@@ -108,7 +107,6 @@ __all__ = [
     "express",
     "express_equivariant",
     "grlex_key",
-    "hilbert_map_eval",
     "infer_action",
     "integrate_pair",
     "invariant_basis",

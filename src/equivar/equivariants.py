@@ -14,14 +14,14 @@ computation, checked against the trace-weighted Molien series.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .actions import PSI, THETA, PolyVectorField, fixed_basis, is_invariant, pairing, unpairing
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
-from .invariants import InvariantGens, invariant_basis, power_product, weighted_monomials
+from .invariants import InvariantGens, invariant_basis, weighted_monomials
 from .linalg import Echelon, solve_free_zero
-from .molien import MolienSeries, molien_equivariant
+from .molien import molien_equivariant
 from .poly import Exponents, MultiPoly, monomials_of_degree, poly_to_vector
 
 
@@ -118,8 +118,6 @@ def equivariant_module_generators(
                 f"degree {m}: equivariant space has dimension {len(basis_m)}, "
                 f"Molien says {expected}"
             )
-        if not basis_m:
-            continue
         monos = xilinear_monomials(group.n, m)
         span = Echelon()
         for w, m_w in zip(vgens, degrees):
@@ -129,33 +127,11 @@ def equivariant_module_generators(
             if span.add(field_to_vector(cand, monos)):
                 vgens.append(cand)
                 degrees.append(m)
-    result = EquivariantGens(group, vgens, degrees, inv)
-    _check_module_span_matches_molien(result, series, bound, multipliers)
-    return result
-
-
-def _check_module_span_matches_molien(
-    eg: EquivariantGens,
-    series: MolienSeries,
-    bound: int,
-    multipliers: Callable[[int], list[MultiPoly]],
-) -> None:
-    """Module span rank against Molien at every degree; `multipliers(d)` is a
-    basis of the degree-d invariants."""
-    group = eg.group
-    for m in range(bound + 1):
-        monos = xilinear_monomials(group.n, m)
-        span = Echelon()
-        for w, m_w in zip(eg.vgens, eg.degrees):
-            if m_w > m:
-                continue
-            for b in multipliers(m - m_w):
-                span.add(field_to_vector(w.scale(b), monos))
-        expected = series.coefficient(m)
         if span.rank != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {m}: module span has dimension {span.rank}, Molien says {expected}"
             )
+    return EquivariantGens(group, vgens, degrees, inv)
 
 
 def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[MultiPoly]:
@@ -187,7 +163,7 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
             if delta < 0:
                 continue
             for a in weighted_monomials(inv.degrees, delta):
-                columns.append(field_to_vector(w.scale(power_product(inv.gens, a)), monos))
+                columns.append(field_to_vector(w.scale(inv.substitute(MultiPoly.monomial(a))), monos))
                 labels.append((w_idx, a))
         if not columns:
             raise NoSolution(f"no module products exist at degree {m}")

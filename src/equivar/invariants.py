@@ -4,9 +4,16 @@ The ring of G-invariant polynomials is computed degree by degree: take the
 canonical basis of the degree-d fixed space (orbit sums over the generators
 when every generator is a monomial matrix, otherwise the common kernel of
 rho_d(g) - I over the generators; see actions.fixed_basis), and keep
-whatever the products of already-found generators fail to span.  Noether's bound (degree <= |G| in
-characteristic zero) makes the loop finite; the Molien series supplies an
-independent dimension count that every step is checked against.
+whatever the products of already-found generators fail to span.  Noether's
+bound (degree <= |G| in characteristic zero) makes the loop finite; the
+Molien series supplies an independent dimension count, checked at every
+degree against the fixed space and against the span it ends with.
+
+Every generator product p^a comes from one ProductTable: the coefficient
+column of p^a over the degree's monomials, memoised by a and built from a
+cached column times one generator.  The loop keeps a table while its
+generator list grows, and each InvariantGens owns one, which express,
+relations and substitute read, so no product is multiplied out twice.
 
 Polynomials in the generators themselves ("P-polynomials") are ordinary
 MultiPoly values in k variables, where variable i stands for generator i and
@@ -20,13 +27,14 @@ keeps outputs identical across runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .actions import PHI_DAGGER, fixed_basis, is_invariant
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
 from .linalg import Echelon, kernel_basis, solve_free_zero
-from .molien import MolienSeries, molien
+from .molien import molien
 from .poly import (
     Exponents,
     MultiPoly,
@@ -63,6 +71,95 @@ def power_product(polys: Sequence[MultiPoly], exps: Exponents) -> MultiPoly:
     return acc
 
 
+class ProductTable:
+    """Coefficient columns of the generator products p^a, memoised by a.
+
+    The column of p^a holds its coefficients over monomials_of_degree(n, d),
+    d = sum_i a_i deg(p_i), in descending graded-lex order, as integer
+    numerators over one positive denominator.  A new column is one cached
+    column times one generator, col(a) = col(a - e_i) * p_i with i the last
+    nonzero index of a, so each product costs a single multiplication by a
+    generator however high its degree.  Keys drop trailing zero exponents,
+    so every column stays valid while generators are appended.  The table
+    keeps columns, not MultiPoly values: a dense list of ints is much
+    smaller than a dict of Fractions.  Inside, a monomial is packed into one
+    int, _SHIFT bits per exponent, so that multiplying monomials is adding
+    ints.
+    """
+
+    __slots__ = ("n", "_degrees", "_gens", "_cols", "_graded")
+
+    def __init__(self, n: int, gens: Sequence[MultiPoly] = ()) -> None:
+        self.n = n
+        self._degrees: list[int] = []
+        self._gens: list[tuple[int, list[tuple[int, int]]]] = []
+        self._cols: dict[Exponents, tuple[list[int], int]] = {(): ([1], 1)}
+        self._graded: dict[int, tuple[list[Exponents], list[int], dict[int, int]]] = {}
+        for p in gens:
+            self.append(p)
+
+    def append(self, p: MultiPoly) -> None:
+        """Add a homogeneous generator as the next variable."""
+        terms = p.sorted_terms()
+        den = lcm(*(c.denominator for _, c in terms))
+        self._gens.append((den, [(_pack(e), c.numerator * (den // c.denominator)) for e, c in terms]))
+        self._degrees.append(p.total_degree())
+
+    def monomials(self, d: int) -> list[Exponents]:
+        """The degree-d monomials, descending graded-lex: the rows of every column."""
+        return self._degree(d)[0]
+
+    def column(self, a: Sequence[int]) -> tuple[list[int], int]:
+        """(numerators, denominator) of p^a over monomials(sum_i a_i deg(p_i))."""
+        key = _strip(tuple(a))
+        chain = []
+        a = key
+        while a not in self._cols:
+            prev = _strip(a[:-1] + (a[-1] - 1,))
+            chain.append((a, prev))
+            a = prev
+        for a, prev in reversed(chain):
+            i = len(a) - 1
+            nums, den = self._cols[prev]
+            gden, terms = self._gens[i]
+            d_prev = sum(x * w for x, w in zip(prev, self._degrees))
+            keys = self._degree(d_prev)[1]
+            index = self._degree(d_prev + self._degrees[i])[2]
+            out = [0] * len(index)
+            for k, c in zip(keys, nums):
+                if c:
+                    for e, gc in terms:
+                        out[index[k + e]] += c * gc
+            self._cols[a] = (out, den * gden)
+        return self._cols[key]
+
+    def _degree(self, d: int) -> tuple[list[Exponents], list[int], dict[int, int]]:
+        got = self._graded.get(d)
+        if got is None:
+            monos = monomials_of_degree(self.n, d)
+            keys = [_pack(e) for e in monos]
+            got = self._graded[d] = (monos, keys, {k: j for j, k in enumerate(keys)})
+        return got
+
+
+# Bits per exponent in a packed monomial: exponents stay far below 2**32,
+# so adding packed monomials never carries from one exponent into the next.
+_SHIFT = 32
+
+
+def _pack(e: Exponents) -> int:
+    key = 0
+    for x in e:
+        key = (key << _SHIFT) | x
+    return key
+
+
+def _strip(a: Exponents) -> Exponents:
+    while a and not a[-1]:
+        a = a[:-1]
+    return a
+
+
 class InvariantGens:
     """An ordered generating set for the invariant ring of a group.
 
@@ -71,7 +168,7 @@ class InvariantGens:
     the tuple of generator values; its image models the orbit space.
     """
 
-    __slots__ = ("group", "gens", "degrees")
+    __slots__ = ("group", "gens", "degrees", "_table")
 
     def __init__(self, group: MatGroup, gens: Sequence[MultiPoly], degrees: Sequence[int]) -> None:
         object.__setattr__(self, "group", group)
@@ -79,6 +176,7 @@ class InvariantGens:
         object.__setattr__(self, "degrees", tuple(degrees))
         if len(self.gens) != len(self.degrees):
             raise ValueError("generator and degree lists have different lengths")
+        object.__setattr__(self, "_table", ProductTable(group.n, self.gens))
 
     def __setattr__(self, name, value):
         raise AttributeError("InvariantGens is immutable")
@@ -110,18 +208,31 @@ class InvariantGens:
         return tuple(p.evaluate(point) for p in self.gens)
 
     def substitute(self, f: MultiPoly) -> MultiPoly:
-        """Expand f(p_1, ..., p_k) as a polynomial in the original variables."""
+        """Expand f(p_1, ..., p_k) as a polynomial in the original variables.
+
+        Read off the product table as sum_a c_a col(a): the terms of each
+        degree are summed in integers over the lcm of their denominators, so
+        no generator product is multiplied out again.
+        """
         if f.nvars != self.k:
             raise ValueError(f"expected a polynomial in {self.k} generator variables")
-        return f.substitute(self.gens)
+        parts: dict[int, list[tuple[Fraction, list[int], int]]] = {}
+        for a, c in f.sorted_terms():
+            nums, den = self._table.column(a)
+            parts.setdefault(sum(x * w for x, w in zip(a, self.degrees)), []).append((c, nums, den))
+        terms: dict[Exponents, Fraction] = {}
+        for d, part in parts.items():
+            common = lcm(*(c.denominator * den for c, _, den in part))
+            total = [0] * len(part[0][1])
+            for c, nums, den in part:
+                s = c.numerator * (common // (c.denominator * den))
+                total = [t + s * x for t, x in zip(total, nums)]
+            terms.update((e, Fraction(t, common)) for e, t in zip(self._table.monomials(d), total) if t)
+        return MultiPoly(self.group.n, terms)
 
     def __repr__(self) -> str:
         inner = ", ".join(g.format() for g in self.gens)
         return f"InvariantGens([{inner}], degrees={list(self.degrees)})"
-
-
-def hilbert_map_eval(gens: InvariantGens, point: Sequence) -> tuple[Fraction, ...]:
-    return gens.hilbert_map(point)
 
 
 def invariant_basis(group: MatGroup, degree: int) -> list[MultiPoly]:
@@ -154,6 +265,7 @@ def invariant_ring_generators(
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
     series = molien(group)
+    table = ProductTable(group.n)
     gens: list[MultiPoly] = []
     degrees: list[int] = []
     for d in range(1, bound + 1):
@@ -163,79 +275,78 @@ def invariant_ring_generators(
             raise DimensionMismatchWithMolien(
                 f"degree {d}: fixed space has dimension {len(basis_d)}, Molien says {expected}"
             )
-        if not basis_d:
-            continue
-        basis_monos = monomials_of_degree(group.n, d)
+        basis_monos = table.monomials(d)
         span = Echelon()
         for a in weighted_monomials(degrees, d):
-            span.add(poly_to_vector(power_product(gens, a), basis_monos))
+            span.add(table.column(a)[0])
         for b in basis_d:
             if span.add(poly_to_vector(b, basis_monos)):
                 gens.append(b)
                 degrees.append(d)
-    result = InvariantGens(group, gens, degrees)
-    _check_products_match_molien(result, series, bound)
-    return result
-
-
-def _check_products_match_molien(inv: InvariantGens, series: MolienSeries, bound: int) -> None:
-    for d in range(1, bound + 1):
-        basis_monos = monomials_of_degree(inv.group.n, d)
-        span = Echelon()
-        for a in weighted_monomials(inv.degrees, d):
-            span.add(poly_to_vector(power_product(inv.gens, a), basis_monos))
-        expected = series.coefficient(d)
+                table.append(b)
         if span.rank != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {d}: generator products span dimension {span.rank}, Molien says {expected}"
             )
+    return InvariantGens(group, gens, degrees)
 
 
 def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
     """Write an invariant polynomial as a polynomial in the generators.
 
     Returns f in k variables with f(p_1(x), ..., p_k(x)) == q(x) exactly.
-    Solved degree by degree; when relations make the system underdetermined,
-    the free P-monomial coordinates (descending graded-lex order) are set to
-    zero.  Raises NotInvariant if q is not invariant, NoSolution if the
-    generators cannot reach q (which means they are incomplete).
+    Solved degree by degree against the columns of the product table; when
+    relations make the system underdetermined, the free P-monomial
+    coordinates (descending graded-lex order) are set to zero.  Raises
+    NotInvariant if q is not invariant, NoSolution if the generators cannot
+    reach q (which means they are incomplete).
     """
+    chk = is_invariant(inv.group, q, PHI_DAGGER)
+    if not chk:
+        raise NotInvariant("polynomial is not invariant", chk.generator_index, chk.difference)
     return _express_all(inv, [q])[0]
 
 
 def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]:
-    """express for each polynomial in turn, building the generator products
-    of each degree once for all of them."""
+    """express for each polynomial in turn, each already known invariant,
+    building the product matrix of each degree once for all of them."""
     systems: dict[int, tuple] = {}
     out = []
     for q in qs:
-        chk = is_invariant(inv.group, q, PHI_DAGGER)
-        if not chk:
-            raise NotInvariant("polynomial is not invariant", chk.generator_index, chk.difference)
         result = MultiPoly.zero(inv.k)
         for d, q_d in q.homogeneous_components().items():
             if d not in systems:
                 candidates = weighted_monomials(inv.degrees, d)
                 if not candidates:
                     raise NoSolution(f"no generator products exist at degree {d}")
-                systems[d] = (candidates, *_product_rows(inv, candidates, d))
-            candidates, basis_monos, rows = systems[d]
-            sol = solve_free_zero(rows, poly_to_vector(q_d, basis_monos))
+                systems[d] = (candidates, *_product_rows(inv._table, candidates))
+            candidates, rows, dens = systems[d]
+            sol = solve_free_zero(rows, poly_to_vector(q_d, inv._table.monomials(d)))
             if sol is None:
                 raise NoSolution(f"degree-{d} component is outside the generator span")
-            result = result + MultiPoly(inv.k, {a: c for a, c in zip(candidates, sol)})
+            result = result + MultiPoly(inv.k, dict(zip(candidates, _unscale(sol, dens))))
         out.append(result)
     return out
 
 
 def _product_rows(
-    inv: InvariantGens, candidates: Sequence[Exponents], d: int
-) -> tuple[list[Exponents], list[list[Fraction]]]:
-    """The degree-d monomials in x and the rows of the matrix whose column a
-    holds the coefficients of the generator product p^a, a in candidates."""
-    basis_monos = monomials_of_degree(inv.group.n, d)
-    columns = [poly_to_vector(power_product(inv.gens, a), basis_monos) for a in candidates]
-    return basis_monos, [[col[r] for col in columns] for r in range(len(basis_monos))]
+    table: ProductTable, candidates: Sequence[Exponents]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The integer rows of the matrix whose column j is den_j times the
+    column of p^a, a = candidates[j], and the factors den_j.
+
+    Scaling a column leaves its pivot status alone, so a solution y of the
+    integer system gives the solution x_j = den_j * y_j of the rational one,
+    with the same free coordinates at zero, and kernels map the same way.
+    """
+    cols = [table.column(a) for a in candidates]
+    return list(zip(*(nums for nums, _ in cols))), [den for _, den in cols]
+
+
+def _unscale(y: Sequence[Fraction], dens: Sequence[int]) -> list[Fraction]:
+    """x_j = den_j * y_j: a solution of the integer system of _product_rows
+    read back as a solution of the rational one."""
+    return [c * den if den != 1 else c for c, den in zip(y, dens)]
 
 
 class RelationSet:
@@ -272,9 +383,10 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
     """Kernel of the substitution map, weighted degree by weighted degree.
 
     At each weighted degree d the kernel of (P-monomials of weight d) ->
-    (degree-d polynomials in x) is computed exactly; relations that are
-    P-polynomial multiples of lower-degree ones are dropped.  Relations are
-    normalized monic in graded-lex on P-exponents.
+    (degree-d polynomials in x) is computed exactly, on the integer columns
+    of the product table; relations that are P-polynomial multiples of
+    lower-degree ones are dropped.  Relations are normalized monic in
+    graded-lex on P-exponents.
     """
     if not inv.gens:
         return RelationSet(inv, [], [])
@@ -289,18 +401,19 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
         candidates = weighted_monomials(inv.degrees, d)
         if len(candidates) < 2:
             continue
-        _, rows = _product_rows(inv, candidates, d)
-        kernel = kernel_basis(rows, len(candidates))
+        rows, dens = _product_rows(inv._table, candidates)
+        kernel = [_unscale(y, dens) for y in kernel_basis(rows, len(candidates))]
         if not kernel:
             continue
         cand_index = {a: i for i, a in enumerate(candidates)}
         known = Echelon()
         for rel, rd in zip(rels, rel_degrees):
+            terms = rel.sorted_terms()
             for m in weighted_monomials(inv.degrees, d - rd):
-                multiple = MultiPoly.monomial(m) * rel
-                vec = [Fraction(0)] * len(candidates)
-                for a, c in multiple.sorted_terms():
-                    vec[cand_index[a]] = c
+                # the coefficients of the multiple P^m * rel
+                vec = [0] * len(candidates)
+                for a, c in terms:
+                    vec[cand_index[tuple(x + y for x, y in zip(a, m))]] = c
                 known.add(vec)
         for v in kernel:
             if known.add(v):

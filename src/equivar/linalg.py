@@ -5,12 +5,13 @@ are only trustworthy in exact arithmetic.  Vectors are plain lists of
 Fraction; matrices for elimination are lists of row lists.  RatMatrix is the
 immutable matrix type used for group elements.
 
-All elimination (rref, kernel_basis, solve_free_zero, the matrix inverse and
-the kernel route of the fixed spaces) runs on one fraction-free Gauss-Jordan
-core over the integers: each row is cleared of denominators, rows are
-combined as p*row - f*pivot_row and divided by their content, and the pivots
-are divided out only when the result is read back as Fraction.  The reduced
-row echelon form is unique, so it is the same as Fraction elimination gives.
+All elimination (rref, kernel_basis, solve_free_zero, the matrix inverse,
+the kernel route of the fixed spaces and the incremental spans of Echelon)
+runs on fraction-free integer arithmetic: each row is cleared of
+denominators, rows are combined as p*row - f*pivot_row and divided by their
+content, and the pivots are divided out only when the result is read back as
+Fraction.  The reduced row echelon form is unique, so it is the same as
+Fraction elimination gives, and a span keeps the same rank and membership.
 """
 
 from __future__ import annotations
@@ -113,13 +114,6 @@ class RatMatrix:
         if pivots[:n] != list(range(n)):
             raise ValueError("singular matrix")
         return RatMatrix(n, n, (Fraction(red[i][n + j], red[i][i]) for i in range(n) for j in range(n)))
-
-    def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-        except ValueError:
-            return False
-        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
@@ -224,39 +218,47 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 class Echelon:
-    """Incremental row space.
+    """Incremental row space on the integer core.
 
-    add() returns True when the vector enlarges the span.  Each stored row is
-    reduced against all earlier rows at insertion time, so insertion-order
-    elimination stays sound.
+    add() returns True when the vector enlarges the span.  Each vector is
+    cleared of denominators and content, then reduced against the stored
+    rows in insertion order as a*v - b*row, with a and b the pivot entries
+    divided by their gcd, and divided by its content after every step.  A
+    vector that stays nonzero is stored as a coprime integer row, with its
+    pivot at its first nonzero entry.  Every stored row is zero in the
+    pivots of the rows before it, so insertion-order elimination stays sound.
     """
 
     def __init__(self) -> None:
-        self._rows: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def residual(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = list(vec)
+    def _residual(self, vec: Sequence) -> list[int]:
+        v = _integer_row(vec)
         for row, p in zip(self._rows, self._pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
+            f = v[p]
+            if f:
+                g = gcd(row[p], f)
+                a, b = row[p] // g, f // g
+                v = [a * x - b * y for x, y in zip(v, row)]
+                c = gcd(*v)
+                if c > 1:
+                    v = [x // c for x in v]
         return v
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.residual(vec))
+    def contains(self, vec: Sequence) -> bool:
+        return not any(self._residual(vec))
 
-    def add(self, vec: Sequence[Fraction]) -> bool:
-        v = self.residual(vec)
-        p = next((i for i, x in enumerate(v) if x != 0), None)
+    def add(self, vec: Sequence) -> bool:
+        v = self._residual(vec)
+        p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
-        inv_p = 1 / v[p]
-        self._rows.append([x * inv_p for x in v])
+        self._rows.append(v)
         self._pivots.append(p)
         return True
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from equivar import (
+    DimensionMismatchWithMolien,
     MultiPoly,
     NotInvariant,
     PSI,
@@ -22,6 +23,7 @@ from equivar import (
     unpairing,
     variables,
 )
+from equivar import equivariants
 from equivar.equivariants import field_to_vector, xilinear_monomials
 from equivar.linalg import Echelon
 from equivar.poly import monomials_of_degree
@@ -222,3 +224,23 @@ def test_express_equivariant_round_trip(sample_groups, gname):
         for c, v in zip(coeffs, eg.vgens):
             rebuilt = rebuilt + v.scale(inv.substitute(c))
         assert rebuilt == field
+
+
+def test_folded_module_span_check_raises(c4, monkeypatch):
+    # a degree-5 basis of the right size with one field that is not
+    # equivariant passes the fixed-space count; only the span check catches
+    # it (degree 5 is past C4's bound |G| - 1, where the module spans it all)
+    x1, _ = variables(2)
+    bad = PolyVectorField([x1**5, MultiPoly.zero(2)])
+    assert not is_invariant(c4, bad, THETA)
+    real = equivariants.fixed_basis
+
+    def patched(group, action, monos):
+        basis = real(group, action, monos)
+        return basis[:-1] + [pairing(bad)] if sum(monos[0]) == 6 else basis
+
+    monkeypatch.setattr(equivariants, "fixed_basis", patched)
+    inv = invariant_ring_generators(c4)
+    assert len(equivariant_basis(c4, 5)) == molien_equivariant(c4).coefficient(5)
+    with pytest.raises(DimensionMismatchWithMolien, match="^degree 5: module span"):
+        equivariant_module_generators(c4, inv, degree_bound=5)

@@ -1,17 +1,22 @@
 """Invariant ring generators, expression, and relations."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivar import (
+    DimensionMismatchWithMolien,
     InvariantGens,
     MultiPoly,
     NoSolution,
     NotInvariant,
     PHI_DAGGER,
+    RatMatrix,
+    close_group,
     express,
-    hilbert_map_eval,
     invariant_basis,
     invariant_ring_generators,
     is_invariant,
@@ -21,6 +26,8 @@ from equivar import (
     variables,
     weighted_monomials,
 )
+from equivar import invariants
+from equivar.invariants import ProductTable
 from equivar.linalg import Echelon
 from equivar.poly import monomials_of_degree, poly_to_vector
 
@@ -117,11 +124,11 @@ def test_generator_bound_override(z2_line):
 
 def test_hilbert_map_examples(z2_line, z2_diag):
     inv1 = invariant_ring_generators(z2_line)
-    assert hilbert_map_eval(inv1, [3]) == (9,)
+    assert inv1.hilbert_map([3]) == (9,)
 
     inv2 = invariant_ring_generators(z2_diag)
-    assert hilbert_map_eval(inv2, [1, 2]) == (1, 2, 4)
-    assert hilbert_map_eval(inv2, [0, 0]) == (0, 0, 0)
+    assert inv2.hilbert_map([1, 2]) == (1, 2, 4)
+    assert inv2.hilbert_map([0, 0]) == (0, 0, 0)
 
 
 # -- express ---------------------------------------------------------------------------
@@ -247,3 +254,91 @@ def test_weighted_monomials_order():
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
     ]
     assert weighted_monomials((2,), 3) == []
+
+
+# -- product table against the power_product oracle ------------------------------------
+
+COEFFS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@st.composite
+def generator_sets(draw):
+    """1-4 variables, 1-3 homogeneous generators of degrees 1-3 with some
+    non-integral coefficients."""
+    n = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials_of_degree(n, draw(st.integers(1, 3)))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+        gens.append(MultiPoly(n, {e: draw(COEFFS) for e in support}))
+    return n, gens
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_sets(), st.data())
+def test_product_table_matches_power_product(gs, data):
+    # every product of weighted degree <= 8, asked for in a random order, with
+    # the last generators appended only after some columns have been read
+    n, gens = gs
+    degrees = [p.total_degree() for p in gens]
+    exps = [a for d in range(9) for a in weighted_monomials(degrees, d)]
+    order = data.draw(st.permutations(exps))
+    split = data.draw(st.integers(1, len(gens)))
+    table = ProductTable(n, gens[:split])
+    for a in order:
+        if not any(a[split:]):
+            table.column(a[:split])
+    for p in gens[split:]:
+        table.append(p)
+    for a in order:
+        d = sum(x * w for x, w in zip(a, degrees))
+        nums, den = table.column(a)
+        assert table.monomials(d) == monomials_of_degree(n, d)
+        want = poly_to_vector(power_product(gens, a), monomials_of_degree(n, d))
+        assert [Fraction(x, den) for x in nums] == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(generator_sets(), st.data())
+def test_substitute_matches_polynomial_substitution(gs, data):
+    n, gens = gs
+    inv = InvariantGens(close_group([RatMatrix.identity(n)]), gens, [p.total_degree() for p in gens])
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * len(gens)), COEFFS, max_size=6))
+    f = MultiPoly(len(gens), terms)
+    assert inv.substitute(f) == f.substitute(list(gens))
+
+
+def test_express_and_relations_with_non_integral_generators(z2_diag):
+    # generators with denominators give product columns over denominators
+    # other than 1, so solutions and kernels of the integer system must be
+    # scaled back before they mean anything
+    x1, x2 = variables(2)
+    inv = InvariantGens.from_polys(
+        z2_diag, [x1**2 + Fraction(1, 3) * x1 * x2, x1 * x2 - Fraction(5, 2) * x2**2, x2**2]
+    )
+    rng = random.Random(7)
+    for _ in range(5):
+        q = inv.substitute(random_poly(rng, inv.k, 3))
+        assert inv.substitute(express(inv, q)) == q
+    rels = relations(inv, 4)
+    assert len(rels) == 1
+    assert inv.substitute(rels.rels[0]).is_zero
+
+
+def test_folded_span_check_raises(c4, monkeypatch):
+    # a degree-6 basis of the right size with one element that is not
+    # invariant passes the fixed-space count; only the span check catches it
+    # (degree 6 is past C4's Noether bound, where the products span it all)
+    x1, _ = variables(2)
+    assert not is_invariant(c4, x1**6, PHI_DAGGER)
+    real = invariants.fixed_basis
+
+    def patched(group, action, monos):
+        basis = real(group, action, monos)
+        return basis[:-1] + [x1**6] if sum(monos[0]) == 6 else basis
+
+    monkeypatch.setattr(invariants, "fixed_basis", patched)
+    assert len(invariant_basis(c4, 6)) == molien(c4).coefficient(6)
+    with pytest.raises(DimensionMismatchWithMolien, match="^degree 6: generator products span"):
+        invariant_ring_generators(c4, degree_bound=6)

@@ -6,6 +6,7 @@ the oracle, on random rational matrices.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -59,7 +60,8 @@ def test_inverse_rational_entries():
 def test_singular_raises():
     with pytest.raises(ValueError):
         RatMatrix.from_rows([[1, 2], [2, 4]]).inverse()
-    assert not RatMatrix.from_rows([[0]]).is_invertible()
+    with pytest.raises(ValueError):
+        RatMatrix.from_rows([[0]]).inverse()
 
 
 def test_apply():
@@ -209,6 +211,69 @@ def test_solve_free_zero_solves(case, data):
     bad = data.draw(st.lists(_entries(10**6), min_size=len(rows), max_size=len(rows)))
     consistent = len(fraction_rref([r + [c] for r, c in zip(rows, bad)])[1]) == len(pivots)
     assert (solve_free_zero(rows, bad) is not None) == consistent
+
+
+class FractionEchelon:
+    """The incremental span in Fraction arithmetic, each row scaled to pivot 1."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def residual(self, vec):
+        v = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def contains(self, vec):
+        return not any(self.residual(vec))
+
+    def add(self, vec):
+        v = self.residual(vec)
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        self.rows.append([x / v[p] for x in v])
+        self.pivots.append(p)
+        return True
+
+
+@st.composite
+def echelon_sequences(draw):
+    """add/contains calls on zero vectors, repeats of a small pool, rational
+    combinations of the pool and fresh vectors, denominators up to 10**6."""
+    ncols = draw(st.integers(1, 7))
+    vectors = st.lists(_entries(10**6), min_size=ncols, max_size=ncols)
+    pool = draw(st.lists(vectors, min_size=1, max_size=5))
+    ops = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination", "fresh"]))
+        if kind == "zero":
+            v = [Fraction(0)] * ncols
+        elif kind == "repeat":
+            v = draw(st.sampled_from(pool))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            s, t = draw(_entries(10**6)), draw(_entries(10**6))
+            v = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            v = draw(vectors)
+        ops.append((draw(st.sampled_from(["add", "contains"])), v))
+    return ops
+
+
+@settings(max_examples=80, deadline=None)
+@given(echelon_sequences())
+def test_echelon_matches_fraction_echelon(ops):
+    fast, slow = Echelon(), FractionEchelon()
+    for op, v in ops:
+        assert getattr(fast, op)(v) == getattr(slow, op)(v)
+        assert fast.rank == len(slow.rows)
+    # the stored rows are coprime integer rows, not Fractions
+    assert all(type(x) is int for row in fast._rows for x in row)
+    assert all(gcd(*row) == 1 for row in fast._rows)
 
 
 def test_core_edge_cases():
