@@ -15,9 +15,10 @@ vector-field generators as fixed phase polynomials.
 fixed_basis gives the canonical basis of the fixed points among the
 polynomials of one degree, from the group generators alone: orbit sums when
 every generator is a monomial matrix, otherwise the common kernel of
-rho_d(g) - I over the generators, found in integer arithmetic.  Averaging
-over the whole group (the Reynolds projector) lands on the same fixed
-points; it stays public, and the tests use it as the oracle.
+rho_d(g) - I over the generators, read in integers off a poly.ProductTable
+of the linear forms of x -> g^-1 x.  Averaging over the whole group (the
+Reynolds projector) lands on the same fixed points; it stays public, and the
+tests use it as the oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, NotXiLinear
 from .groups import MatGroup
 from .linalg import RatMatrix, block_diag, kernel_rref
-from .poly import Exponents, MultiPoly, vector_to_poly
+from .poly import Exponents, MultiPoly, ProductTable, monomials_of_degree, vector_to_poly
 
 PHI_DAGGER = "phi_dagger"
 THETA = "theta"
@@ -135,10 +136,6 @@ def phase_names(n: int) -> list[str]:
 
 def xi_degree(exps: Exponents, n: int) -> int:
     return sum(exps[n:])
-
-
-def x_degree(exps: Exponents, n: int) -> int:
-    return sum(exps[:n])
 
 
 def is_xi_linear(q: MultiPoly) -> bool:
@@ -307,44 +304,36 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[MultiPoly]:
     return out
 
 
-def _image(e: Exponents, linear, images: dict) -> dict[Exponents, int]:
-    """The terms of x^e under x_i -> sum_j c x_j for (j, c) in linear[i], as
-    img(x^e) = img(x^(e - e_i)) * img(x_i); the images of lower degree are
-    memoised in `images`."""
-    i = next(k for k, x in enumerate(e) if x)
-    rest = e[:i] + (e[i] - 1,) + e[i + 1 :]
-    below = images.get(rest)
-    if below is None:
-        below = images[rest] = _image(rest, linear, images)
-    out: dict[Exponents, int] = {}
-    for ea, ca in below.items():
-        for j, c in linear[i]:
-            e2 = ea[:j] + (ea[j] + 1,) + ea[j + 1 :]
-            out[e2] = out.get(e2, 0) + ca * c
-    return out
+def _integer_forms(m: RatMatrix, lo: int, n: int) -> tuple[list[list[int]], int]:
+    """D times the n x n block of m at rows and columns lo..lo+n-1, as integer
+    rows, and D, the lcm of the block's denominators."""
+    rows = [m.row(i)[lo : lo + n] for i in range(lo, lo + n)]
+    den = lcm(*(c.denominator for r in rows for c in r))
+    return [[c.numerator * (den // c.denominator) for c in r] for r in rows], den
 
 
-def _integer_block(m: RatMatrix, monos: Sequence[Exponents]) -> list[list[int]]:
-    """The rows of rho_d(D M) - D^d I on span(monos), D the lcm of the
-    denominators of m.
+def _integer_block(m: RatMatrix, n: int, d: int) -> list[list[int]]:
+    """The rows of an integer multiple of rho_d(M) - I, M the substitution
+    matrix of a generator, over the monomials that fixed_basis is given.
 
-    Column e holds the terms of (x^e)(D M x).  Every monomial in monos has
-    total degree d, so rho_d(D M) = D^d rho_d(M) and the block is an
-    integer multiple of rho_d(M) - I with the same kernel.
+    x^alpha maps to l^alpha / D^d, with D the lcm of the denominators of the
+    x block and l_i = (D M x)_i, so rho_d(D M) is read off the ProductTable
+    of the n integer linear forms l_i.  Under the phase action (M of size 2n)
+    x^alpha xi_i maps to (g^-1 . x^alpha) (g^T xi)_i, so over the alpha-major
+    xilinear_monomials the block is the Kronecker product of the x block with
+    E g^T, the xi block of M cleared by its lcm E.
     """
-    den = lcm(*(x.denominator for x in m.entries))
-    linear = [
-        [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(m.row(i)) if c]
-        for i in range(m.rows)
-    ]
-    one = (0,) * m.rows
-    images = {one: {one: 1}}
-    index = {e: i for i, e in enumerate(monos)}
-    block = [[0] * len(monos) for _ in monos]
-    for col, e in enumerate(monos):
-        for e2, c in _image(e, linear, images).items():
-            block[index[e2]][col] = c
-        block[col][col] -= den ** sum(e)
+    forms, den = _integer_forms(m, 0, n)
+    table = ProductTable(n, [MultiPoly(n, zip(monomials_of_degree(n, 1), f)) for f in forms])
+    cols = [table.column(alpha)[0] for alpha in table.monomials(d)]
+    block = [list(r) for r in zip(*cols)]
+    scale = den**d
+    if m.rows == 2 * n:
+        t, t_den = _integer_forms(m, n, n)
+        block = [[c * t[i][k] for c in row for i in range(n)] for row in block for k in range(n)]
+        scale *= t_den
+    for j, row in enumerate(block):
+        row[j] -= scale
     return block
 
 
@@ -365,13 +354,15 @@ def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> lis
     supports, so the monic sums already form the echelon basis.  Otherwise
     it is the common kernel of rho_d(g) - I over the generators, with
     rho_d(g) the action's matrix on span(monos), found in integer
-    arithmetic.
+    arithmetic (see _integer_block).  That route needs `monos` to be all of
+    monomials_of_degree(n, d), or of xilinear_monomials(n, d), in order.
     """
     mats = [_substitution_matrix(group, action, g) for g in group.gen_indices]
     forms = [_monomial_form(m) for m in mats]
     if all(f is not None for f in forms):
         return _orbit_sums(forms, monos)
-    rows = [row for m in mats for row in _integer_block(m, monos)]
+    d = sum(monos[0][: group.n])
+    rows = [row for m in mats for row in _integer_block(m, group.n, d)]
     return [vector_to_poly(v, monos, mats[0].rows) for v in kernel_rref(rows, len(monos))]
 
 

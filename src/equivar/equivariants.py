@@ -7,19 +7,25 @@ exactly the pairings of the equivariant fields.  So the degree-m equivariant
 basis is the canonical fixed-space basis of the phase action on the
 monomials x^alpha xi_i (orbit sums over the generators when every generator
 is a monomial matrix, the common kernel of rho_d(g) - I over the generators
-otherwise), and module
-generation over the invariant ring is again a degree-by-degree complement
-computation, checked against the trace-weighted Molien series.
+otherwise), and module generation over the invariant ring is again a
+degree-by-degree complement computation, checked against the trace-weighted
+Molien series.
+
+The module is taken over Q[p], p the given invariant generators: each
+product p^a W_j is the column of p^a in their ProductTable times the
+components of W_j (_module_products), and the span of the generator loop and
+the solve of express_equivariant read the same columns in the same order.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Sequence
 
 from .actions import PSI, THETA, PolyVectorField, fixed_basis, is_invariant, pairing, unpairing
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
-from .invariants import InvariantGens, invariant_basis, weighted_monomials
+from .invariants import InvariantGens, _unscale, weighted_monomials
 from .linalg import Echelon, solve_free_zero
 from .molien import molien_equivariant
 from .poly import Exponents, MultiPoly, monomials_of_degree, poly_to_vector
@@ -91,9 +97,10 @@ def equivariant_module_generators(
 
     Default bound |G| - 1: a xi-linear generator of the phase invariants has
     total degree at most |G| by Noether's bound, so the corresponding field
-    degree is at most |G| - 1.  At each degree m the span of (invariant of
-    degree m - m_W) x (generator W) is completed to the full fixed space;
-    dimensions are checked against the trace-weighted Molien series.
+    degree is at most |G| - 1.  At each degree m the span of the products
+    p^a W (p^a a product of inv's generators, W a generator found below m)
+    is completed to the full fixed space, so the module is taken over the
+    ring inv generates; dimensions are checked against the Molien series.
     """
     if inv.group is not group and inv.group.elements != group.elements:
         raise ValueError("invariant generators were computed for a different group")
@@ -101,13 +108,6 @@ def equivariant_module_generators(
     if bound < 0:
         raise ValueError("degree bound must be non-negative")
     series = molien_equivariant(group)
-    invariants_of_degree: dict[int, list[MultiPoly]] = {}
-
-    def multipliers(d: int) -> list[MultiPoly]:
-        if d not in invariants_of_degree:
-            invariants_of_degree[d] = invariant_basis(group, d)
-        return invariants_of_degree[d]
-
     vgens: list[PolyVectorField] = []
     degrees: list[int] = []
     for m in range(bound + 1):
@@ -120,9 +120,8 @@ def equivariant_module_generators(
             )
         monos = xilinear_monomials(group.n, m)
         span = Echelon()
-        for w, m_w in zip(vgens, degrees):
-            for b in multipliers(m - m_w):
-                span.add(field_to_vector(w.scale(b), monos))
+        for col in _module_products(inv, vgens, degrees, m)[1]:
+            span.add(col)
         for cand in basis_m:
             if span.add(field_to_vector(cand, monos)):
                 vgens.append(cand)
@@ -139,39 +138,49 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
 
     Returns one polynomial f_a in the k invariant-generator variables per
     module generator, with sum_a f_a(p(x)) V_a(x) == field(x) exactly.
-    Solved per homogeneous degree; columns are ordered by generator index,
-    then descending graded-lex on the invariant exponents, and free
-    coordinates are set to zero (same tie-break as scalar expression).
+    Solved per homogeneous degree on the integer columns of _module_products,
+    ordered by generator index, then descending graded-lex on the invariant
+    exponents; free coordinates are set to zero (as in scalar expression).
     """
     chk = is_invariant(eg.group, field, THETA)
     if not chk:
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
     inv = eg.invariant_gens
     coeffs = [MultiPoly.zero(inv.k) for _ in eg.vgens]
-    field_degrees = sorted({
-        sum(e) for comp in field.comps for e, _ in comp.sorted_terms()
-    })
-    for m in field_degrees:
+    for m in sorted({sum(e) for comp in field.comps for e, _ in comp.sorted_terms()}):
         target = field.homogeneous_part(m)
-        if target.is_zero:
-            continue
-        monos = xilinear_monomials(eg.group.n, m)
-        columns = []
-        labels: list[tuple[int, Exponents]] = []
-        for w_idx, (w, m_w) in enumerate(zip(eg.vgens, eg.degrees)):
-            delta = m - m_w
-            if delta < 0:
-                continue
-            for a in weighted_monomials(inv.degrees, delta):
-                columns.append(field_to_vector(w.scale(inv.substitute(MultiPoly.monomial(a))), monos))
-                labels.append((w_idx, a))
-        if not columns:
+        labels, cols, dens = _module_products(inv, eg.vgens, eg.degrees, m)
+        if not cols:
             raise NoSolution(f"no module products exist at degree {m}")
-        rows = [[col[r] for col in columns] for r in range(len(monos))]
-        sol = solve_free_zero(rows, field_to_vector(target, monos))
+        target_vec = field_to_vector(target, xilinear_monomials(eg.group.n, m))
+        sol = solve_free_zero(list(zip(*cols)), target_vec)
         if sol is None:
             raise NoSolution(f"degree-{m} component is outside the module span")
-        for (w_idx, a), c in zip(labels, sol):
+        for (w_idx, a), c in zip(labels, _unscale(sol, dens)):
             if c != 0:
                 coeffs[w_idx] = coeffs[w_idx] + MultiPoly(inv.k, {a: c})
     return coeffs
+
+
+def _module_products(
+    inv: InvariantGens, vgens: Sequence[PolyVectorField], degrees: Sequence[int], m: int
+) -> tuple[list[tuple[int, Exponents]], list[list[int]], list[int]]:
+    """Labels (j, a), integer columns over xilinear_monomials(n, m) and
+    denominators of the degree-m products p^a W_j, in generator order, then
+    descending graded-lex on a.  Component i of p^a W_j fills the rows
+    alpha * n + i, over the lcm of the components' denominators."""
+    table = inv._table
+    n = inv.group.n
+    size = n * len(table.monomials(m))
+    labels, cols, dens = [], [], []
+    for j, (w, m_w) in enumerate(zip(vgens, degrees)):
+        for a in weighted_monomials(inv.degrees, m - m_w):
+            parts = [(i, *table.times(a, c)) for i, c in enumerate(w.comps) if not c.is_zero]
+            den = lcm(*(d for _, _, d in parts))
+            col = [0] * size
+            for i, nums, d in parts:
+                col[i::n] = [x * (den // d) for x in nums]
+            labels.append((j, a))
+            cols.append(col)
+            dens.append(den)
+    return labels, cols, dens

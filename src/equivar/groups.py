@@ -22,17 +22,16 @@ class MatGroup:
     from the generators, which makes the whole object deterministic.
     """
 
-    __slots__ = ("n", "elements", "gen_indices", "_index", "_inverses", "_derived")
+    __slots__ = ("n", "elements", "gen_indices", "_inverses", "_derived")
 
     def __init__(self, n: int, elements: Sequence[RatMatrix], gen_indices: Sequence[int]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "gen_indices", tuple(gen_indices))
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.elements)})
+        index = {m: i for i, m in enumerate(self.elements)}
         inverses = []
-        for i, m in enumerate(self.elements):
-            inv = m.inverse()
-            j = self._index.get(inv)
+        for m in self.elements:
+            j = index.get(m.inverse())
             if j is None:
                 raise ValueError("element list is not closed under inversion")
             inverses.append(j)
@@ -51,21 +50,9 @@ class MatGroup:
     def matrix(self, idx: int) -> RatMatrix:
         return self.elements[idx]
 
-    def index_of(self, m: RatMatrix) -> int:
-        try:
-            return self._index[m]
-        except KeyError:
-            raise ValueError("matrix is not a group element") from None
-
-    def product_index(self, i: int, j: int) -> int:
-        return self.index_of(self.elements[i] @ self.elements[j])
-
     def inverse_index(self, idx: int) -> int:
         """Index of the inverse of elements[idx]."""
         return self._inverses[idx]
-
-    def transpose_of(self, idx: int) -> RatMatrix:
-        return self.elements[idx].transpose()
 
     def __repr__(self) -> str:
         return f"MatGroup(n={self.n}, order={self.order})"

@@ -9,11 +9,11 @@ bound (degree <= |G| in characteristic zero) makes the loop finite; the
 Molien series supplies an independent dimension count, checked at every
 degree against the fixed space and against the span it ends with.
 
-Every generator product p^a comes from one ProductTable: the coefficient
-column of p^a over the degree's monomials, memoised by a and built from a
-cached column times one generator.  The loop keeps a table while its
-generator list grows, and each InvariantGens owns one, which express,
-relations and substitute read, so no product is multiplied out twice.
+Every generator product p^a comes from one poly.ProductTable: the
+coefficient column of p^a over the degree's monomials, memoised by a and
+built from a cached column times one generator.  The loop keeps a table
+while its generator list grows, and each InvariantGens owns one, which
+express, relations, substitute and the equivariant module products read.
 
 Polynomials in the generators themselves ("P-polynomials") are ordinary
 MultiPoly values in k variables, where variable i stands for generator i and
@@ -38,6 +38,7 @@ from .molien import molien
 from .poly import (
     Exponents,
     MultiPoly,
+    ProductTable,
     grlex_key,
     monomials_of_degree,
     poly_to_vector,
@@ -69,95 +70,6 @@ def power_product(polys: Sequence[MultiPoly], exps: Exponents) -> MultiPoly:
         if e:
             acc = acc * p**e
     return acc
-
-
-class ProductTable:
-    """Coefficient columns of the generator products p^a, memoised by a.
-
-    The column of p^a holds its coefficients over monomials_of_degree(n, d),
-    d = sum_i a_i deg(p_i), in descending graded-lex order, as integer
-    numerators over one positive denominator.  A new column is one cached
-    column times one generator, col(a) = col(a - e_i) * p_i with i the last
-    nonzero index of a, so each product costs a single multiplication by a
-    generator however high its degree.  Keys drop trailing zero exponents,
-    so every column stays valid while generators are appended.  The table
-    keeps columns, not MultiPoly values: a dense list of ints is much
-    smaller than a dict of Fractions.  Inside, a monomial is packed into one
-    int, _SHIFT bits per exponent, so that multiplying monomials is adding
-    ints.
-    """
-
-    __slots__ = ("n", "_degrees", "_gens", "_cols", "_graded")
-
-    def __init__(self, n: int, gens: Sequence[MultiPoly] = ()) -> None:
-        self.n = n
-        self._degrees: list[int] = []
-        self._gens: list[tuple[int, list[tuple[int, int]]]] = []
-        self._cols: dict[Exponents, tuple[list[int], int]] = {(): ([1], 1)}
-        self._graded: dict[int, tuple[list[Exponents], list[int], dict[int, int]]] = {}
-        for p in gens:
-            self.append(p)
-
-    def append(self, p: MultiPoly) -> None:
-        """Add a homogeneous generator as the next variable."""
-        terms = p.sorted_terms()
-        den = lcm(*(c.denominator for _, c in terms))
-        self._gens.append((den, [(_pack(e), c.numerator * (den // c.denominator)) for e, c in terms]))
-        self._degrees.append(p.total_degree())
-
-    def monomials(self, d: int) -> list[Exponents]:
-        """The degree-d monomials, descending graded-lex: the rows of every column."""
-        return self._degree(d)[0]
-
-    def column(self, a: Sequence[int]) -> tuple[list[int], int]:
-        """(numerators, denominator) of p^a over monomials(sum_i a_i deg(p_i))."""
-        key = _strip(tuple(a))
-        chain = []
-        a = key
-        while a not in self._cols:
-            prev = _strip(a[:-1] + (a[-1] - 1,))
-            chain.append((a, prev))
-            a = prev
-        for a, prev in reversed(chain):
-            i = len(a) - 1
-            nums, den = self._cols[prev]
-            gden, terms = self._gens[i]
-            d_prev = sum(x * w for x, w in zip(prev, self._degrees))
-            keys = self._degree(d_prev)[1]
-            index = self._degree(d_prev + self._degrees[i])[2]
-            out = [0] * len(index)
-            for k, c in zip(keys, nums):
-                if c:
-                    for e, gc in terms:
-                        out[index[k + e]] += c * gc
-            self._cols[a] = (out, den * gden)
-        return self._cols[key]
-
-    def _degree(self, d: int) -> tuple[list[Exponents], list[int], dict[int, int]]:
-        got = self._graded.get(d)
-        if got is None:
-            monos = monomials_of_degree(self.n, d)
-            keys = [_pack(e) for e in monos]
-            got = self._graded[d] = (monos, keys, {k: j for j, k in enumerate(keys)})
-        return got
-
-
-# Bits per exponent in a packed monomial: exponents stay far below 2**32,
-# so adding packed monomials never carries from one exponent into the next.
-_SHIFT = 32
-
-
-def _pack(e: Exponents) -> int:
-    key = 0
-    for x in e:
-        key = (key << _SHIFT) | x
-    return key
-
-
-def _strip(a: Exponents) -> Exponents:
-    while a and not a[-1]:
-        a = a[:-1]
-    return a
 
 
 class InvariantGens:

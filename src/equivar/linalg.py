@@ -67,9 +67,6 @@ class RatMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -94,16 +91,6 @@ class RatMatrix:
             for j in range(other.cols):
                 out.append(sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0)))
         return RatMatrix(self.rows, other.cols, out)
-
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        """Matrix-vector product, exact."""
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} != {self.cols}")
-        v = [as_rational(x) for x in vec]
-        return tuple(
-            sum((self.row(i)[k] * v[k] for k in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
     def inverse(self) -> "RatMatrix":
         """Gauss-Jordan inverse; raises ValueError if singular."""
@@ -211,10 +198,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     """
     red, pivots = _reduce(rows)
     return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(red, pivots)], pivots
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
 
 
 class Echelon:

@@ -8,11 +8,18 @@ The canonical monomial order everywhere is graded lexicographic: compare
 total degree, then the exponent tuple itself (earlier variables weigh more).
 All iteration, serialization, and pivoting follow that order, which is what
 makes every result of this library reproducible bit for bit.
+
+ProductTable is the one integer engine for products of homogeneous
+polynomials.  The invariant generators' table gives the generator products
+and the module products p^a W_j of the equivariant fields; the fixed spaces
+read the table of the linear forms of x -> g^-1 x, whose products are the
+images of the monomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch
@@ -349,3 +356,111 @@ def poly_to_vector(p: MultiPoly, basis: Sequence[Exponents]) -> list[Fraction]:
 
 def vector_to_poly(vec: Sequence[Fraction], basis: Sequence[Exponents], nvars: int) -> MultiPoly:
     return MultiPoly(nvars, {e: c for e, c in zip(basis, vec)})
+
+
+class ProductTable:
+    """Coefficient columns of the generator products p^a, memoised by a.
+
+    The column of p^a holds its coefficients over monomials_of_degree(n, d),
+    d = sum_i a_i deg(p_i), in descending graded-lex order, as integer
+    numerators over one positive denominator.  A new column is one cached
+    column times one generator, col(a) = col(a - e_i) * p_i with i the last
+    nonzero index of a, so each product costs a single multiplication by a
+    generator however high its degree; times() multiplies a cached column by
+    any other homogeneous polynomial the same way.  Keys drop trailing zero
+    exponents, so every column stays valid while generators are appended.
+    The table keeps columns, not MultiPoly values: a dense list of ints is
+    much smaller than a dict of Fractions.  Inside, a monomial is packed into
+    one int, _SHIFT bits per exponent, so that multiplying monomials is
+    adding ints.
+    """
+
+    __slots__ = ("n", "_degrees", "_gens", "_cols", "_graded")
+
+    def __init__(self, n: int, gens: Sequence[MultiPoly] = ()) -> None:
+        self.n = n
+        self._degrees: list[int] = []
+        self._gens: list[tuple[int, list[tuple[int, int]]]] = []
+        self._cols: dict[Exponents, tuple[list[int], int]] = {(): ([1], 1)}
+        self._graded: dict[int, tuple[list[Exponents], list[int], dict[int, int]]] = {}
+        for p in gens:
+            self.append(p)
+
+    def append(self, p: MultiPoly) -> None:
+        """Add a homogeneous generator as the next variable."""
+        self._gens.append(_packed(p))
+        self._degrees.append(p.total_degree())
+
+    def monomials(self, d: int) -> list[Exponents]:
+        """The degree-d monomials, descending graded-lex: the rows of every column."""
+        return self._degree(d)[0]
+
+    def column(self, a: Sequence[int]) -> tuple[list[int], int]:
+        """(numerators, denominator) of p^a over monomials(sum_i a_i deg(p_i))."""
+        key = _strip(tuple(a))
+        chain = []
+        a = key
+        while a not in self._cols:
+            prev = _strip(a[:-1] + (a[-1] - 1,))
+            chain.append((a, prev))
+            a = prev
+        for a, prev in reversed(chain):
+            i = len(a) - 1
+            nums, den = self._cols[prev]
+            gden, terms = self._gens[i]
+            self._cols[a] = (self._times(nums, self._weight(prev), terms, self._degrees[i]), den * gden)
+        return self._cols[key]
+
+    def times(self, a: Sequence[int], p: MultiPoly) -> tuple[list[int], int]:
+        """(numerators, denominator) of p^a * p over monomials(deg p^a + deg p),
+        for a nonzero homogeneous p; the product itself is not cached."""
+        nums, den = self.column(a)
+        pden, terms = _packed(p)
+        return self._times(nums, self._weight(a), terms, p.total_degree()), den * pden
+
+    def _times(self, nums: list[int], d: int, terms: list[tuple[int, int]], e: int) -> list[int]:
+        """The numerators of a degree-d column times packed degree-e terms."""
+        keys = self._degree(d)[1]
+        index = self._degree(d + e)[2]
+        out = [0] * len(index)
+        for k, c in zip(keys, nums):
+            if c:
+                for m, tc in terms:
+                    out[index[k + m]] += c * tc
+        return out
+
+    def _weight(self, a: Sequence[int]) -> int:
+        return sum(x * w for x, w in zip(a, self._degrees))
+
+    def _degree(self, d: int) -> tuple[list[Exponents], list[int], dict[int, int]]:
+        got = self._graded.get(d)
+        if got is None:
+            monos = monomials_of_degree(self.n, d)
+            keys = [_pack(e) for e in monos]
+            got = self._graded[d] = (monos, keys, {k: j for j, k in enumerate(keys)})
+        return got
+
+
+# Bits per exponent in a packed monomial: exponents stay far below 2**32,
+# so adding packed monomials never carries from one exponent into the next.
+_SHIFT = 32
+
+
+def _pack(e: Exponents) -> int:
+    key = 0
+    for x in e:
+        key = (key << _SHIFT) | x
+    return key
+
+
+def _packed(p: MultiPoly) -> tuple[int, list[tuple[int, int]]]:
+    """p as (den, [(packed monomial, numerator)]) with p = sum num x^e / den."""
+    terms = p.sorted_terms()
+    den = lcm(*(c.denominator for _, c in terms))
+    return den, [(_pack(e), c.numerator * (den // c.denominator)) for e, c in terms]
+
+
+def _strip(a: Exponents) -> Exponents:
+    while a and not a[-1]:
+        a = a[:-1]
+    return a

@@ -127,7 +127,7 @@ def test_criterion_5_action_laws(sample_groups):
         for _ in range(100):
             g = rng.randrange(group.order)
             h = rng.randrange(group.order)
-            gh = group.product_index(g, h)
+            gh = group.elements.index(group.matrix(g) @ group.matrix(h))
             p = random_poly(rng, n, 4)
             assert act_phi_dagger(group, gh, p) == act_phi_dagger(
                 group, g, act_phi_dagger(group, h, p)

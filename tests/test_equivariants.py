@@ -4,14 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equivar import (
     DimensionMismatchWithMolien,
+    InvariantGens,
     MultiPoly,
     NotInvariant,
     PSI,
     THETA,
     PolyVectorField,
+    RatMatrix,
+    close_group,
     equivariant_basis,
     equivariant_module_generators,
     express_equivariant,
@@ -19,14 +24,16 @@ from equivar import (
     is_invariant,
     molien_equivariant,
     pairing,
+    power_product,
     reynolds,
     unpairing,
     variables,
+    weighted_monomials,
 )
 from equivar import equivariants
-from equivar.equivariants import field_to_vector, xilinear_monomials
+from equivar.equivariants import _module_products, field_to_vector, xilinear_monomials
 from equivar.linalg import Echelon
-from equivar.poly import monomials_of_degree
+from equivar.poly import monomials_of_degree, poly_to_vector
 
 from conftest import random_field
 
@@ -43,6 +50,14 @@ def direct_theta_basis(group, m):
             ]
             fields.append(reynolds(group, THETA, PolyVectorField(comps)))
     return [f for f in fields if not f.is_zero]
+
+
+def rebuild(eg, coeffs):
+    """sum_a f_a(p(x)) V_a(x) for coefficients returned by express_equivariant."""
+    out = PolyVectorField.zero(eg.group.n)
+    for c, v in zip(coeffs, eg.vgens):
+        out = out + v.scale(eg.invariant_gens.substitute(c))
+    return out
 
 
 def span_of(fields, monos):
@@ -173,6 +188,62 @@ def test_module_completeness_at_each_degree(sample_groups):
             assert span.rank == series.coefficient(m)
 
 
+COEFFS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@st.composite
+def module_inputs(draw):
+    """1-3 variables, 1-3 invariant generators of degrees 1-3 and 1-3 fields
+    of degrees 0-2, all with some non-integral coefficients, and some field
+    components zero."""
+    n = draw(st.integers(1, 3))
+
+    def homogeneous(d, min_size):
+        support = draw(st.lists(st.sampled_from(monomials_of_degree(n, d)),
+                                min_size=min_size, max_size=3, unique=True))
+        return MultiPoly(n, {e: draw(COEFFS) for e in support})
+
+    gens = [homogeneous(draw(st.integers(1, 3)), 1) for _ in range(draw(st.integers(1, 3)))]
+    fields, field_degrees = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        m_w = draw(st.integers(0, 2))
+        comps = [homogeneous(m_w, 0) for _ in range(n)]
+        if all(c.is_zero for c in comps):
+            comps[draw(st.integers(0, n - 1))] = homogeneous(m_w, 1)
+        fields.append(PolyVectorField(comps))
+        field_degrees.append(m_w)
+    return gens, fields, field_degrees, draw(st.integers(0, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(module_inputs())
+def test_module_products_match_power_product(inputs):
+    gens, fields, field_degrees, m = inputs
+    n = gens[0].nvars
+    inv = InvariantGens(close_group([RatMatrix.identity(n)]), gens, [p.total_degree() for p in gens])
+    labels, cols, dens = _module_products(inv, fields, field_degrees, m)
+    assert labels == [
+        (j, a) for j, m_w in enumerate(field_degrees) for a in weighted_monomials(inv.degrees, m - m_w)
+    ]
+    monos = xilinear_monomials(n, m)
+    for (j, a), col, den in zip(labels, cols, dens):
+        want = poly_to_vector(pairing(fields[j].scale(power_product(gens, a))), monos)
+        assert [Fraction(x, den) for x in col] == want
+
+
+def test_module_over_incomplete_invariants(c4):
+    # cut off at degree 2 the invariants generate only Q[x1^2 + x2^2]; the
+    # module generators are taken over that ring, the one express_equivariant
+    # solves over, so every equivariant field up to the bound is reached
+    inv = invariant_ring_generators(c4, degree_bound=2)
+    assert inv.degrees == (2,)
+    eg = equivariant_module_generators(c4, inv, degree_bound=7)
+    assert eg.degrees == (1, 1, 3, 3, 5, 5, 7, 7)
+    for m in range(8):
+        for field in equivariant_basis(c4, m):
+            assert rebuild(eg, express_equivariant(eg, field)) == field
+
+
 # -- expression --------------------------------------------------------------------
 
 
@@ -219,11 +290,22 @@ def test_express_equivariant_round_trip(sample_groups, gname):
     for _ in range(8):
         raw = random_field(rng, group.n, 4)
         field = reynolds(group, THETA, raw)
-        coeffs = express_equivariant(eg, field)
-        rebuilt = PolyVectorField.zero(group.n)
-        for c, v in zip(coeffs, eg.vgens):
-            rebuilt = rebuilt + v.scale(inv.substitute(c))
-        assert rebuilt == field
+        assert rebuild(eg, express_equivariant(eg, field)) == field
+
+
+def test_express_equivariant_with_non_integral_products(z2_diag):
+    # invariant generators with denominators give module columns over
+    # denominators other than 1, so the solution of the integer system must
+    # be scaled back before it means anything
+    x1, x2 = variables(2)
+    inv = InvariantGens.from_polys(
+        z2_diag, [x1**2 + Fraction(1, 3) * x1 * x2, x1 * x2 - Fraction(5, 2) * x2**2, x2**2]
+    )
+    eg = equivariant_module_generators(z2_diag, inv)
+    rng = random.Random(5)
+    for _ in range(5):
+        field = reynolds(z2_diag, THETA, random_field(rng, 2, 5))
+        assert rebuild(eg, express_equivariant(eg, field)) == field
 
 
 def test_folded_module_span_check_raises(c4, monkeypatch):

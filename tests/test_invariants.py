@@ -27,7 +27,7 @@ from equivar import (
     weighted_monomials,
 )
 from equivar import invariants
-from equivar.invariants import ProductTable
+from equivar.poly import ProductTable
 from equivar.linalg import Echelon
 from equivar.poly import monomials_of_degree, poly_to_vector
 

@@ -161,8 +161,9 @@ def test_orbit_consistency(radial_plane):
     x0 = [Fraction(1, 2), Fraction(1, 3)]
     base = integrate_pair(field, rs, inv, x0, 1.0, 1e-2)
     for g in range(group.order):
-        moved = group.matrix(g).apply(x0)
-        rep = integrate_pair(field, rs, inv, list(moved), 1.0, 1e-2)
+        m = group.matrix(g)
+        moved = [sum(m[i, k] * x0[k] for k in range(2)) for i in range(2)]
+        rep = integrate_pair(field, rs, inv, moved, 1.0, 1e-2)
         assert float(np.max(np.abs(rep.p_path - base.p_path))) <= 1e-9
 
 
