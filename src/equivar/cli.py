@@ -15,6 +15,7 @@ group-closure cap.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -72,8 +73,7 @@ def _poly_error_doc(exc: NotInvariant) -> dict:
 def _cmd_invariants(args) -> int:
     group = _load_group(args)
     inv = invariant_ring_generators(group, degree_bound=args.bound)
-    bound = args.bound if args.bound is not None else group.order
-    _emit(args, sz.invariant_gens_to_doc(inv, molien(group), bound))
+    _emit(args, sz.invariant_gens_to_doc(inv, molien(group)))
     return 0
 
 
@@ -81,8 +81,7 @@ def _cmd_equivariants(args) -> int:
     group = _load_group(args)
     inv = _load_or_compute_invariants(args, group)
     eg = equivariant_module_generators(group, inv, degree_bound=args.bound)
-    bound = args.bound if args.bound is not None else group.order - 1
-    _emit(args, sz.equivariant_gens_to_doc(eg, molien_equivariant(group), bound))
+    _emit(args, sz.equivariant_gens_to_doc(eg, molien_equivariant(group)))
     return 0
 
 
@@ -178,6 +177,8 @@ def _cmd_check_related(args) -> int:
 
 
 def _cmd_integrate_check(args) -> int:
+    if not 0 <= args.tol < math.inf:  # also false for NaN
+        raise ParseError(f"--tol must be a finite non-negative number, got {args.tol}")
     group = _load_group(args)
     inv = _load_or_compute_invariants(args, group)
     field = sz.field_from_doc(sz.load_json(args.field))
@@ -220,11 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("invariants", _cmd_invariants, help="generators of the invariant ring")
-    p.add_argument("--bound", type=int, help="degree bound (default: group order)")
+    p.add_argument("--bound", type=int, help="degree bound (default: the bound an hsop among "
+                   "the generators certifies, or the group order when none beats it)")
 
     p = add("equivariants", _cmd_equivariants, help="module generators of equivariant fields")
     p.add_argument("--invariants", help="invariant generators JSON (computed when omitted)")
-    p.add_argument("--bound", type=int, help="degree bound (default: group order - 1)")
+    p.add_argument("--bound", type=int, help="degree bound (default: the bound an hsop among "
+                   "the invariant generators certifies, or the group order - 1 when none beats it)")
 
     p = add("molien", _cmd_molien, help="dimension series and per-degree table")
     p.add_argument("--degrees", type=int, default=8, help="expand the table through this degree")

@@ -9,7 +9,8 @@ monomials x^alpha xi_i (orbit sums over the generators when every generator
 is a monomial matrix, the common kernel of rho_d(g) - I over the generators
 otherwise), and module generation over the invariant ring is again a
 degree-by-degree complement computation, checked against the trace-weighted
-Molien series.
+Molien series.  The loop stops at the bound an hsop among the invariant
+generators certifies (invariants.find_hsop), or at |G| - 1 without one.
 
 The module is taken over Q[p], p the given invariant generators: each
 product p^a W_j is the column of p^a in their ProductTable times the
@@ -25,7 +26,7 @@ from typing import Sequence
 from .actions import PSI, THETA, PolyVectorField, fixed_basis, is_invariant, pairing, unpairing
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
-from .invariants import InvariantGens, _unscale, weighted_monomials
+from .invariants import InvariantGens, _unscale, find_hsop, weighted_monomials
 from .linalg import Echelon, solve_free_zero
 from .molien import molien_equivariant
 from .poly import Exponents, MultiPoly, monomials_of_degree, poly_to_vector
@@ -64,9 +65,13 @@ def equivariant_basis(group: MatGroup, m: int) -> list[PolyVectorField]:
 
 
 class EquivariantGens:
-    """Module generators for the equivariant fields over the invariant ring."""
+    """Module generators for the equivariant fields over the invariant ring.
 
-    __slots__ = ("group", "vgens", "degrees", "invariant_gens")
+    `bound`, `stop` and `hsop` record how the degree loop ended, as on
+    InvariantGens; hsop indexes the invariant generators.
+    """
+
+    __slots__ = ("group", "vgens", "degrees", "invariant_gens", "bound", "stop", "hsop")
 
     def __init__(
         self,
@@ -74,11 +79,17 @@ class EquivariantGens:
         vgens: Sequence[PolyVectorField],
         degrees: Sequence[int],
         invariant_gens: InvariantGens,
+        bound: int | None = None,
+        stop: str | None = None,
+        hsop: Sequence[int] | None = None,
     ) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "vgens", tuple(vgens))
         object.__setattr__(self, "degrees", tuple(degrees))
         object.__setattr__(self, "invariant_gens", invariant_gens)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "hsop", None if hsop is None else tuple(hsop))
 
     def __setattr__(self, name, value):
         raise AttributeError("EquivariantGens is immutable")
@@ -95,12 +106,18 @@ def equivariant_module_generators(
 ) -> EquivariantGens:
     """Generators of the equivariant fields as a module over the invariants.
 
-    Default bound |G| - 1: a xi-linear generator of the phase invariants has
-    total degree at most |G| by Noether's bound, so the corresponding field
-    degree is at most |G| - 1.  At each degree m the span of the products
-    p^a W (p^a a product of inv's generators, W a generator found below m)
-    is completed to the full fixed space, so the module is taken over the
-    ring inv generates; dimensions are checked against the Molien series.
+    With no bound given, the loop runs to deg N_eq, N_eq(t) = M_eq(t) *
+    prod (1 - t^d_i), for the first hsop theta among inv's generators that
+    beats |G| - 1 (find_hsop; its rank test is skipped for inv.hsop, which
+    the invariant loop already certified): the fields are free over Q[theta]
+    with basis degrees counted by N_eq, so they are generated over the larger
+    ring inv generates in those degrees too.  Without such an hsop the bound
+    is |G| - 1: a xi-linear generator of the phase invariants has total
+    degree at most |G| by Noether's bound, so the corresponding field degree
+    is at most |G| - 1.  At each degree m the span of the products p^a W
+    (p^a a product of inv's generators, W a generator found below m) is
+    completed to the full fixed space, so the module is taken over the ring
+    inv generates; dimensions are checked against the Molien series.
     """
     if inv.group is not group and inv.group.elements != group.elements:
         raise ValueError("invariant generators were computed for a different group")
@@ -108,6 +125,12 @@ def equivariant_module_generators(
     if bound < 0:
         raise ValueError("degree bound must be non-negative")
     series = molien_equivariant(group)
+    stop, hsop = "explicit", None
+    if degree_bound is None:
+        stop = "noether"
+        found = find_hsop(group, inv.gens, inv.degrees, series, group.n, bound, certified=inv.hsop)
+        if found is not None:
+            (hsop, bound), stop = found, "hsop"
     vgens: list[PolyVectorField] = []
     degrees: list[int] = []
     for m in range(bound + 1):
@@ -130,7 +153,7 @@ def equivariant_module_generators(
             raise DimensionMismatchWithMolien(
                 f"degree {m}: module span has dimension {span.rank}, Molien says {expected}"
             )
-    return EquivariantGens(group, vgens, degrees, inv)
+    return EquivariantGens(group, vgens, degrees, inv, bound, stop, hsop)
 
 
 def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[MultiPoly]:

@@ -4,10 +4,13 @@ The ring of G-invariant polynomials is computed degree by degree: take the
 canonical basis of the degree-d fixed space (orbit sums over the generators
 when every generator is a monomial matrix, otherwise the common kernel of
 rho_d(g) - I over the generators; see actions.fixed_basis), and keep
-whatever the products of already-found generators fail to span.  Noether's
-bound (degree <= |G| in characteristic zero) makes the loop finite; the
-Molien series supplies an independent dimension count, checked at every
-degree against the fixed space and against the span it ends with.
+whatever the products of already-found generators fail to span.  The loop
+stops at the bound an hsop certificate gives (find_hsop: n generators whose
+ideal contains every monomial of one degree, so the ring is free over them
+and the Molien series says in which degrees its basis lies), or at Noether's
+bound, degree |G|, when no certificate beats it.  The Molien series also
+supplies an independent dimension count, checked at every degree against
+the fixed space and against the span it ends with.
 
 Every generator product p^a comes from one poly.ProductTable: the
 coefficient column of p^a over the degree's monomials, memoised by a and
@@ -27,18 +30,20 @@ keeps outputs identical across runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .actions import PHI_DAGGER, fixed_basis, is_invariant
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
 from .linalg import Echelon, kernel_basis, solve_free_zero
-from .molien import molien
+from .molien import MolienSeries, molien
 from .poly import (
     Exponents,
     MultiPoly,
     ProductTable,
+    _pack,
+    _packed,
     grlex_key,
     monomials_of_degree,
     poly_to_vector,
@@ -78,16 +83,32 @@ class InvariantGens:
     Generators are homogeneous, monic in graded-lex, and sorted by degree,
     then by descending leading monomial.  The Hilbert map sends a point x to
     the tuple of generator values; its image models the orbit space.
+
+    A computed set records how its degree loop ended: `bound` is the last
+    degree it ran, `stop` the rule that ended it ("noether", "hsop" or
+    "explicit"), and `hsop` the indices of the generators that certified the
+    bound when the rule is "hsop".  Generators read from elsewhere carry None.
     """
 
-    __slots__ = ("group", "gens", "degrees", "_table")
+    __slots__ = ("group", "gens", "degrees", "bound", "stop", "hsop", "_table")
 
-    def __init__(self, group: MatGroup, gens: Sequence[MultiPoly], degrees: Sequence[int]) -> None:
+    def __init__(
+        self,
+        group: MatGroup,
+        gens: Sequence[MultiPoly],
+        degrees: Sequence[int],
+        bound: int | None = None,
+        stop: str | None = None,
+        hsop: Sequence[int] | None = None,
+    ) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "degrees", tuple(degrees))
         if len(self.gens) != len(self.degrees):
             raise ValueError("generator and degree lists have different lengths")
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "hsop", None if hsop is None else tuple(hsop))
         object.__setattr__(self, "_table", ProductTable(group.n, self.gens))
 
     def __setattr__(self, name, value):
@@ -166,21 +187,29 @@ def invariant_ring_generators(
 ) -> InvariantGens:
     """Generating set of the invariant ring up to the degree bound.
 
-    The default bound |G| is Noether's: in characteristic zero the invariant
-    ring of a finite group is generated in degrees at most the group order.
-    At every degree the fixed-space dimension is compared with the Molien
-    coefficient, and at the end the products of the returned generators must
-    span each graded piece up to the bound; any mismatch raises, because it
-    can only mean a bug.
+    With no bound given, the loop ends at the first degree that reaches a
+    certified bound: after each degree that found generators, find_hsop looks
+    for an hsop among them whose bound beats the current one.  If none does,
+    the loop runs to |G|, Noether's bound: in characteristic zero the
+    invariant ring of a finite group is generated in degrees at most the
+    group order.  An explicit bound is run as given.  At every degree the
+    fixed-space dimension is compared with the Molien coefficient, and the
+    products of the returned generators must span each graded piece up to
+    the bound; any mismatch raises, because it can only mean a bug.
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
+    stop = "noether" if degree_bound is None else "explicit"
+    hsop = None
     series = molien(group)
     table = ProductTable(group.n)
     gens: list[MultiPoly] = []
     degrees: list[int] = []
-    for d in range(1, bound + 1):
+    d = 0
+    while d < bound:
+        d += 1
+        first_new = len(gens)
         basis_d = invariant_basis(group, d)
         expected = series.coefficient(d)
         if len(basis_d) != expected:
@@ -200,7 +229,97 @@ def invariant_ring_generators(
             raise DimensionMismatchWithMolien(
                 f"degree {d}: generator products span dimension {span.rank}, Molien says {expected}"
             )
-    return InvariantGens(group, gens, degrees)
+        if degree_bound is None and d < bound and len(gens) > first_new:
+            found = find_hsop(group, gens, degrees, series, 1, bound, first_new)
+            if found is not None:
+                # every new subset holds a degree-d generator, so max d_i == d
+                hsop, deg_n = found
+                bound, stop = max(d, deg_n), "hsop"
+    return InvariantGens(group, gens, degrees, bound, stop, hsop)
+
+
+def find_hsop(
+    group: MatGroup,
+    gens: Sequence[MultiPoly],
+    degrees: Sequence[int],
+    series: MolienSeries,
+    rank: int,
+    limit: int,
+    first_new: int = 0,
+    certified: Sequence[int] | None = None,
+) -> tuple[tuple[int, ...], int] | None:
+    """The first hsop among the generators that certifies a bound below limit.
+
+    Homogeneous invariants theta_1..theta_n (n = group.n) of degrees d_i form
+    a homogeneous system of parameters exactly when their ideal contains
+    every monomial of degree D = sum_i (d_i - 1) + 1.  Then the polynomial
+    ring, and so each of its direct summands the invariant ring and the
+    equivariant fields, is a free module over Q[theta] (Hochster-Eagon), with
+    basis degrees counted by the polynomial N(t) = series(t) prod (1 - t^d_i):
+    the module generators over any ring containing theta lie in degrees at
+    most deg N.  series is the Molien series of a module of rank `rank` over
+    the invariants (1 for the invariant ring itself, n for the fields), so
+    N(1) = rank * prod d_i / |G|.
+
+    n-subsets of indices are tried by degree sum, then index; degrees must
+    be ascending, and every subset holds an index >= first_new.  Two cheap
+    conditions come first, that N is a polynomial with non-negative integer
+    coefficients and that N(1) is right, and the rank test runs only when
+    deg N < limit, and not for the subset `certified`, already known to be
+    an hsop.  Returns (indices, deg N) or None.
+    """
+    n = group.n
+    excess = len(series.numer) - len(series.denom)  # deg N - sum d_i, whatever the subset
+    for subset in _subsets(degrees, n, limit - excess, first_new):
+        ds = [degrees[i] for i in subset]
+        numer = series.hsop_numerator(ds)
+        if numer is None or any(c < 0 or c.denominator != 1 for c in numer):
+            continue
+        if sum(numer) * group.order != rank * prod(ds):
+            continue
+        if subset == certified or _ideal_spans_degree([gens[i] for i in subset], sum(ds) - n + 1):
+            return subset, len(numer) - 1
+    return None
+
+
+def _subsets(degrees: Sequence[int], n: int, limit: int, first_new: int) -> list[tuple[int, ...]]:
+    """n-subsets of indices into the ascending degrees with degree sum below
+    limit and largest index >= first_new, by degree sum, then index."""
+    out: list[tuple[int, tuple[int, ...]]] = []
+
+    def rec(start: int, chosen: tuple[int, ...], total: int) -> None:
+        left = n - len(chosen)
+        if not left:
+            if chosen[-1] >= first_new:
+                out.append((total, chosen))
+            return
+        for i in range(start, len(degrees) - left + 1):
+            if total + left * degrees[i] >= limit:
+                break  # later indices have degrees at least as large
+            rec(i + 1, chosen + (i,), total + degrees[i])
+
+    rec(0, (), 0)
+    return [s for _, s in sorted(out)]
+
+
+def _ideal_spans_degree(thetas: Sequence[MultiPoly], degree: int) -> bool:
+    """Whether the products m * theta_i, m a monomial, span every monomial of
+    the degree: the rows are the integer coefficients of theta_i, shifted by
+    the packed exponents of m."""
+    n = thetas[0].nvars
+    index = {_pack(e): j for j, e in enumerate(monomials_of_degree(n, degree))}
+    span = Echelon()
+    for theta in thetas:
+        terms = _packed(theta)[1]
+        for m in monomials_of_degree(n, degree - theta.total_degree()):
+            shift = _pack(m)
+            row = [0] * len(index)
+            for e, c in terms:
+                row[index[shift + e]] = c
+            span.add(row)
+            if span.rank == len(index):
+                return True
+    return False
 
 
 def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:

@@ -220,7 +220,7 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _residual(self, vec: Sequence) -> list[int]:
+    def add(self, vec: Sequence) -> bool:
         v = _integer_row(vec)
         for row, p in zip(self._rows, self._pivots):
             f = v[p]
@@ -231,13 +231,6 @@ class Echelon:
                 c = gcd(*v)
                 if c > 1:
                     v = [x // c for x in v]
-        return v
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._residual(vec))
-
-    def add(self, vec: Sequence) -> bool:
-        v = self._residual(vec)
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False

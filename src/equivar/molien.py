@@ -156,6 +156,19 @@ class MolienSeries:
     def coefficients(self, upto: int) -> list[int]:
         return [self.coefficient(d) for d in range(upto + 1)]
 
+    def hsop_numerator(self, degrees: Sequence[int]) -> UPoly | None:
+        """N(t) = M(t) * prod_i (1 - t^d_i), or None when it is not a polynomial.
+
+        When homogeneous invariants of the degrees d_i form a system of
+        parameters, N counts the degrees of a free basis over the ring they
+        generate.
+        """
+        num = list(self.numer)
+        for d in degrees:
+            num = _umul(num, [Fraction(1)] + [Fraction(0)] * (d - 1) + [Fraction(-1)])
+        quot, rem = _udivmod(num, list(self.denom))
+        return None if rem else quot
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MolienSeries):
             return NotImplemented

@@ -145,14 +145,23 @@ def _dimension_table(series: MolienSeries, upto: int) -> list:
     return [{"degree": d, "dim": series.coefficient(d)} for d in range(upto + 1)]
 
 
-def invariant_gens_to_doc(inv: InvariantGens, series: MolienSeries, bound: int) -> dict:
+def _stop_doc(gens: InvariantGens | EquivariantGens) -> dict:
+    """The degree the loop stopped at, the rule that stopped it, and the
+    hsop's generator indices when that rule is "hsop"."""
+    doc = {"bound": gens.bound, "stop": gens.stop}
+    if gens.stop == "hsop":
+        doc["hsop"] = list(gens.hsop)
+    return doc
+
+
+def invariant_gens_to_doc(inv: InvariantGens, series: MolienSeries) -> dict:
     return {
         "n": inv.group.n,
-        "bound": bound,
+        **_stop_doc(inv),
         "generators": [poly_to_doc(g) for g in inv.gens],
         "degrees": list(inv.degrees),
         "molien": series_doc(series),
-        "dimensions": _dimension_table(series, bound),
+        "dimensions": _dimension_table(series, inv.bound),
     }
 
 
@@ -167,14 +176,14 @@ def invariant_gens_from_doc(doc, group: MatGroup) -> InvariantGens:
     return InvariantGens.from_polys(group, polys)
 
 
-def equivariant_gens_to_doc(eg: EquivariantGens, series: MolienSeries, bound: int) -> dict:
+def equivariant_gens_to_doc(eg: EquivariantGens, series: MolienSeries) -> dict:
     return {
         "n": eg.group.n,
-        "bound": bound,
+        **_stop_doc(eg),
         "generators": [field_to_doc(v) for v in eg.vgens],
         "degrees": list(eg.degrees),
         "equivariant_molien": series_doc(series),
-        "dimensions": _dimension_table(series, bound),
+        "dimensions": _dimension_table(series, eg.bound),
     }
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: the four desk-scale sample groups and brute-force oracles.
+"""Shared fixtures: the four desk-scale sample groups, brute-force oracles,
+and hypothesis strategies that draw small groups and their rational conjugates.
 
 The oracles here recompute dimensions and fixed spaces by stacking action
 matrices and rank-counting, independently of both the production
@@ -11,8 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from equivar import (
+    ClosureExceedsCap,
     MatGroup,
     MultiPoly,
     PolyVectorField,
@@ -111,3 +115,65 @@ def random_poly(rng, nvars: int, max_degree: int) -> MultiPoly:
 
 def random_field(rng, n: int, max_degree: int) -> PolyVectorField:
     return PolyVectorField([random_poly(rng, n, max_degree) for _ in range(n)])
+
+
+# Small groups by their generators: the cyclic groups C2..C6 in their least
+# rational dimension (C5 by the companion matrix of 1 + t + t^2 + t^3 + t^4),
+# the square's symmetries D4 and S3 permuting coordinates.
+BASE_GROUPS = {
+    "C2": [[[0, 1], [1, 0]]],
+    "C3": [[[0, -1], [1, -1]]],
+    "C4": [[[0, -1], [1, 0]]],
+    "C5": [[[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]],
+    "C6": [[[1, -1], [1, 0]]],
+    "D4": [[[0, -1], [1, 0]], [[1, 0], [0, -1]]],
+    "S3": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]],
+}
+
+
+@st.composite
+def signed_permutations(draw, max_n: int = 4) -> list[RatMatrix]:
+    """One or two signed permutation matrices of one size in 2..max_n."""
+    n = draw(st.integers(2, max_n))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        gens.append(RatMatrix.from_rows(
+            [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        ))
+    return gens
+
+
+def closed_or_reject(gens: list[RatMatrix], cap: int) -> MatGroup:
+    """The group the matrices generate; hypothesis drops the example when it
+    has more than cap elements."""
+    try:
+        return close_group(gens, cap=cap)
+    except ClosureExceedsCap:
+        assume(False)
+
+
+@st.composite
+def signed_permutation_groups(draw, max_n: int = 4, cap: int = 48) -> MatGroup:
+    """Groups of order <= cap generated by signed permutations of Q^2..Q^max_n."""
+    return closed_or_reject(draw(signed_permutations(max_n)), cap)
+
+
+@st.composite
+def conjugators(draw, n: int) -> tuple[RatMatrix, RatMatrix]:
+    """A random invertible rational n x n matrix T and its inverse."""
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    t = RatMatrix.from_rows([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)])
+    try:
+        return t, t.inverse()
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def rational_conjugates(draw, names=("C2", "C3", "C4", "D4", "S3")) -> MatGroup:
+    """T g T^-1 over the generators of one of the named groups, T random and rational."""
+    gens = [RatMatrix.from_rows(g) for g in BASE_GROUPS[draw(st.sampled_from(sorted(names)))]]
+    t, t_inv = draw(conjugators(gens[0].rows))
+    return close_group([t @ g @ t_inv for g in gens])

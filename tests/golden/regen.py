@@ -34,6 +34,11 @@ GENERATOR_CASES = [(g, "{root}/demos/data/%s.json" % g, None, None) for g in DEM
 ] + [(g, "{groups}/%s.json" % g, None, None)
      for g in ("d6_hex", "c6_hex", "d4_conj", "s3_conj", "d4_frac")]
 
+# The two monomial groups again at the CLI defaults, where both loops stop on
+# an hsop certificate (S4 at 4 / 3, B3 at 6 / 5); run to Noether's bound
+# (24 / 23 and 48 / 47) the same outputs took minutes.
+DEFAULT_CASES = [("s4_default", "{groups}/s4.json"), ("b3_default", "{groups}/b3.json")]
+
 # (group, field) pairs for which the field is equivariant.
 REDUCE_CASES = [
     ("z2_line", "cubic_line_field"),
@@ -47,19 +52,27 @@ def _bound(b) -> list[str]:
     return [] if b is None else ["--bound", str(b)]
 
 
+def _generator_cases(name: str, group: str, inv_bound, eq_bound) -> list[tuple[str, list[str]]]:
+    inv = "{out}/%s.invariants.json" % name
+    return [
+        (f"{name}.invariants.json", ["invariants", "--group", group] + _bound(inv_bound)),
+        (f"{name}.equivariants.json",
+         ["equivariants", "--group", group, "--invariants", inv] + _bound(eq_bound)),
+    ]
+
+
 def cases() -> list[tuple[str, list[str]]]:
     """(output file name, argv template) for every golden, in run order."""
     out = []
     for name, group, inv_bound, eq_bound in GENERATOR_CASES:
         inv = "{out}/%s.invariants.json" % name
-        out.append((f"{name}.invariants.json",
-                    ["invariants", "--group", group] + _bound(inv_bound)))
-        out.append((f"{name}.equivariants.json",
-                    ["equivariants", "--group", group, "--invariants", inv] + _bound(eq_bound)))
+        out += _generator_cases(name, group, inv_bound, eq_bound)
         out.append((f"{name}.molien.json", ["molien", "--group", group, "--degrees", "12"]))
         if name in DEMO_GROUPS:
             out.append((f"{name}.relations.json",
                         ["relations", "--group", group, "--invariants", inv]))
+    for name, group in DEFAULT_CASES:
+        out += _generator_cases(name, group, None, None)
     for name, field in REDUCE_CASES:
         out.append((f"{name}.{field}.reduce.json", [
             "reduce", "--group", "{root}/demos/data/%s.json" % name,

@@ -289,6 +289,46 @@ def test_integrate_check_vacuous_or_short_run_exit_2(files, capsys, t_end, step)
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_integrate_check_bad_tol_exit_2(files, capsys, tol):
+    _, write = files
+    group = write("z2.json", Z2_DOC)
+    field = write("x.json", CUBIC_FIELD_DOC)
+    with mock.patch("equivar.cli.integrate_pair", side_effect=AssertionError("integrated")):
+        code, out, err = run(
+            ["integrate-check", "--group", group, "--field", field, "--x0", "1/2", "--tol", tol],
+            capsys,
+        )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_stop_rule_in_generator_documents(files, capsys):
+    tmp, write = files
+    # D4 on the plane: the hsop x1^2 + x2^2, x1^2 x2^2 certifies 4 / 3 of |G| = 8
+    group = write("d4.json", {"n": 2, "generators": [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "-1"]]]})
+    inv = str(tmp / "inv.json")
+    assert run(["invariants", "--group", group, "--out", inv], capsys)[0] == 0
+    doc = json.loads(open(inv).read())
+    assert (doc["bound"], doc["stop"], doc["hsop"]) == (4, "hsop", [0, 1])
+    assert [row["degree"] for row in doc["dimensions"]] == [0, 1, 2, 3, 4]
+    # the certificate is found again from the file's generators
+    code, out, _ = run(["equivariants", "--group", group, "--invariants", inv], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["bound"], doc["stop"], doc["hsop"]) == (3, "hsop", [0, 1])
+    for argv in (["invariants", "--group", group, "--bound", "8"],
+                 ["equivariants", "--group", group, "--bound", "7"]):
+        code, out, _ = run(argv, capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["stop"] == "explicit" and "hsop" not in doc
+        assert doc["bound"] == int(argv[-1])
+    code, out, _ = run(["invariants", "--group", write("c4.json", C4_DOC)], capsys)
+    doc = json.loads(out)
+    assert (doc["bound"], doc["stop"]) == (4, "noether") and "hsop" not in doc
+
+
 def test_parse_error_exit_2(files, capsys):
     tmp, write = files
     bad = tmp / "bad.json"

@@ -11,13 +11,11 @@ every element.
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from equivar import (
     PHI_DAGGER,
     PSI,
-    ClosureExceedsCap,
     MatGroup,
     MolienSeries,
     MultiPoly,
@@ -35,6 +33,8 @@ from equivar import (
 from equivar.linalg import rref
 from equivar.molien import det_one_minus_t
 from equivar.poly import poly_to_vector, vector_to_poly
+
+from conftest import BASE_GROUPS, rational_conjugates, signed_permutation_groups
 
 MAX_DEGREE = 4
 
@@ -89,23 +89,6 @@ def assert_matches_oracles(group: MatGroup, max_degree: int = MAX_DEGREE) -> Non
     )
 
 
-@st.composite
-def signed_permutation_groups(draw):
-    """Groups of order <= 48 generated by signed permutations of Q^2..Q^4."""
-    n = draw(st.integers(2, 4))
-    gens = []
-    for _ in range(draw(st.integers(1, 2))):
-        perm = draw(st.permutations(range(n)))
-        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-        gens.append(RatMatrix.from_rows(
-            [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-        ))
-    try:
-        return close_group(gens, cap=48)
-    except ClosureExceedsCap:
-        assume(False)
-
-
 @settings(max_examples=10, deadline=None)
 @given(signed_permutation_groups())
 def test_signed_permutation_groups_match_oracles(group):
@@ -132,29 +115,6 @@ def test_z2_line_odd_degrees_cancel(z2_line):
 
 
 # Non-monomial groups: the kernel route.
-
-BASE_GROUPS = {
-    "C2": [[[0, 1], [1, 0]]],
-    "C3": [[[0, -1], [1, -1]]],
-    "C4": [[[0, -1], [1, 0]]],
-    "D4": [[[0, -1], [1, 0]], [[1, 0], [0, -1]]],
-    "S3": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]],
-}
-
-
-@st.composite
-def rational_conjugates(draw):
-    """T g T^-1 over the generators of a small group, T random and rational."""
-    gens = [RatMatrix.from_rows(g) for g in BASE_GROUPS[draw(st.sampled_from(sorted(BASE_GROUPS)))]]
-    n = gens[0].rows
-    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-    t = RatMatrix.from_rows([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)])
-    try:
-        t_inv = t.inverse()
-    except ValueError:
-        assume(False)
-    return close_group([t @ g @ t_inv for g in gens])
-
 
 @settings(max_examples=12, deadline=None)
 @given(rational_conjugates())

@@ -1,0 +1,160 @@
+"""The hsop certificate that ends the generator loops, against Noether's bound.
+
+A certified run must return exactly the generators the run to |G| (and
+|G| - 1 for the fields) returns; conjugating a group by a rational matrix must
+keep every count the certificate reads, and the stop degree it certifies.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from equivar import (
+    RatMatrix,
+    close_group,
+    equivariant_module_generators,
+    express,
+    invariant_ring_generators,
+    molien,
+    molien_equivariant,
+    variables,
+)
+from equivar import invariants
+from equivar.invariants import _ideal_spans_degree, find_hsop
+
+from conftest import (
+    BASE_GROUPS,
+    closed_or_reject,
+    conjugators,
+    rational_conjugates,
+    signed_permutation_groups,
+    signed_permutations,
+)
+
+# A4 on Q^3: the cyclic shift and diag(-1, -1, 1).  Its invariant ring is free
+# over the hsop of degrees 2, 3, 4 with one secondary invariant of degree 6,
+# so its certified bound (6) exceeds every hsop degree and is below |G| = 12.
+A4 = close_group([
+    RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    RatMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+])
+
+# C5 on Q^4 by the companion matrix, and its conjugate by a fixed dense T:
+# the kernel route in four variables makes it the slowest of the small
+# groups, so the tests below take it once, as an explicit example, and draw
+# the others at random.
+C5_GENS = [RatMatrix.from_rows(g) for g in BASE_GROUPS["C5"]]
+T = RatMatrix.from_rows([[1, Fraction(1, 2), 0, 2], [0, 1, Fraction(-3, 2), 1],
+                         [1, 0, 1, Fraction(1, 3)], [2, 1, 0, 1]])
+C5_CONJ = close_group([T @ g @ T.inverse() for g in C5_GENS])
+SMALL = sorted(set(BASE_GROUPS) - {"C5"})
+
+# Q8 on Q^4: left multiplication by i and by j on the quaternions a + bi + cj + dk.
+Q8 = close_group([
+    RatMatrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
+    RatMatrix.from_rows([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]),
+])
+
+
+def test_ideal_spans_degree():
+    x1, x2 = variables(2)
+    # x1^2, x2^2: D = 3, and x1^3, x1^2 x2, x1 x2^2, x2^3 are all multiples
+    assert _ideal_spans_degree([x1**2, x2**2], 3)
+    # x1^2, x1 x2 vanish on the line x1 = 0
+    assert not _ideal_spans_degree([x1**2, x1 * x2], 3)
+    assert _ideal_spans_degree([x1**2 + x2**2, x1 * x2], 3)
+
+
+def test_find_hsop_skips_a_subset_that_fails_the_rank_test(z2_diag):
+    inv = invariant_ring_generators(z2_diag)  # x1^2, x1 x2, x2^2
+    # (0, 1) passes both cheap conditions, N = 1 + t^2, but not the rank test
+    assert find_hsop(z2_diag, inv.gens, inv.degrees, molien(z2_diag), 1, 10) == ((0, 2), 2)
+    # deg N = 2 does not beat a limit of 2, so nothing is tried
+    with mock.patch.object(invariants, "_ideal_spans_degree", side_effect=AssertionError):
+        assert find_hsop(z2_diag, inv.gens, inv.degrees, molien(z2_diag), 1, 2) is None
+
+
+def test_a4_stops_at_the_secondary_degree():
+    inv = invariant_ring_generators(A4)
+    assert inv.degrees == (2, 3, 4, 6)
+    assert (inv.bound, inv.stop, inv.hsop) == (6, "hsop", (0, 1, 2))
+    eg = equivariant_module_generators(A4, inv)
+    assert (eg.bound, eg.stop, eg.hsop) == (5, "hsop", (0, 1, 2))
+
+
+def test_q8_stops_at_noether_without_a_rank_test():
+    # Q8's first hsop has degrees 2, 4, 4, 4 and certifies 10 / 9, which does
+    # not beat Noether's 8 / 7: the degree sums alone rule every subset out
+    with mock.patch.object(invariants, "_ideal_spans_degree", side_effect=AssertionError):
+        inv = invariant_ring_generators(Q8)
+        eg = equivariant_module_generators(Q8, inv)
+    assert (inv.bound, inv.stop, inv.hsop) == (8, "noether", None)
+    assert (eg.bound, eg.stop, eg.hsop) == (7, "noether", None)
+
+
+def test_explicit_bound_computes_no_certificate():
+    with mock.patch("equivar.invariants.find_hsop", side_effect=AssertionError), \
+            mock.patch("equivar.equivariants.find_hsop", side_effect=AssertionError):
+        inv = invariant_ring_generators(A4, degree_bound=4)
+        eg = equivariant_module_generators(A4, inv, degree_bound=3)
+    assert (inv.bound, inv.stop, inv.hsop) == (4, "explicit", None)
+    assert (eg.bound, eg.stop, eg.hsop) == (3, "explicit", None)
+
+
+def small_groups():
+    """Signed permutation groups of order <= 12 on Q^2, Q^3 and rational
+    conjugates of C2, C3, C4, C6, D4 and S3."""
+    return st.one_of(
+        signed_permutation_groups(max_n=3, cap=12),
+        rational_conjugates(names=SMALL),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@example(A4)
+@example(C5_CONJ)
+@given(small_groups())
+def test_certified_run_equals_noether_run(group):
+    inv = invariant_ring_generators(group)
+    noether = invariant_ring_generators(group, degree_bound=group.order)
+    assert inv.gens == noether.gens
+    assert inv.bound <= group.order
+    eg = equivariant_module_generators(group, inv)
+    eg_noether = equivariant_module_generators(group, noether, degree_bound=group.order - 1)
+    assert eg.vgens == eg_noether.vgens
+    assert eg.bound <= group.order - 1
+
+
+@st.composite
+def conjugated_groups(draw):
+    """(G, T G T^-1, T^-1): G is C2, C3, C4, C6, D4, S3 or a group of signed
+    permutations of order <= 12, T random and rational."""
+    kind = draw(st.sampled_from(SMALL + ["signed"]))
+    if kind == "signed":
+        gens = draw(signed_permutations(max_n=3))
+    else:
+        gens = [RatMatrix.from_rows(g) for g in BASE_GROUPS[kind]]
+    t, t_inv = draw(conjugators(gens[0].rows))
+    return closed_or_reject(gens, 12), close_group([t @ g @ t_inv for g in gens]), t_inv
+
+
+@settings(max_examples=15, deadline=None)
+@example((close_group(C5_GENS), C5_CONJ, T.inverse()))
+@given(conjugated_groups())
+def test_conjugation_keeps_series_degrees_and_stop(groups):
+    group, conj, t_inv = groups
+    assert molien(conj) == molien(group)
+    assert molien_equivariant(conj) == molien_equivariant(group)
+    inv, inv_conj = invariant_ring_generators(group), invariant_ring_generators(conj)
+    eg = equivariant_module_generators(group, inv)
+    eg_conj = equivariant_module_generators(conj, inv_conj)
+    assert inv_conj.degrees == inv.degrees
+    assert eg_conj.degrees == eg.degrees
+    assert (inv_conj.bound, inv_conj.stop) == (inv.bound, inv.stop)
+    assert (eg_conj.bound, eg_conj.stop) == (eg.bound, eg.stop)
+    for p in inv.gens:
+        # q(x) = p(T^-1 x) is invariant under T G T^-1
+        q = p.compose_linear(t_inv)
+        assert inv_conj.substitute(express(inv_conj, q)) == q

@@ -113,8 +113,9 @@ def test_echelon_incremental():
     assert not e.add([F(2), F(2), F(0)])
     assert e.add([F(0), F(1), F(1)])
     assert e.rank == 2
-    assert e.contains([F(1), F(0), F(-1)])
-    assert not e.contains([F(0), F(0), F(1)])
+    # membership through the rank: a vector in the span leaves it unchanged
+    assert not e.add([F(1), F(0), F(-1)]) and e.rank == 2
+    assert e.add([F(0), F(0), F(1)]) and e.rank == 3
 
 
 def test_as_rational_keeps_messages():
@@ -263,12 +264,26 @@ def echelon_sequences(draw):
     return ops
 
 
+def span_contains(added, vec) -> bool:
+    """vec lies in the span of the added vectors: adding it keeps the rank."""
+    e = Echelon()
+    for v in added:
+        e.add(v)
+    rank = e.rank
+    e.add(vec)
+    return e.rank == rank
+
+
 @settings(max_examples=80, deadline=None)
 @given(echelon_sequences())
 def test_echelon_matches_fraction_echelon(ops):
-    fast, slow = Echelon(), FractionEchelon()
+    fast, slow, added = Echelon(), FractionEchelon(), []
     for op, v in ops:
-        assert getattr(fast, op)(v) == getattr(slow, op)(v)
+        if op == "add":
+            assert fast.add(v) == slow.add(v)
+            added.append(v)
+        else:
+            assert span_contains(added, v) == slow.contains(v)
         assert fast.rank == len(slow.rows)
     # the stored rows are coprime integer rows, not Fractions
     assert all(type(x) is int for row in fast._rows for x in row)

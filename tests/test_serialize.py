@@ -89,7 +89,7 @@ def test_matrix_doc_round_trip():
 
 def test_invariant_gens_round_trip(swap2):
     inv = invariant_ring_generators(swap2)
-    doc = sz.invariant_gens_to_doc(inv, molien(swap2), bound=2)
+    doc = sz.invariant_gens_to_doc(inv, molien(swap2))
     back = sz.invariant_gens_from_doc(doc, swap2)
     assert back.gens == inv.gens
     assert back.degrees == inv.degrees
@@ -124,7 +124,7 @@ def test_equivariant_gens_round_trip(swap2):
 
     inv = invariant_ring_generators(swap2)
     eg = equivariant_module_generators(swap2, inv)
-    doc = sz.equivariant_gens_to_doc(eg, molien_equivariant(swap2), bound=1)
+    doc = sz.equivariant_gens_to_doc(eg, molien_equivariant(swap2))
     back = sz.equivariant_gens_from_doc(doc, swap2, inv)
     assert back.vgens == eg.vgens
     assert back.degrees == eg.degrees
