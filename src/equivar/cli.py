@@ -179,6 +179,9 @@ def _cmd_check_related(args) -> int:
 def _cmd_integrate_check(args) -> int:
     if not 0 <= args.tol < math.inf:  # also false for NaN
         raise ParseError(f"--tol must be a finite non-negative number, got {args.tol}")
+    for option, value in (("--t-end", args.t_end), ("--step", args.step)):
+        if not 0 < value < math.inf:
+            raise ParseError(f"{option} must be a finite positive number, got {value}")
     group = _load_group(args)
     inv = _load_or_compute_invariants(args, group)
     field = sz.field_from_doc(sz.load_json(args.field))

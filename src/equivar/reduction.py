@@ -7,16 +7,20 @@ system Y is the reduced dynamics: sigma-images of X-trajectories solve it.
 
 check_related verifies the defining identity for a given (X, Y) pair, and
 integrate_pair witnesses it numerically by running classical fixed-step RK4
-on both systems in double precision.  Exact arithmetic stops at that
-boundary: coefficients are converted to floats only inside the integrator.
-There the field, the reduced system and the Hilbert map are each compiled
-once into a shared monomial table and a dense coefficient matrix; every
-evaluation builds one table of integer powers by repeated multiplication
-(no pow) and ends in one matrix-vector product.
+in double precision.  Exact arithmetic stops at that boundary: coefficients
+are converted to floats only inside the integrator.  There the full and the
+reduced system run as one RK4 loop over the stacked state (x, P), from one
+evaluator compiled once: each evaluation builds one table of integer powers
+of every coordinate by repeated multiplication (no pow), gathers it once
+into the monomials of both systems, and ends in one matrix-vector product
+per system, so the blocks never mix.  The Hilbert map is compiled by the
+same compiler as a single block.  The path is checked for non-finite
+states once, after the loop.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -160,60 +164,98 @@ class TrajectoryReport:
         )
 
 
-def _compile_polys(polys: Sequence[MultiPoly], nvars: int):
-    """Compile a polynomial map R^nvars -> R^len(polys) into one float evaluator.
+def _compile_blocks(blocks: Sequence[tuple[Sequence[MultiPoly], int]]):
+    """Compile polynomial maps, one per block, into one float evaluator.
 
-    The monomials of all components form one exponent table, and the
-    coefficients one dense (components x monomials) float matrix; exact
-    arithmetic ends here.  Each call builds the power table v_j^0..v_j^D
-    (D the top exponent in the table) by repeated multiplication, never
-    calling pow, multiplies the gathered powers into the monomial values and
-    finishes with one matrix-vector product.  A monomial that overflows
-    makes every component that lacks it nan (inf * 0.0), so divergence still
-    shows as a non-finite state.
+    Block b is a map R^nvars_b -> R^len(polys_b).  The evaluator takes every
+    block's coordinates stacked in block order and returns every block's
+    values stacked the same way; block b reads only its own coordinates.
+    Each block's monomials form one exponent table, and its coefficients one
+    dense (components x monomials) float matrix; exact arithmetic ends here.
+
+    Each call rebuilds one table of powers v_j^0..v_j^D of every coordinate
+    (D the top exponent in any block) by repeated multiplication, never
+    calling pow, and gathers it once for the monomials of all blocks,
+    multiplying each monomial's powers in variable order.  The table belongs
+    to the evaluator, so one evaluator serves one thread at a time.  A block
+    narrower than the widest is padded with trailing factors v^0 = 1.0,
+    which are exact.  Each
+    block then ends in its own matrix-vector product into its slice of the
+    output.  The products stay apart because a monomial that overflows makes
+    every component that lacks it nan (inf * 0.0): inside a block that is
+    wanted, as divergence then shows as a non-finite state, but in one
+    block-diagonal product it would spread to the other blocks.
     """
     import numpy as np
 
-    monos = sorted({e for p in polys for e, _ in p}, key=grlex_key, reverse=True)
-    column = {e: j for j, e in enumerate(monos)}
-    coeffs = np.zeros((len(polys), len(monos)))
-    for i, p in enumerate(polys):
-        for e, c in p:
-            coeffs[i, column[e]] = float(c)
-    exps = np.array(monos, dtype=np.intp).reshape(len(monos), nvars)
-    top = int(exps.max(initial=0))
-    # gather[j, t] is the flat index of v_j^exps[t, j] in the power table
-    gather = np.ascontiguousarray((exps * nvars + np.arange(nvars)).T)
+    ncoords = sum(nvars for _, nvars in blocks)
+    width = max((nvars for _, nvars in blocks), default=0)
+    gathers, products = [], []
+    top = first_var = first_mono = first_out = 0
+    for polys, nvars in blocks:
+        monos = sorted({e for p in polys for e, _ in p}, key=grlex_key, reverse=True)
+        column = {e: j for j, e in enumerate(monos)}
+        coeffs = np.zeros((len(polys), len(monos)))
+        for i, p in enumerate(polys):
+            for e, c in p:
+                coeffs[i, column[e]] = float(c)
+        exps = np.array(monos, dtype=np.intp).reshape(len(monos), nvars)
+        top = max(top, int(exps.max(initial=0)))
+        # gather[j, t] is the flat index of v_j^exps[t, j] in the power table,
+        # with j counted from the block's first coordinate; padding rows keep
+        # index 0, where the table holds v_0^0 = 1.0
+        gather = np.zeros((width, len(monos)), dtype=np.intp)
+        gather[:nvars] = (exps * ncoords + np.arange(first_var, first_var + nvars)).T
+        gathers.append(gather)
+        products.append((
+            coeffs,
+            slice(first_mono, first_mono + len(monos)),
+            slice(first_out, first_out + len(polys)),
+        ))
+        first_var += nvars
+        first_mono += len(monos)
+        first_out += len(polys)
+    gather = np.concatenate(gathers, axis=1)
+    # reused by every call: row 0 stays 1.0 and rows 1..D are rebuilt from v
+    powers = np.ones((top + 1, ncoords))
 
     def evaluate(v: np.ndarray) -> np.ndarray:
-        powers = np.empty((top + 1, nvars))
-        powers[0] = 1.0
         powers[1:] = v
         np.multiply.accumulate(powers, axis=0, out=powers)
-        return coeffs @ np.multiply.reduce(powers.take(gather), axis=0)
+        values = np.multiply.reduce(powers.take(gather), axis=0)
+        out = np.empty(first_out)
+        for coeffs, monos, comps in products:
+            np.matmul(coeffs, values[monos], out=out[comps])
+        return out
 
     return evaluate
 
 
-def _rk4_path(f, y0: np.ndarray, nsteps: int, h: float, label: str) -> np.ndarray:
+def _compile_polys(polys: Sequence[MultiPoly], nvars: int):
+    """Compile one polynomial map R^nvars -> R^len(polys): the one-block
+    case of _compile_blocks."""
+    return _compile_blocks([(polys, nvars)])
+
+
+def _rk4_path(f, y0: np.ndarray, nsteps: int, h: float) -> np.ndarray:
+    """Classical fixed-step RK4 for dy/dt = f(y): the (nsteps + 1) x len(y0)
+    array of states at t = 0, h, .., nsteps * h.
+
+    No step checks for finiteness: a coordinate that is nan or inf stays
+    non-finite under the update, so the caller scans the path once,
+    afterwards.
+    """
     import numpy as np
 
     path = np.empty((nsteps + 1, y0.size), dtype=float)
     path[0] = y0
     y = y0
-    # divergence is reported through NonFiniteState, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(nsteps):
-            k1 = f(y)
-            k2 = f(y + 0.5 * h * k1)
-            k3 = f(y + 0.5 * h * k2)
-            k4 = f(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise NonFiniteState(
-                    f"{label} trajectory became non-finite at t={(i + 1) * h}", (i + 1) * h
-                )
-            path[i + 1] = y
+    for i in range(1, nsteps + 1):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = np.add(y, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=path[i])
     return path
 
 
@@ -227,16 +269,22 @@ def integrate_pair(
 ) -> TrajectoryReport:
     """Integrate dx/dt = X(x) and dp/dt = Y(p) from matched starts.
 
-    Classical fixed-step RK4 in double precision for both systems; exact
-    coefficients are converted to floats only at this boundary.  The reduced
-    trajectory starts from the (float) Hilbert-map image of the float start,
-    so a constant pair has defect exactly zero.  Raises NonFiniteState on
-    overflow or NaN, and ValueError unless t_end is a whole number (at least
-    one) of steps, so the run never stops short of t_end or passes without
+    Classical fixed-step RK4 in double precision, run once over the stacked
+    state z = (x, p) with one evaluator for both systems (_compile_blocks);
+    the two blocks never mix, so each path is the one RK4 gives its system
+    alone.  Exact coefficients are converted to floats only at this
+    boundary.  The reduced trajectory starts from the (float) Hilbert-map
+    image of the float start, so a constant pair has defect exactly zero.
+
+    Raises NonFiniteState on overflow or NaN, with the time of the first
+    non-finite state; the full system is reported whenever it diverges,
+    else the reduced one.  Raises ValueError unless step and t_end are
+    finite and positive and t_end is a whole number (at least one) of
+    steps, so the run never stops short of t_end or passes without
     integrating.
     """
-    if step <= 0 or t_end <= 0:
-        raise ValueError("step and t_end must be positive")
+    if not (0 < step < math.inf and 0 < t_end < math.inf):  # also false for NaN
+        raise ValueError(f"step and t_end must be finite and positive, got {step} and {t_end}")
     nsteps = int(round(t_end / step))
     if nsteps < 1:
         raise ValueError(f"step {step} is longer than t_end {t_end}; no step would be taken")
@@ -245,20 +293,30 @@ def integrate_pair(
     comps = reduced.comps if isinstance(reduced, ReducedSystem) else tuple(reduced)
     if len(comps) != inv.k:
         raise DimensionMismatch(f"reduced system has {len(comps)} components, expected {inv.k}")
-    if len(x0) != field.n:
-        raise DimensionMismatch(f"x0 has length {len(x0)}, field dimension is {field.n}")
+    n = field.n
+    if len(x0) != n:
+        raise DimensionMismatch(f"x0 has length {len(x0)}, field dimension is {n}")
     x0_exact = [v if isinstance(v, Fraction) else Fraction(v) for v in x0]
     # numpy is imported here rather than with the module: only the integrator
     # needs it, and it takes several times longer to load than all of equivar
     import numpy as np
 
     t_grid = np.arange(nsteps + 1, dtype=float) * step
-    f_x = _compile_polys(field.comps, field.n)
-    f_p = _compile_polys(comps, inv.k)
-    sigma = _compile_polys(inv.gens, field.n)
+    f = _compile_blocks([(field.comps, n), (comps, inv.k)])
+    sigma = _compile_polys(inv.gens, n)
     x0_float = np.array([float(v) for v in x0_exact])
-    x_path = _rk4_path(f_x, x0_float, nsteps, step, "full")
-    p_path = _rk4_path(f_p, sigma(x0_float), nsteps, step, "reduced")
+    # divergence is reported through NonFiniteState, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = _rk4_path(f, np.concatenate((x0_float, sigma(x0_float))), nsteps, step)
+    x_path, p_path = path[:, :n], path[:, n:]
+    # the first non-finite row after the start is the step at which a check
+    # after every step would have stopped that system alone; a non-finite
+    # start (sigma(x0) overflowing) is thus reported after one step
+    for label, block in (("full", x_path), ("reduced", p_path)):
+        bad = ~np.isfinite(block[1:]).all(axis=1)
+        if bad.any():
+            t = (int(bad.argmax()) + 1) * step
+            raise NonFiniteState(f"{label} trajectory became non-finite at t={t}", t)
     defect = 0.0
     for xi, pi in zip(x_path, p_path):
         defect = max(defect, float(np.max(np.abs(sigma(xi) - pi))))

@@ -40,7 +40,10 @@ def frac_from_json(value) -> Fraction:
     if isinstance(value, str):
         if not _RAT_RE.match(value.strip()):
             raise ParseError(f"not a decimal-free rational string: {value!r}")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in rational: {value!r}") from None
     raise ParseError(f"rationals must be integers or strings, got {type(value).__name__}")
 
 

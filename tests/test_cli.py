@@ -254,7 +254,8 @@ def test_integrate_check_fails_tight_tol(files, capsys):
 
 def test_integrate_check_out_is_deterministic(tmp_path, capsys):
     # the radial field on z2_diag from demos/data, run twice: identical bytes,
-    # and the defect 1.83e-15 measured with each monomial evaluated by libm pow
+    # and the defect 1.83e-15 that RK4 gives on x86-64 with OpenBLAS; the
+    # slack leaves room for a BLAS that sums its dot products in another order
     data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
     texts = []
     for name in ("a.json", "b.json"):
@@ -301,6 +302,42 @@ def test_integrate_check_bad_tol_exit_2(files, capsys, tol):
         )
     assert code == 2
     assert out == ""
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--t-end", "inf"), ("--t-end", "nan"), ("--t-end", "0"),
+     ("--step", "inf"), ("--step", "nan"), ("--step", "-1")],
+)
+def test_integrate_check_bad_t_end_or_step_exit_2(files, capsys, option, value):
+    _, write = files
+    group = write("z2.json", Z2_DOC)
+    field = write("x.json", CUBIC_FIELD_DOC)
+    with mock.patch("equivar.cli.integrate_pair", side_effect=AssertionError("integrated")), \
+            mock.patch("equivar.cli._load_group", side_effect=AssertionError("group loaded")):
+        code, out, err = run(
+            ["integrate-check", "--group", group, "--field", field, "--x0", "1/2", option, value],
+            capsys,
+        )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ParseError"
+    assert option in json.loads(err)["message"]
+
+
+def test_zero_denominator_exit_2(files, capsys):
+    _, write = files
+    group = write("bad.json", {"n": 1, "generators": [[["1/0"]]]})
+    code, out, err = run(["molien", "--group", group], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == "ParseError"
+    code, out, err = run(
+        ["integrate-check", "--group", write("z2.json", Z2_DOC),
+         "--field", write("x.json", CUBIC_FIELD_DOC), "--x0", "1/0,1"],
+        capsys,
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
     assert json.loads(err)["error"] == "ParseError"
 
 

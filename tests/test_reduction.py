@@ -1,5 +1,6 @@
 """Orbit-space reduction and the numeric relatedness witness."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,10 @@ from equivar import (
     reduce_field,
     variables,
 )
-from equivar.reduction import _compile_polys
+from equivar import serialize as sz
+from equivar.reduction import _compile_blocks, _compile_polys, _rk4_path
+
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
 
 
 @pytest.fixture(scope="module")
@@ -195,15 +199,22 @@ def test_non_finite_state_in_one_component(z2_diag):
 
 
 @st.composite
+def exponents(draw, n, total):
+    """An exponent vector in n variables of degree at most total, drawn
+    without filtering: each entry is bounded by what the earlier ones left."""
+    e = []
+    for _ in range(n):
+        e.append(draw(st.integers(min_value=0, max_value=total - sum(e))))
+    return tuple(draw(st.permutations(e)))
+
+
+@st.composite
 def poly_systems(draw):
     """A system of polynomials in 1-4 variables of degree up to 12, always
     with a zero and a constant component; the others either share monomials
     or have pairwise disjoint supports."""
     n = draw(st.integers(min_value=1, max_value=4))
-    exps = st.lists(st.integers(min_value=0, max_value=12), min_size=n, max_size=n).filter(
-        lambda e: sum(e) <= 12
-    )
-    monos = draw(st.lists(exps.map(tuple), min_size=1, max_size=12, unique=True))
+    monos = draw(st.lists(exponents(n, 12), min_size=1, max_size=12, unique=True))
     ncomps = draw(st.integers(min_value=1, max_value=3))
     if draw(st.booleans()):
         owner = draw(st.lists(st.integers(0, ncomps - 1), min_size=len(monos), max_size=len(monos)))
@@ -221,15 +232,183 @@ def poly_systems(draw):
     return n, comps, point
 
 
-@settings(max_examples=100, deadline=None)
-@given(poly_systems())
-def test_compiled_evaluator_matches_exact(system):
-    n, comps, point = system
-    got = _compile_polys(comps, n)(np.array([float(v) for v in point]))
+def assert_matches_exact(comps, point, got):
     assert got.shape == (len(comps),)
     for p, value in zip(comps, got):
         scale = sum(abs(c * MultiPoly.monomial(e).evaluate(point)) for e, c in p)
         assert abs(value - float(p.evaluate(point))) <= 1e-12 * float(scale)
+
+
+def floats(point):
+    return np.array([float(v) for v in point])
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_systems(), poly_systems())
+def test_compiled_evaluator_matches_exact(system, other):
+    n, comps, point = system
+    alone = _compile_polys(comps, n)(floats(point))
+    assert_matches_exact(comps, point, alone)
+    # as one of two blocks of other widths, in either order, a block reads
+    # only its own coordinates and its values keep every bit
+    m, other_comps, other_point = other
+    k, j = len(comps), len(other_comps)
+    got = _compile_blocks([(comps, n), (other_comps, m)])(floats(point + other_point))
+    assert np.array_equal(got[:k], alone)
+    assert_matches_exact(other_comps, other_point, got[k:])
+    got = _compile_blocks([(other_comps, m), (comps, n)])(floats(other_point + point))
+    assert_matches_exact(other_comps, other_point, got[:j])
+    assert np.array_equal(got[j:], alone)
+
+
+# -- the stacked RK4 pass against two separate loops ----------------------------
+
+
+def separate_rk4(field, comps, inv, x0, t_end, step):
+    """Both systems integrated one after the other, each from its own
+    evaluator with a finiteness check after every step: the reference that
+    integrate_pair's one stacked pass must match bit for bit."""
+    nsteps = int(round(t_end / step))
+
+    def path(f, y0, label):
+        out = np.empty((nsteps + 1, y0.size))
+        out[0] = y0
+        y = y0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(nsteps):
+                k1 = f(y)
+                k2 = f(y + 0.5 * step * k1)
+                k3 = f(y + 0.5 * step * k2)
+                k4 = f(y + step * k3)
+                y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.all(np.isfinite(y)):
+                    raise NonFiniteState(
+                        f"{label} trajectory became non-finite at t={(i + 1) * step}", (i + 1) * step
+                    )
+                out[i + 1] = y
+        return out
+
+    sigma = _compile_polys(inv.gens, field.n)
+    x0_float = np.array([float(v) for v in x0])
+    x_path = path(_compile_polys(field.comps, field.n), x0_float, "full")
+    with np.errstate(over="ignore"):
+        p0 = sigma(x0_float)
+    p_path = path(_compile_polys(comps, inv.k), p0, "reduced")
+    defect = 0.0
+    for xi, pi in zip(x_path, p_path):
+        defect = max(defect, float(np.max(np.abs(sigma(xi) - pi))))
+    return x_path, p_path, defect
+
+
+def assert_matches_separate_loops(field, comps, inv, x0, t_end, step):
+    try:
+        x_path, p_path, defect = separate_rk4(field, comps, inv, x0, t_end, step)
+    except NonFiniteState as want:
+        with pytest.raises(NonFiniteState) as err:
+            integrate_pair(field, comps, inv, x0, t_end, step)
+        assert str(err.value) == str(want)
+        assert err.value.time == want.time
+        return
+    report = integrate_pair(field, comps, inv, x0, t_end, step)
+    assert np.array_equal(report.x_path, x_path)
+    assert np.array_equal(report.p_path, p_path)
+    assert report.max_defect == defect
+
+
+@pytest.mark.parametrize(
+    "group, field, x0",
+    [("z2_line", "cubic_line_field", "1/2"), ("z2_diag", "radial_plane_field", "1/2,1/3"),
+     ("swap", "radial_plane_field", "1/2,-1/3"), ("c4", "radial_plane_field", "-3/4,1/5")],
+)
+def test_stacked_rk4_matches_separate_loops_on_demo_fields(group, field, x0):
+    inv = invariant_ring_generators(sz.group_from_doc(sz.load_json(os.path.join(DATA, f"{group}.json"))))
+    field = sz.field_from_doc(sz.load_json(os.path.join(DATA, f"{field}.json")))
+    rs = reduce_field(field, inv)
+    assert_matches_separate_loops(field, rs.comps, inv, sz.parse_rational_vector(x0), 1.0, 1e-3)
+
+
+@pytest.fixture(scope="module")
+def sample_invs(sample_groups):
+    return [invariant_ring_generators(g) for g in sample_groups.values()]
+
+
+def small_polys(nvars, count):
+    """count polynomials in nvars variables, each of up to 4 terms of degree
+    at most 4."""
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool)
+    poly = st.dictionaries(exponents(nvars, 4), coeffs, max_size=4).map(lambda t: MultiPoly(nvars, t))
+    return st.lists(poly, min_size=count, max_size=count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_stacked_rk4_matches_separate_loops_on_drawn_systems(sample_invs, data):
+    # a drawn field and a drawn, unrelated reduced system: the two blocks are
+    # independent, so the stacked pass must reproduce each loop whether or
+    # not either system diverges
+    inv = data.draw(st.sampled_from(sample_invs))
+    n = inv.group.n
+    field = PolyVectorField(data.draw(small_polys(n, n)))
+    comps = data.draw(small_polys(inv.k, inv.k))
+    x0 = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                            min_size=n, max_size=n))
+    step = data.draw(st.sampled_from([0.5, 0.1, 0.05]))
+    nsteps = data.draw(st.integers(1, 30))
+    assert_matches_separate_loops(field, comps, inv, x0, nsteps * step, step)
+
+
+def test_non_finite_only_in_reduced(z2_line):
+    # X = -x decays; the unrelated Y = P1^3 from P1 = 4 blows up at t = 1/32
+    x, = variables(1)
+    inv = invariant_ring_generators(z2_line)
+    field = PolyVectorField([-x])
+    cube = [MultiPoly(1, {(3,): 1})]
+    with pytest.raises(NonFiniteState) as err:
+        integrate_pair(field, cube, inv, [2], 1.0, 1e-3)
+    assert "reduced" in str(err.value)
+    assert 1 / 32 < err.value.time < 0.04
+    assert_matches_separate_loops(field, cube, inv, [2], 1.0, 1e-3)
+    # a start whose Hilbert-map image overflows is caught after the first step
+    with pytest.raises(NonFiniteState) as err:
+        integrate_pair(field, cube, inv, [10**200], 1.0, 1e-3)
+    assert "reduced" in str(err.value) and err.value.time == 1e-3
+    assert_matches_separate_loops(field, cube, inv, [10**200], 1.0, 1e-3)
+
+
+def test_non_finite_in_both_reports_full(z2_line):
+    # X = x^3 from 2 overflows at t = 0.15 (see test_non_finite_state); the
+    # unrelated Y = P1^3 from P1 = 4 does so earlier, yet the full system's
+    # divergence is the one reported, at its own time
+    x, = variables(1)
+    inv = invariant_ring_generators(z2_line)
+    field = PolyVectorField([x**3])
+    cube = [MultiPoly(1, {(3,): 1})]
+    with pytest.raises(NonFiniteState) as reduced_only:
+        integrate_pair(PolyVectorField([-x]), cube, inv, [2], 2.0, 1e-2)
+    assert reduced_only.value.time < 0.15
+    with pytest.raises(NonFiniteState) as err:
+        integrate_pair(field, cube, inv, [2], 2.0, 1e-2)
+    assert "full" in str(err.value)
+    assert err.value.time == 0.15
+    assert_matches_separate_loops(field, cube, inv, [2], 2.0, 1e-2)
+
+
+@pytest.mark.parametrize("diverging", ["full", "reduced"])
+def test_overflow_in_one_block_leaves_the_other_finite(diverging):
+    # one system overflows (y' = y^3 from 4), the other decays (y' = -y,
+    # with a constant term so its matrix has a column the other lacks); the
+    # decaying block's path stays finite and equals its lone RK4 path
+    cube = [MultiPoly(1, {(3,): 1})]
+    decay = [MultiPoly(1, {(1,): -1, (0,): Fraction(1, 2)})]
+    blocks = [(cube, 1), (decay, 1)] if diverging == "full" else [(decay, 1), (cube, 1)]
+    start = np.array([4.0, 1.0] if diverging == "full" else [1.0, 4.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = _rk4_path(_compile_blocks(blocks), start, 200, 1e-2)
+    blown, kept = (0, 1) if diverging == "full" else (1, 0)
+    assert not np.isfinite(path[-1, blown])
+    assert np.all(np.isfinite(path[:, kept]))
+    alone = _rk4_path(_compile_polys(decay, 1), start[kept:kept + 1], 200, 1e-2)
+    assert np.array_equal(path[:, kept], alone[:, 0])
 
 
 def test_integrate_validates_arguments(cubic_line):
