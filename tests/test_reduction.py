@@ -249,8 +249,8 @@ def test_compiled_evaluator_matches_exact(system, other):
     n, comps, point = system
     alone = _compile_polys(comps, n)(floats(point))
     assert_matches_exact(comps, point, alone)
-    # as one of two blocks of other widths, in either order, a block reads
-    # only its own coordinates and its values keep every bit
+    # as one of two blocks, in either order and whatever the other's width,
+    # a block reads only its own coordinates and its values keep every bit
     m, other_comps, other_point = other
     k, j = len(comps), len(other_comps)
     got = _compile_blocks([(comps, n), (other_comps, m)])(floats(point + other_point))
@@ -289,7 +289,7 @@ def separate_rk4(field, comps, inv, x0, t_end, step):
         return out
 
     sigma = _compile_polys(inv.gens, field.n)
-    x0_float = np.array([float(v) for v in x0])
+    x0_float = floats(x0)
     x_path = path(_compile_polys(field.comps, field.n), x0_float, "full")
     with np.errstate(over="ignore"):
         p0 = sigma(x0_float)
@@ -395,9 +395,8 @@ def test_non_finite_in_both_reports_full(z2_line):
 
 @pytest.mark.parametrize("diverging", ["full", "reduced"])
 def test_overflow_in_one_block_leaves_the_other_finite(diverging):
-    # one system overflows (y' = y^3 from 4), the other decays (y' = -y,
-    # with a constant term so its matrix has a column the other lacks); the
-    # decaying block's path stays finite and equals its lone RK4 path
+    # one system overflows (y' = y^3 from 4), the other decays (y' = 1/2 - y);
+    # the decaying block's path stays finite and equals its lone RK4 path
     cube = [MultiPoly(1, {(3,): 1})]
     decay = [MultiPoly(1, {(1,): -1, (0,): Fraction(1, 2)})]
     blocks = [(cube, 1), (decay, 1)] if diverging == "full" else [(decay, 1), (cube, 1)]
@@ -418,6 +417,10 @@ def test_integrate_validates_arguments(cubic_line):
         integrate_pair(field, rs, inv, [Fraction(1, 2)], 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_pair(field, rs, inv, [Fraction(1, 2)], -1.0, 1e-3)
+    for t_end, step in ((float("inf"), 1e-3), (float("nan"), 1e-3), (1.0, float("nan")),
+                        (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite and positive"):
+            integrate_pair(field, rs, inv, [Fraction(1, 2)], t_end, step)
 
 
 def test_integrate_rejects_zero_steps_and_partial_steps(cubic_line):
