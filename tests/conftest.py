@@ -130,6 +130,27 @@ BASE_GROUPS = {
     "S3": [[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]],
 }
 
+_THIRD = Fraction(1, 3)
+
+# Groups with both monomial and non-monomial elements: hexagonal D6 (the
+# swap is monomial, the rotations are not), S3 permuting coordinates times
+# the reflection I - (2/3)J, and D4 conjugated by [[2, 1], [0, 1]], whose
+# only monomial elements are +-I.
+MIXED_GROUPS = {
+    "D6_hex": [[[1, -1], [1, 0]], [[0, 1], [1, 0]]],
+    "S3xZ2": BASE_GROUPS["S3"]
+    + [[[_THIRD - int(i != j) for j in range(3)] for i in range(3)]],
+    "D4_frac": [
+        [[Fraction(1, 2), Fraction(-5, 2)], [Fraction(1, 2), Fraction(-1, 2)]],
+        [[1, -2], [0, -1]],
+    ],
+}
+
+
+def is_monomial_matrix(m: RatMatrix) -> bool:
+    """One nonzero entry in every row."""
+    return all(sum(1 for c in m.row(i) if c) == 1 for i in range(m.rows))
+
 
 @st.composite
 def signed_permutations(draw, max_n: int = 4) -> list[RatMatrix]:

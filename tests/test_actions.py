@@ -12,9 +12,11 @@ from equivar import (
     MultiPoly,
     NotXiLinear,
     PolyVectorField,
+    RatMatrix,
     act_phi_dagger,
     act_psi,
     act_theta,
+    close_group,
     infer_action,
     is_invariant,
     is_xi_linear,
@@ -25,7 +27,7 @@ from equivar import (
 )
 from equivar.actions import xi_degree
 
-from conftest import random_field, random_poly
+from conftest import BASE_GROUPS, MIXED_GROUPS, random_field, random_poly
 
 
 def neg_index(group):
@@ -170,6 +172,42 @@ def test_is_invariant_examples(z2_line, swap2):
 
     x1, x2 = variables(2)
     assert is_invariant(swap2, PolyVectorField([x2, x1]), THETA)
+
+
+ACT = {PHI_DAGGER: act_phi_dagger, THETA: act_theta, PSI: act_psi}
+
+
+def invariance_by_act(group, action, obj):
+    """(invariant, first moving generator, obj minus its image) by act_*."""
+    for g in group.gen_indices:
+        moved = ACT[action](group, g, obj)
+        if moved != obj:
+            return False, g, obj - moved
+    return True, None, None
+
+
+@pytest.mark.parametrize("name", ["C4", "S3", *sorted(MIXED_GROUPS)])
+def test_is_invariant_matches_act_loop(name):
+    group = close_group([RatMatrix.from_rows(g) for g in {**BASE_GROUPS, **MIXED_GROUPS}[name]])
+    n = group.n
+    rng = random.Random(name)
+    draws = {
+        PHI_DAGGER: lambda: random_poly(rng, n, 4),
+        THETA: lambda: random_field(rng, n, 3),
+        PSI: lambda: random_poly(rng, 2 * n, 3),
+    }
+    moved = 0
+    for _ in range(4):
+        for action, draw in draws.items():
+            obj = draw()
+            fixed = reynolds(group, action, obj)
+            # the Reynolds image is fixed; adding obj back mostly breaks that
+            for candidate in (fixed, fixed + obj):
+                chk = is_invariant(group, candidate, action)
+                expected = invariance_by_act(group, action, candidate)
+                assert (bool(chk), chk.generator_index, chk.difference) == expected
+                moved += not expected[0]
+    assert moved >= 6
 
 
 def test_infer_action(z2_line):

@@ -9,9 +9,11 @@ every element.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from equivar import (
     PHI_DAGGER,
@@ -34,7 +36,15 @@ from equivar.linalg import rref
 from equivar.molien import det_one_minus_t
 from equivar.poly import poly_to_vector, vector_to_poly
 
-from conftest import BASE_GROUPS, rational_conjugates, signed_permutation_groups
+from conftest import (
+    BASE_GROUPS,
+    MIXED_GROUPS,
+    field_action_matrix,
+    is_monomial_matrix,
+    poly_action_matrix,
+    rational_conjugates,
+    signed_permutation_groups,
+)
 
 MAX_DEGREE = 4
 
@@ -131,3 +141,86 @@ def test_non_integral_conjugate_matches_oracles():
     group = close_group(gens)
     assert group.order == 8
     assert_matches_oracles(group, max_degree=5)
+
+
+# Generating sets that mix monomial and non-monomial matrices: the orbit sums
+# of the monomial generators, restricted to the kernel of the others.
+
+@lru_cache(maxsize=None)
+def mixed_group(name: str) -> MatGroup:
+    return close_group([RatMatrix.from_rows(g) for g in MIXED_GROUPS[name]])
+
+
+@st.composite
+def mixed_generating_sets(draw) -> list[RatMatrix]:
+    """Two or three elements of one of MIXED_GROUPS, at least one monomial
+    and one not, that generate the whole group."""
+    group = mixed_group(draw(st.sampled_from(sorted(MIXED_GROUPS))))
+    picks = draw(st.lists(st.integers(0, group.order - 1), min_size=2, max_size=3, unique=True))
+    gens = [group.matrix(i) for i in picks]
+    assume({is_monomial_matrix(g) for g in gens} == {True, False})
+    assume(close_group(gens).order == group.order)
+    return gens
+
+
+def _d4_frac_with_minus_identity() -> list[RatMatrix]:
+    return [RatMatrix.from_rows([[-1, 0], [0, -1]])] + [
+        RatMatrix.from_rows(g) for g in MIXED_GROUPS["D4_frac"]
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(mixed_generating_sets())
+@example([RatMatrix.from_rows(g) for g in MIXED_GROUPS["D6_hex"]])
+@example(_d4_frac_with_minus_identity())
+def test_mixed_generating_sets_match_oracles(gens):
+    assert_matches_oracles(close_group(gens))
+
+
+_HALF = Fraction(1, 2)
+F4_GENERATORS = [
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[_HALF - int(i != j) for j in range(4)] for i in range(4)],
+]
+
+
+def generator_kernel_basis(group: MatGroup, action_matrix, degree: int, monos) -> list[MultiPoly]:
+    """rref of the common kernel of A_g - I over the generators, with A_g
+    built by act_phi_dagger or act_theta in Fraction arithmetic."""
+    size = len(monos)
+    stacked = []
+    for g in group.gen_indices:
+        for i, row in enumerate(action_matrix(group, g, degree)):
+            stacked.append([c - int(i == j) for j, c in enumerate(row)])
+    rows, pivots = rref(stacked)
+    kernel = []
+    for f in (f for f in range(size) if f not in pivots):
+        v = [Fraction(int(j == f)) for j in range(size)]
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        kernel.append(v)
+    return [vector_to_poly(r, monos, len(monos[0])) for r in rref(kernel)[0]]
+
+
+def test_f4_matches_oracles():
+    # B4's three monomial generators and the reflection I - J/2; order 1152
+    # makes Reynolds averaging slow, so it checks degree 2 only, and the
+    # stacked generator kernel of the act_* matrices the degrees above
+    group = close_group([RatMatrix.from_rows(g) for g in F4_GENERATORS])
+    assert group.order == 1152
+    n = group.n
+    with mock.patch("equivar.actions.reynolds", side_effect=AssertionError("Reynolds route")):
+        inv = {d: invariant_basis(group, d) for d in range(1, 7)}
+        eq = {m: equivariant_basis(group, m) for m in range(4)}
+    assert inv[2] == reynolds_basis(group, PHI_DAGGER, monomials_of_degree(n, 2))
+    assert [len(inv[d]) for d in inv] == [0, 1, 0, 1, 0, 2]
+    for d, basis in inv.items():
+        monos = monomials_of_degree(n, d)
+        assert basis == generator_kernel_basis(group, poly_action_matrix, d, monos), d
+    assert [len(eq[m]) for m in eq] == [0, 1, 0, 1]
+    for m, basis in eq.items():
+        monos = xilinear_monomials(n, m)
+        oracle = generator_kernel_basis(group, field_action_matrix, m, monos)
+        assert basis == [unpairing(q) for q in oracle], m
