@@ -12,13 +12,13 @@ pairing V <-> sum_i V_i(x) xi_i it matches the pushforward action on vector
 fields.  That correspondence is what lets the equivariants module compute
 vector-field generators as fixed phase polynomials.
 
-fixed_basis gives the canonical basis of the fixed points among the
-polynomials of one degree, from the group generators alone: orbit sums when
-every generator is a monomial matrix, otherwise the common kernel of
-rho_d(g) - I over the generators, read in integers off a poly.ProductTable
-of the linear forms of x -> g^-1 x.  Averaging over the whole group (the
-Reynolds projector) lands on the same fixed points; it stays public, and the
-tests use it as the oracle.
+One integer engine acts: each generator keeps, on the group, the
+poly.ProductTable of the linear forms of its substitution, whose columns are
+the images of the monomials.  fixed_basis reads them for the canonical basis
+of the fixed points of one degree (orbit sums of the monomial generators,
+cut down by the kernel of the others), and is_invariant through
+ProductTable.substitute.  The act_* functions and the Reynolds projector,
+which averages over the whole group, stay in Fraction arithmetic as oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, NotXiLinear
 from .groups import MatGroup
 from .linalg import RatMatrix, block_diag, kernel_rref
-from .poly import Exponents, MultiPoly, ProductTable, monomials_of_degree, vector_to_poly
+from .poly import Exponents, MultiPoly, ProductTable, monomials_of_degree
 
 PHI_DAGGER = "phi_dagger"
 THETA = "theta"
@@ -215,16 +215,6 @@ def act_psi(group: MatGroup, g: int, q: MultiPoly) -> MultiPoly:
     return q.compose_linear(_substitution_matrix(group, PSI, g))
 
 
-def _act(group: MatGroup, action: str, g: int, obj):
-    if action == PHI_DAGGER:
-        return act_phi_dagger(group, g, obj)
-    if action == THETA:
-        return act_theta(group, g, obj)
-    if action == PSI:
-        return act_psi(group, g, obj)
-    raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
-
-
 def infer_action(group: MatGroup, obj) -> str:
     if isinstance(obj, PolyVectorField):
         return THETA
@@ -242,9 +232,12 @@ def reynolds(group: MatGroup, action: str, obj):
     Idempotent, and the identity on objects already fixed by the action.
     The sum runs in element order, so output is deterministic.
     """
-    acc = _act(group, action, 0, obj)  # index 0 is the identity
+    act = {PHI_DAGGER: act_phi_dagger, THETA: act_theta, PSI: act_psi}.get(action)
+    if act is None:
+        raise ValueError(f"unknown action {action!r}; expected one of {ACTIONS}")
+    acc = act(group, 0, obj)  # index 0 is the identity
     for g in range(1, group.order):
-        acc = acc + _act(group, action, g, obj)
+        acc = acc + act(group, g, obj)
     factor = Fraction(1, group.order)
     if isinstance(acc, PolyVectorField):
         return acc.scale(factor)
@@ -263,8 +256,9 @@ def _monomial_form(m: RatMatrix) -> tuple[tuple[int, Fraction], ...] | None:
     return tuple(form)
 
 
-def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[MultiPoly]:
-    """Fixed-space basis of monomial substitutions: one sum per orbit.
+def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, Fraction]]]:
+    """Fixed-space basis of monomial substitutions: one sum per orbit, as
+    (index into monos, coefficient) pairs, in the order of its first monomial.
 
     Substituting x_i -> a_i x_j(i) sends x^e to c x^e', so p is fixed exactly
     when coef[e'] == c coef[e] for every generator and every e.  Each orbit
@@ -273,6 +267,7 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[MultiPoly]:
     coefficients on one monomial carries no fixed vector.
     """
     nvars = len(monos[0])
+    index = {e: j for j, e in enumerate(monos)}
     seen: set[Exponents] = set()
     out = []
     for lead in monos:
@@ -300,70 +295,80 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[MultiPoly]:
                     cancels = True
         seen.update(coef)
         if not cancels:
-            out.append(MultiPoly(nvars, coef))
+            out.append([(index[e], c) for e, c in coef.items()])
     return out
 
 
-def _integer_forms(m: RatMatrix, lo: int, n: int) -> tuple[list[list[int]], int]:
-    """D times the n x n block of m at rows and columns lo..lo+n-1, as integer
-    rows, and D, the lcm of the block's denominators."""
-    rows = [m.row(i)[lo : lo + n] for i in range(lo, lo + n)]
-    den = lcm(*(c.denominator for r in rows for c in r))
-    return [[c.numerator * (den // c.denominator) for c in r] for r in rows], den
+def _table(group: MatGroup, action: str, g: int) -> ProductTable:
+    """The ProductTable of the linear forms (M v)_i, M the substitution
+    matrix of generator g: the column of v^a is the image g . v^a, so
+    substitute(q) is g . q.  Memoised on the group, so the fixed spaces and
+    the invariance checks read the same columns at every degree."""
+    key = ("table", action, g)
+    if key not in group._derived:
+        m = _substitution_matrix(group, action, g)
+        unit = monomials_of_degree(m.rows, 1)
+        forms = [MultiPoly(m.rows, zip(unit, m.row(i))) for i in range(m.rows)]
+        group._derived[key] = ProductTable(m.rows, forms)
+    return group._derived[key]
 
 
-def _integer_block(m: RatMatrix, n: int, d: int) -> list[list[int]]:
-    """The rows of an integer multiple of rho_d(M) - I, M the substitution
-    matrix of a generator, over the monomials that fixed_basis is given.
+def _restricted_columns(group: MatGroup, action: str, g: int, d: int, sums) -> list[list[int]]:
+    """The integer columns of a positive multiple of (rho_d(g) - I) S, S the
+    integer sums (pairs of index and coefficient) as columns.
 
-    x^alpha maps to l^alpha / D^d, with D the lcm of the denominators of the
-    x block and l_i = (D M x)_i, so rho_d(D M) is read off the ProductTable
-    of the n integer linear forms l_i.  Under the phase action (M of size 2n)
-    x^alpha xi_i maps to (g^-1 . x^alpha) (g^T xi)_i, so over the alpha-major
-    xilinear_monomials the block is the Kronecker product of the x block with
-    E g^T, the xi block of M cleared by its lcm E.
+    The image of x^alpha is the column of alpha in the table of generator g,
+    over the lcm of the degree's denominators.  Under the phase action, that
+    of x^alpha xi_i is (g^-1 . x^alpha) (g^T xi)_i: over the alpha-major
+    xilinear_monomials, the Kronecker product of that column with row i of
+    E g^T, E the lcm of g^T's denominators.
     """
-    forms, den = _integer_forms(m, 0, n)
-    table = ProductTable(n, [MultiPoly(n, zip(monomials_of_degree(n, 1), f)) for f in forms])
-    cols = [table.column(alpha)[0] for alpha in table.monomials(d)]
-    block = [list(r) for r in zip(*cols)]
-    scale = den**d
-    if m.rows == 2 * n:
-        t, t_den = _integer_forms(m, n, n)
-        block = [[c * t[i][k] for c in row for i in range(n)] for row in block for k in range(n)]
+    table = _table(group, PHI_DAGGER, g)
+    cols = [table.column(alpha) for alpha in table.monomials(d)]
+    scale = lcm(*(den for _, den in cols))
+    images = [nums if den == scale else [x * (scale // den) for x in nums] for nums, den in cols]
+    if action == PSI:
+        gt = group.matrix(g).transpose()
+        t_den = lcm(*(c.denominator for c in gt.entries))
+        t = [[c.numerator * (t_den // c.denominator) for c in gt.row(i)] for i in range(group.n)]
+        images = [[x * c for x in col for c in row] for col in images for row in t]
         scale *= t_den
-    for j, row in enumerate(block):
-        row[j] -= scale
-    return block
+    out = []
+    for s in sums:
+        (j, c), *rest = s
+        col = list(images[j]) if c == 1 else [c * x for x in images[j]]
+        for j, c in rest:
+            col = [y + c * x for y, x in zip(col, images[j])]
+        for j, c in s:
+            col[j] -= c * scale
+        out.append(col)
+    return out
 
 
 def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> list[MultiPoly]:
     """Basis of the polynomials in span(monos) fixed by a substitution action.
 
-    `monos` lists the columns in descending graded-lex order and must be
-    mapped into itself by the action (all monomials of one degree, or the
-    xi-linear ones of one bidegree).  The result is the reduced row echelon
-    basis over those columns: each element monic on its leading monomial,
-    zero on every other element's leading monomial, in column order.  That
-    basis is unique, so the two routes below agree exactly, and agree with
-    row-reducing the Reynolds average of every monomial.
-
-    Both routes use the generators only, never the whole group.  When every
-    generator acts by a monomial matrix (one nonzero per row, e.g. signed
-    permutations), the fixed space is spanned by orbit sums, with disjoint
-    supports, so the monic sums already form the echelon basis.  Otherwise
-    it is the common kernel of rho_d(g) - I over the generators, with
-    rho_d(g) the action's matrix on span(monos), found in integer
-    arithmetic (see _integer_block).  That route needs `monos` to be all of
-    monomials_of_degree(n, d), or of xilinear_monomials(n, d), in order.
+    `monos` is all of monomials_of_degree(n, d) or of xilinear_monomials(n,
+    d), in order.  The result is the unique reduced row echelon basis over
+    those columns, so it equals the rref of the Reynolds averages of the
+    monomials.  It comes from the generators alone: the orbit sums of the
+    monomial generators (one nonzero per row; with none, every monomial is
+    its own sum), then the common kernel, over those sums, of
+    (rho_d(g) - I) S for the other generators (_restricted_columns).  The
+    sums have disjoint supports, are monic on their first monomials and come
+    in that order, so the rref kernel over them expands to the rref basis.
     """
-    mats = [_substitution_matrix(group, action, g) for g in group.gen_indices]
-    forms = [_monomial_form(m) for m in mats]
-    if all(f is not None for f in forms):
-        return _orbit_sums(forms, monos)
+    forms = {g: _monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices}
+    sums = _orbit_sums([f for f in forms.values() if f is not None], monos)
+    den = lcm(*(c.denominator for s in sums for _, c in s))
+    int_sums = [[(j, c.numerator * (den // c.denominator)) for j, c in s] for s in sums]
     d = sum(monos[0][: group.n])
-    rows = [row for m in mats for row in _integer_block(m, group.n, d)]
-    return [vector_to_poly(v, monos, mats[0].rows) for v in kernel_rref(rows, len(monos))]
+    others = [g for g, f in forms.items() if f is None]
+    rows = [r for g in others for r in zip(*_restricted_columns(group, action, g, d, int_sums))]
+    return [
+        MultiPoly(len(monos[0]), {monos[j]: x * c for x, s in zip(v, sums) if x for j, c in s})
+        for v in kernel_rref(rows, len(sums))
+    ]
 
 
 class InvarianceCheck:
@@ -397,11 +402,16 @@ def is_invariant(group: MatGroup, obj, action: str | None = None) -> InvarianceC
 
     Generator invariance suffices for full invariance because each action is
     a group homomorphism, and it costs O(#generators) instead of O(|G|).
+    Each image g . obj is read off the generator's table (_table).
     """
     if action is None:
         action = infer_action(group, obj)
     for g in group.gen_indices:
-        moved = _act(group, action, g, obj)
+        if action == THETA:  # the pushforward g (V o g^-1) is (g V) o g^-1
+            table = _table(group, PHI_DAGGER, g)
+            moved = PolyVectorField([table.substitute(c) for c in obj.mix(group.matrix(g)).comps])
+        else:
+            moved = _table(group, action, g).substitute(obj)
         if moved != obj:
             return InvarianceCheck(False, g, obj - moved)
     return InvarianceCheck(True)

@@ -5,9 +5,8 @@ sum_i V_i(x) xi_i, homogeneous of degree m+1 and linear in the xi block.
 That subspace is stable under the phase action, and its fixed points are
 exactly the pairings of the equivariant fields.  So the degree-m equivariant
 basis is the canonical fixed-space basis of the phase action on the
-monomials x^alpha xi_i (orbit sums over the generators when every generator
-is a monomial matrix, the common kernel of rho_d(g) - I over the generators
-otherwise), and module generation over the invariant ring is again a
+monomials x^alpha xi_i (actions.fixed_basis, one pipeline for every
+group), and module generation over the invariant ring is again a
 degree-by-degree complement computation, checked against the trace-weighted
 Molien series.  The loop stops at the bound an hsop among the invariant
 generators certifies (invariants.find_hsop), or at |G| - 1 without one.

@@ -36,8 +36,8 @@ class MatGroup:
                 raise ValueError("element list is not closed under inversion")
             inverses.append(j)
         object.__setattr__(self, "_inverses", tuple(inverses))
-        # values that depend on the group alone (its Molien series), filled
-        # on first use by the module that computes them
+        # values that depend on the group alone (Molien series, generator
+        # action tables), filled on first use by the module that computes them
         object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):

@@ -1,16 +1,16 @@
 """Generators, expression, and relations for rings of invariant polynomials.
 
 The ring of G-invariant polynomials is computed degree by degree: take the
-canonical basis of the degree-d fixed space (orbit sums over the generators
-when every generator is a monomial matrix, otherwise the common kernel of
-rho_d(g) - I over the generators; see actions.fixed_basis), and keep
-whatever the products of already-found generators fail to span.  The loop
-stops at the bound an hsop certificate gives (find_hsop: n generators whose
-ideal contains every monomial of one degree, so the ring is free over them
-and the Molien series says in which degrees its basis lies), or at Noether's
-bound, degree |G|, when no certificate beats it.  The Molien series also
-supplies an independent dimension count, checked at every degree against
-the fixed space and against the span it ends with.
+canonical basis of the degree-d fixed space (orbit sums of the monomial
+generators, cut down by the kernel of rho_d(g) - I of the others; see
+actions.fixed_basis), and keep whatever the products of already-found
+generators fail to span.  The loop stops at the bound an hsop certificate
+gives (find_hsop: n generators whose ideal contains every monomial of one
+degree, so the ring is free over them and the Molien series says in which
+degrees its basis lies), or at Noether's bound, degree |G|, when no
+certificate beats it.  The Molien series also supplies an independent
+dimension count, checked at every degree against the fixed space and
+against the span it ends with.
 
 Every generator product p^a comes from one poly.ProductTable: the
 coefficient column of p^a over the degree's monomials, memoised by a and
@@ -30,7 +30,7 @@ keeps outputs identical across runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .actions import PHI_DAGGER, fixed_basis, is_invariant
@@ -141,27 +141,10 @@ class InvariantGens:
         return tuple(p.evaluate(point) for p in self.gens)
 
     def substitute(self, f: MultiPoly) -> MultiPoly:
-        """Expand f(p_1, ..., p_k) as a polynomial in the original variables.
-
-        Read off the product table as sum_a c_a col(a): the terms of each
-        degree are summed in integers over the lcm of their denominators, so
-        no generator product is multiplied out again.
-        """
+        """f(p_1, ..., p_k) in the original variables (ProductTable.substitute)."""
         if f.nvars != self.k:
             raise ValueError(f"expected a polynomial in {self.k} generator variables")
-        parts: dict[int, list[tuple[Fraction, list[int], int]]] = {}
-        for a, c in f.sorted_terms():
-            nums, den = self._table.column(a)
-            parts.setdefault(sum(x * w for x, w in zip(a, self.degrees)), []).append((c, nums, den))
-        terms: dict[Exponents, Fraction] = {}
-        for d, part in parts.items():
-            common = lcm(*(c.denominator * den for c, _, den in part))
-            total = [0] * len(part[0][1])
-            for c, nums, den in part:
-                s = c.numerator * (common // (c.denominator * den))
-                total = [t + s * x for t, x in zip(total, nums)]
-            terms.update((e, Fraction(t, common)) for e, t in zip(self._table.monomials(d), total) if t)
-        return MultiPoly(self.group.n, terms)
+        return self._table.substitute(f)
 
     def __repr__(self) -> str:
         inner = ", ".join(g.format() for g in self.gens)

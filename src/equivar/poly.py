@@ -10,10 +10,11 @@ All iteration, serialization, and pivoting follow that order, which is what
 makes every result of this library reproducible bit for bit.
 
 ProductTable is the one integer engine for products of homogeneous
-polynomials.  The invariant generators' table gives the generator products
-and the module products p^a W_j of the equivariant fields; the fixed spaces
-read the table of the linear forms of x -> g^-1 x, whose products are the
-images of the monomials.
+polynomials and substitutions into them.  The invariant generators' table
+gives the generator products, the module products p^a W_j of the
+equivariant fields and f(p_1, ..., p_k); a group generator's table of the
+linear forms of its substitution gives the images of the monomials, which
+the fixed spaces and the invariance checks read.
 """
 
 from __future__ import annotations
@@ -354,10 +355,6 @@ def poly_to_vector(p: MultiPoly, basis: Sequence[Exponents]) -> list[Fraction]:
     return v
 
 
-def vector_to_poly(vec: Sequence[Fraction], basis: Sequence[Exponents], nvars: int) -> MultiPoly:
-    return MultiPoly(nvars, {e: c for e, c in zip(basis, vec)})
-
-
 class ProductTable:
     """Coefficient columns of the generator products p^a, memoised by a.
 
@@ -417,6 +414,26 @@ class ProductTable:
         nums, den = self.column(a)
         pden, terms = _packed(p)
         return self._times(nums, self._weight(a), terms, p.total_degree()), den * pden
+
+    def substitute(self, f: MultiPoly) -> MultiPoly:
+        """f(p_1, ..., p_k) in the n variables, read off the table as
+        sum_a c_a col(a): the terms of each degree are summed in integers over
+        the lcm of their denominators, so no product is multiplied out again."""
+        if f.nvars != len(self._gens):
+            raise DimensionMismatch(f"{f.nvars} variables for a table of {len(self._gens)} polynomials")
+        parts: dict[int, list[tuple[Fraction, list[int], int]]] = {}
+        for a, c in f.sorted_terms():
+            nums, den = self.column(a)
+            parts.setdefault(self._weight(a), []).append((c, nums, den))
+        terms: dict[Exponents, Fraction] = {}
+        for d, part in parts.items():
+            common = lcm(*(c.denominator * den for c, _, den in part))
+            total = [0] * len(part[0][1])
+            for c, nums, den in part:
+                s = c.numerator * (common // (c.denominator * den))
+                total = [t + s * x for t, x in zip(total, nums)]
+            terms.update((e, Fraction(t, common)) for e, t in zip(self.monomials(d), total) if t)
+        return MultiPoly(self.n, terms)
 
     def _times(self, nums: list[int], d: int, terms: list[tuple[int, int]], e: int) -> list[int]:
         """The numerators of a degree-d column times packed degree-e terms."""

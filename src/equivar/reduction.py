@@ -164,6 +164,16 @@ class TrajectoryReport:
         )
 
 
+def _float(v: Fraction, what: str) -> float:
+    """v as a double; ValueError naming v when it lies beyond the double range."""
+    try:
+        return float(v)
+    except OverflowError:
+        text = str(v)
+        text = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+        raise ValueError(f"{what} {text} lies beyond the double range") from None
+
+
 def _compile_blocks(blocks: Sequence[tuple[Sequence[MultiPoly], int]]):
     """Compile polynomial maps, one per block, into one float evaluator.
 
@@ -198,7 +208,7 @@ def _compile_blocks(blocks: Sequence[tuple[Sequence[MultiPoly], int]]):
         coeffs = np.zeros((len(polys), len(monos)))
         for i, p in enumerate(polys):
             for e, c in p:
-                coeffs[i, column[e]] = float(c)
+                coeffs[i, column[e]] = _float(c, "coefficient")
         exps = np.array(monos, dtype=np.intp).reshape(len(monos), nvars)
         top = max(top, int(exps.max(initial=0)))
         # gather[j, t] is the flat index of v_j^exps[t, j] in the power table,
@@ -281,7 +291,8 @@ def integrate_pair(
     else the reduced one.  Raises ValueError unless step and t_end are
     finite and positive and t_end is a whole number (at least one) of
     steps, so the run never stops short of t_end or passes without
-    integrating.
+    integrating, and when a start value or a coefficient lies beyond the
+    double range.
     """
     if not (0 < step < math.inf and 0 < t_end < math.inf):  # also false for NaN
         raise ValueError(f"step and t_end must be finite and positive, got {step} and {t_end}")
@@ -304,7 +315,7 @@ def integrate_pair(
     t_grid = np.arange(nsteps + 1, dtype=float) * step
     f = _compile_blocks([(field.comps, n), (comps, inv.k)])
     sigma = _compile_polys(inv.gens, n)
-    x0_float = np.array([float(v) for v in x0_exact])
+    x0_float = np.array([_float(v, "x0 entry") for v in x0_exact])
     # divergence is reported through NonFiniteState, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         path = _rk4_path(f, np.concatenate((x0_float, sigma(x0_float))), nsteps, step)

@@ -15,9 +15,9 @@ import json
 import re
 from fractions import Fraction
 
-from .actions import THETA, PolyVectorField, is_invariant
+from .actions import PolyVectorField
 from .equivariants import EquivariantGens
-from .errors import NotInvariant, ParseError
+from .errors import ParseError
 from .groups import DEFAULT_CAP, MatGroup, close_group
 from .invariants import InvariantGens
 from .linalg import RatMatrix
@@ -105,10 +105,6 @@ def field_from_doc(doc) -> PolyVectorField:
 # -- matrices and groups ----------------------------------------------------
 
 
-def matrix_to_doc(m: RatMatrix) -> list:
-    return [[frac_to_str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-
-
 def matrix_from_doc(doc, n: int) -> RatMatrix:
     if not isinstance(doc, list) or len(doc) != n:
         raise ParseError(f"matrix must be a list of {n} rows")
@@ -188,22 +184,6 @@ def equivariant_gens_to_doc(eg: EquivariantGens, series: MolienSeries) -> dict:
         "equivariant_molien": series_doc(series),
         "dimensions": _dimension_table(series, eg.bound),
     }
-
-
-def equivariant_gens_from_doc(doc, group: MatGroup, inv: InvariantGens) -> EquivariantGens:
-    gens_doc = _expect(doc, "generators", list, "equivariant generators")
-    fields = [field_from_doc(g) for g in gens_doc]
-    degrees = []
-    for f in fields:
-        if f.n != group.n:
-            raise ParseError(f"field generator lives in dimension {f.n}, group acts on {group.n}")
-        if f.is_zero or not f.is_homogeneous():
-            raise ParseError("field generators must be homogeneous and nonzero")
-        chk = is_invariant(group, f, THETA)
-        if not chk:
-            raise NotInvariant("field generator is not equivariant", chk.generator_index, chk.difference)
-        degrees.append(f.total_degree())
-    return EquivariantGens(group, fields, degrees, inv)
 
 
 def reduced_to_doc(rs: ReducedSystem) -> dict:

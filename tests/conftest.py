@@ -3,7 +3,7 @@ and hypothesis strategies that draw small groups and their rational conjugates.
 
 The oracles here recompute dimensions and fixed spaces by stacking action
 matrices and rank-counting, independently of both the production
-fixed-space route (orbit sums or the generator kernel) and the Molien series,
+fixed-space pipeline (orbit sums, then the generator kernel) and the Molien series,
 so the three agree only if all are right.
 """
 

@@ -23,11 +23,12 @@ ROOT = os.path.dirname(os.path.dirname(GOLDEN_DIR))
 DEMO_GROUPS = ("c4", "swap", "z2_diag", "z2_line")
 
 # (name, group file, invariants bound, equivariants bound); None keeps the
-# CLI default.  b3 and s4 are monomial groups (orbit-sum route).  The rest
-# have non-monomial generators and pin the kernel route: d6_hex and c6_hex
-# in the hexagonal basis, d4_conj and s3_conj conjugated by dense unimodular
-# integer matrices, and d4_frac conjugated by [[2,1],[0,1]], so its entries
-# are not integers.
+# CLI default.  Every group takes the one fixed-space pipeline: orbit sums of
+# the monomial generators, cut down by the kernel of the others.  b3 and s4
+# have only monomial generators, so only the sums act; c6_hex, d4_conj,
+# s3_conj and d4_frac (conjugated by dense unimodular integer matrices or by
+# [[2,1],[0,1]], so its entries are not integers) have none, so only the
+# kernel acts; d6_hex mixes a monomial swap with a non-monomial rotation.
 GENERATOR_CASES = [(g, "{root}/demos/data/%s.json" % g, None, None) for g in DEMO_GROUPS] + [
     ("b3", "{groups}/b3.json", 8, 5),
     ("s4", "{groups}/s4.json", 6, 4),

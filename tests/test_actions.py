@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -203,7 +204,8 @@ def test_is_invariant_matches_act_loop(name):
             fixed = reynolds(group, action, obj)
             # the Reynolds image is fixed; adding obj back mostly breaks that
             for candidate in (fixed, fixed + obj):
-                chk = is_invariant(group, candidate, action)
+                with mock.patch.object(MultiPoly, "compose_linear", side_effect=AssertionError):
+                    chk = is_invariant(group, candidate, action)
                 expected = invariance_by_act(group, action, candidate)
                 assert (bool(chk), chk.generator_index, chk.difference) == expected
                 moved += not expected[0]

@@ -341,6 +341,18 @@ def test_zero_denominator_exit_2(files, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_integrate_check_x0_beyond_double_range_exit_2(capsys):
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
+    code, out, err = run(
+        ["integrate-check", "--group", os.path.join(data, "z2_line.json"),
+         "--field", os.path.join(data, "cubic_line_field.json"), "--x0", str(10**400)],
+        capsys,
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "beyond the double range" in doc["message"]
+
+
 def test_stop_rule_in_generator_documents(files, capsys):
     tmp, write = files
     # D4 on the plane: the hsop x1^2 + x2^2, x1^2 x2^2 certifies 4 / 3 of |G| = 8

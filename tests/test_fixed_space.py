@@ -1,9 +1,9 @@
 """The generator-only fixed spaces and the bucketed Molien sums against oracles.
 
-invariant_basis and equivariant_basis use the generators only: orbit sums
-for groups of monomial matrices, and the integer kernel of rho_d(g) - I for
-all other groups.  The oracle for both is the definition: Reynolds-average
-every monomial over the whole group and row-reduce.  The Molien series,
+invariant_basis and equivariant_basis use the generators only: the orbit
+sums of the monomial generators, cut down by the integer kernel of
+rho_d(g) - I of the others.  The oracle for both is the definition:
+Reynolds-average every monomial over the whole group and row-reduce.  The Molien series,
 summed once per distinct det(I - t g^-1), is held against the plain sum over
 every element.
 """
@@ -34,7 +34,7 @@ from equivar import (
 )
 from equivar.linalg import rref
 from equivar.molien import det_one_minus_t
-from equivar.poly import poly_to_vector, vector_to_poly
+from equivar.poly import poly_to_vector
 
 from conftest import (
     BASE_GROUPS,
@@ -55,7 +55,7 @@ def reynolds_basis(group: MatGroup, action: str, monos) -> list[MultiPoly]:
         poly_to_vector(reynolds(group, action, MultiPoly.monomial(e)), monos) for e in monos
     ]
     rows, _ = rref(vectors)
-    return [vector_to_poly(r, monos, len(monos[0])) for r in rows]
+    return [MultiPoly(len(monos[0]), zip(monos, r)) for r in rows]
 
 
 def _upoly_mul(a, b):
@@ -83,7 +83,7 @@ def elementwise_series(group: MatGroup, weight) -> MolienSeries:
 
 def assert_matches_oracles(group: MatGroup, max_degree: int = MAX_DEGREE) -> None:
     n = group.n
-    # neither route may average over the group
+    # the fixed spaces may not average over the group
     with mock.patch("equivar.actions.reynolds", side_effect=AssertionError("Reynolds route")):
         inv = {d: invariant_basis(group, d) for d in range(1, max_degree + 1)}
         eq = {m: equivariant_basis(group, m) for m in range(max_degree)}
@@ -124,7 +124,7 @@ def test_z2_line_odd_degrees_cancel(z2_line):
         assert equivariant_basis(z2_line, m) == []
 
 
-# Non-monomial groups: the kernel route.
+# Groups with no monomial generator: only the kernel acts.
 
 @settings(max_examples=12, deadline=None)
 @given(rational_conjugates())
@@ -201,7 +201,7 @@ def generator_kernel_basis(group: MatGroup, action_matrix, degree: int, monos) -
         for row, p in zip(rows, pivots):
             v[p] = -row[f]
         kernel.append(v)
-    return [vector_to_poly(r, monos, len(monos[0])) for r in rref(kernel)[0]]
+    return [MultiPoly(len(monos[0]), zip(monos, r)) for r in rref(kernel)[0]]
 
 
 def test_f4_matches_oracles():

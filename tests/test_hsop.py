@@ -42,7 +42,7 @@ A4 = close_group([
 ])
 
 # C5 on Q^4 by the companion matrix, and its conjugate by a fixed dense T:
-# the kernel route in four variables makes it the slowest of the small
+# the generator kernel in four variables makes it the slowest of the small
 # groups, so the tests below take it once, as an explicit example, and draw
 # the others at random.
 C5_GENS = [RatMatrix.from_rows(g) for g in BASE_GROUPS["C5"]]

@@ -423,6 +423,16 @@ def test_integrate_validates_arguments(cubic_line):
             integrate_pair(field, rs, inv, [Fraction(1, 2)], t_end, step)
 
 
+def test_integrate_rejects_values_beyond_double_range(cubic_line):
+    field, inv = cubic_line
+    rs = reduce_field(field, inv)
+    big = PolyVectorField([field[0] * 10**400])
+    with pytest.raises(ValueError, match="coefficient -?1000.* lies beyond the double range"):
+        integrate_pair(big, rs, inv, [Fraction(1, 2)], 1.0, 0.1)
+    with pytest.raises(ValueError, match="x0 entry .*401 characters"):
+        integrate_pair(field, rs, inv, [Fraction(10**400)], 1.0, 0.1)
+
+
 def test_integrate_rejects_zero_steps_and_partial_steps(cubic_line):
     field, inv = cubic_line
     rs = reduce_field(field, inv)

@@ -9,7 +9,6 @@ from equivar import (
     ParseError,
     PolyVectorField,
     ReducedSystem,
-    RatMatrix,
     invariant_ring_generators,
     molien,
     variables,
@@ -82,11 +81,6 @@ def test_group_doc_accepts_ints_and_cap():
         sz.group_from_doc({"n": 1, "generators": [[[0.5]]]})
 
 
-def test_matrix_doc_round_trip():
-    m = RatMatrix.from_rows([[Fraction(1, 2), -1], [0, 3]])
-    assert sz.matrix_from_doc(sz.matrix_to_doc(m), 2) == m
-
-
 def test_invariant_gens_round_trip(swap2):
     inv = invariant_ring_generators(swap2)
     doc = sz.invariant_gens_to_doc(inv, molien(swap2))
@@ -117,14 +111,3 @@ def test_parse_rational_vector():
         sz.parse_rational_vector("1.5")
     with pytest.raises(ParseError):
         sz.parse_rational_vector("")
-
-
-def test_equivariant_gens_round_trip(swap2):
-    from equivar import equivariant_module_generators, molien_equivariant
-
-    inv = invariant_ring_generators(swap2)
-    eg = equivariant_module_generators(swap2, inv)
-    doc = sz.equivariant_gens_to_doc(eg, molien_equivariant(swap2))
-    back = sz.equivariant_gens_from_doc(doc, swap2, inv)
-    assert back.vgens == eg.vgens
-    assert back.degrees == eg.degrees
