@@ -6,7 +6,7 @@ Fraction; matrices for elimination are lists of row lists.  RatMatrix is the
 immutable matrix type used for group elements.
 
 All elimination (rref, kernel_basis, solve_free_zero, the matrix inverse,
-the kernel route of the fixed spaces and the incremental spans of Echelon)
+the fixed-space kernels and the incremental spans of Echelon)
 runs on fraction-free integer arithmetic: each row is cleared of
 denominators, rows are combined as p*row - f*pivot_row and divided by their
 content, and the pivots are divided out only when the result is read back as
