@@ -40,6 +40,10 @@ GENERATOR_CASES = [(g, "{root}/demos/data/%s.json" % g, None, None) for g in DEM
 # (24 / 23 and 48 / 47) the same outputs took minutes.
 DEFAULT_CASES = [("s4_default", "{groups}/s4.json"), ("b3_default", "{groups}/b3.json")]
 
+# Groups whose set-up is the cost: S6 (order 720) and F4 (order 1152) on
+# their own, by the Molien series alone.
+MOLIEN_CASES = ("s6", "f4")
+
 # (group, field) pairs for which the field is equivariant.
 REDUCE_CASES = [
     ("z2_line", "cubic_line_field"),
@@ -74,6 +78,9 @@ def cases() -> list[tuple[str, list[str]]]:
                         ["relations", "--group", group, "--invariants", inv]))
     for name, group in DEFAULT_CASES:
         out += _generator_cases(name, group, None, None)
+    for name in MOLIEN_CASES:
+        out.append((f"{name}.molien.json",
+                    ["molien", "--group", "{groups}/%s.json" % name, "--degrees", "12"]))
     for name, field in REDUCE_CASES:
         out.append((f"{name}.{field}.reduce.json", [
             "reduce", "--group", "{root}/demos/data/%s.json" % name,
