@@ -3,10 +3,20 @@
 A group is built by breadth-first closure of its generators under
 multiplication.  Finiteness does the work of compactness here: every
 averaging sum in the library runs over the closed element list.
+
+The closure runs in integers.  Each element is keyed by its lowest-terms
+pair (D, A): D the lcm of its denominators and A its integer numerators,
+row-major, so equal matrices have equal keys.  Each new element y = x g
+records the element x and the generator g it came from, which gives its
+inverse as y^-1 = g^-1 x^-1: only the generators are ever inverted.  The
+RatMatrix of each element is built once, at the end.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import ClosureExceedsCap, DimensionMismatch, NonInvertibleGenerator
@@ -14,27 +24,26 @@ from .linalg import RatMatrix
 
 DEFAULT_CAP = 10000
 
+Key = tuple[int, tuple[int, ...]]
+
 
 class MatGroup:
     """Closed list of invertible rational matrices.
 
     elements[0] is the identity; the remaining order is BFS insertion order
     from the generators, which makes the whole object deterministic.
+    inverses[i] is the index of the inverse of elements[i].
     """
 
     __slots__ = ("n", "elements", "gen_indices", "_inverses", "_derived")
 
-    def __init__(self, n: int, elements: Sequence[RatMatrix], gen_indices: Sequence[int]) -> None:
+    def __init__(
+        self, n: int, elements: Sequence[RatMatrix], gen_indices: Sequence[int],
+        inverses: Sequence[int],
+    ) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "gen_indices", tuple(gen_indices))
-        index = {m: i for i, m in enumerate(self.elements)}
-        inverses = []
-        for m in self.elements:
-            j = index.get(m.inverse())
-            if j is None:
-                raise ValueError("element list is not closed under inversion")
-            inverses.append(j)
         object.__setattr__(self, "_inverses", tuple(inverses))
         # values that depend on the group alone (Molien series, generator
         # action tables), filled on first use by the module that computes them
@@ -58,6 +67,18 @@ class MatGroup:
         return f"MatGroup(n={self.n}, order={self.order})"
 
 
+def _product(a: Key, b: Key, n: int) -> Key:
+    """The key of the product of the matrices keyed a and b."""
+    den, nums = a[0] * b[0], a[1]
+    cols = [b[1][j::n] for j in range(n)]
+    prod = tuple(sum(map(mul, nums[i:i + n], col)) for i in range(0, n * n, n) for col in cols)
+    if den > 1:
+        c = gcd(den, *prod)
+        if c > 1:
+            den, prod = den // c, tuple(x // c for x in prod)
+    return den, prod
+
+
 def close_group(generators: Sequence[RatMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
     """Breadth-first closure of the generators under multiplication.
 
@@ -68,33 +89,40 @@ def close_group(generators: Sequence[RatMatrix], cap: int = DEFAULT_CAP) -> MatG
     if not generators:
         raise ValueError("at least one generator is required")
     n = generators[0].rows
+    gen_inverses = []
     for g in generators:
         if not g.is_square or g.rows != n:
             raise DimensionMismatch(
                 f"generators must all be square of one size; got {g.rows}x{g.cols} vs n={n}"
             )
         try:
-            g.inverse()
+            gen_inverses.append(g.inverse().integer_form())
         except ValueError:
             raise NonInvertibleGenerator(f"generator {g!r} is singular") from None
 
-    identity = RatMatrix.identity(n)
-    elements: list[RatMatrix] = [identity]
+    gens = [g.integer_form() for g in generators]
+    identity = RatMatrix.identity(n).integer_form()
+    keys: list[Key] = [identity]
+    # words[i] = (index of x, generator k) with elements[i] = x g_k
+    words: list[tuple[int, int]] = [(0, -1)]
     seen = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        new_frontier: list[RatMatrix] = []
-        for x in frontier:
-            for g in generators:
-                y = x @ g
-                if y not in seen:
-                    seen[y] = len(elements)
-                    elements.append(y)
-                    new_frontier.append(y)
-                    if len(elements) > cap:
-                        raise ClosureExceedsCap(
-                            f"closure exceeded cap={cap}; group may not be finite"
-                        )
-        frontier = new_frontier
-    gen_indices = [seen[g] for g in generators]
-    return MatGroup(n, elements, gen_indices)
+    for x, key in enumerate(keys):  # keys grows as it is read: a FIFO queue
+        for k, g in enumerate(gens):
+            y = _product(key, g, n)
+            if y not in seen:
+                seen[y] = len(keys)
+                keys.append(y)
+                words.append((x, k))
+                if len(keys) > cap:
+                    raise ClosureExceedsCap(
+                        f"closure exceeded cap={cap}; group may not be finite"
+                    )
+
+    inverses = [0]
+    for x, k in words[1:]:
+        j = seen.get(_product(gen_inverses[k], keys[inverses[x]], n))
+        if j is None:
+            raise ValueError("element list is not closed under inversion")
+        inverses.append(j)
+    elements = [RatMatrix(n, n, [Fraction(x, den) for x in nums]) for den, nums in keys]
+    return MatGroup(n, elements, [seen[g] for g in gens], inverses)

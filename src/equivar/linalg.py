@@ -82,6 +82,13 @@ class RatMatrix:
             raise ValueError("trace of a non-square matrix")
         return sum((self[i, i] for i in range(self.rows)), Fraction(0))
 
+    def integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(D, A) with self = A / D: D the lcm of the denominators and A the
+        integer numerators, row-major.  The pair is in lowest terms, so equal
+        matrices give equal pairs."""
+        den = lcm(*(x.denominator for x in self.entries))
+        return den, tuple(x.numerator * (den // x.denominator) for x in self.entries)
+
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")

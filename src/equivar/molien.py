@@ -9,6 +9,13 @@ have d-th coefficients equal to the dimensions of the degree-d invariant
 polynomials and of the degree-d equivariant polynomial vector fields.  They
 are the cross-checks for every fixed-space computation in this library.
 
+Both series come from one pass over the group, cached on it: each element's
+det(I - t g), by Faddeev-LeVerrier on its integer numerators, counted per
+distinct determinant.  No inverse is needed: for g of finite order,
+det(I - t g^-1) = det(I - t g), since the eigenvalues of g^-1 are the
+complex conjugates of those of g and a real spectrum already contains them.
+Its trace, the equivariant weight, is minus the t coefficient.
+
 Univariate polynomials over Fraction are plain coefficient lists, lowest
 degree first.
 """
@@ -16,6 +23,7 @@ degree first.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchWithMolien
@@ -80,26 +88,26 @@ def _ugcd(a: UPoly, b: UPoly) -> UPoly:
     return a
 
 
-def _plus_scaled_identity(m: RatMatrix, c: Fraction) -> RatMatrix:
-    n = m.rows
-    return RatMatrix(n, n, (m[i, j] + (c if i == j else 0) for i in range(n) for j in range(n)))
-
-
 def det_one_minus_t(m: RatMatrix) -> UPoly:
     """Coefficients of det(I - t M) via the Faddeev-LeVerrier recursion.
 
-    With char(M) = lambda^n + c_1 lambda^(n-1) + ... + c_n, one has
-    det(I - t M) = 1 + c_1 t + ... + c_n t^n.
+    It runs on the integer numerators A of M = A / D.  With
+    char(A) = lambda^n + a_1 lambda^(n-1) + ... + a_n, the a_k are integers,
+    so every division by k in the recursion is exact, and
+    det(I - t M) = 1 + (a_1/D) t + ... + (a_n/D^n) t^n.
     """
     n = m.rows
+    den, nums = m.integer_form()
+    rows = [nums[i:i + n] for i in range(0, n * n, n)]
     coeffs = [Fraction(1)]
-    aux = RatMatrix.identity(n)
-    c = -(m @ aux).trace()
-    coeffs.append(c)
-    for k in range(2, n + 1):
-        aux = _plus_scaled_identity(m @ aux, c)
-        c = -(m @ aux).trace() / k
-        coeffs.append(c)
+    aux = rows  # A M_k, with M_1 = I and M_(k+1) = A M_k + a_k I
+    for k in range(1, n + 1):
+        a_k = -sum(aux[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(a_k, den ** k))
+        if k < n:
+            shifted = [[x + a_k if i == j else x for j, x in enumerate(r)] for i, r in enumerate(aux)]
+            cols = list(zip(*shifted))
+            aux = [[sum(map(mul, row, col)) for col in cols] for row in rows]
     return _utrim(coeffs)
 
 
@@ -193,20 +201,32 @@ class MolienSeries:
         return f"MolienSeries(({fmt(self.numer)}) / ({fmt(self.denom)}))"
 
 
-def _averaged_series(group: MatGroup, weights: Sequence[Fraction]) -> MolienSeries:
-    """(1/|G|) sum_g weight_g / det(I - t g^-1) as one reduced fraction.
+def _determinants(group: MatGroup) -> dict[tuple[Fraction, ...], int]:
+    """How many elements g have each det(I - t g): one pass over the group,
+    shared by both series."""
+    key = "det_one_minus_t"
+    if key not in group._derived:
+        counts: dict[tuple[Fraction, ...], int] = {}
+        for m in group.elements:
+            d_g = tuple(det_one_minus_t(m))
+            counts[d_g] = counts.get(d_g, 0) + 1
+        group._derived[key] = counts
+    return group._derived[key]
 
-    Weights are first added up per distinct denominator, so the rational
-    sum has one term per distinct det(I - t g^-1) rather than one per
-    element; the reduced, normalized fraction is the same either way.
+
+def _averaged_series(group: MatGroup, equivariant: bool) -> MolienSeries:
+    """(1/|G|) sum_g w_g / det(I - t g^-1) as one reduced fraction, with
+    w_g = trace(g) for the equivariant series and 1 otherwise.
+
+    The sum has one term per distinct det(I - t g), which is det(I - t g^-1)
+    (see above), weighted by the number of elements that share it; the
+    reduced, normalized fraction is the same as the sum over every element.
     """
-    by_denominator: dict[tuple[Fraction, ...], Fraction] = {}
-    for g in range(group.order):
-        d_g = tuple(det_one_minus_t(group.matrix(group.inverse_index(g))))
-        by_denominator[d_g] = by_denominator.get(d_g, Fraction(0)) + weights[g]
     num: UPoly = []
     den: UPoly = [Fraction(1)]
-    for d_g, weight in by_denominator.items():
+    for d_g, count in _determinants(group).items():
+        trace = -d_g[1] if len(d_g) > 1 else 0
+        weight = count * trace if equivariant else count
         if weight == 0:
             continue
         num = _uadd(_umul(num, d_g), _uscale(den, weight))
@@ -220,10 +240,7 @@ def _series(group: MatGroup, equivariant: bool) -> MolienSeries:
     that writes its output both ask for it."""
     key = ("molien", equivariant)
     if key not in group._derived:
-        weights = [
-            group.matrix(g).trace() if equivariant else Fraction(1) for g in range(group.order)
-        ]
-        group._derived[key] = _averaged_series(group, weights)
+        group._derived[key] = _averaged_series(group, equivariant)
     return group._derived[key]
 
 

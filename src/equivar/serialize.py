@@ -118,11 +118,13 @@ def matrix_from_doc(doc, n: int) -> RatMatrix:
 
 def group_from_doc(doc, cap_override: int | None = None) -> MatGroup:
     n = _expect(doc, "n", int, "group")
+    if isinstance(n, bool) or n < 1:
+        raise ParseError(f"group: n must be a positive integer, got {n!r}")
     gens_doc = _expect(doc, "generators", list, "group")
     if not gens_doc:
         raise ParseError("group: at least one generator is required")
     cap = doc.get("cap", DEFAULT_CAP)
-    if not isinstance(cap, int) or cap < 1:
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ParseError(f"group: cap must be a positive integer, got {cap!r}")
     if cap_override is not None:
         cap = cap_override

@@ -10,6 +10,7 @@ so the three agree only if all are right.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume
@@ -198,3 +199,20 @@ def rational_conjugates(draw, names=("C2", "C3", "C4", "D4", "S3")) -> MatGroup:
     gens = [RatMatrix.from_rows(g) for g in BASE_GROUPS[draw(st.sampled_from(sorted(names)))]]
     t, t_inv = draw(conjugators(gens[0].rows))
     return close_group([t @ g @ t_inv for g in gens])
+
+
+@lru_cache(maxsize=None)
+def mixed_group(name: str) -> MatGroup:
+    return close_group([RatMatrix.from_rows(g) for g in MIXED_GROUPS[name]])
+
+
+@st.composite
+def mixed_generating_sets(draw) -> list[RatMatrix]:
+    """Two or three elements of one of MIXED_GROUPS, at least one monomial
+    and one not, that generate the whole group."""
+    group = mixed_group(draw(st.sampled_from(sorted(MIXED_GROUPS))))
+    picks = draw(st.lists(st.integers(0, group.order - 1), min_size=2, max_size=3, unique=True))
+    gens = [group.matrix(i) for i in picks]
+    assume({is_monomial_matrix(g) for g in gens} == {True, False})
+    assume(close_group(gens).order == group.order)
+    return gens

@@ -97,14 +97,20 @@ def test_each_series_built_once_per_command(files, capsys):
     group = write("c4.json", C4_DOC)
     with mock.patch.object(
         molien_module, "_averaged_series", wraps=molien_module._averaged_series
-    ) as built:
+    ) as built, mock.patch.object(
+        molien_module, "det_one_minus_t", wraps=molien_module.det_one_minus_t
+    ) as dets:
         assert run(["invariants", "--group", group], capsys)[0] == 0
         assert built.call_count == 1
+        assert dets.call_count == 4  # one determinant per element of C4
         built.reset_mock()
+        dets.reset_mock()
         # the invariant series for the ring computed on the way, then the
-        # equivariant one, each shared by its loop and the output document
+        # equivariant one, each shared by its loop and the output document;
+        # both read the same determinants
         assert run(["equivariants", "--group", group], capsys)[0] == 0
         assert built.call_count == 2
+        assert dets.call_count == 4
 
 
 def test_non_dimension_series_coefficient_exit_1(files, capsys):
@@ -384,6 +390,20 @@ def test_parse_error_exit_2(files, capsys):
     bad.write_text("{not json", encoding="utf-8")
     code, _, err = run(["invariants", "--group", str(bad)], capsys)
     assert code == 2
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 0, "generators": [[]]},
+    {"n": True, "generators": [[["-1"]]]},
+    {"n": 1, "generators": [[["-1"]]], "cap": True},
+], ids=["n-zero", "n-bool", "cap-bool"])
+@pytest.mark.parametrize("command", ["invariants", "equivariants", "relations"])
+def test_bad_group_size_or_cap_exit_2(files, capsys, doc, command):
+    _, write = files
+    code, out, err = run([command, "--group", write("bad.json", doc)], capsys)
+    assert code == 2
+    assert out == ""
     assert json.loads(err)["error"] == "ParseError"
 
 

@@ -9,11 +9,9 @@ every element.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from unittest import mock
 
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
 from equivar import (
     PHI_DAGGER,
@@ -40,7 +38,7 @@ from conftest import (
     BASE_GROUPS,
     MIXED_GROUPS,
     field_action_matrix,
-    is_monomial_matrix,
+    mixed_generating_sets,
     poly_action_matrix,
     rational_conjugates,
     signed_permutation_groups,
@@ -145,23 +143,6 @@ def test_non_integral_conjugate_matches_oracles():
 
 # Generating sets that mix monomial and non-monomial matrices: the orbit sums
 # of the monomial generators, restricted to the kernel of the others.
-
-@lru_cache(maxsize=None)
-def mixed_group(name: str) -> MatGroup:
-    return close_group([RatMatrix.from_rows(g) for g in MIXED_GROUPS[name]])
-
-
-@st.composite
-def mixed_generating_sets(draw) -> list[RatMatrix]:
-    """Two or three elements of one of MIXED_GROUPS, at least one monomial
-    and one not, that generate the whole group."""
-    group = mixed_group(draw(st.sampled_from(sorted(MIXED_GROUPS))))
-    picks = draw(st.lists(st.integers(0, group.order - 1), min_size=2, max_size=3, unique=True))
-    gens = [group.matrix(i) for i in picks]
-    assume({is_monomial_matrix(g) for g in gens} == {True, False})
-    assume(close_group(gens).order == group.order)
-    return gens
-
 
 def _d4_frac_with_minus_identity() -> list[RatMatrix]:
     return [RatMatrix.from_rows([[-1, 0], [0, -1]])] + [

@@ -1,6 +1,7 @@
 """Group closure and element bookkeeping."""
 
 import pytest
+from hypothesis import assume, example, given, settings
 
 from equivar import (
     ClosureExceedsCap,
@@ -8,6 +9,13 @@ from equivar import (
     NonInvertibleGenerator,
     RatMatrix,
     close_group,
+)
+
+from conftest import (
+    MIXED_GROUPS,
+    mixed_generating_sets,
+    rational_conjugates,
+    signed_permutation_groups,
 )
 
 
@@ -115,3 +123,52 @@ def test_cap_exceeded():
 def test_deterministic_element_order(c4):
     again = close_group([RatMatrix.from_rows([[0, -1], [1, 0]])])
     assert again.elements == c4.elements
+
+
+# close_group runs on integer keys and inverts only the generators; the
+# oracle is the plain closure in Fraction RatMatrix arithmetic, with every
+# element inverted by Gauss-Jordan elimination.
+
+def fraction_closure(gens):
+    """(elements, gen_indices, inverse indices) of a BFS closure over Fraction."""
+    identity = RatMatrix.identity(gens[0].rows)
+    elements, seen, frontier = [identity], {identity: 0}, [identity]
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for g in gens:
+                y = x @ g
+                if y not in seen:
+                    seen[y] = len(elements)
+                    elements.append(y)
+                    new_frontier.append(y)
+        frontier = new_frontier
+    return elements, [seen[g] for g in gens], [seen[m.inverse()] for m in elements]
+
+
+def assert_closure_matches_oracle(group):
+    gens = [group.matrix(i) for i in group.gen_indices]
+    elements, gen_indices, inverses = fraction_closure(gens)
+    assert list(group.elements) == elements
+    assert list(group.gen_indices) == gen_indices
+    assert [group.inverse_index(i) for i in range(group.order)] == inverses
+
+
+@settings(max_examples=20, deadline=None)
+@given(signed_permutation_groups())
+def test_signed_permutation_closure_matches_oracle(group):
+    assert_closure_matches_oracle(group)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rational_conjugates())
+def test_rational_conjugate_closure_matches_oracle(group):
+    assume(any(c.denominator != 1 for m in group.elements for c in m.entries))
+    assert_closure_matches_oracle(group)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_generating_sets())
+@example([RatMatrix.from_rows(g) for g in MIXED_GROUPS["D4_frac"]])
+def test_mixed_generating_set_closure_matches_oracle(gens):
+    assert_closure_matches_oracle(close_group(gens))

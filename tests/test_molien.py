@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equivar import DimensionMismatchWithMolien, RatMatrix, close_group, molien, molien_equivariant
 from equivar.molien import MolienSeries, det_one_minus_t
@@ -20,6 +22,56 @@ def test_det_one_minus_t():
     assert det_one_minus_t(rot) == [F(1), F(0), F(1)]
     assert det_one_minus_t(RatMatrix.identity(2)) == [F(1), F(-2), F(1)]
     assert det_one_minus_t(RatMatrix.from_rows([[-1]])) == [F(1), F(1)]
+
+
+def _qt_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _qt_det(rows):
+    """Determinant of a matrix over Q[t] by cofactor expansion along row 0."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = [F(0)]
+    for j, entry in enumerate(rows[0]):
+        minor = _qt_mul(entry, _qt_det([r[:j] + r[j + 1:] for r in rows[1:]]))
+        sign = 1 if j % 2 == 0 else -1
+        total = [
+            (total[i] if i < len(total) else 0) + sign * (minor[i] if i < len(minor) else 0)
+            for i in range(max(len(total), len(minor)))
+        ]
+    return total
+
+
+@st.composite
+def rational_matrices(draw, max_n=5):
+    """Square rational matrices of size 1..max_n; about half are made
+    singular by replacing the last row with a multiple of the first."""
+    n = draw(st.integers(1, max_n))
+    entry = st.builds(F, st.integers(-4, 4), st.integers(1, 5))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        c = draw(entry)
+        rows[-1] = [c * x for x in rows[0]]
+    return RatMatrix.from_rows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+@example(RatMatrix.from_rows([[0, 0], [0, 0]]))
+@example(RatMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+@example(RatMatrix.from_rows([[F(1, 2), F(1, 3)], [F(3, 2), 1]]))
+def test_det_one_minus_t_matches_cofactor_oracle(m):
+    n = m.rows
+    rows = [[[F(int(i == j)), -m[i, j]] for j in range(n)] for i in range(n)]
+    want = _qt_det(rows)
+    while want and want[-1] == 0:
+        want.pop()
+    assert det_one_minus_t(m) == want
 
 
 def test_series_expansion():
