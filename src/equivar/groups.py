@@ -70,8 +70,9 @@ class MatGroup:
 def _product(a: Key, b: Key, n: int) -> Key:
     """The key of the product of the matrices keyed a and b."""
     den, nums = a[0] * b[0], a[1]
+    rows = [nums[i * n:(i + 1) * n] for i in range(n)]
     cols = [b[1][j::n] for j in range(n)]
-    prod = tuple(sum(map(mul, nums[i:i + n], col)) for i in range(0, n * n, n) for col in cols)
+    prod = tuple(sum(map(mul, row, col)) for row in rows for col in cols)
     if den > 1:
         c = gcd(den, *prod)
         if c > 1:

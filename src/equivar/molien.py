@@ -98,7 +98,7 @@ def det_one_minus_t(m: RatMatrix) -> UPoly:
     """
     n = m.rows
     den, nums = m.integer_form()
-    rows = [nums[i:i + n] for i in range(0, n * n, n)]
+    rows = [nums[i * n:(i + 1) * n] for i in range(n)]
     coeffs = [Fraction(1)]
     aux = rows  # A M_k, with M_1 = I and M_(k+1) = A M_k + a_k I
     for k in range(1, n + 1):

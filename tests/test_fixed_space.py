@@ -4,8 +4,8 @@ invariant_basis and equivariant_basis use the generators only: the orbit
 sums of the monomial generators, cut down by the integer kernel of
 rho_d(g) - I of the others.  The oracle for both is the definition:
 Reynolds-average every monomial over the whole group and row-reduce.  The Molien series,
-summed once per distinct det(I - t g^-1), is held against the plain sum over
-every element.
+summed once per distinct det(I - t g), is held against the plain sum of
+1 / det(I - t g^-1) over every element.
 """
 
 from fractions import Fraction
