@@ -109,13 +109,15 @@ class PolyVectorField:
         return tuple(c.evaluate(point) for c in self.comps)
 
     def mix(self, matrix: RatMatrix) -> "PolyVectorField":
-        """Linear recombination of components: (M V)_i = sum_j M_ij V_j."""
+        """Linear recombination of components: (M V)_i = sum_j M_ij V_j,
+        summed over the nonzero entries M_ij only, so a signed permutation
+        costs one scaling per component."""
         if matrix.rows != self.n or matrix.cols != self.n:
             raise DimensionMismatch("matrix size does not match field dimension")
         return PolyVectorField(
             [
                 sum(
-                    (self.comps[j] * matrix[i, j] for j in range(self.n)),
+                    (self.comps[j] * m for j, m in enumerate(matrix.row(i)) if m),
                     MultiPoly.zero(self.n),
                 )
                 for i in range(self.n)
@@ -154,7 +156,7 @@ def pairing(field: PolyVectorField) -> MultiPoly:
         for e, c in comp.sorted_terms():
             xi = tuple(int(j == i) for j in range(n))
             out[e + xi] = c
-    return MultiPoly(2 * n, out)
+    return MultiPoly._of(2 * n, out)
 
 
 def unpairing(q: MultiPoly) -> PolyVectorField:
@@ -169,7 +171,7 @@ def unpairing(q: MultiPoly) -> PolyVectorField:
             raise NotXiLinear(f"term {e} has xi-degree {sum(xi_block)}, expected 1")
         i = xi_block.index(1)
         comps[i][e[:n]] = c
-    return PolyVectorField([MultiPoly(n, t) for t in comps])
+    return PolyVectorField([MultiPoly._of(n, t) for t in comps])
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,7 @@ def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> lis
     others = [g for g, f in forms.items() if f is None]
     rows = [r for g in others for r in zip(*_restricted_columns(group, action, g, d, int_sums))]
     return [
-        MultiPoly(len(monos[0]), {monos[j]: x * c for x, s in zip(v, sums) if x for j, c in s})
+        MultiPoly._of(len(monos[0]), {monos[j]: x * c for x, s in zip(v, sums) if x for j, c in s})
         for v in kernel_rref(rows, len(sums))
     ]
 

@@ -19,6 +19,7 @@ the solve of express_equivariant read the same columns in the same order.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -168,7 +169,8 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
     if not chk:
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
     inv = eg.invariant_gens
-    coeffs = [MultiPoly.zero(inv.k) for _ in eg.vgens]
+    # p^a V_j has degree deg(p^a) + deg(V_j), so the degrees never share a term
+    coeffs: list[dict[Exponents, Fraction]] = [{} for _ in eg.vgens]
     for m in sorted({sum(e) for comp in field.comps for e, _ in comp.sorted_terms()}):
         target = field.homogeneous_part(m)
         labels, cols, dens = _module_products(inv, eg.vgens, eg.degrees, m)
@@ -179,9 +181,9 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
         if sol is None:
             raise NoSolution(f"degree-{m} component is outside the module span")
         for (w_idx, a), c in zip(labels, _unscale(sol, dens)):
-            if c != 0:
-                coeffs[w_idx] = coeffs[w_idx] + MultiPoly(inv.k, {a: c})
-    return coeffs
+            if c:
+                coeffs[w_idx][a] = c
+    return [MultiPoly._of(inv.k, t) for t in coeffs]
 
 
 def _module_products(

@@ -90,6 +90,8 @@ def close_group(generators: Sequence[RatMatrix], cap: int = DEFAULT_CAP) -> MatG
     if not generators:
         raise ValueError("at least one generator is required")
     n = generators[0].rows
+    if n < 1:
+        raise DimensionMismatch("generators must be at least 1x1")
     gen_inverses = []
     for g in generators:
         if not g.is_square or g.rows != n:

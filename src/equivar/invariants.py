@@ -327,7 +327,7 @@ def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]
     systems: dict[int, tuple] = {}
     out = []
     for q in qs:
-        result = MultiPoly.zero(inv.k)
+        terms: dict[Exponents, Fraction] = {}  # the degrees have disjoint supports
         for d, q_d in q.homogeneous_components().items():
             if d not in systems:
                 candidates = weighted_monomials(inv.degrees, d)
@@ -338,8 +338,8 @@ def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]
             sol = solve_free_zero(rows, poly_to_vector(q_d, inv._table.monomials(d)))
             if sol is None:
                 raise NoSolution(f"degree-{d} component is outside the generator span")
-            result = result + MultiPoly(inv.k, dict(zip(candidates, _unscale(sol, dens))))
-        out.append(result)
+            terms.update((a, c) for a, c in zip(candidates, _unscale(sol, dens)) if c)
+        out.append(MultiPoly._of(inv.k, terms))
     return out
 
 
@@ -431,7 +431,7 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
                 known.add(vec)
         for v in kernel:
             if known.add(v):
-                rel = MultiPoly(inv.k, {a: c for a, c in zip(candidates, v)}).monic()
+                rel = MultiPoly._of(inv.k, {a: c for a, c in zip(candidates, v) if c}).monic()
                 rels.append(rel)
                 rel_degrees.append(d)
     return RelationSet(inv, rels, rel_degrees)

@@ -9,6 +9,13 @@ total degree, then the exponent tuple itself (earlier variables weigh more).
 All iteration, serialization, and pivoting follow that order, which is what
 makes every result of this library reproducible bit for bit.
 
+MultiPoly has two constructors.  The public MultiPoly(nvars, terms) checks
+every term: integral non-negative exponents of the right count, exact
+rational coefficients, duplicates merged and zeros dropped.  The internal
+MultiPoly._of(nvars, terms) checks nothing; it wraps a dict the library
+built itself from valid terms, keyed by int tuples of length nvars with
+nonzero Fraction values, and every arithmetic result goes through it.
+
 ProductTable is the one integer engine for products of homogeneous
 polynomials and substitutions into them.  The invariant generators' table
 gives the generator products, the module products p^a W_j of the
@@ -19,6 +26,7 @@ the fixed spaces and the invariance checks read.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -50,7 +58,13 @@ _COEFFICIENT = "coefficient must be an exact rational"
 
 
 class MultiPoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
+
+    MultiPoly(nvars, terms) validates its terms (a mapping or pairs of
+    exponents and coefficient): exponents must be integers (operator.index),
+    non-negative and nvars of them; coefficients must be exact rationals.
+    Results of arithmetic are built by _of, which trusts its dict.
+    """
 
     __slots__ = ("nvars", "_terms")
 
@@ -60,7 +74,7 @@ class MultiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Exponents, Fraction] = {}
         for exps, c in items:
-            e = tuple(int(x) for x in exps)
+            e = tuple(int(operator.index(x)) for x in exps)
             if len(e) != nvars:
                 raise DimensionMismatch(f"exponent tuple {e} has length {len(e)}, expected {nvars}")
             if any(x < 0 for x in e):
@@ -79,6 +93,16 @@ class MultiPoly:
                     acc[e] = s
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", acc)
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[Exponents, Fraction]) -> "MultiPoly":
+        """Wrap terms unchecked and without a copy: a dict keyed by int
+        tuples of length nvars with nonzero Fraction values, built by the
+        library from valid terms and owned by the result from now on."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "_terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -100,10 +124,6 @@ class MultiPoly:
         e = [0] * nvars
         e[index] = 1
         return cls(nvars, {tuple(e): 1})
-
-    @classmethod
-    def monomial(cls, exps: Sequence[int], c=1) -> "MultiPoly":
-        return cls(len(exps), {tuple(exps): c})
 
     # -- inspection ---------------------------------------------------------
 
@@ -152,12 +172,16 @@ class MultiPoly:
         self._check_same_vars(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+            s = out.get(e)
+            if s is None:
+                out[e] = c
             else:
-                out[e] = s
-        return MultiPoly(self.nvars, out)
+                s += c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return MultiPoly._of(self.nvars, out)
 
     def __radd__(self, other) -> "MultiPoly":
         if other == 0:  # lets sum() start from 0
@@ -165,7 +189,7 @@ class MultiPoly:
         return NotImplemented
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -174,20 +198,12 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self._terms.items()})
+            if not other:
+                return MultiPoly._of(self.nvars, {})
+            return MultiPoly._of(self.nvars, {e: c * other for e, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_same_vars(other)
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.nvars, out)
+        return dot((self,), (other,))
 
     def __rmul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
@@ -232,22 +248,22 @@ class MultiPoly:
             k = e[index]
             if k == 0:
                 continue
-            e2 = e[:index] + (k - 1,) + e[index + 1 :]
-            out[e2] = out.get(e2, Fraction(0)) + c * k
-        return MultiPoly(self.nvars, out)
+            # lowering one exponent is injective, so no two terms meet
+            out[e[:index] + (k - 1,) + e[index + 1 :]] = c * k
+        return MultiPoly._of(self.nvars, out)
 
     def homogeneous_part(self, degree: int) -> "MultiPoly":
         """Sum of terms of total degree exactly `degree`."""
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        return MultiPoly(self.nvars, {e: c for e, c in self._terms.items() if sum(e) == degree})
+        return MultiPoly._of(self.nvars, {e: c for e, c in self._terms.items() if sum(e) == degree})
 
     def homogeneous_components(self) -> dict[int, "MultiPoly"]:
         """Nonzero homogeneous components keyed by degree, ascending."""
         by_deg: dict[int, dict[Exponents, Fraction]] = {}
         for e, c in self._terms.items():
             by_deg.setdefault(sum(e), {})[e] = c
-        return {d: MultiPoly(self.nvars, t) for d, t in sorted(by_deg.items())}
+        return {d: MultiPoly._of(self.nvars, t) for d, t in sorted(by_deg.items())}
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
@@ -293,7 +309,7 @@ class MultiPoly:
                 term = term * f
             for e2, c2 in term._terms.items():
                 acc[e2] = acc.get(e2, 0) + c * c2
-        return MultiPoly(m, acc)
+        return MultiPoly._of(m, {e: c for e, c in acc.items() if c})
 
     def compose_linear(self, matrix: RatMatrix) -> "MultiPoly":
         """Return q with q(x) = p(M x).
@@ -339,6 +355,23 @@ class MultiPoly:
 def variables(nvars: int) -> tuple[MultiPoly, ...]:
     """Convenience: the n coordinate polynomials."""
     return tuple(MultiPoly.variable(nvars, i) for i in range(nvars))
+
+
+def dot(xs: Sequence[MultiPoly], ys: Sequence[MultiPoly]) -> MultiPoly:
+    """sum_i xs[i] * ys[i] for a nonempty list of pairs in one variable
+    count, accumulated in one dict: no partial sum is built."""
+    nvars = xs[0].nvars
+    out: dict[Exponents, Fraction] = {}
+    get, add = out.get, operator.add
+    for x, y in zip(xs, ys, strict=True):
+        if x.nvars != nvars or y.nvars != nvars:
+            raise DimensionMismatch(f"variable counts differ: {x.nvars} and {y.nvars}, expected {nvars}")
+        for ea, ca in x._terms.items():
+            for eb, cb in y._terms.items():
+                e = tuple(map(add, ea, eb))
+                s = get(e)
+                out[e] = ca * cb if s is None else s + ca * cb
+    return MultiPoly._of(nvars, {e: c for e, c in out.items() if c})
 
 
 def poly_to_vector(p: MultiPoly, basis: Sequence[Exponents]) -> list[Fraction]:
@@ -433,7 +466,7 @@ class ProductTable:
                 s = c.numerator * (common // (c.denominator * den))
                 total = [t + s * x for t, x in zip(total, nums)]
             terms.update((e, Fraction(t, common)) for e, t in zip(self.monomials(d), total) if t)
-        return MultiPoly(self.n, terms)
+        return MultiPoly._of(self.n, terms)
 
     def _times(self, nums: list[int], d: int, terms: list[tuple[int, int]], e: int) -> list[int]:
         """The numerators of a degree-d column times packed degree-e terms."""

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 from .actions import THETA, PolyVectorField, is_invariant
 from .errors import DimensionMismatch, NoSolution, NonFiniteState, NotInvariant
 from .invariants import InvariantGens, _express_all
-from .poly import MultiPoly, grlex_key
+from .poly import MultiPoly, dot, grlex_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,15 +72,9 @@ class ReducedSystem:
 
 
 def directional_derivatives(field: PolyVectorField, inv: InvariantGens) -> list[MultiPoly]:
-    """The polynomials X(p_i) = sum_j X_j dp_i/dx_j, one per generator."""
-    n = field.n
-    out = []
-    for p in inv.gens:
-        acc = MultiPoly.zero(n)
-        for j in range(n):
-            acc = acc + field[j] * p.diff(j)
-        out.append(acc)
-    return out
+    """The polynomials X(p_i) = sum_j X_j dp_i/dx_j, one per generator,
+    each summed in one dict (poly.dot): no partial sum is built."""
+    return [dot(field.comps, [p.diff(j) for j in range(field.n)]) for p in inv.gens]
 
 
 def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:

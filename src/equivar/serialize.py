@@ -22,7 +22,7 @@ from .groups import DEFAULT_CAP, MatGroup, close_group
 from .invariants import InvariantGens
 from .linalg import RatMatrix
 from .molien import MolienSeries
-from .poly import MultiPoly
+from .poly import Exponents, MultiPoly
 from .reduction import ReducedSystem
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -67,19 +67,31 @@ def poly_to_doc(p: MultiPoly) -> dict:
 
 
 def poly_from_doc(doc) -> MultiPoly:
+    """Each term is checked here, once; equal exponents are summed and zero
+    sums dropped, as the MultiPoly constructor does."""
     nvars = _expect(doc, "nvars", int, "polynomial")
     terms = _expect(doc, "terms", list, "polynomial")
-    pairs = []
+    if nvars < 0:
+        raise ParseError("invalid polynomial: nvars must be non-negative")
+    acc: dict[Exponents, Fraction] = {}
     for t in terms:
         c = frac_from_json(_expect(t, "c", None, "polynomial term"))
         e = _expect(t, "e", list, "polynomial term")
         if not all(isinstance(x, int) and x >= 0 for x in e):
             raise ParseError(f"polynomial term exponents must be non-negative ints: {e!r}")
-        pairs.append((tuple(e), c))
-    try:
-        return MultiPoly(nvars, pairs)
-    except Exception as exc:
-        raise ParseError(f"invalid polynomial: {exc}") from exc
+        e = tuple(map(int, e))
+        if len(e) != nvars:
+            raise ParseError(
+                f"invalid polynomial: exponent tuple {e} has length {len(e)}, expected {nvars}"
+            )
+        s = acc.get(e)
+        if s is not None:
+            c += s
+        if c:
+            acc[e] = c
+        else:
+            acc.pop(e, None)
+    return MultiPoly._of(nvars, acc)
 
 
 # -- vector fields ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared fixtures: the four desk-scale sample groups, brute-force oracles,
-and hypothesis strategies that draw small groups and their rational conjugates.
+and hypothesis strategies that draw polynomials, small groups and their
+rational conjugates.
 
 The oracles here recompute dimensions and fixed spaces by stacking action
 matrices and rank-counting, independently of both the production
@@ -62,11 +63,16 @@ def sample_groups(z2_line, z2_diag, swap2, c4):
     return {"z2_line": z2_line, "z2_diag": z2_diag, "swap2": swap2, "c4": c4}
 
 
+def monomial(exps, c=1) -> MultiPoly:
+    """c x^exps in len(exps) variables."""
+    return MultiPoly(len(exps), {tuple(exps): c})
+
+
 def poly_action_matrix(group: MatGroup, g: int, degree: int) -> list[list[Fraction]]:
     """Matrix of the polynomial action of element g on the degree-d monomials."""
     basis = monomials_of_degree(group.n, degree)
     cols = [
-        poly_to_vector(act_phi_dagger(group, g, MultiPoly.monomial(e)), basis)
+        poly_to_vector(act_phi_dagger(group, g, monomial(e)), basis)
         for e in basis
     ]
     return [[col[r] for col in cols] for r in range(len(basis))]
@@ -79,7 +85,7 @@ def field_action_matrix(group: MatGroup, g: int, degree: int) -> list[list[Fract
     for e in basis:
         alpha, xi = e[: group.n], e[group.n :]
         comps = [
-            MultiPoly.monomial(alpha) if xi[i] == 1 else MultiPoly.zero(group.n)
+            monomial(alpha) if xi[i] == 1 else MultiPoly.zero(group.n)
             for i in range(group.n)
         ]
         moved = act_theta(group, g, PolyVectorField(comps))
@@ -116,6 +122,37 @@ def random_poly(rng, nvars: int, max_degree: int) -> MultiPoly:
 
 def random_field(rng, n: int, max_degree: int) -> PolyVectorField:
     return PolyVectorField([random_poly(rng, n, max_degree) for _ in range(n)])
+
+
+coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def polys(nvars: int, max_degree: int = 4):
+    """Polynomials of up to six terms and total degree at most max_degree."""
+    exps = st.tuples(*([st.integers(min_value=0, max_value=max_degree)] * nvars)).filter(
+        lambda e: sum(e) <= max_degree
+    )
+    return st.dictionaries(exps, coeffs, max_size=6).map(lambda d: MultiPoly(nvars, d))
+
+
+@st.composite
+def poly_cases(draw):
+    """Two polynomials in 1-4 variables, n polynomials to substitute, and
+    homogeneous generators of a ProductTable with a polynomial in them."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    a, b = draw(polys(n, 3)), draw(polys(n, 3))
+    values = draw(st.lists(polys(n, 2), min_size=n, max_size=n))
+    gens = draw(
+        st.lists(
+            polys(n, 2)
+            .filter(lambda p: p.total_degree() >= 1)
+            .map(lambda p: p.homogeneous_part(p.total_degree())),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    f = draw(polys(len(gens), 2))
+    return a, b, values, gens, f
 
 
 # Small groups by their generators: the cyclic groups C2..C6 in their least

@@ -35,7 +35,7 @@ from equivar.equivariants import _module_products, field_to_vector, xilinear_mon
 from equivar.linalg import Echelon
 from equivar.poly import monomials_of_degree, poly_to_vector
 
-from conftest import random_field
+from conftest import monomial, random_field
 
 
 def direct_theta_basis(group, m):
@@ -45,7 +45,7 @@ def direct_theta_basis(group, m):
     for alpha in monomials_of_degree(n, m):
         for i in range(n):
             comps = [
-                MultiPoly.monomial(alpha) if j == i else MultiPoly.zero(n)
+                monomial(alpha) if j == i else MultiPoly.zero(n)
                 for j in range(n)
             ]
             fields.append(reynolds(group, THETA, PolyVectorField(comps)))

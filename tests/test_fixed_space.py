@@ -39,6 +39,7 @@ from conftest import (
     MIXED_GROUPS,
     field_action_matrix,
     mixed_generating_sets,
+    monomial,
     poly_action_matrix,
     rational_conjugates,
     signed_permutation_groups,
@@ -50,7 +51,7 @@ MAX_DEGREE = 4
 def reynolds_basis(group: MatGroup, action: str, monos) -> list[MultiPoly]:
     """rref of the Reynolds averages of every monomial in monos."""
     vectors = [
-        poly_to_vector(reynolds(group, action, MultiPoly.monomial(e)), monos) for e in monos
+        poly_to_vector(reynolds(group, action, monomial(e)), monos) for e in monos
     ]
     rows, _ = rref(vectors)
     return [MultiPoly(len(monos[0]), zip(monos, r)) for r in rows]

@@ -114,6 +114,13 @@ def test_dimension_mismatch_rejected():
         close_group([RatMatrix(1, 2, [1, 0])])
 
 
+def test_zero_size_generators_rejected():
+    # a 0x0 "group" used to close, and the invariant ring of it then failed
+    # with a bare IndexError
+    with pytest.raises(DimensionMismatch):
+        close_group([RatMatrix(0, 0, [])])
+
+
 def test_cap_exceeded():
     # infinite group: shear of infinite order
     with pytest.raises(ClosureExceedsCap):

@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivar import DimensionMismatch, MultiPoly, RatMatrix, variables
-from equivar.poly import grlex_key, monomials_of_degree, poly_to_vector
+from equivar.poly import ProductTable, grlex_key, monomials_of_degree, poly_to_vector
+
+from conftest import coeffs, poly_cases, polys
 
 
 def test_add_cancels_to_zero():
@@ -129,16 +132,6 @@ def test_leading_term_and_monic():
 
 # -- algebraic laws ----------------------------------------------------------
 
-coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-
-
-def polys(nvars: int, max_degree: int = 4):
-    exps = st.tuples(*([st.integers(min_value=0, max_value=max_degree)] * nvars)).filter(
-        lambda e: sum(e) <= max_degree
-    )
-    return st.dictionaries(exps, coeffs, max_size=6).map(lambda d: MultiPoly(nvars, d))
-
-
 small_mats = st.lists(
     st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=2),
     min_size=2,
@@ -184,3 +177,69 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+# -- the public constructor validates ------------------------------------------
+
+
+def test_constructor_rejects_bad_terms():
+    with pytest.raises(DimensionMismatch):
+        MultiPoly(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(1, {(-1,): 1})
+    with pytest.raises(TypeError):
+        MultiPoly(1, {(1,): 0.5})
+
+
+def test_constructor_rejects_float_exponents():
+    with pytest.raises(TypeError):
+        MultiPoly(1, {(1.5,): 1})
+    with pytest.raises(TypeError):
+        MultiPoly(1, {(1.0,): 1})
+
+
+def test_constructor_rejects_string_exponents():
+    with pytest.raises(TypeError):
+        MultiPoly(2, {("1", "2"): 1})
+
+
+def test_constructor_reads_numpy_int_exponents_as_ints():
+    p = MultiPoly(2, {(np.int64(1), np.int32(2)): 3})
+    assert p == MultiPoly(2, {(1, 2): 3})
+    assert all(type(x) is int for e in p._terms for x in e)
+
+
+# -- results built unchecked stay canonical ------------------------------------
+
+
+def assert_canonical(p: MultiPoly) -> None:
+    """p as the validating constructor would build it from its own terms."""
+    assert p == MultiPoly(p.nvars, p._terms)
+    for e, c in p._terms.items():
+        assert type(e) is tuple and len(e) == p.nvars
+        assert all(type(x) is int and x >= 0 for x in e)
+        assert type(c) is Fraction and c != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    poly_cases(),
+    st.integers(min_value=-3, max_value=3),
+    coeffs,
+    st.integers(min_value=0, max_value=3),
+)
+def test_unchecked_results_are_canonical(case, k, q, m):
+    a, b, values, gens, f = case
+    results = [
+        a + b, a - b, a - a, (a + b) - b, -a,
+        a * b, a * b - b * a, a * k, k * a, a * q, a * 0, a * Fraction(0),
+        a**m, a.monic(), b.monic(),
+        a.substitute(values), ProductTable(a.nvars, gens).substitute(f),
+    ]
+    results += [a.diff(i) for i in range(a.nvars)]
+    results += [a.homogeneous_part(d) for d in range(a.total_degree() + 2)]
+    results += a.homogeneous_components().values()
+    for p in results:
+        assert_canonical(p)
+    assert (a - a).is_zero and (a * 0).is_zero
+    assert ProductTable(a.nvars, gens).substitute(f) == f.substitute(gens)

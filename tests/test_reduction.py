@@ -24,6 +24,8 @@ from equivar import (
 from equivar import serialize as sz
 from equivar.reduction import _compile_blocks, _compile_polys, _rk4_path
 
+from conftest import monomial
+
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
 
 
@@ -235,7 +237,7 @@ def poly_systems(draw):
 def assert_matches_exact(comps, point, got):
     assert got.shape == (len(comps),)
     for p, value in zip(comps, got):
-        scale = sum(abs(c * MultiPoly.monomial(e).evaluate(point)) for e, c in p)
+        scale = sum(abs(c * monomial(e).evaluate(point)) for e, c in p)
         assert abs(value - float(p.evaluate(point))) <= 1e-12 * float(scale)
 
 

@@ -55,6 +55,15 @@ def test_poly_doc_validation():
         sz.poly_from_doc({"nvars": 2, "terms": [{"c": "1", "e": [1]}]})
     with pytest.raises(ParseError):
         sz.poly_from_doc({"nvars": 1, "terms": [{"c": "1", "e": [-1]}]})
+    with pytest.raises(ParseError):
+        sz.poly_from_doc({"nvars": -1, "terms": []})
+
+
+def test_poly_doc_merges_terms_as_the_constructor_does():
+    terms = [("1", [1, 0]), ("-1", [1, 0]), ("0", [0, 1]), ("1/2", [0, 0]), ("1/3", [0, 0])]
+    p = sz.poly_from_doc({"nvars": 2, "terms": [{"c": c, "e": e} for c, e in terms]})
+    assert p == MultiPoly(2, [(e, Fraction(c)) for c, e in terms]) == MultiPoly.constant(2, Fraction(5, 6))
+    assert all(type(c) is Fraction for c in p._terms.values())
 
 
 def test_field_round_trip():
