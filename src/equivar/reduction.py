@@ -9,13 +9,15 @@ check_related verifies the defining identity for a given (X, Y) pair, and
 integrate_pair witnesses it numerically by running classical fixed-step RK4
 in double precision.  Exact arithmetic stops at that boundary: coefficients
 are converted to floats only inside the integrator.  There the full and the
-reduced system run as one RK4 loop over the stacked state (x, P), from one
-evaluator compiled once: each evaluation builds one table of integer powers
-of every coordinate by repeated multiplication (no pow), gathers it once
-into the monomials of both systems, and ends in one matrix-vector product
-per system, so the blocks never mix.  The Hilbert map is compiled by the
-same compiler as a single block.  The path is checked for non-finite
-states once, after the loop.
+reduced system run as one RK4 loop over the stacked state (x, P), in plain
+Python floats.  Each polynomial map is compiled once, by its own size: a
+small one into straight-line Python, where every monomial is one product of
+a lower monomial and one coordinate (no pow); a large one into a numpy
+evaluator that builds a table of integer powers of every coordinate and ends
+in one matrix-vector product.  The stacked evaluator is the two lone
+evaluators concatenated, so the blocks cannot mix.  The Hilbert map is
+compiled by the same rule.  The path is checked for non-finite states once,
+after the loop.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 from .actions import THETA, PolyVectorField, is_invariant
 from .errors import DimensionMismatch, NoSolution, NonFiniteState, NotInvariant
 from .invariants import InvariantGens, _express_all
-from .poly import MultiPoly, dot, grlex_key
+from .poly import Exponents, MultiPoly, dot, grlex_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -168,98 +170,148 @@ def _float(v: Fraction, what: str) -> float:
         raise ValueError(f"{what} {text} lies beyond the double range") from None
 
 
-def _compile_blocks(blocks: Sequence[tuple[Sequence[MultiPoly], int]]):
-    """Compile polynomial maps, one per block, into one float evaluator.
+# A map of at most this many terms (summed over its components) compiles to
+# straight-line Python; a larger one keeps the numpy evaluator.  Measured per
+# call on 2 vCPUs with Python 3.11: straight-line code costs 25-60 ns per term
+# (its monomial products included) and numpy a fixed 8-12 us, so the two
+# cross at 270-350 terms on the benchmark's fields and reduced systems and at
+# 100-200 terms on random dense maps of degree <= 9.  The limit also keeps
+# every generated sum far below the ~3,000 terms at which CPython 3.11's
+# compiler runs out of recursion.
+_STRAIGHT_LINE_TERMS = 300
 
-    Block b is a map R^nvars_b -> R^len(polys_b).  The evaluator takes every
-    block's coordinates stacked in block order and returns every block's
-    values stacked the same way; block b reads only its own coordinates.
-    Each block's monomials form one exponent table, and its coefficients one
-    dense (components x monomials) float matrix; exact arithmetic ends here.
 
-    Each call rebuilds one table of powers v_j^0..v_j^D of every coordinate
-    (D the top exponent in any block) by repeated multiplication, never
-    calling pow, and gathers it once for the monomials of all blocks,
-    multiplying each monomial's powers in variable order.  The table belongs
-    to the evaluator, so one evaluator serves one thread at a time.  A block
-    narrower than the widest is padded with trailing factors v^0 = 1.0,
-    which are exact.  Each
-    block then ends in its own matrix-vector product into its slice of the
-    output.  The products stay apart because a monomial that overflows makes
-    every component that lacks it nan (inf * 0.0): inside a block that is
-    wanted, as divergence then shows as a non-finite state, but in one
-    block-diagonal product it would spread to the other blocks.
+def _straight_line(polys: Sequence[MultiPoly], nvars: int):
+    """Compile a small polynomial map into one generated Python function.
+
+    Each monomial x^e is one multiplication of a lower monomial by one
+    coordinate: x^e = x^(e - u_j) * x_j, with j the last variable of e, so
+    monomials sharing a prefix share its products and no pow is called.
+    Each component is c_1*m_1 + c_2*m_2 + ..., its terms in descending grlex
+    order, summed left to right; a component reads only its own monomials.
+    A term -c*m is written as a subtraction of c*m and a factor 1.0 is left
+    out, which changes no bit of the sum.
+    """
+    def lower(e: Exponents) -> tuple[Exponents, int]:
+        j = max(i for i, a in enumerate(e) if a)
+        return e[:j] + (e[j] - 1,) + e[j + 1:], j
+
+    needed = set()
+    for p in polys:
+        for e, _ in p:
+            while any(e) and e not in needed:
+                needed.add(e)
+                e = lower(e)[0]
+    names: dict[Exponents, str] = {}
+    products = []
+    for e in sorted(needed, key=grlex_key):
+        below, j = lower(e)
+        if any(below):
+            names[e] = f"m{len(products)}"
+            products.append(f"    {names[e]} = {names[below]} * x{j}")
+        else:
+            names[e] = f"x{j}"
+    comps = []
+    for p in polys:
+        text = ""
+        for e, c in p:
+            c = _float(c, "coefficient")
+            if not any(e):
+                term = repr(abs(c))
+            elif abs(c) == 1.0:
+                term = names[e]
+            else:
+                term = f"{abs(c)!r} * {names[e]}"
+            if text:
+                text += f" - {term}" if c < 0 else f" + {term}"
+            else:
+                text = f"-{term}" if c < 0 else term
+        comps.append(text or "0.0")
+    unpack = [f"    {''.join(f'x{j}, ' for j in range(nvars))}= v"] if nvars else []
+    lines = ["def straight_line(v):", *unpack, *products, f"    return [{', '.join(comps)}]"]
+    scope: dict = {}
+    exec("\n".join(lines), scope)
+    return scope["straight_line"]
+
+
+def _power_table(polys: Sequence[MultiPoly], nvars: int):
+    """Compile a large polynomial map into a numpy evaluator.
+
+    The monomials form one exponent table, and the coefficients one dense
+    (components x monomials) float matrix.  Each call rebuilds one table of
+    powers v_j^0..v_j^D of every coordinate (D the top exponent) by repeated
+    multiplication, never calling pow, gathers it into the monomials,
+    multiplying each monomial's powers in variable order, and ends in one
+    matrix-vector product.  The table belongs to the evaluator, so one
+    evaluator serves one thread at a time.
     """
     import numpy as np
 
-    ncoords = sum(nvars for _, nvars in blocks)
-    width = max((nvars for _, nvars in blocks), default=0)
-    gathers, products = [], []
-    top = first_var = first_mono = first_out = 0
-    for polys, nvars in blocks:
-        monos = sorted({e for p in polys for e, _ in p}, key=grlex_key, reverse=True)
-        column = {e: j for j, e in enumerate(monos)}
-        coeffs = np.zeros((len(polys), len(monos)))
-        for i, p in enumerate(polys):
-            for e, c in p:
-                coeffs[i, column[e]] = _float(c, "coefficient")
-        exps = np.array(monos, dtype=np.intp).reshape(len(monos), nvars)
-        top = max(top, int(exps.max(initial=0)))
-        # gather[j, t] is the flat index of v_j^exps[t, j] in the power table,
-        # with j counted from the block's first coordinate; padding rows keep
-        # index 0, where the table holds v_0^0 = 1.0
-        gather = np.zeros((width, len(monos)), dtype=np.intp)
-        gather[:nvars] = (exps * ncoords + np.arange(first_var, first_var + nvars)).T
-        gathers.append(gather)
-        products.append((
-            coeffs,
-            slice(first_mono, first_mono + len(monos)),
-            slice(first_out, first_out + len(polys)),
-        ))
-        first_var += nvars
-        first_mono += len(monos)
-        first_out += len(polys)
-    gather = np.concatenate(gathers, axis=1)
+    monos = sorted({e for p in polys for e, _ in p}, key=grlex_key, reverse=True)
+    column = {e: j for j, e in enumerate(monos)}
+    coeffs = np.zeros((len(polys), len(monos)))
+    for i, p in enumerate(polys):
+        for e, c in p:
+            coeffs[i, column[e]] = _float(c, "coefficient")
+    exps = np.array(monos, dtype=np.intp).reshape(len(monos), nvars)
+    # gather[j, t] is the flat index of v_j^exps[t, j] in the power table
+    gather = (exps * nvars + np.arange(nvars)).T
     # reused by every call: row 0 stays 1.0 and rows 1..D are rebuilt from v
-    powers = np.ones((top + 1, ncoords))
+    powers = np.ones((int(exps.max(initial=0)) + 1, nvars))
 
-    def evaluate(v: np.ndarray) -> np.ndarray:
+    def power_table(v: list[float]) -> list[float]:
         powers[1:] = v
         np.multiply.accumulate(powers, axis=0, out=powers)
         values = np.multiply.reduce(powers.take(gather), axis=0)
-        out = np.empty(first_out)
-        for coeffs, monos, comps in products:
-            np.matmul(coeffs, values[monos], out=out[comps])
-        return out
+        return np.matmul(coeffs, values).tolist()
 
-    return evaluate
+    return power_table
 
 
 def _compile_polys(polys: Sequence[MultiPoly], nvars: int):
-    """Compile one polynomial map R^nvars -> R^len(polys): the one-block
-    case of _compile_blocks."""
-    return _compile_blocks([(polys, nvars)])
+    """Compile one polynomial map R^nvars -> R^len(polys) into a float
+    evaluator taking and returning lists; exact arithmetic ends here.  A map
+    of at most _STRAIGHT_LINE_TERMS terms becomes straight-line Python, a
+    larger one a numpy power-table evaluator."""
+    if sum(len(p) for p in polys) <= _STRAIGHT_LINE_TERMS:
+        return _straight_line(polys, nvars)
+    return _power_table(polys, nvars)
 
 
-def _rk4_path(f, y0: np.ndarray, nsteps: int, h: float) -> np.ndarray:
-    """Classical fixed-step RK4 for dy/dt = f(y): the (nsteps + 1) x len(y0)
-    array of states at t = 0, h, .., nsteps * h.
+def _compile_blocks(blocks: Sequence[tuple[Sequence[MultiPoly], int]]):
+    """Compile polynomial maps, one per block, into one evaluator over the
+    blocks' coordinates stacked in block order, returning their values
+    stacked the same way.  It is the lone evaluators concatenated, so block
+    b reads only its own coordinates and its values are bit for bit those
+    of its lone evaluator: an overflow in one block cannot reach another."""
+    (polys, nvars), *rest = blocks
+    first = _compile_polys(polys, nvars)
+    if not rest:
+        return first
+    others = _compile_blocks(rest)
+    return lambda v: first(v[:nvars]) + others(v[nvars:])
+
+
+def _rk4_path(f, y0: list[float], nsteps: int, h: float) -> list[list[float]]:
+    """Classical fixed-step RK4 for dy/dt = f(y) in Python floats: the
+    nsteps + 1 states at t = 0, h, .., nsteps * h, each a list.  Every
+    coordinate is updated by the expressions numpy would evaluate for
+    y + 0.5 * h * k1, .., y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4).
 
     No step checks for finiteness: a coordinate that is nan or inf stays
     non-finite under the update, so the caller scans the path once,
     afterwards.
     """
-    import numpy as np
-
-    path = np.empty((nsteps + 1, y0.size), dtype=float)
-    path[0] = y0
+    half, sixth = 0.5 * h, h / 6.0
+    path = [y0]
     y = y0
-    for i in range(1, nsteps + 1):
+    for _ in range(nsteps):
         k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = np.add(y, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=path[i])
+        k2 = f([a + half * b for a, b in zip(y, k1)])
+        k3 = f([a + half * b for a, b in zip(y, k2)])
+        k4 = f([a + h * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        path.append(y)
     return path
 
 
@@ -273,10 +325,10 @@ def integrate_pair(
 ) -> TrajectoryReport:
     """Integrate dx/dt = X(x) and dp/dt = Y(p) from matched starts.
 
-    Classical fixed-step RK4 in double precision, run once over the stacked
-    state z = (x, p) with one evaluator for both systems (_compile_blocks);
-    the two blocks never mix, so each path is the one RK4 gives its system
-    alone.  Exact coefficients are converted to floats only at this
+    Classical fixed-step RK4 in Python floats, run once over the stacked
+    state z = (x, p) with the two systems' evaluators concatenated
+    (_compile_blocks), so each path is the one RK4 gives its system alone.
+    The paths are returned as numpy arrays.  Exact coefficients are converted to floats only at this
     boundary.  The reduced trajectory starts from the (float) Hilbert-map
     image of the float start, so a constant pair has defect exactly zero.
 
@@ -309,20 +361,26 @@ def integrate_pair(
     t_grid = np.arange(nsteps + 1, dtype=float) * step
     f = _compile_blocks([(field.comps, n), (comps, inv.k)])
     sigma = _compile_polys(inv.gens, n)
-    x0_float = np.array([_float(v, "x0 entry") for v in x0_exact])
+    x0_float = [_float(v, "x0 entry") for v in x0_exact]
     # divergence is reported through NonFiniteState, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        path = _rk4_path(f, np.concatenate((x0_float, sigma(x0_float))), nsteps, step)
-    x_path, p_path = path[:, :n], path[:, n:]
-    # the first non-finite row after the start is the step at which a check
-    # after every step would have stopped that system alone; a non-finite
-    # start (sigma(x0) overflowing) is thus reported after one step
-    for label, block in (("full", x_path), ("reduced", p_path)):
-        bad = ~np.isfinite(block[1:]).all(axis=1)
-        if bad.any():
-            t = (int(bad.argmax()) + 1) * step
-            raise NonFiniteState(f"{label} trajectory became non-finite at t={t}", t)
-    defect = 0.0
-    for xi, pi in zip(x_path, p_path):
-        defect = max(defect, float(np.max(np.abs(sigma(xi) - pi))))
+        rows = _rk4_path(f, x0_float + sigma(x0_float), nsteps, step)
+        path = np.array(rows)
+        x_path, p_path = path[:, :n], path[:, n:]
+        # the first non-finite row after the start is the step at which a
+        # check after every step would have stopped that system alone; a
+        # non-finite start (sigma(x0) overflowing) is thus reported after one
+        # step
+        for label, block in (("full", x_path), ("reduced", p_path)):
+            bad = ~np.isfinite(block[1:]).all(axis=1)
+            if bad.any():
+                t = (int(bad.argmax()) + 1) * step
+                raise NonFiniteState(f"{label} trajectory became non-finite at t={t}", t)
+        defect = 0.0
+        for row in rows:
+            gaps = [abs(s - q) for s, q in zip(sigma(row[:n]), row[n:])]
+            # a row with a nan gap (sigma(x) non-finite) is passed over, as the
+            # max over rows of numpy's per-row maximum always did
+            if not math.isnan(sum(gaps)):
+                defect = max(defect, *gaps)
     return TrajectoryReport(t_grid, x_path, p_path, defect)

@@ -22,7 +22,9 @@ from equivar import (
     variables,
 )
 from equivar import serialize as sz
-from equivar.reduction import _compile_blocks, _compile_polys, _rk4_path
+from equivar import reduction
+from equivar.poly import monomials_of_degree
+from equivar.reduction import _STRAIGHT_LINE_TERMS, _compile_blocks, _compile_polys, _rk4_path
 
 from conftest import monomial
 
@@ -249,18 +251,104 @@ def floats(point):
 @given(poly_systems(), poly_systems())
 def test_compiled_evaluator_matches_exact(system, other):
     n, comps, point = system
-    alone = _compile_polys(comps, n)(floats(point))
+    alone = np.array(_compile_polys(comps, n)(floats(point)))
     assert_matches_exact(comps, point, alone)
     # as one of two blocks, in either order and whatever the other's width,
     # a block reads only its own coordinates and its values keep every bit
     m, other_comps, other_point = other
     k, j = len(comps), len(other_comps)
-    got = _compile_blocks([(comps, n), (other_comps, m)])(floats(point + other_point))
+    got = np.array(_compile_blocks([(comps, n), (other_comps, m)])(floats(point + other_point)))
     assert np.array_equal(got[:k], alone)
     assert_matches_exact(other_comps, other_point, got[k:])
-    got = _compile_blocks([(other_comps, m), (comps, n)])(floats(other_point + point))
+    got = np.array(_compile_blocks([(other_comps, m), (comps, n)])(floats(other_point + point)))
     assert_matches_exact(other_comps, other_point, got[:j])
     assert np.array_equal(got[j:], alone)
+
+
+@st.composite
+def sized_maps(draw, terms):
+    """A map of exactly `terms` terms: 4-6 components in 2-4 variables, each
+    term a distinct (component, monomial) pair of degree at most 12, with a
+    point to evaluate it at."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    ncomps = draw(st.integers(min_value=4, max_value=6))
+    monos = [e for d in range(13) for e in monomials_of_degree(n, d)]
+    rnd = draw(st.randoms(use_true_random=False))
+    pairs = rnd.sample([(i, e) for i in range(ncomps) for e in monos], terms)
+    coeffs = [Fraction(rnd.choice((-1, 1)) * rnd.randint(1, 9), rnd.randint(1, 4)) for _ in pairs]
+    comps = [MultiPoly(n, {e: c for (i, e), c in zip(pairs, coeffs) if i == k}) for k in range(ncomps)]
+    point = draw(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=7), min_size=n, max_size=n))
+    return n, comps, point
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), offset=st.sampled_from([-1, 0, 1]))
+def test_evaluator_choice_at_the_term_limit(data, offset):
+    # maps just below, exactly at and just above the limit take the
+    # straight-line and the numpy evaluator as the limit says, and both match
+    # exact evaluation
+    n, comps, point = data.draw(sized_maps(_STRAIGHT_LINE_TERMS + offset))
+    evaluate = _compile_polys(comps, n)
+    assert evaluate.__name__ == ("straight_line" if offset <= 0 else "power_table")
+    assert_matches_exact(comps, point, np.array(evaluate(floats(point))))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_stacked_blocks_across_the_term_limit(data):
+    # one block on each side of the limit: in either order each block's
+    # values equal its lone evaluator's, bit for bit
+    n, large, point = data.draw(sized_maps(_STRAIGHT_LINE_TERMS + 1))
+    m, small, other_point = data.draw(poly_systems())
+    x, y = [float(v) for v in point], [float(v) for v in other_point]
+    alone_large, alone_small = _compile_polys(large, n)(x), _compile_polys(small, m)(y)
+    assert _compile_blocks([(large, n), (small, m)])(x + y) == alone_large + alone_small
+    assert _compile_blocks([(small, m), (large, n)])(y + x) == alone_small + alone_large
+
+
+def non_finite_runs():
+    """The non-finite cases of the tests above: (field, reduced, x0, t_end,
+    step) on z2_line, each ending in NonFiniteState."""
+    x, = variables(1)
+    cube = [MultiPoly(1, {(3,): 1})]
+    return [
+        (PolyVectorField([x**3]), None, [2], 2.0, 1e-2),
+        (PolyVectorField([-x]), cube, [2], 1.0, 1e-3),
+        (PolyVectorField([-x]), cube, [10**200], 1.0, 1e-3),
+        (PolyVectorField([x**3]), cube, [2], 2.0, 1e-2),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(non_finite_runs())))
+def test_non_finite_state_on_the_numpy_side(z2_line, monkeypatch, case):
+    # with every map on the numpy evaluator the run stops with the same
+    # label and at the same time as on the straight-line evaluator
+    field, comps, x0, t_end, step = non_finite_runs()[case]
+    inv = invariant_ring_generators(z2_line)
+    comps = comps or reduce_field(field, inv).comps
+    errors = []
+    for limit in (_STRAIGHT_LINE_TERMS, 0):
+        monkeypatch.setattr(reduction, "_STRAIGHT_LINE_TERMS", limit)
+        assert _compile_polys(comps, inv.k).__name__ == ("power_table" if limit == 0 else "straight_line")
+        with pytest.raises(NonFiniteState) as err:
+            integrate_pair(field, comps, inv, x0, t_end, step)
+        errors.append((str(err.value), err.value.time))
+    assert errors[0] == errors[1]
+
+
+def test_non_finite_state_in_one_component_on_the_numpy_side(z2_diag, monkeypatch):
+    # numpy's matrix-vector product turns an overflowing monomial into nan in
+    # every component (inf * 0.0); straight-line code leaves the others
+    # finite.  Either way the row is non-finite at the same step.
+    x1, x2 = variables(2)
+    inv = invariant_ring_generators(z2_diag)
+    field = PolyVectorField([x1**3, -x2])
+    rs = reduce_field(field, inv)
+    monkeypatch.setattr(reduction, "_STRAIGHT_LINE_TERMS", 0)
+    with pytest.raises(NonFiniteState) as err:
+        integrate_pair(field, rs, inv, [2, Fraction(1, 2)], 2.0, 1e-2)
+    assert err.value.time == 0.15
+    assert "full" in str(err.value)
 
 
 # -- the stacked RK4 pass against two separate loops ----------------------------
@@ -278,10 +366,10 @@ def separate_rk4(field, comps, inv, x0, t_end, step):
         y = y0
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(nsteps):
-                k1 = f(y)
-                k2 = f(y + 0.5 * step * k1)
-                k3 = f(y + 0.5 * step * k2)
-                k4 = f(y + step * k3)
+                k1 = np.array(f(y))
+                k2 = np.array(f(y + 0.5 * step * k1))
+                k3 = np.array(f(y + 0.5 * step * k2))
+                k4 = np.array(f(y + step * k3))
                 y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if not np.all(np.isfinite(y)):
                     raise NonFiniteState(
@@ -294,11 +382,11 @@ def separate_rk4(field, comps, inv, x0, t_end, step):
     x0_float = floats(x0)
     x_path = path(_compile_polys(field.comps, field.n), x0_float, "full")
     with np.errstate(over="ignore"):
-        p0 = sigma(x0_float)
+        p0 = np.array(sigma(x0_float))
     p_path = path(_compile_polys(comps, inv.k), p0, "reduced")
     defect = 0.0
     for xi, pi in zip(x_path, p_path):
-        defect = max(defect, float(np.max(np.abs(sigma(xi) - pi))))
+        defect = max(defect, float(np.max(np.abs(np.array(sigma(xi)) - pi))))
     return x_path, p_path, defect
 
 
@@ -402,13 +490,12 @@ def test_overflow_in_one_block_leaves_the_other_finite(diverging):
     cube = [MultiPoly(1, {(3,): 1})]
     decay = [MultiPoly(1, {(1,): -1, (0,): Fraction(1, 2)})]
     blocks = [(cube, 1), (decay, 1)] if diverging == "full" else [(decay, 1), (cube, 1)]
-    start = np.array([4.0, 1.0] if diverging == "full" else [1.0, 4.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        path = _rk4_path(_compile_blocks(blocks), start, 200, 1e-2)
+    start = [4.0, 1.0] if diverging == "full" else [1.0, 4.0]
+    path = np.array(_rk4_path(_compile_blocks(blocks), start, 200, 1e-2))
     blown, kept = (0, 1) if diverging == "full" else (1, 0)
     assert not np.isfinite(path[-1, blown])
     assert np.all(np.isfinite(path[:, kept]))
-    alone = _rk4_path(_compile_polys(decay, 1), start[kept:kept + 1], 200, 1e-2)
+    alone = np.array(_rk4_path(_compile_polys(decay, 1), start[kept:kept + 1], 200, 1e-2))
     assert np.array_equal(path[:, kept], alone[:, 0])
 
 
