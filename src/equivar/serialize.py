@@ -25,7 +25,7 @@ from .molien import MolienSeries
 from .poly import Exponents, MultiPoly
 from .reduction import ReducedSystem
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def frac_to_str(c: Fraction) -> str:
@@ -38,20 +38,30 @@ def frac_from_json(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if not _RAT_RE.match(value.strip()):
+        m = _RAT_RE.match(value.strip())
+        if not m:
             raise ParseError(f"not a decimal-free rational string: {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in rational: {value!r}") from None
+        # built from the match: Fraction(value) would parse the string again
+        num, den = m.groups()
+        den = 1 if den is None else int(den)
+        if not den:
+            raise ParseError(f"zero denominator in rational: {value!r}")
+        return Fraction(int(num), den)
     raise ParseError(f"rationals must be integers or strings, got {type(value).__name__}")
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (isinstance(True, int) holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(doc, key, kind, where):
+    """doc[key], which must be of type kind unless kind is None; an int
+    asked for is never a bool."""
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"{where}: missing key {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"{where}: key {key!r} has type {type(value).__name__}")
     return value
 
@@ -77,7 +87,7 @@ def poly_from_doc(doc) -> MultiPoly:
     for t in terms:
         c = frac_from_json(_expect(t, "c", None, "polynomial term"))
         e = _expect(t, "e", list, "polynomial term")
-        if not all(isinstance(x, int) and x >= 0 for x in e):
+        if not all(_is_int(x) and x >= 0 for x in e):
             raise ParseError(f"polynomial term exponents must be non-negative ints: {e!r}")
         e = tuple(map(int, e))
         if len(e) != nvars:
@@ -130,13 +140,13 @@ def matrix_from_doc(doc, n: int) -> RatMatrix:
 
 def group_from_doc(doc, cap_override: int | None = None) -> MatGroup:
     n = _expect(doc, "n", int, "group")
-    if isinstance(n, bool) or n < 1:
+    if n < 1:
         raise ParseError(f"group: n must be a positive integer, got {n!r}")
     gens_doc = _expect(doc, "generators", list, "group")
     if not gens_doc:
         raise ParseError("group: at least one generator is required")
-    cap = doc.get("cap", DEFAULT_CAP)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+    cap = _expect(doc, "cap", int, "group") if "cap" in doc else DEFAULT_CAP
+    if cap < 1:
         raise ParseError(f"group: cap must be a positive integer, got {cap!r}")
     if cap_override is not None:
         cap = cap_override

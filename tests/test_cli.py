@@ -407,6 +407,36 @@ def test_bad_group_size_or_cap_exit_2(files, capsys, doc, command):
     assert json.loads(err)["error"] == "ParseError"
 
 
+BOOL_FIELD_DOCS = {
+    "exponent": {"n": 1, "comps": [{"nvars": 1, "terms": [{"c": "1", "e": [True]}, {"c": "-1", "e": [3]}]}]},
+    "nvars": {"n": 1, "comps": [{"nvars": True, "terms": [{"c": "1", "e": [1]}]}]},
+    "n": {**CUBIC_FIELD_DOC, "n": True},
+}
+
+
+@pytest.mark.parametrize("where", sorted(BOOL_FIELD_DOCS))
+@pytest.mark.parametrize("command", ["reduce", "integrate-check"])
+def test_boolean_in_field_exit_2(files, capsys, where, command):
+    # a JSON true is not the integer 1, wherever an integer is asked for
+    _, write = files
+    argv = [command, "--group", write("z2.json", Z2_DOC), "--field", write("f.json", BOOL_FIELD_DOCS[where])]
+    code, out, err = run(argv + (["--x0", "1/2"] if command == "integrate-check" else []), capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_boolean_in_reduced_exit_2(files, capsys):
+    _, write = files
+    reduced = {"k": True, "comps": [{"nvars": 1, "terms": [{"c": "2", "e": [1]}, {"c": "-2", "e": [2]}]}]}
+    code, out, err = run(
+        ["integrate-check", "--group", write("z2.json", Z2_DOC), "--field", write("x.json", CUBIC_FIELD_DOC),
+         "--reduced", write("r.json", reduced), "--x0", "1/2"],
+        capsys,
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def test_missing_file_exit_2(files, capsys):
     tmp, _ = files
     code, _, err = run(["invariants", "--group", str(tmp / "absent.json")], capsys)

@@ -33,6 +33,49 @@ def test_frac_rejects_floats_and_decimals():
         sz.frac_from_json(True)
 
 
+@pytest.mark.parametrize("value, want", [
+    ("3", Fraction(3)), ("-3", Fraction(-3)), ("+3", Fraction(3)), ("0", Fraction(0)),
+    ("-0", Fraction(0)), (" 7 ", Fraction(7)), ("\t-7\n", Fraction(-7)), ("007", Fraction(7)),
+    ("1/2", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)), ("+4/6", Fraction(2, 3)),
+    ("0/5", Fraction(0)), ("-0/5", Fraction(0)), ("007/010", Fraction(7, 10)),
+    ("\u0661\u0662", Fraction(12)), ("12345678901234567890/3", Fraction(12345678901234567890, 3)),
+    (5, Fraction(5)), (-2, Fraction(-2)), (0, Fraction(0)),
+])
+def test_frac_from_json_accepts(value, want):
+    got = sz.frac_from_json(value)
+    assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1.5", "not a decimal-free rational string: '1.5'"),
+    ("1e-3", "not a decimal-free rational string"),
+    ("", "not a decimal-free rational string: ''"),
+    (" ", "not a decimal-free rational string"),
+    ("1/", "not a decimal-free rational string"),
+    ("/2", "not a decimal-free rational string"),
+    ("1/-2", "not a decimal-free rational string"),
+    ("1/+2", "not a decimal-free rational string"),
+    ("1 / 2", "not a decimal-free rational string"),
+    ("1/2/3", "not a decimal-free rational string"),
+    ("--1", "not a decimal-free rational string"),
+    ("0x10", "not a decimal-free rational string"),
+    ("1_000", "not a decimal-free rational string"),
+    ("inf", "not a decimal-free rational string"),
+    ("nan", "not a decimal-free rational string"),
+    ("1/0", "zero denominator in rational: '1/0'"),
+    ("-3/000", "zero denominator in rational: '-3/000'"),
+    (True, "not a rational: True"),
+    (False, "not a rational: False"),
+    (1.5, "rationals must be integers or strings, got float"),
+    (None, "rationals must be integers or strings, got NoneType"),
+    ([1], "rationals must be integers or strings, got list"),
+])
+def test_frac_from_json_rejects(value, message):
+    with pytest.raises(ParseError) as err:
+        sz.frac_from_json(value)
+    assert message in str(err.value)
+
+
 def test_poly_round_trip():
     x, y = variables(2)
     p = Fraction(1, 2) * x**2 - 3 * x * y + MultiPoly.constant(2, 7)
@@ -57,6 +100,23 @@ def test_poly_doc_validation():
         sz.poly_from_doc({"nvars": 1, "terms": [{"c": "1", "e": [-1]}]})
     with pytest.raises(ParseError):
         sz.poly_from_doc({"nvars": -1, "terms": []})
+
+
+@pytest.mark.parametrize("read, doc", [
+    (sz.poly_from_doc, {"nvars": 1, "terms": [{"c": "2", "e": [True]}]}),
+    (sz.poly_from_doc, {"nvars": 2, "terms": [{"c": "2", "e": [1, False]}]}),
+    (sz.poly_from_doc, {"nvars": True, "terms": []}),
+    (sz.poly_from_doc, {"nvars": True, "terms": [{"c": "2", "e": [1]}]}),
+    (sz.field_from_doc, {"n": True, "comps": [{"nvars": 1, "terms": []}]}),
+    (sz.reduced_from_doc, {"k": True, "comps": [{"nvars": 1, "terms": []}]}),
+    (sz.group_from_doc, {"n": True, "generators": [[["-1"]]]}),
+    (sz.group_from_doc, {"n": 1, "generators": [[["-1"]]], "cap": True}),
+], ids=["exponent-true", "exponent-false", "nvars-empty", "nvars", "field-n", "reduced-k",
+        "group-n", "group-cap"])
+def test_booleans_are_not_ints(read, doc):
+    # isinstance(True, int) holds, so each of these was once read as 1 or 0
+    with pytest.raises(ParseError, match="bool|non-negative ints"):
+        read(doc)
 
 
 def test_poly_doc_merges_terms_as_the_constructor_does():
