@@ -379,8 +379,9 @@ def integrate_pair(
         defect = 0.0
         for row in rows:
             gaps = [abs(s - q) for s, q in zip(sigma(row[:n]), row[n:])]
-            # a row with a nan gap (sigma(x) non-finite) is passed over, as the
-            # max over rows of numpy's per-row maximum always did
+            # a row with a nan gap (sigma(x) non-finite) counts for nothing:
+            # the defect is the max over rows of numpy's per-row maximum,
+            # which is nan there and which Python's max passes over
             if not math.isnan(sum(gaps)):
                 defect = max(defect, *gaps)
     return TrajectoryReport(t_grid, x_path, p_path, defect)
