@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from equivar import (
@@ -269,7 +269,8 @@ def test_compiled_evaluator_matches_exact(system, other):
 def sized_maps(draw, terms):
     """A map of exactly `terms` terms: 4-6 components in 2-4 variables, each
     term a distinct (component, monomial) pair of degree at most 12, with a
-    point to evaluate it at."""
+    point to evaluate it at.  Tests drawing these skip shrinking: a failing
+    300-term map shrinks for minutes and stays as hard to read."""
     n = draw(st.integers(min_value=2, max_value=4))
     ncomps = draw(st.integers(min_value=4, max_value=6))
     monos = [e for d in range(13) for e in monomials_of_degree(n, d)]
@@ -281,7 +282,7 @@ def sized_maps(draw, terms):
     return n, comps, point
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data(), offset=st.sampled_from([-1, 0, 1]))
 def test_evaluator_choice_at_the_term_limit(data, offset):
     # maps just below, exactly at and just above the limit take the
@@ -293,7 +294,7 @@ def test_evaluator_choice_at_the_term_limit(data, offset):
     assert_matches_exact(comps, point, np.array(evaluate(floats(point))))
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
 def test_stacked_blocks_across_the_term_limit(data):
     # one block on each side of the limit: in either order each block's
