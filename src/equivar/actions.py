@@ -258,7 +258,7 @@ def _monomial_form(m: RatMatrix) -> tuple[tuple[int, Fraction], ...] | None:
     return tuple(form)
 
 
-def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, Fraction]]]:
+def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, int | Fraction]]]:
     """Fixed-space basis of monomial substitutions: one sum per orbit, as
     (index into monos, coefficient) pairs, in the order of its first monomial.
 
@@ -267,15 +267,20 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, Fract
     is walked from its first monomial in `monos`, with coefficient 1 there
     and the others forced by that rule; an orbit that forces two different
     coefficients on one monomial carries no fixed vector.
+
+    The coefficients are Python ints as long as the entries a_i are: each
+    entry with denominator 1 is read as an int, and only the others stay
+    Fractions.  A factor a_i = 1 is skipped.
     """
     nvars = len(monos[0])
+    forms = [[(j, a.numerator if a.denominator == 1 else a) for j, a in form] for form in forms]
     index = {e: j for j, e in enumerate(monos)}
     seen: set[Exponents] = set()
     out = []
     for lead in monos:
         if lead in seen:
             continue
-        coef = {lead: Fraction(1)}
+        coef = {lead: 1}
         stack = [lead]
         cancels = False
         while stack:
@@ -287,7 +292,8 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, Fract
                 for (j, a), k in zip(form, e):
                     if k:
                         exps[j] = k
-                        c *= a**k
+                        if a != 1:
+                            c *= a**k
                 image = tuple(exps)
                 old = coef.get(image)
                 if old is None:

@@ -177,7 +177,7 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
         if not cols:
             raise NoSolution(f"no module products exist at degree {m}")
         target_vec = field_to_vector(target, xilinear_monomials(eg.group.n, m))
-        sol = solve_free_zero(list(zip(*cols)), target_vec)
+        sol = solve_free_zero(list(zip(*cols)), [target_vec])[0]
         if sol is None:
             raise NoSolution(f"degree-{m} component is outside the module span")
         for (w_idx, a), c in zip(labels, _unscale(sol, dens)):

@@ -322,23 +322,35 @@ def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
 
 
 def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]:
-    """express for each polynomial in turn, each already known invariant,
-    building the product matrix of each degree once for all of them."""
-    systems: dict[int, tuple] = {}
+    """express for each polynomial, each already known invariant.  Each
+    degree's product matrix is built and eliminated once, with the
+    components of every polynomial at that degree as its right-hand sides;
+    the first failing polynomial, then degree, raises as if they were
+    solved one at a time."""
+    parts = [q.homogeneous_components() for q in qs]
+    by_degree: dict[int, list[int]] = {}
+    for i, comps in enumerate(parts):
+        for d in comps:
+            by_degree.setdefault(d, []).append(i)
+    sols: dict[tuple[int, int], list[Fraction] | None] = {}
+    for d, owners in by_degree.items():
+        candidates = weighted_monomials(inv.degrees, d)
+        if not candidates:
+            continue
+        rows, dens = _product_rows(inv._table, candidates)
+        monos = inv._table.monomials(d)
+        solved = solve_free_zero(rows, [poly_to_vector(parts[i][d], monos) for i in owners])
+        for i, sol in zip(owners, solved):
+            sols[i, d] = None if sol is None else list(zip(candidates, _unscale(sol, dens)))
     out = []
-    for q in qs:
+    for i, comps in enumerate(parts):
         terms: dict[Exponents, Fraction] = {}  # the degrees have disjoint supports
-        for d, q_d in q.homogeneous_components().items():
-            if d not in systems:
-                candidates = weighted_monomials(inv.degrees, d)
-                if not candidates:
-                    raise NoSolution(f"no generator products exist at degree {d}")
-                systems[d] = (candidates, *_product_rows(inv._table, candidates))
-            candidates, rows, dens = systems[d]
-            sol = solve_free_zero(rows, poly_to_vector(q_d, inv._table.monomials(d)))
-            if sol is None:
+        for d in comps:
+            if (i, d) not in sols:
+                raise NoSolution(f"no generator products exist at degree {d}")
+            if sols[i, d] is None:
                 raise NoSolution(f"degree-{d} component is outside the generator span")
-            terms.update((a, c) for a, c in zip(candidates, _unscale(sol, dens)) if c)
+            terms.update((a, c) for a, c in sols[i, d] if c)
         out.append(MultiPoly._of(inv.k, terms))
     return out
 

@@ -154,20 +154,22 @@ def _integer_row(row: Sequence) -> list[int]:
     return ints if c <= 1 else [x // c for x in ints]
 
 
-def _reduce(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+def _reduce(rows: Sequence[Sequence], npivot: int | None = None) -> tuple[list[list[int]], list[int]]:
     """Fraction-free Gauss-Jordan elimination.
 
     Returns integer rows and their pivot columns: row i is a positive
     multiple of row i of the reduced row echelon form, so it is zero in
     every other pivot column, and it has content 1.  Zero rows are dropped
     as soon as they appear; pivots are taken in the first column that has
-    one, scanning rows top-down.
+    one, scanning rows top-down.  With npivot given, pivots are taken only
+    in the first npivot columns, and the nonzero rows that are left without
+    one follow the pivot rows.
     """
     ncols = len(rows[0]) if rows else 0
     m = [r for r in map(_integer_row, rows) if any(r)]
     pivots: list[int] = []
     pr = 0
-    for pc in range(ncols):
+    for pc in range(ncols if npivot is None else npivot):
         sel = next((r for r in range(pr, len(m)) if m[r][pc]), None)
         if sel is None:
             continue
@@ -192,7 +194,8 @@ def _reduce(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
         pr += 1
         if pr == len(m):
             break
-    return [[-x for x in row] if row[pc] < 0 else row for row, pc in zip(m, pivots)], pivots
+    signed = [[-x for x in row] if row[pc] < 0 else row for row, pc in zip(m, pivots)]
+    return signed + m[pr:], pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -279,23 +282,31 @@ def kernel_rref(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
 
 
 def solve_free_zero(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve A x = b exactly; free variables are set to zero.
+    rows: Sequence[Sequence[Fraction]], rhss: Sequence[Sequence[Fraction]]
+) -> list[list[Fraction] | None]:
+    """Solve A x = b exactly for each right-hand side b; free variables are
+    set to zero.
 
-    A is given by rows; unknowns correspond to columns.  Returns None when
-    the system is inconsistent.  With columns supplied in a canonical order,
-    setting free variables to zero is the deterministic tie-break used
-    throughout: the solution is supported on the earliest independent
-    columns.
+    A is given by rows; unknowns correspond to columns.  [A | B], B the
+    right-hand sides as columns, is eliminated once, with pivots taken in
+    A's columns only.  A right-hand side is inconsistent exactly when a row
+    left with a zero A part is nonzero in its column; its entry in the
+    result is None, and so is every entry when A has no rows.  With columns
+    supplied in a canonical order, setting free variables to zero is the
+    deterministic tie-break used throughout: each solution is supported on
+    the earliest independent columns.
     """
     if not rows:
-        return None
+        return [None] * len(rhss)
     ncols = len(rows[0])
-    red, pivots = _reduce([list(r) + [b] for r, b in zip(rows, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = Fraction(row[ncols], row[p])
-    return x
+    red, pivots = _reduce([[*r, *bs] for r, bs in zip(rows, zip(*rhss))], ncols)
+    out: list[list[Fraction] | None] = []
+    for k in range(ncols, ncols + len(rhss)):
+        if any(row[k] for row in red[len(pivots):]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * ncols
+        for row, p in zip(red, pivots):
+            x[p] = Fraction(row[k], row[p])
+        out.append(x)
+    return out

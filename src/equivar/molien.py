@@ -16,8 +16,11 @@ det(I - t g^-1) = det(I - t g), since the eigenvalues of g^-1 are the
 complex conjugates of those of g and a real spectrum already contains them.
 Its trace, the equivariant weight, is minus the t coefficient.
 
-Univariate polynomials over Fraction are plain coefficient lists, lowest
-degree first.
+Univariate polynomials are plain coefficient lists, lowest degree first.
+For g of finite order every det(I - t g) has integer coefficients, so the
+sums over the group run on Python ints and divide by |G| only when they are
+handed to MolienSeries, whose reduced numerator and denominator are Fraction
+lists.
 """
 
 from __future__ import annotations
@@ -39,18 +42,11 @@ def _utrim(p: UPoly) -> UPoly:
     return p
 
 
-def _uadd(a: UPoly, b: UPoly) -> UPoly:
-    n = max(len(a), len(b))
-    return _utrim([
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ])
-
-
 def _umul(a: UPoly, b: UPoly) -> UPoly:
+    """The product, in the coefficient type of a and b: Fractions or ints."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
@@ -201,14 +197,19 @@ class MolienSeries:
         return f"MolienSeries(({fmt(self.numer)}) / ({fmt(self.denom)}))"
 
 
-def _determinants(group: MatGroup) -> dict[tuple[Fraction, ...], int]:
-    """How many elements g have each det(I - t g): one pass over the group,
-    shared by both series."""
+def _determinants(group: MatGroup) -> dict[tuple[int, ...], int]:
+    """How many elements g have each det(I - t g), keyed by its integer
+    coefficients: one pass over the group, shared by both series."""
     key = "det_one_minus_t"
     if key not in group._derived:
-        counts: dict[tuple[Fraction, ...], int] = {}
+        counts: dict[tuple[int, ...], int] = {}
         for m in group.elements:
-            d_g = tuple(det_one_minus_t(m))
+            coeffs = det_one_minus_t(m)
+            if any(c.denominator != 1 for c in coeffs):
+                raise DimensionMismatchWithMolien(
+                    f"internal: det(I - t g) = {coeffs} is not integral, so g has infinite order"
+                )
+            d_g = tuple(c.numerator for c in coeffs)
             counts[d_g] = counts.get(d_g, 0) + 1
         group._derived[key] = counts
     return group._derived[key]
@@ -221,18 +222,22 @@ def _averaged_series(group: MatGroup, equivariant: bool) -> MolienSeries:
     The sum has one term per distinct det(I - t g), which is det(I - t g^-1)
     (see above), weighted by the number of elements that share it; the
     reduced, normalized fraction is the same as the sum over every element.
+    Numerator and denominator are cross-multiplied in integers.
     """
-    num: UPoly = []
-    den: UPoly = [Fraction(1)]
+    num: list[int] = []
+    den = [1]
     for d_g, count in _determinants(group).items():
         trace = -d_g[1] if len(d_g) > 1 else 0
         weight = count * trace if equivariant else count
         if weight == 0:
             continue
-        num = _uadd(_umul(num, d_g), _uscale(den, weight))
+        num = _umul(num, d_g)
+        num += [0] * (len(den) - len(num))
+        for i, x in enumerate(den):
+            num[i] += weight * x
+        _utrim(num)
         den = _umul(den, d_g)
-    num = _uscale(num, Fraction(1, group.order))
-    return MolienSeries(num, den)
+    return MolienSeries([Fraction(x, group.order) for x in num], den)
 
 
 def _series(group: MatGroup, equivariant: bool) -> MolienSeries:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import assume
@@ -243,13 +244,26 @@ def mixed_group(name: str) -> MatGroup:
     return close_group([RatMatrix.from_rows(g) for g in MIXED_GROUPS[name]])
 
 
+@lru_cache(maxsize=None)
+def mixed_subsets(name: str) -> tuple[tuple[int, ...], ...]:
+    """The 2- and 3-subsets of the element indices of MIXED_GROUPS[name]
+    that hold a monomial and a non-monomial matrix and generate the whole
+    group; at most C(12, 2) + C(12, 3) = 286 closures per group."""
+    group = mixed_group(name)
+    kinds = [is_monomial_matrix(m) for m in group.elements]
+    return tuple(
+        s
+        for k in (2, 3)
+        for s in combinations(range(group.order), k)
+        if {kinds[i] for i in s} == {True, False}
+        and close_group([group.matrix(i) for i in s]).order == group.order
+    )
+
+
 @st.composite
 def mixed_generating_sets(draw) -> list[RatMatrix]:
     """Two or three elements of one of MIXED_GROUPS, at least one monomial
-    and one not, that generate the whole group."""
-    group = mixed_group(draw(st.sampled_from(sorted(MIXED_GROUPS))))
-    picks = draw(st.lists(st.integers(0, group.order - 1), min_size=2, max_size=3, unique=True))
-    gens = [group.matrix(i) for i in picks]
-    assume({is_monomial_matrix(g) for g in gens} == {True, False})
-    assume(close_group(gens).order == group.order)
-    return gens
+    and one not, that generate the whole group, in any order."""
+    name = draw(st.sampled_from(sorted(MIXED_GROUPS)))
+    picks = draw(st.permutations(draw(st.sampled_from(mixed_subsets(name)))))
+    return [mixed_group(name).matrix(i) for i in picks]

@@ -6,12 +6,22 @@ rho_d(g) - I of the others.  The oracle for both is the definition:
 Reynolds-average every monomial over the whole group and row-reduce.  The Molien series,
 summed once per distinct det(I - t g), is held against the plain sum of
 1 / det(I - t g^-1) over every element.
+
+Both run on Python ints where the data allow: the orbit sums while the
+monomial forms' entries are integers, the Molien sums always, since
+det(I - t g) is integral for g of finite order.  Each is held against the
+Fraction routine it replaced.
 """
 
+import json
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equivar import (
     PHI_DAGGER,
@@ -30,19 +40,23 @@ from equivar import (
     unpairing,
     xilinear_monomials,
 )
+from equivar.actions import _monomial_form, _orbit_sums, _substitution_matrix
 from equivar.linalg import rref
-from equivar.molien import det_one_minus_t
+from equivar.molien import _averaged_series, det_one_minus_t
 from equivar.poly import poly_to_vector
+from equivar.serialize import group_from_doc
 
 from conftest import (
     BASE_GROUPS,
     MIXED_GROUPS,
     field_action_matrix,
     mixed_generating_sets,
+    mixed_group,
     monomial,
     poly_action_matrix,
     rational_conjugates,
     signed_permutation_groups,
+    signed_permutations,
 )
 
 MAX_DEGREE = 4
@@ -206,3 +220,146 @@ def test_f4_matches_oracles():
         monos = xilinear_monomials(n, m)
         oracle = generator_kernel_basis(group, field_action_matrix, m, monos)
         assert basis == [unpairing(q) for q in oracle], m
+
+
+# ---------------------------------------------------------------------------
+# The integer orbit sums against the Fraction routine they replaced.
+
+
+def fraction_orbit_sums(forms, monos):
+    """The orbit sums with every coefficient a Fraction: c *= a**k for each
+    variable of each form, starting from Fraction(1) on the first monomial."""
+    nvars = len(monos[0])
+    index = {e: j for j, e in enumerate(monos)}
+    seen, out = set(), []
+    for lead in monos:
+        if lead in seen:
+            continue
+        coef, stack, cancels = {lead: Fraction(1)}, [lead], False
+        while stack:
+            e = stack.pop()
+            for form in forms:
+                exps, c = [0] * nvars, coef[e]
+                for (j, a), k in zip(form, e):
+                    if k:
+                        exps[j] = k
+                        c *= a**k
+                image = tuple(exps)
+                if image not in coef:
+                    coef[image] = c
+                    stack.append(image)
+                elif coef[image] != c:
+                    cancels = True
+        seen.update(coef)
+        if not cancels:
+            out.append([(index[e], c) for e, c in coef.items()])
+    return out
+
+
+SCALED_ENTRIES = [Fraction(x) for x in (1, -1, 2, -2, 3)] + [Fraction(1, 2), Fraction(-1, 3)]
+
+
+@st.composite
+def scaled_monomial_forms(draw):
+    """One to three monomial forms on 1-4 variables, entries among +-1, +-2,
+    3, 1/2 and -1/3, with every monomial of one degree."""
+    n = draw(st.integers(1, 4))
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(n)))
+        forms.append(tuple((perm[i], draw(st.sampled_from(SCALED_ENTRIES))) for i in range(n)))
+    return forms, monomials_of_degree(n, draw(st.integers(1, 5)))
+
+
+def _forms(group: MatGroup, action: str):
+    forms = (_monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices)
+    return [f for f in forms if f is not None]
+
+
+def assert_orbit_sums_match(forms, monos):
+    fast = _orbit_sums(forms, monos)
+    assert fast == fraction_orbit_sums(forms, monos)
+    if all(a.denominator == 1 for form in forms for _, a in form):
+        assert all(type(c) is int for s in fast for _, c in s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_monomial_forms())
+@example(([((1, Fraction(2)), (0, Fraction(1, 2)))], monomials_of_degree(2, 3)))
+@example(([((1, Fraction(3)), (0, Fraction(1, 3)))], monomials_of_degree(2, 4)))
+def test_orbit_sums_match_fraction_routine(case):
+    assert_orbit_sums_match(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(signed_permutations(), st.integers(0, 4))
+def test_orbit_sums_of_signed_permutations_match_fraction_routine(gens, d):
+    # both actions: x -> g^-1 x on monomials of degree d + 1, and the phase
+    # action (x, xi) -> (g^-1 x, g^T xi) on the xi-linear ones of degree d
+    group = close_group(gens)
+    assert_orbit_sums_match(_forms(group, PHI_DAGGER), monomials_of_degree(group.n, d + 1))
+    assert_orbit_sums_match(_forms(group, PSI), xilinear_monomials(group.n, d))
+
+
+def test_phase_orbit_sums_of_scaled_monomial_match_fraction_routine():
+    group = close_group([RatMatrix.from_rows([[0, 3], [Fraction(1, 3), 0]])])
+    for d in range(5):
+        assert_orbit_sums_match(_forms(group, PSI), xilinear_monomials(2, d))
+
+
+# ---------------------------------------------------------------------------
+# The integer Molien sums against a per-element Fraction sum.
+
+GROUPS_DIR = Path(__file__).parent / "golden" / "groups"
+SERIES_GROUPS = sorted(p.name for p in GROUPS_DIR.glob("*.json")) + sorted(MIXED_GROUPS)
+
+
+def _group(name: str) -> MatGroup:
+    if name in MIXED_GROUPS:
+        return mixed_group(name)
+    return group_from_doc(json.loads((GROUPS_DIR / name).read_text()))
+
+
+def _expand(numer, denom, upto: int) -> list[Fraction]:
+    """The first upto + 1 power-series coefficients of numer / denom, denom[0] == 1."""
+    out = []
+    for k in range(upto + 1):
+        acc = Fraction(numer[k]) if k < len(numer) else Fraction(0)
+        for j in range(1, min(k, len(denom) - 1) + 1):
+            acc -= denom[j] * out[k - j]
+        out.append(acc)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _inverse_series(d: tuple, upto: int) -> list[Fraction]:
+    return _expand([1], d, upto)
+
+
+@pytest.mark.parametrize("name", SERIES_GROUPS)
+def test_det_one_minus_t_is_integral(name):
+    group = _group(name)
+    for m in group.elements:
+        assert all(c.denominator == 1 for c in det_one_minus_t(m))
+
+
+@pytest.mark.parametrize("name", SERIES_GROUPS)
+def test_averaged_series_matches_elementwise_fraction_sum(name):
+    # F4 and S6 are too large for one fraction over every element, so the
+    # sum of w_g / det(I - t g) is compared as power series, far enough to
+    # tell two rational functions apart: p/q - P/Q, with Q dividing the
+    # product of the distinct det(I - t g), is zero when its numerator is
+    # zero up to max(deg p, deg q - 1) + deg Q
+    group = _group(name)
+    dets = [det_one_minus_t(m) for m in group.elements]
+    deg_q = sum(len(d) - 1 for d in {tuple(d) for d in dets})
+    for equivariant in (False, True):
+        series = _averaged_series(group, equivariant)
+        upto = max(len(series.numer) - 1, len(series.denom) - 2) + deg_q
+        want = [Fraction(0)] * (upto + 1)
+        for m, d_g in zip(group.elements, dets):
+            weight = m.trace() if equivariant else Fraction(1)
+            if weight:
+                for k, y in enumerate(_inverse_series(tuple(d_g), upto)):
+                    want[k] += weight * y
+        assert _expand(series.numer, series.denom, upto) == [x / group.order for x in want]

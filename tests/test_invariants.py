@@ -168,6 +168,21 @@ def test_express_incomplete_generators_raise(z2_line):
         express(partial, x**2)
 
 
+def test_express_all_raises_first_failure_in_polynomial_order(z2_diag):
+    # one elimination per degree serves every polynomial, but the error is
+    # the one that solving them in turn, each degree ascending, meets first
+    x, y = variables(2)
+    partial = InvariantGens.from_polys(z2_diag, [x**2])
+    qs = [x**2 + x**4, x**2 + y**4, y**2 + x**3]
+    with pytest.raises(NoSolution, match="^degree-4 component is outside the generator span$"):
+        invariants._express_all(partial, qs)
+    with pytest.raises(NoSolution, match="^no generator products exist at degree 3$"):
+        invariants._express_all(partial, [x**4, x**3 + y**4])
+    full = invariant_ring_generators(z2_diag)
+    qs = [x**2 + y**4, y**2, x**4 + x * y**3, MultiPoly.zero(2)]
+    assert invariants._express_all(full, qs) == [express(full, q) for q in qs]
+
+
 @pytest.mark.parametrize("gname", ["z2_line", "z2_diag", "swap2", "c4"])
 def test_express_round_trip_random(sample_groups, gname):
     # push random P-polynomials through substitution, express the result,

@@ -98,13 +98,13 @@ def test_kernel_basis():
 def test_solve_free_zero_prefers_early_columns():
     # columns 0 and 1 are identical; the free (later) one stays zero
     rows = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
-    sol = solve_free_zero(rows, [F(3), F(5)])
+    sol, = solve_free_zero(rows, [[F(3), F(5)]])
     assert sol == [F(3), F(0), F(5)]
 
 
 def test_solve_inconsistent_returns_none():
     rows = [[F(1), F(0)], [F(1), F(0)]]
-    assert solve_free_zero(rows, [F(1), F(2)]) is None
+    assert solve_free_zero(rows, [[F(1), F(2)]]) == [None]
 
 
 def test_echelon_incremental():
@@ -200,9 +200,9 @@ def test_solve_free_zero_solves(case, data):
     x0 = data.draw(st.lists(_entries(10**6), min_size=ncols, max_size=ncols))
     b = _apply(rows, x0)
     if not rows:
-        assert solve_free_zero(rows, b) is None
+        assert solve_free_zero(rows, [b]) == [None]
         return
-    x = solve_free_zero(rows, b)
+    x, = solve_free_zero(rows, [b])
     assert x is not None and _apply(rows, x) == b
     # free coordinates are zero
     pivots = fraction_rref(rows)[1]
@@ -210,7 +210,35 @@ def test_solve_free_zero_solves(case, data):
     # a right-hand side outside the column space has no solution
     bad = data.draw(st.lists(_entries(10**6), min_size=len(rows), max_size=len(rows)))
     consistent = len(fraction_rref([r + [c] for r, c in zip(rows, bad)])[1]) == len(pivots)
-    assert (solve_free_zero(rows, bad) is not None) == consistent
+    assert (solve_free_zero(rows, [bad])[0] is not None) == consistent
+
+
+def test_solve_free_zero_many_right_hand_sides():
+    # rank 2 over three rows: b is consistent iff b_3 == b_1 + b_2
+    rows = [[F(1), F(1), F(0)], [F(0), F(0), F(1)], [F(1), F(1), F(1)]]
+    rhss = [[F(1), F(2), F(3)], [F(1), F(2), F(4)], [F(0), F(5), F(5)]]
+    assert solve_free_zero(rows, rhss) == [
+        [F(1), F(0), F(2)], None, [F(0), F(0), F(5)]
+    ]
+    assert solve_free_zero(rows, []) == []
+    assert solve_free_zero([], rhss) == [None] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_free_zero_together_matches_one_at_a_time(case, data):
+    # consistent right-hand sides around one drawn at random, which is
+    # almost always inconsistent when A has fewer independent columns than rows
+    rows, ncols = case
+    if not rows:
+        return
+    column = st.lists(_entries(10**6), min_size=ncols, max_size=ncols)
+    before, after = (
+        [_apply(rows, x) for x in data.draw(st.lists(column, max_size=2))] for _ in range(2)
+    )
+    bad = data.draw(st.lists(_entries(10**6), min_size=len(rows), max_size=len(rows)))
+    rhss = before + [bad] + after
+    assert solve_free_zero(rows, rhss) == [solve_free_zero(rows, [b])[0] for b in rhss]
 
 
 class FractionEchelon:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equivar import DimensionMismatchWithMolien, RatMatrix, close_group, molien, molien_equivariant
+from equivar import (
+    DimensionMismatchWithMolien,
+    MatGroup,
+    RatMatrix,
+    close_group,
+    molien,
+    molien_equivariant,
+)
 from equivar.molien import MolienSeries, det_one_minus_t
 
 from conftest import field_action_matrix, fixed_space_dim
@@ -87,6 +94,14 @@ def test_non_dimension_coefficient_is_a_domain_error():
         s.coefficient(0)
     with pytest.raises(DimensionMismatchWithMolien):
         MolienSeries([F(-1)], [F(1)]).coefficient(0)
+
+
+def test_non_integral_determinant_is_an_internal_error():
+    # not a group: 1/2 has infinite order, so det(I - t/2) = 1 - t/2 is not
+    # integral, and the series must not be summed from truncated coefficients
+    group = MatGroup(1, [RatMatrix.identity(1), RatMatrix.from_rows([[F(1, 2)]])], [1], [0, 1])
+    with pytest.raises(DimensionMismatchWithMolien, match="is not integral"):
+        molien(group)
 
 
 def test_series_reduces_fraction():
