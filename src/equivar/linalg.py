@@ -300,9 +300,10 @@ def solve_free_zero(
         return [None] * len(rhss)
     ncols = len(rows[0])
     red, pivots = _reduce([[*r, *bs] for r, bs in zip(rows, zip(*rhss))], ncols)
+    unpivoted = red[len(pivots):]
     out: list[list[Fraction] | None] = []
     for k in range(ncols, ncols + len(rhss)):
-        if any(row[k] for row in red[len(pivots):]):
+        if any(row[k] for row in unpivoted):
             out.append(None)
             continue
         x = [Fraction(0)] * ncols
