@@ -11,6 +11,7 @@ from equivar import (
     DimensionMismatchWithMolien,
     InvariantGens,
     MultiPoly,
+    NoSolution,
     NotInvariant,
     PSI,
     THETA,
@@ -326,3 +327,18 @@ def test_folded_module_span_check_raises(c4, monkeypatch):
     assert len(equivariant_basis(c4, 5)) == molien_equivariant(c4).coefficient(5)
     with pytest.raises(DimensionMismatchWithMolien, match="^degree 5: module span"):
         equivariant_module_generators(c4, inv, degree_bound=5)
+
+
+def test_express_equivariant_no_solution_messages(z2_diag):
+    # over -I every linear field is equivariant; a module of one linear
+    # generator misses (x2, 0), and one of a cubic generator has no product
+    # of degree 1 at all
+    x1, x2 = variables(2)
+    zero = MultiPoly.zero(2)
+    inv = invariant_ring_generators(z2_diag)
+    linear = equivariants.EquivariantGens(z2_diag, [PolyVectorField([x1, zero])], [1], inv)
+    with pytest.raises(NoSolution, match="^degree-1 component is outside the module span$"):
+        express_equivariant(linear, PolyVectorField([x2, zero]))
+    cubic = equivariants.EquivariantGens(z2_diag, [PolyVectorField([x1**3, zero])], [3], inv)
+    with pytest.raises(NoSolution, match="^no module products exist at degree 1$"):
+        express_equivariant(cubic, PolyVectorField([x1, zero]) + PolyVectorField([x1**3, zero]))

@@ -5,9 +5,11 @@ A certified run must return exactly the generators the run to |G| (and
 keep every count the certificate reads, and the stop degree it certifies.
 """
 
+import os
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,8 @@ from equivar import (
     molien_equivariant,
     variables,
 )
-from equivar import invariants
+from equivar import equivariants, invariants
+from equivar import serialize as sz
 from equivar.invariants import _ideal_spans_degree, find_hsop
 
 from conftest import (
@@ -158,3 +161,37 @@ def test_conjugation_keeps_series_degrees_and_stop(groups):
         # q(x) = p(T^-1 x) is invariant under T G T^-1
         q = p.compose_linear(t_inv)
         assert inv_conj.substitute(express(inv_conj, q)) == q
+
+
+GROUPS_DIR = os.path.join(os.path.dirname(__file__), "golden", "groups")
+
+
+@pytest.mark.parametrize("name, inv_bound, eq_bound", [
+    ("s4", None, None),
+    ("b3", None, None),
+    ("d4_conj", None, None),
+    ("c6_hex", None, None),
+    ("s4", 6, 4),
+    ("c6_hex", 3, 4),
+])
+def test_no_fixed_space_above_the_reported_bound(name, inv_bound, eq_bound):
+    # every degree at which either loop computes a fixed space is recorded:
+    # a loop that computes one degree past the bound it reports returns the
+    # same generators, so only the degrees show it
+    group = sz.group_from_doc(sz.load_json(os.path.join(GROUPS_DIR, f"{name}.json")))
+    seen = {"inv": [], "eq": []}
+
+    def record(key, basis):
+        def wrapper(group, d):
+            seen[key].append(d)
+            return basis(group, d)
+        return wrapper
+
+    with mock.patch.object(invariants, "invariant_basis", record("inv", invariants.invariant_basis)), \
+            mock.patch.object(equivariants, "equivariant_basis", record("eq", equivariants.equivariant_basis)):
+        inv = invariant_ring_generators(group, degree_bound=inv_bound)
+        eg = equivariant_module_generators(group, inv, degree_bound=eq_bound)
+    assert max(seen["inv"]) == inv.bound
+    assert max(seen["eq"]) == eg.bound
+    if inv_bound is not None:
+        assert (inv.bound, eg.bound) == (inv_bound, eq_bound)
