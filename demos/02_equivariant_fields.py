@@ -24,7 +24,11 @@ from equivar import (
     unpairing,
     variables,
 )
-from equivar.actions import phase_names
+
+
+def phase_names(n):
+    """Variable names of the phase space: x1..xn, then xi1..xin."""
+    return [f"x{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)]
 
 
 def banner(text):

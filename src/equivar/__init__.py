@@ -17,7 +17,6 @@ from .actions import (
     act_theta,
     infer_action,
     is_invariant,
-    is_xi_linear,
     pairing,
     reynolds,
     unpairing,
@@ -48,7 +47,6 @@ from .invariants import (
     express,
     invariant_basis,
     invariant_ring_generators,
-    power_product,
     relations,
     weighted_monomials,
 )
@@ -112,12 +110,10 @@ __all__ = [
     "invariant_basis",
     "invariant_ring_generators",
     "is_invariant",
-    "is_xi_linear",
     "molien",
     "molien_equivariant",
     "monomials_of_degree",
     "pairing",
-    "power_product",
     "reduce_field",
     "relations",
     "reynolds",

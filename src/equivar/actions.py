@@ -132,22 +132,6 @@ class PolyVectorField:
 # Phase polynomial helpers (2n variables: x block then xi block).
 
 
-def phase_names(n: int) -> list[str]:
-    return [f"x{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)]
-
-
-def xi_degree(exps: Exponents, n: int) -> int:
-    return sum(exps[n:])
-
-
-def is_xi_linear(q: MultiPoly) -> bool:
-    """True when every term of q has xi-degree exactly one."""
-    if q.nvars % 2 != 0:
-        return False
-    n = q.nvars // 2
-    return all(xi_degree(e, n) == 1 for e, _ in q.sorted_terms())
-
-
 def pairing(field: PolyVectorField) -> MultiPoly:
     """The phase polynomial sum_i V_i(x) xi_i in 2n variables."""
     n = field.n

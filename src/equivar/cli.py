@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from .actions import ACTIONS, PolyVectorField, infer_action, is_invariant
+from .actions import ACTIONS, THETA, PolyVectorField, infer_action, is_invariant
 from .equivariants import equivariant_module_generators
 from .errors import EquivarError, NotInvariant, ParseError
 from .groups import MatGroup
@@ -146,6 +146,8 @@ def _cmd_check_invariance(args) -> int:
     group = _load_group(args)
     if (args.poly is None) == (args.field is None):
         raise ParseError("exactly one of --poly or --field is required")
+    if args.action is not None and (args.action == THETA) != (args.field is not None):
+        raise ParseError(f"--action {args.action} needs --{'field' if args.action == THETA else 'poly'}")
     if args.poly:
         obj = sz.poly_from_doc(sz.load_json(args.poly))
     else:

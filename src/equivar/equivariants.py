@@ -1,35 +1,30 @@
-"""Module generators for equivariant polynomial vector fields.
+"""Equivariant polynomial vector fields: their basis in each degree, and
+thin entry points to the module loop and solve in invariants.
 
 A homogeneous degree-m vector field V corresponds to the phase polynomial
 sum_i V_i(x) xi_i, homogeneous of degree m+1 and linear in the xi block.
 That subspace is stable under the phase action, and its fixed points are
 exactly the pairings of the equivariant fields.  So the degree-m equivariant
 basis is the canonical fixed-space basis of the phase action on the
-monomials x^alpha xi_i (actions.fixed_basis, one pipeline for every
-group), and module generation over the invariant ring is again a
-degree-by-degree complement computation, checked against the trace-weighted
-Molien series.  The loop stops at the bound an hsop among the invariant
-generators certifies (invariants.find_hsop), or at |G| - 1 without one.
+monomials x^alpha xi_i (actions.fixed_basis, one pipeline for every group).
 
-The module is taken over Q[p], p the given invariant generators: each
-product p^a W_j is the column of p^a in their ProductTable times the
-components of W_j (_module_products), and the span of the generator loop and
-the solve of express_equivariant read the same columns in the same order.
+The fields form a module of rank n over the ring Q[p] of the given invariant
+generators p.  Its generators come from the same degree loop as the
+invariant ring's (invariants._graded_generators), checked against the
+trace-weighted Molien series, and express_equivariant is the same solve as
+express (invariants._express_over), both over the products p^a W_j.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
-from .actions import PSI, THETA, PolyVectorField, fixed_basis, is_invariant, pairing, unpairing
-from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
+from .actions import PSI, THETA, PolyVectorField, fixed_basis, is_invariant, unpairing
+from .errors import NotInvariant
 from .groups import MatGroup
-from .invariants import InvariantGens, _unscale, find_hsop, weighted_monomials
-from .linalg import Echelon, solve_free_zero
+from .invariants import InvariantGens, _express_over, _graded_generators
 from .molien import molien_equivariant
-from .poly import Exponents, MultiPoly, monomials_of_degree, poly_to_vector
+from .poly import Exponents, MultiPoly, monomials_of_degree
 
 
 def xilinear_monomials(n: int, m: int) -> list[Exponents]:
@@ -43,10 +38,6 @@ def xilinear_monomials(n: int, m: int) -> list[Exponents]:
         for i in range(n):
             out.append(alpha + tuple(int(j == i) for j in range(n)))
     return out
-
-
-def field_to_vector(field: PolyVectorField, basis: Sequence[Exponents]):
-    return poly_to_vector(pairing(field), basis)
 
 
 def equivariant_basis(group: MatGroup, m: int) -> list[PolyVectorField]:
@@ -106,53 +97,28 @@ def equivariant_module_generators(
 ) -> EquivariantGens:
     """Generators of the equivariant fields as a module over the invariants.
 
-    With no bound given, the loop runs to deg N_eq, N_eq(t) = M_eq(t) *
-    prod (1 - t^d_i), for the first hsop theta among inv's generators that
-    beats |G| - 1 (find_hsop; its rank test is skipped for inv.hsop, which
-    the invariant loop already certified): the fields are free over Q[theta]
-    with basis degrees counted by N_eq, so they are generated over the larger
-    ring inv generates in those degrees too.  Without such an hsop the bound
-    is |G| - 1: a xi-linear generator of the phase invariants has total
-    degree at most |G| by Noether's bound, so the corresponding field degree
-    is at most |G| - 1.  At each degree m the span of the products p^a W
-    (p^a a product of inv's generators, W a generator found below m) is
-    completed to the full fixed space, so the module is taken over the ring
-    inv generates; dimensions are checked against the Molien series.
+    The rank-n case of invariants._graded_generators, over the ring inv
+    generates: at each degree m the products p^a W (p^a a product of inv's
+    generators, W a generator found below m) are completed to the full
+    equivariant space, so every field up to the bound is reached over that
+    ring.  With no bound given, the loop runs to deg N_eq, N_eq(t) = M_eq(t)
+    * prod (1 - t^d_i), for the first hsop theta among inv's generators that
+    beats |G| - 1: the fields are free over Q[theta] with basis degrees
+    counted by N_eq, so they are generated over the larger ring inv
+    generates in those degrees too.  Without such an hsop the bound is
+    |G| - 1: a xi-linear generator of the phase invariants has total degree
+    at most |G| by Noether's bound, so the corresponding field degree is at
+    most |G| - 1.
     """
     if inv.group is not group and inv.group.elements != group.elements:
         raise ValueError("invariant generators were computed for a different group")
     bound = group.order - 1 if degree_bound is None else degree_bound
     if bound < 0:
         raise ValueError("degree bound must be non-negative")
-    series = molien_equivariant(group)
-    stop, hsop = "explicit", None
-    if degree_bound is None:
-        stop = "noether"
-        found = find_hsop(group, inv.gens, inv.degrees, series, group.n, bound, certified=inv.hsop)
-        if found is not None:
-            (hsop, bound), stop = found, "hsop"
-    vgens: list[PolyVectorField] = []
-    degrees: list[int] = []
-    for m in range(bound + 1):
-        basis_m = equivariant_basis(group, m)
-        expected = series.coefficient(m)
-        if len(basis_m) != expected:
-            raise DimensionMismatchWithMolien(
-                f"degree {m}: equivariant space has dimension {len(basis_m)}, "
-                f"Molien says {expected}"
-            )
-        monos = xilinear_monomials(group.n, m)
-        span = Echelon()
-        for col in _module_products(inv, vgens, degrees, m)[1]:
-            span.add(col)
-        for cand in basis_m:
-            if span.add(field_to_vector(cand, monos)):
-                vgens.append(cand)
-                degrees.append(m)
-        if span.rank != expected:
-            raise DimensionMismatchWithMolien(
-                f"degree {m}: module span has dimension {span.rank}, Molien says {expected}"
-            )
+    vgens, degrees, bound, stop, hsop = _graded_generators(
+        group, inv, molien_equivariant(group),
+        lambda m: [(v, v.comps) for v in equivariant_basis(group, m)],
+        bound, degree_bound is not None, ("equivariant space has", "module span has"))
     return EquivariantGens(group, vgens, degrees, inv, bound, stop, hsop)
 
 
@@ -160,51 +126,13 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
     """Coefficients writing an equivariant field over the module generators.
 
     Returns one polynomial f_a in the k invariant-generator variables per
-    module generator, with sum_a f_a(p(x)) V_a(x) == field(x) exactly.
-    Solved per homogeneous degree on the integer columns of _module_products,
-    ordered by generator index, then descending graded-lex on the invariant
-    exponents; free coordinates are set to zero (as in scalar expression).
+    module generator, with sum_a f_a(p(x)) V_a(x) == field(x) exactly, by
+    the same solve as scalar expression (invariants._express_over): free
+    coordinates are set to zero.
     """
     chk = is_invariant(eg.group, field, THETA)
     if not chk:
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
     inv = eg.invariant_gens
-    # p^a V_j has degree deg(p^a) + deg(V_j), so the degrees never share a term
-    coeffs: list[dict[Exponents, Fraction]] = [{} for _ in eg.vgens]
-    for m in sorted({sum(e) for comp in field.comps for e, _ in comp.sorted_terms()}):
-        target = field.homogeneous_part(m)
-        labels, cols, dens = _module_products(inv, eg.vgens, eg.degrees, m)
-        if not cols:
-            raise NoSolution(f"no module products exist at degree {m}")
-        target_vec = field_to_vector(target, xilinear_monomials(eg.group.n, m))
-        sol = solve_free_zero(list(zip(*cols)), [target_vec])[0]
-        if sol is None:
-            raise NoSolution(f"degree-{m} component is outside the module span")
-        for (w_idx, a), c in zip(labels, _unscale(sol, dens)):
-            if c:
-                coeffs[w_idx][a] = c
-    return [MultiPoly._of(inv.k, t) for t in coeffs]
-
-
-def _module_products(
-    inv: InvariantGens, vgens: Sequence[PolyVectorField], degrees: Sequence[int], m: int
-) -> tuple[list[tuple[int, Exponents]], list[list[int]], list[int]]:
-    """Labels (j, a), integer columns over xilinear_monomials(n, m) and
-    denominators of the degree-m products p^a W_j, in generator order, then
-    descending graded-lex on a.  Component i of p^a W_j fills the rows
-    alpha * n + i, over the lcm of the components' denominators."""
-    table = inv._table
-    n = inv.group.n
-    size = n * len(table.monomials(m))
-    labels, cols, dens = [], [], []
-    for j, (w, m_w) in enumerate(zip(vgens, degrees)):
-        for a in weighted_monomials(inv.degrees, m - m_w):
-            parts = [(i, *table.times(a, c)) for i, c in enumerate(w.comps) if not c.is_zero]
-            den = lcm(*(d for _, _, d in parts))
-            col = [0] * size
-            for i, nums, d in parts:
-                col[i::n] = [x * (den // d) for x in nums]
-            labels.append((j, a))
-            cols.append(col)
-            dens.append(den)
-    return labels, cols, dens
+    ws = [v.comps for v in eg.vgens]
+    return _express_over(inv._table, inv.degrees, ws, eg.degrees, [field.comps], "module")[0]

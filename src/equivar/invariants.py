@@ -1,22 +1,23 @@
-"""Generators, expression, and relations for rings of invariant polynomials.
+"""The invariant ring and the graded modules over it: generators,
+expression and relations.
 
-The ring of G-invariant polynomials is computed degree by degree: take the
-canonical basis of the degree-d fixed space (orbit sums of the monomial
-generators, cut down by the kernel of rho_d(g) - I of the others; see
-actions.fixed_basis), and keep whatever the products of already-found
-generators fail to span.  The loop stops at the bound an hsop certificate
-gives (find_hsop: n generators whose ideal contains every monomial of one
-degree, so the ring is free over them and the Molien series says in which
-degrees its basis lies), or at Noether's bound, degree |G|, when no
-certificate beats it.  The Molien series also supplies an independent
-dimension count, checked at every degree against the fixed space and
-against the span it ends with.
+One degree loop (_graded_generators) builds both outputs of the library:
+the invariant ring, a module of rank 1 over itself generated by 1, and the
+equivariant fields, a module of rank n over the ring of given invariants.
+At each degree it takes the canonical fixed-space basis (actions.fixed_basis),
+checks its size against the Molien series, and keeps whatever the products
+p^a W_j of ring generators and module generators fail to span.  It stops at
+the bound an hsop certificate gives (find_hsop: n generators whose ideal
+contains every monomial of one degree, so the module is free over them and
+its Molien series says in which degrees its basis lies), or at Noether's
+bound when no certificate beats it.
 
-Every generator product p^a comes from one poly.ProductTable: the
-coefficient column of p^a over the degree's monomials, memoised by a and
-built from a cached column times one generator.  The loop keeps a table
-while its generator list grows, and each InvariantGens owns one, which
-express, relations, substitute and the equivariant module products read.
+One product builder (_module_products) gives those products as integer
+columns, each from the ring's poly.ProductTable: the coefficient column of
+p^a, memoised by a and built from a cached column times one generator.  One
+solve (_express_over) writes elements over the same columns, for express,
+reduction and express_equivariant, and relations takes the kernel of the
+rank-1 columns.
 
 Polynomials in the generators themselves ("P-polynomials") are ordinary
 MultiPoly values in k variables, where variable i stands for generator i and
@@ -30,7 +31,7 @@ keeps outputs identical across runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from .actions import PHI_DAGGER, fixed_basis, is_invariant
@@ -64,17 +65,6 @@ def weighted_monomials(weights: Sequence[int], total: int) -> list[Exponents]:
         return out
 
     return sorted(rec(0, total), key=grlex_key, reverse=True)
-
-
-def power_product(polys: Sequence[MultiPoly], exps: Exponents) -> MultiPoly:
-    """The product prod_i polys[i] ** exps[i]."""
-    if not polys:
-        raise ValueError("empty polynomial list")
-    acc = MultiPoly.constant(polys[0].nvars, 1)
-    for p, e in zip(polys, exps):
-        if e:
-            acc = acc * p**e
-    return acc
 
 
 class InvariantGens:
@@ -170,55 +160,83 @@ def invariant_ring_generators(
 ) -> InvariantGens:
     """Generating set of the invariant ring up to the degree bound.
 
-    With no bound given, the loop ends at the first degree that reaches a
-    certified bound: after each degree that found generators, find_hsop looks
-    for an hsop among them whose bound beats the current one.  If none does,
-    the loop runs to |G|, Noether's bound: in characteristic zero the
-    invariant ring of a finite group is generated in degrees at most the
-    group order.  An explicit bound is run as given.  At every degree the
-    fixed-space dimension is compared with the Molien coefficient, and the
-    products of the returned generators must span each graded piece up to
-    the bound; any mismatch raises, because it can only mean a bug.
+    The rank-1 case of _graded_generators.  With no bound given, the loop
+    ends at the bound an hsop among the generators found so far certifies,
+    or else at |G|, Noether's bound: in characteristic zero the invariant
+    ring of a finite group is generated in degrees at most the group order.
+    An explicit bound is run as given.
     """
     bound = group.order if degree_bound is None else degree_bound
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
-    stop = "noether" if degree_bound is None else "explicit"
-    hsop = None
-    series = molien(group)
-    table = ProductTable(group.n)
-    gens: list[MultiPoly] = []
-    degrees: list[int] = []
-    d = 0
-    while d < bound:
-        d += 1
-        first_new = len(gens)
-        basis_d = invariant_basis(group, d)
-        expected = series.coefficient(d)
-        if len(basis_d) != expected:
-            raise DimensionMismatchWithMolien(
-                f"degree {d}: fixed space has dimension {len(basis_d)}, Molien says {expected}"
-            )
-        basis_monos = table.monomials(d)
-        span = Echelon()
-        for a in weighted_monomials(degrees, d):
-            span.add(table.column(a)[0])
-        for b in basis_d:
-            if span.add(poly_to_vector(b, basis_monos)):
-                gens.append(b)
-                degrees.append(d)
-                table.append(b)
-        if span.rank != expected:
-            raise DimensionMismatchWithMolien(
-                f"degree {d}: generator products span dimension {span.rank}, Molien says {expected}"
-            )
-        if degree_bound is None and d < bound and len(gens) > first_new:
-            found = find_hsop(group, gens, degrees, series, 1, bound, first_new)
+    gens, degrees, bound, stop, hsop = _graded_generators(
+        group, None, molien(group), lambda d: [(b, [b]) for b in invariant_basis(group, d)],
+        bound, degree_bound is not None, ("fixed space has", "generator products span"))
+    return InvariantGens(group, gens, degrees, bound, stop, hsop)
+
+
+def _graded_generators(
+    group: MatGroup, inv: InvariantGens | None, series: MolienSeries, basis, bound: int,
+    explicit: bool, nouns: tuple[str, str],
+) -> tuple[list, list[int], int, str, tuple[int, ...] | None]:
+    """The one degree loop: generators of a graded module of rank r over the
+    ring Q[p] of some invariants p, up to a degree bound.
+
+    With inv None the module is the invariant ring itself, of rank 1 and
+    generated by 1, and each new element joins the ring: its generators and
+    its ProductTable.  Otherwise the ring is inv's, r = n, and each new
+    element joins the module generators W_j.  At each degree d, basis(d)
+    gives the fixed space, each element with its r components; the span of
+    the products p^a W_j (_module_products) is completed from it, and both
+    dimensions are checked against the Molien series, nouns naming them in
+    the error: a mismatch can only mean a bug.  Unless the bound is explicit, find_hsop runs whenever the
+    ring has grown since its last search (for inv's ring, once, without the
+    rank test of inv.hsop), and an hsop lowers the bound to max(d, deg N).
+    Returns the new elements, their degrees, the bound, the stop rule and
+    the hsop.
+    """
+    n = group.n
+    new: list = []
+    new_degrees: list[int] = []
+    if inv is None:  # the new elements are the ring's generators
+        gens, degrees, table, rank, certified = new, new_degrees, ProductTable(n), 1, None
+        ws, w_degrees = [[MultiPoly.constant(n, 1)]], [0]
+    else:  # the new elements are the module's generators
+        gens, degrees, table, rank, certified = inv.gens, inv.degrees, inv._table, n, inv.hsop
+        ws, w_degrees = [], new_degrees
+    stop, hsop = ("explicit" if explicit else "noether"), None
+    searched = 0
+    d = max(w_degrees, default=-1)  # the last degree spanned: 0 by the generator 1
+    while True:
+        if not explicit and len(gens) > searched and d < bound:
+            found = find_hsop(group, gens, degrees, series, rank, bound, searched, certified)
+            searched = len(gens)
             if found is not None:
-                # every new subset holds a degree-d generator, so max d_i == d
                 hsop, deg_n = found
                 bound, stop = max(d, deg_n), "hsop"
-    return InvariantGens(group, gens, degrees, bound, stop, hsop)
+        if d >= bound:  # checked after the search, which may have lowered the bound to d
+            return new, new_degrees, bound, stop, hsop
+        d += 1
+        elements = basis(d)
+        expected = series.coefficient(d)
+        if len(elements) != expected:
+            raise DimensionMismatchWithMolien(
+                f"degree {d}: {nouns[0]} dimension {len(elements)}, Molien says {expected}")
+        monos = table.monomials(d)
+        span = Echelon()
+        for col in _module_products(table, degrees, ws, w_degrees, d)[1]:
+            span.add(col)
+        for element, comps in elements:
+            if span.add(_vector(comps, monos)):
+                new.append(element)
+                new_degrees.append(d)
+                if inv is None:
+                    table.append(element)
+                else:
+                    ws.append(comps)
+        if span.rank != expected:
+            raise DimensionMismatchWithMolien(
+                f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")
 
 
 def find_hsop(
@@ -308,12 +326,10 @@ def _ideal_spans_degree(thetas: Sequence[MultiPoly], degree: int) -> bool:
 def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
     """Write an invariant polynomial as a polynomial in the generators.
 
-    Returns f in k variables with f(p_1(x), ..., p_k(x)) == q(x) exactly.
-    Solved degree by degree against the columns of the product table; when
-    relations make the system underdetermined, the free P-monomial
-    coordinates (descending graded-lex order) are set to zero.  Raises
-    NotInvariant if q is not invariant, NoSolution if the generators cannot
-    reach q (which means they are incomplete).
+    Returns f in k variables with f(p_1(x), ..., p_k(x)) == q(x) exactly
+    (_express_over, the ring as a module over itself).  Raises NotInvariant
+    if q is not invariant, NoSolution if the generators cannot reach q
+    (which means they are incomplete).
     """
     chk = is_invariant(inv.group, q, PHI_DAGGER)
     if not chk:
@@ -322,55 +338,95 @@ def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
 
 
 def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]:
-    """express for each polynomial, each already known invariant.  Each
-    degree's product matrix is built and eliminated once, with the
-    components of every polynomial at that degree as its right-hand sides;
-    the first failing polynomial, then degree, raises as if they were
-    solved one at a time."""
-    parts = [q.homogeneous_components() for q in qs]
-    by_degree: dict[int, list[int]] = {}
-    for i, comps in enumerate(parts):
-        for d in comps:
-            by_degree.setdefault(d, []).append(i)
-    sols: dict[tuple[int, int], list[Fraction] | None] = {}
-    for d, owners in by_degree.items():
-        candidates = weighted_monomials(inv.degrees, d)
-        if not candidates:
-            continue
-        rows, dens = _product_rows(inv._table, candidates)
-        monos = inv._table.monomials(d)
-        solved = solve_free_zero(rows, [poly_to_vector(parts[i][d], monos) for i in owners])
-        for i, sol in zip(owners, solved):
-            sols[i, d] = None if sol is None else list(zip(candidates, _unscale(sol, dens)))
+    """express for each polynomial, each already known invariant."""
+    unit = [[MultiPoly.constant(inv.group.n, 1)]]
+    fs = _express_over(inv._table, inv.degrees, unit, [0], [[q] for q in qs], "generator")
+    return [f for f, in fs]
+
+
+def _express_over(
+    table: ProductTable, ring_degrees: Sequence[int], ws, w_degrees: Sequence[int], targets, noun: str
+) -> list[list[MultiPoly]]:
+    """For each target (r components), the P-polynomials f_j with
+    sum_j f_j(p) W_j equal to it, one per module generator.
+
+    Each degree's columns (_module_products) are eliminated once, with the
+    components of every target at that degree as right-hand sides; free
+    coordinates are set to zero.  The first failing target, then degree,
+    raises as if they were solved one at a time.
+    """
+    parts = [[c.homogeneous_components() for c in comps] for comps in targets]
+    target_degrees = [sorted(set().union(*hcs)) for hcs in parts]
+    owners: dict[int, list[int]] = {}
+    for i, ds in enumerate(target_degrees):
+        for d in ds:
+            owners.setdefault(d, []).append(i)
+    zero = MultiPoly.zero(table.n)
+    sols: dict[tuple[int, int], list | None] = {}
+    for d, idx in owners.items():
+        labels, cols, dens = _module_products(table, ring_degrees, ws, w_degrees, d)
+        if cols:
+            rhss = [_vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d)) for i in idx]
+            for i, sol in zip(idx, solve_free_zero(list(zip(*cols)), rhss)):
+                sols[i, d] = None if sol is None else list(zip(labels, _unscale(sol, dens)))
     out = []
-    for i, comps in enumerate(parts):
-        terms: dict[Exponents, Fraction] = {}  # the degrees have disjoint supports
-        for d in comps:
+    for i, ds in enumerate(target_degrees):
+        coeffs: list[dict[Exponents, Fraction]] = [{} for _ in ws]
+        for d in ds:  # the degrees have disjoint supports
             if (i, d) not in sols:
-                raise NoSolution(f"no generator products exist at degree {d}")
+                raise NoSolution(f"no {noun} products exist at degree {d}")
             if sols[i, d] is None:
-                raise NoSolution(f"degree-{d} component is outside the generator span")
-            terms.update((a, c) for a, c in sols[i, d] if c)
-        out.append(MultiPoly._of(inv.k, terms))
+                raise NoSolution(f"degree-{d} component is outside the {noun} span")
+            for (j, a), c in sols[i, d]:
+                if c:
+                    coeffs[j][a] = c
+        out.append([MultiPoly._of(len(ring_degrees), t) for t in coeffs])
     return out
 
 
-def _product_rows(
-    table: ProductTable, candidates: Sequence[Exponents]
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The integer rows of the matrix whose column j is den_j times the
-    column of p^a, a = candidates[j], and the factors den_j.
+def _module_products(
+    table: ProductTable, ring_degrees: Sequence[int], ws, w_degrees: Sequence[int], d: int
+) -> tuple[list[tuple[int, Exponents]], list[list[int]], list[int]]:
+    """Labels (j, a), integer columns and denominators of the degree-d
+    products p^a W_j (p the table's generators, of degrees ring_degrees; W_j
+    the module generators, r components each), by j, then descending
+    graded-lex on a.  Component i fills the rows alpha * r + i, alpha over
+    table.monomials(d), over the lcm of the components' denominators; for
+    the generator 1 of the ring itself the column is the table's own.
 
     Scaling a column leaves its pivot status alone, so a solution y of the
     integer system gives the solution x_j = den_j * y_j of the rational one,
     with the same free coordinates at zero, and kernels map the same way.
     """
-    cols = [table.column(a) for a in candidates]
-    return list(zip(*(nums for nums, _ in cols))), [den for _, den in cols]
+    one = MultiPoly.constant(table.n, 1)
+    labels, cols, dens = [], [], []
+    for j, (w, m_w) in enumerate(zip(ws, w_degrees)):
+        r, unit = len(w), list(w) == [one]
+        for a in weighted_monomials(ring_degrees, d - m_w):
+            if unit:
+                col, den = table.column(a)
+            else:
+                parts = [(i, *table.times(a, c)) for i, c in enumerate(w) if not c.is_zero]
+                den = lcm(*(e for _, _, e in parts))
+                col = [0] * (r * len(table.monomials(d)))
+                for i, nums, e in parts:
+                    col[i::r] = [x * (den // e) for x in nums]
+            labels.append((j, a))
+            cols.append(col)
+            dens.append(den)
+    return labels, cols, dens
+
+
+def _vector(comps: Sequence[MultiPoly], monos: Sequence[Exponents]) -> list[Fraction]:
+    """The components' coefficients over monos in the rows of _module_products."""
+    vec = [Fraction(0)] * (len(comps) * len(monos))
+    for i, c in enumerate(comps):
+        vec[i::len(comps)] = poly_to_vector(c, monos)
+    return vec
 
 
 def _unscale(y: Sequence[Fraction], dens: Sequence[int]) -> list[Fraction]:
-    """x_j = den_j * y_j: a solution of the integer system of _product_rows
+    """x_j = den_j * y_j: a solution of an integer system of _module_products
     read back as a solution of the rational one."""
     return [c * den if den != 1 else c for c, den in zip(y, dens)]
 
@@ -421,14 +477,15 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
             f"weighted degree bound {weighted_degree_bound} is below twice the minimal "
             f"generator degree {min(inv.degrees)}"
         )
+    unit = [[MultiPoly.constant(inv.group.n, 1)]]
     rels: list[MultiPoly] = []
     rel_degrees: list[int] = []
     for d in range(1, weighted_degree_bound + 1):
-        candidates = weighted_monomials(inv.degrees, d)
-        if len(candidates) < 2:
+        labels, cols, dens = _module_products(inv._table, inv.degrees, unit, [0], d)
+        if len(cols) < 2:
             continue
-        rows, dens = _product_rows(inv._table, candidates)
-        kernel = [_unscale(y, dens) for y in kernel_basis(rows, len(candidates))]
+        candidates = [a for _, a in labels]
+        kernel = [_unscale(y, dens) for y in kernel_basis(list(zip(*cols)), len(cols))]
         if not kernel:
             continue
         cand_index = {a: i for i, a in enumerate(candidates)}

@@ -69,6 +69,21 @@ def monomial(exps, c=1) -> MultiPoly:
     return MultiPoly(len(exps), {tuple(exps): c})
 
 
+def power_product(polys, exps) -> MultiPoly:
+    """The product prod_i polys[i] ** exps[i], multiplied out: the oracle
+    for the columns of poly.ProductTable."""
+    acc = MultiPoly.constant(polys[0].nvars, 1)
+    for p, e in zip(polys, exps):
+        if e:
+            acc = acc * p**e
+    return acc
+
+
+def field_to_vector(field: PolyVectorField, basis) -> list[Fraction]:
+    """The coefficients of a field's pairing over xi-linear monomials."""
+    return poly_to_vector(pairing(field), basis)
+
+
 def poly_action_matrix(group: MatGroup, g: int, degree: int) -> list[list[Fraction]]:
     """Matrix of the polynomial action of element g on the degree-d monomials."""
     basis = monomials_of_degree(group.n, degree)

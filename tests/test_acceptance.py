@@ -36,11 +36,11 @@ from equivar import (
     variables,
 )
 from equivar.cli import main as cli_main
-from equivar.equivariants import field_to_vector, xilinear_monomials
+from equivar.equivariants import xilinear_monomials
 from equivar.linalg import Echelon
 from equivar import serialize as sz
 
-from conftest import random_field, random_poly
+from conftest import field_to_vector, random_field, random_poly
 from test_equivariants import direct_theta_basis
 
 

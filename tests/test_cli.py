@@ -217,6 +217,25 @@ def test_check_invariance(files, capsys):
     assert json.loads(err)["error"] == "NotInvariant"
 
 
+@pytest.mark.parametrize("action, kind", [
+    ("theta", "--poly"), ("phi_dagger", "--field"), ("psi", "--field"),
+])
+def test_check_invariance_action_object_mismatch_exit_2(files, capsys, action, kind):
+    # theta acts on fields, phi_dagger and psi on polynomials: any other
+    # pairing is a usage error, not a traceback
+    _, write = files
+    group = write("c4.json", C4_DOC)
+    obj = {"--poly": {"nvars": 2, "terms": [{"c": "1", "e": [2, 0]}, {"c": "1", "e": [0, 2]}]},
+           "--field": {"n": 2, "comps": [{"nvars": 2, "terms": [{"c": "1", "e": [1, 0]}]},
+                                         {"nvars": 2, "terms": [{"c": "1", "e": [0, 1]}]}]}}[kind]
+    path = write("obj.json", obj)
+    code, out, err = run(["check-invariance", "--group", group, kind, path, "--action", action], capsys)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError"
+    assert doc["message"] == f"--action {action} needs --{'poly' if kind == '--field' else 'field'}"
+
+
 def test_integrate_check(files, capsys):
     _, write = files
     group = write("z2.json", Z2_DOC)

@@ -25,18 +25,18 @@ from equivar import (
     is_invariant,
     molien_equivariant,
     pairing,
-    power_product,
     reynolds,
     unpairing,
     variables,
     weighted_monomials,
 )
 from equivar import equivariants
-from equivar.equivariants import _module_products, field_to_vector, xilinear_monomials
+from equivar.equivariants import xilinear_monomials
+from equivar.invariants import _module_products
 from equivar.linalg import Echelon
 from equivar.poly import monomials_of_degree, poly_to_vector
 
-from conftest import monomial, random_field
+from conftest import field_to_vector, monomial, power_product, random_field
 
 
 def direct_theta_basis(group, m):
@@ -222,7 +222,7 @@ def test_module_products_match_power_product(inputs):
     gens, fields, field_degrees, m = inputs
     n = gens[0].nvars
     inv = InvariantGens(close_group([RatMatrix.identity(n)]), gens, [p.total_degree() for p in gens])
-    labels, cols, dens = _module_products(inv, fields, field_degrees, m)
+    labels, cols, dens = _module_products(inv._table, inv.degrees, [f.comps for f in fields], field_degrees, m)
     assert labels == [
         (j, a) for j, m_w in enumerate(field_degrees) for a in weighted_monomials(inv.degrees, m - m_w)
     ]

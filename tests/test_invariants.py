@@ -21,7 +21,6 @@ from equivar import (
     invariant_ring_generators,
     is_invariant,
     molien,
-    power_product,
     relations,
     variables,
     weighted_monomials,
@@ -31,7 +30,7 @@ from equivar.poly import ProductTable
 from equivar.linalg import Echelon
 from equivar.poly import monomials_of_degree, poly_to_vector
 
-from conftest import fixed_space_dim, random_poly
+from conftest import fixed_space_dim, power_product, random_poly
 
 P1 = ["P1"]
 P2 = ["P1", "P2"]
