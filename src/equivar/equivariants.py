@@ -97,18 +97,14 @@ def equivariant_module_generators(
 ) -> EquivariantGens:
     """Generators of the equivariant fields as a module over the invariants.
 
-    The rank-n case of invariants._graded_generators, over the ring inv
-    generates: at each degree m the products p^a W (p^a a product of inv's
-    generators, W a generator found below m) are completed to the full
-    equivariant space, so every field up to the bound is reached over that
-    ring.  With no bound given, the loop runs to deg N_eq, N_eq(t) = M_eq(t)
-    * prod (1 - t^d_i), for the first hsop theta among inv's generators that
+    The rank-n case of invariants._graded_generators over the ring inv
+    generates, so every field up to the bound is reached over that ring.
+    With no bound given, the loop runs to deg N_eq, N_eq(t) = M_eq(t) *
+    prod (1 - t^d_i), for the first hsop theta among inv's generators that
     beats |G| - 1: the fields are free over Q[theta] with basis degrees
-    counted by N_eq, so they are generated over the larger ring inv
-    generates in those degrees too.  Without such an hsop the bound is
-    |G| - 1: a xi-linear generator of the phase invariants has total degree
-    at most |G| by Noether's bound, so the corresponding field degree is at
-    most |G| - 1.
+    counted by N_eq.  Without one the bound is |G| - 1: a xi-linear
+    generator of the phase invariants has total degree at most |G| by
+    Noether's bound.
     """
     if inv.group is not group and inv.group.elements != group.elements:
         raise ValueError("invariant generators were computed for a different group")

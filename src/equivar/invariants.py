@@ -182,18 +182,16 @@ def _graded_generators(
     """The one degree loop: generators of a graded module of rank r over the
     ring Q[p] of some invariants p, up to a degree bound.
 
-    With inv None the module is the invariant ring itself, of rank 1 and
-    generated by 1, and each new element joins the ring: its generators and
-    its ProductTable.  Otherwise the ring is inv's, r = n, and each new
-    element joins the module generators W_j.  At each degree d, basis(d)
-    gives the fixed space, each element with its r components; the span of
-    the products p^a W_j (_module_products) is completed from it, and both
-    dimensions are checked against the Molien series, nouns naming them in
-    the error: a mismatch can only mean a bug.  Unless the bound is explicit, find_hsop runs whenever the
-    ring has grown since its last search (for inv's ring, once, without the
-    rank test of inv.hsop), and an hsop lowers the bound to max(d, deg N).
-    Returns the new elements, their degrees, the bound, the stop rule and
-    the hsop.
+    With inv None the module is the invariant ring, of rank 1 and generated
+    by 1, and new elements join the ring and its ProductTable; otherwise the
+    ring is inv's, r = n, and new elements join the module.  At each degree
+    d, basis(d) gives the fixed space, each element with its r components,
+    and completes the span of the products p^a W_j; both dimensions must
+    equal the Molien coefficient (nouns name them in the error).  Unless the
+    bound is explicit, find_hsop runs whenever the ring has grown since its
+    last search (it skips the rank test of inv.hsop), and an hsop lowers the
+    bound to max(d, deg N).  Returns the new elements, their degrees, the
+    bound, the stop rule and the hsop.
     """
     n = group.n
     new: list = []
@@ -357,13 +355,10 @@ def _express_over(
     """
     parts = [[c.homogeneous_components() for c in comps] for comps in targets]
     target_degrees = [sorted(set().union(*hcs)) for hcs in parts]
-    owners: dict[int, list[int]] = {}
-    for i, ds in enumerate(target_degrees):
-        for d in ds:
-            owners.setdefault(d, []).append(i)
     zero = MultiPoly.zero(table.n)
     sols: dict[tuple[int, int], list | None] = {}
-    for d, idx in owners.items():
+    for d in set().union(*target_degrees):
+        idx = [i for i, ds in enumerate(target_degrees) if d in ds]
         labels, cols, dens = _module_products(table, ring_degrees, ws, w_degrees, d)
         if cols:
             rhss = [_vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d)) for i in idx]
