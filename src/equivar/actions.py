@@ -394,10 +394,14 @@ def is_invariant(group: MatGroup, obj, action: str | None = None) -> InvarianceC
 
     Generator invariance suffices for full invariance because each action is
     a group homomorphism, and it costs O(#generators) instead of O(|G|).
-    Each image g . obj is read off the generator's table (_table).
+    Each image g . obj is read off the generator's table (_table).  Raises
+    DimensionMismatch when the action does not act on obj's type: theta acts
+    on vector fields, phi_dagger and psi on polynomials.
     """
     if action is None:
         action = infer_action(group, obj)
+    if not isinstance(obj, PolyVectorField if action == THETA else MultiPoly):
+        raise DimensionMismatch(f"action {action} does not act on a {type(obj).__name__}")
     for g in group.gen_indices:
         if action == THETA:  # the pushforward g (V o g^-1) is (g V) o g^-1
             table = _table(group, PHI_DAGGER, g)

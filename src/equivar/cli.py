@@ -15,6 +15,7 @@ group-closure cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -210,7 +211,11 @@ def _cmd_integrate_check(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every main call:
+    its defaults are immutable, parse_args returns a fresh Namespace, and
+    the _cmd_* functions read the module globals when called."""
     parser = argparse.ArgumentParser(
         prog="equivar",
         description="Invariant rings, equivariant vector fields, and orbit-space reduction "
@@ -272,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotInvariant as exc:

@@ -169,35 +169,40 @@ def invariant_ring_generators(
     bound = group.order if degree_bound is None else degree_bound
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
+    table = ProductTable(group.n)
     gens, degrees, bound, stop, hsop = _graded_generators(
         group, None, molien(group), lambda d: [(b, [b]) for b in invariant_basis(group, d)],
-        bound, degree_bound is not None, ("fixed space has", "generator products span"))
-    return InvariantGens(group, gens, degrees, bound, stop, hsop)
+        bound, degree_bound is not None, ("fixed space has", "generator products span"), table)
+    inv = InvariantGens(group, gens, degrees, bound, stop, hsop)
+    if table._gens != inv._table._gens:
+        raise RuntimeError("internal: the loop's product table is not over the generators in order")
+    object.__setattr__(inv, "_table", table)  # with the columns the loop memoised
+    return inv
 
 
 def _graded_generators(
     group: MatGroup, inv: InvariantGens | None, series: MolienSeries, basis, bound: int,
-    explicit: bool, nouns: tuple[str, str],
+    explicit: bool, nouns: tuple[str, str], ring_table: ProductTable | None = None,
 ) -> tuple[list, list[int], int, str, tuple[int, ...] | None]:
     """The one degree loop: generators of a graded module of rank r over the
     ring Q[p] of some invariants p, up to a degree bound.
 
     With inv None the module is the invariant ring, of rank 1 and generated
-    by 1, and new elements join the ring and its ProductTable; otherwise the
-    ring is inv's, r = n, and new elements join the module.  At each degree
-    d, basis(d) gives the fixed space, each element with its r components,
-    and completes the span of the products p^a W_j; both dimensions must
-    equal the Molien coefficient (nouns name them in the error).  Unless the
-    bound is explicit, find_hsop runs whenever the ring has grown since its
-    last search (it skips the rank test of inv.hsop), and an hsop lowers the
-    bound to max(d, deg N).  Returns the new elements, their degrees, the
-    bound, the stop rule and the hsop.
+    by 1, and new elements join the ring and ring_table, which starts empty;
+    otherwise the ring is inv's, r = n, and new elements join the module.  At
+    each degree d, basis(d) gives the fixed space, each element with its r
+    components, and completes the span of the products p^a W_j; both
+    dimensions must equal the Molien coefficient (nouns name them in the
+    error).  Unless the bound is explicit, find_hsop runs whenever the ring
+    has grown since its last search (it skips the rank test of inv.hsop), and
+    an hsop lowers the bound to max(d, deg N).  Returns the new elements,
+    their degrees, the bound, the stop rule and the hsop.
     """
     n = group.n
     new: list = []
     new_degrees: list[int] = []
     if inv is None:  # the new elements are the ring's generators
-        gens, degrees, table, rank, certified = new, new_degrees, ProductTable(n), 1, None
+        gens, degrees, table, rank, certified = new, new_degrees, ring_table, 1, None
         ws, w_degrees = [[MultiPoly.constant(n, 1)]], [0]
     else:  # the new elements are the module's generators
         gens, degrees, table, rank, certified = inv.gens, inv.degrees, inv._table, n, inv.hsop

@@ -18,14 +18,18 @@ Its trace, the equivariant weight, is minus the t coefficient.
 
 Univariate polynomials are plain coefficient lists, lowest degree first.
 For g of finite order every det(I - t g) has integer coefficients, so the
-sums over the group run on Python ints and divide by |G| only when they are
-handed to MolienSeries, whose reduced numerator and denominator are Fraction
-lists.
+sums over the group run on Python ints, and |G| joins the denominator.  The
+reduction runs in integers too: MolienSeries clears the denominators of its
+input once, cancels the gcd of numerator and denominator by primitive
+remainders, and makes Fractions only for its reduced, normalized numerator
+and denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 from operator import mul
 from typing import Sequence
 
@@ -55,33 +59,54 @@ def _umul(a: UPoly, b: UPoly) -> UPoly:
     return _utrim(out)
 
 
-def _uscale(a: UPoly, c: Fraction) -> UPoly:
-    return _utrim([x * c for x in a])
+def _primitive(a: list[int]) -> list[int]:
+    """a over the gcd of its coefficients, with a positive leading one."""
+    content = gcd(*a)
+    if a and a[-1] < 0:
+        content = -content
+    return [x // content for x in a] if content not in (0, 1) else a
 
 
-def _udivmod(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly]:
-    if not b:
-        raise ZeroDivisionError("univariate division by zero polynomial")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(rem) >= len(b) and _utrim(rem):
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead
-        quot[shift] = factor
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of a by b over Q: each
+    step scales the remainder by lead(b) before it cancels the top term."""
+    rem, lead = list(a), b[-1]
+    while len(rem) >= len(b):
+        top, shift = rem[-1], len(rem) - len(b)
+        rem = [lead * x for x in rem]
         for i, cb in enumerate(b):
-            rem[shift + i] -= factor * cb
+            rem[shift + i] -= top * cb
         _utrim(rem)
-    return _utrim(quot), rem
+    return rem
 
 
-def _ugcd(a: UPoly, b: UPoly) -> UPoly:
-    a, b = list(a), list(b)
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two nonzero integer polynomials, by primitive
+    remainders: every gcd over Q is a rational multiple of it."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        a, b = b, _udivmod(a, b)[1]
-    if a:
-        a = _uscale(a, 1 / a[-1])  # monic
+        a, b = b, _primitive(_prem(a, b))
     return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials with b primitive, when b divides a over
+    Q: by Gauss's lemma the quotient is integral, so each step divides
+    exactly.  When b does not divide a, the result times b is not a."""
+    rem, lead = list(a), b[-1]
+    quot = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        q = quot[shift] = rem[shift + len(b) - 1] // lead
+        if q:
+            for i, cb in enumerate(b):
+                rem[shift + i] -= q * cb
+    return quot
+
+
+def _integer_form(p: Sequence[Rational]) -> tuple[list[int], int]:
+    """(numerators, D) with p = numerators / D, D the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in p))
+    return _utrim([x.numerator * (den // x.denominator) for x in p]), den
 
 
 def det_one_minus_t(m: RatMatrix) -> UPoly:
@@ -112,23 +137,22 @@ class MolienSeries:
 
     __slots__ = ("numer", "denom", "_coeffs")
 
-    def __init__(self, numer: Sequence[Fraction], denom: Sequence[Fraction]) -> None:
-        num = _utrim([Fraction(x) for x in numer])
-        den = _utrim([Fraction(x) for x in denom])
+    def __init__(self, numer: Sequence[Rational], denom: Sequence[Rational]) -> None:
+        num, num_scale = _integer_form(numer)
+        den, den_scale = _integer_form(denom)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = _ugcd(num, den) if num else []
-        if g and len(g) > 1:
-            num = _udivmod(num, g)[0]
-            den = _udivmod(den, g)[0]
+        if num:
+            g = _primitive_gcd(num, den)
+            if len(g) > 1:
+                num, den = _exact_quotient(num, g), _exact_quotient(den, g)
         if den[0] == 0:
             raise ValueError("denominator vanishes at t=0; series expansion undefined")
-        # normalize the constant term of the denominator to one
-        scale = 1 / den[0]
-        num = _uscale(num, scale)
-        den = _uscale(den, scale)
-        object.__setattr__(self, "numer", tuple(num))
-        object.__setattr__(self, "denom", tuple(den))
+        # (num / num_scale) / (den / den_scale), with the constant term of the
+        # denominator normalized to one
+        scale = num_scale * den[0]
+        object.__setattr__(self, "numer", tuple(Fraction(x * den_scale, scale) for x in num))
+        object.__setattr__(self, "denom", tuple(Fraction(x, den[0]) for x in den))
         object.__setattr__(self, "_coeffs", [])
 
     def __setattr__(self, name, value):
@@ -167,11 +191,17 @@ class MolienSeries:
         parameters, N counts the degrees of a free basis over the ring they
         generate.
         """
-        num = list(self.numer)
+        num, num_scale = _integer_form(self.numer)
         for d in degrees:
-            num = _umul(num, [Fraction(1)] + [Fraction(0)] * (d - 1) + [Fraction(-1)])
-        quot, rem = _udivmod(num, list(self.denom))
-        return None if rem else quot
+            num = _umul(num, [1] + [0] * (d - 1) + [-1])
+        den, den_scale = _integer_form(self.denom)
+        prim = _primitive(den)
+        quot = _exact_quotient(num, prim)
+        if _umul(quot, prim) != num:
+            return None
+        # num / num_scale over den / den_scale, with den = prim * content
+        scale = num_scale * (den[-1] // prim[-1])
+        return [Fraction(x * den_scale, scale) for x in quot]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MolienSeries):
@@ -222,7 +252,8 @@ def _averaged_series(group: MatGroup, equivariant: bool) -> MolienSeries:
     The sum has one term per distinct det(I - t g), which is det(I - t g^-1)
     (see above), weighted by the number of elements that share it; the
     reduced, normalized fraction is the same as the sum over every element.
-    Numerator and denominator are cross-multiplied in integers.
+    Numerator and denominator are cross-multiplied in integers, and |G|
+    joins the denominator.
     """
     num: list[int] = []
     den = [1]
@@ -237,7 +268,7 @@ def _averaged_series(group: MatGroup, equivariant: bool) -> MolienSeries:
             num[i] += weight * x
         _utrim(num)
         den = _umul(den, d_g)
-    return MolienSeries([Fraction(x, group.order) for x in num], den)
+    return MolienSeries(num, [group.order * x for x in den])
 
 
 def _series(group: MatGroup, equivariant: bool) -> MolienSeries:

@@ -10,6 +10,7 @@ from equivar import (
     PHI_DAGGER,
     PSI,
     THETA,
+    DimensionMismatch,
     MultiPoly,
     NotXiLinear,
     PolyVectorField,
@@ -25,6 +26,8 @@ from equivar import (
     unpairing,
     variables,
 )
+
+from equivar.poly import ProductTable
 
 from conftest import BASE_GROUPS, MIXED_GROUPS, random_field, random_poly
 
@@ -184,6 +187,18 @@ def test_is_invariant_examples(z2_line, swap2):
 
     x1, x2 = variables(2)
     assert is_invariant(swap2, PolyVectorField([x2, x1]), THETA)
+
+
+@pytest.mark.parametrize("action, kind", [
+    (THETA, "MultiPoly"), (PSI, "PolyVectorField"), (PHI_DAGGER, "PolyVectorField"),
+])
+def test_is_invariant_action_object_mismatch(c4, action, kind):
+    x1, x2 = variables(2)
+    obj = x1**2 + x2**2 if kind == "MultiPoly" else PolyVectorField([x1, x2])
+    # raised before any image is computed
+    with mock.patch.object(ProductTable, "substitute", side_effect=AssertionError("substituted")), \
+            pytest.raises(DimensionMismatch, match=f"action {action} does not act on a {kind}"):
+        is_invariant(c4, obj, action)
 
 
 ACT = {PHI_DAGGER: act_phi_dagger, THETA: act_theta, PSI: act_psi}

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from equivar.cli import main
+from equivar.cli import build_parser, main
 from equivar import serialize as sz
 
 # the package's `molien` attribute is the function of that name
@@ -500,3 +500,54 @@ def test_bad_bound_exit_2(files, capsys):
     code, _, err = run(["invariants", "--group", group, "--bound", "0"], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "ValueError"
+
+
+# -- one parser per process -----------------------------------------------------
+
+HELP_DIR = os.path.join(os.path.dirname(__file__), "golden", "help")
+COMMANDS = ["invariants", "equivariants", "molien", "express", "relations", "reduce",
+            "check-invariance", "check-related", "integrate-check"]
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_forgets_options(files, capsys):
+    _, write = files
+    argv = ["integrate-check", "--group", write("z2.json", Z2_DOC),
+            "--field", write("x.json", CUBIC_FIELD_DOC), "--x0", "1/2"]
+    code, out, _ = run(argv + ["--tol", "1e-3"], capsys)
+    assert code == 0 and json.loads(out)["tol"] == 1e-3
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["tol"] == 1e-6
+    group = write("c4.json", C4_DOC)
+    code, out, _ = run(["invariants", "--group", group, "--bound", "3"], capsys)
+    assert code == 0 and (json.loads(out)["bound"], json.loads(out)["stop"]) == (3, "explicit")
+    code, out, _ = run(["invariants", "--group", group], capsys)
+    assert code == 0 and (json.loads(out)["bound"], json.loads(out)["stop"]) == (4, "noether")
+
+
+def test_usage_error_then_valid_command(files, capsys):
+    _, write = files
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --group" in capsys.readouterr().err
+    code, out, _ = run(["invariants", "--group", write("z2.json", Z2_DOC)], capsys)
+    assert code == 0 and json.loads(out)["degrees"] == [2]
+
+
+@pytest.mark.parametrize("command", [None] + COMMANDS)
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    # the expected texts were printed by Python 3.11 at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    with open(os.path.join(HELP_DIR, f"{command or 'equivar'}.txt"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_every_command_has_pinned_help():
+    assert sorted(os.listdir(HELP_DIR)) == sorted(f"{c}.txt" for c in ["equivar"] + COMMANDS)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -356,3 +357,29 @@ def test_folded_span_check_raises(c4, monkeypatch):
     assert len(invariant_basis(c4, 6)) == molien(c4).coefficient(6)
     with pytest.raises(DimensionMismatchWithMolien, match="^degree 6: generator products span"):
         invariant_ring_generators(c4, degree_bound=6)
+
+
+def test_loop_table_survives_handover(c4):
+    inv = invariant_ring_generators(c4)
+    fresh = InvariantGens(c4, inv.gens, inv.degrees)
+    memo = dict(inv._table._cols)
+    assert len(memo) > 1 and len(fresh._table._cols) == 1
+    for a, col in memo.items():
+        assert fresh._table.column(a) == col
+    rng = random.Random(5)
+    for _ in range(5):
+        f = random_poly(rng, inv.k, 3)
+        assert inv.substitute(f) == fresh.substitute(f)
+    assert relations(inv, 8).rels == relations(fresh, 8).rels
+
+
+def test_loop_table_out_of_generator_order_is_an_internal_error(c4):
+    real = invariants._graded_generators
+
+    def reordered(*args):
+        gens, degrees, *rest = real(*args)
+        return gens[::-1], degrees[::-1], *rest
+
+    with mock.patch.object(invariants, "_graded_generators", side_effect=reordered), \
+            pytest.raises(RuntimeError, match="not over the generators in order"):
+        invariant_ring_generators(c4)

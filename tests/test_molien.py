@@ -1,6 +1,9 @@
 """Dimension series against hand-computed values and a rank oracle."""
 
+import importlib
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +17,15 @@ from equivar import (
     molien,
     molien_equivariant,
 )
+from equivar import serialize as sz
 from equivar.molien import MolienSeries, det_one_minus_t
 
-from conftest import field_action_matrix, fixed_space_dim
+from conftest import MIXED_GROUPS, field_action_matrix, fixed_space_dim, mixed_group
+
+# the package's `molien` attribute is the function of that name
+molien_module = importlib.import_module("equivar.molien")
+
+GROUPS_DIR = os.path.join(os.path.dirname(__file__), "golden", "groups")
 
 
 def F(n, d=1):
@@ -191,3 +200,146 @@ def _equivariant_dim(group, d):
             stacked.append([c - Fraction(int(i == j)) for j, c in enumerate(row)])
     rows, _ = rref(stacked)
     return len(basis) - len(rows)
+
+
+# -- the integer reduction against the Fraction Euclid it replaced --------------
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _udivmod(a, b):
+    """Quotient and remainder over Q, by long division on Fraction lists."""
+    rem = list(a)
+    quot = [F(0)] * max(0, len(a) - len(b) + 1)
+    while len(rem) >= len(b) and _trim(rem):
+        shift = len(rem) - len(b)
+        factor = rem[-1] / b[-1]
+        quot[shift] = factor
+        for i, cb in enumerate(b):
+            rem[shift + i] -= factor * cb
+        _trim(rem)
+    return _trim(quot), rem
+
+
+def _ugcd(a, b):
+    """The monic gcd over Q, by Euclid on Fraction coefficient lists."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _udivmod(a, b)[1]
+    return [x / a[-1] for x in a] if a else a
+
+
+def _fraction_reduction(numer, denom):
+    """(numer, denom) as MolienSeries reduced them in Fraction arithmetic:
+    cancel the monic gcd, then scale the denominator's constant term to 1."""
+    num = _trim([F(x) for x in numer])
+    den = _trim([F(x) for x in denom])
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    g = _ugcd(num, den) if num else []
+    if len(g) > 1:
+        num = _udivmod(num, g)[0]
+        den = _udivmod(den, g)[0]
+    if den[0] == 0:
+        raise ValueError("denominator vanishes at t=0")
+    return tuple(_trim([x / den[0] for x in num])), tuple(_trim([x / den[0] for x in den]))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_matches_fraction_reduction(numer, denom):
+    def built():
+        s = MolienSeries(numer, denom)
+        return s.numer, s.denom
+
+    assert _outcome(built) == _outcome(lambda: _fraction_reduction(numer, denom))
+
+
+def _handed_over(group, equivariant):
+    """The series of the group and the unreduced (numer, denom) it was built from."""
+    calls = []
+    real = molien_module.MolienSeries
+
+    def record(numer, denom):
+        calls.append((numer, denom))
+        return real(numer, denom)
+
+    with mock.patch.object(molien_module, "MolienSeries", side_effect=record):
+        series = molien_module._averaged_series(group, equivariant)
+    (numer, denom), = calls
+    return series, numer, denom
+
+
+SERIES_GROUPS = [f"file:{name[:-5]}" for name in sorted(os.listdir(GROUPS_DIR))] + [
+    f"mixed:{name}" for name in sorted(MIXED_GROUPS)
+]
+
+
+@pytest.mark.parametrize("source", SERIES_GROUPS)
+def test_group_series_match_fraction_reduction(source):
+    kind, name = source.split(":")
+    if kind == "file":
+        group = sz.group_from_doc(sz.load_json(os.path.join(GROUPS_DIR, name + ".json")))
+    else:
+        group = mixed_group(name)
+    for equivariant in (False, True):
+        series, numer, denom = _handed_over(group, equivariant)
+        assert all(type(x) is int for x in list(numer) + list(denom))
+        assert (series.numer, series.denom) == _fraction_reduction(numer, denom)
+        assert all(type(x) is Fraction for x in series.numer + series.denom)
+        assert series.denom[0] == 1
+        for degrees in ([1], [2, 2], [2, 4], [2, 4, 6], [3, 4, 6], [2, 6, 8, 12]):
+            assert series.hsop_numerator(degrees) == _fraction_hsop_numerator(series, degrees)
+
+
+def _fraction_hsop_numerator(series, degrees):
+    """hsop_numerator by long division in Fractions."""
+    num = list(series.numer)
+    for d in degrees:
+        num = _qt_mul(num, [F(1)] + [F(0)] * (d - 1) + [F(-1)])
+    quot, rem = _udivmod(_trim(num), list(series.denom))
+    return None if rem else quot
+
+
+def _int_polys(max_degree):
+    return st.lists(st.integers(-6, 6), min_size=1, max_size=max_degree + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_polys(4), _int_polys(4), _int_polys(3), st.integers(1, 12), st.booleans())
+def test_planted_common_factor_matches_fraction_reduction(a, b, c, scale, as_fractions):
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    numer, denom = mul(a, c), mul(b, c)
+    if as_fractions:
+        numer = [F(x, scale) for x in numer]
+    else:
+        denom = [scale * x for x in denom]
+    assert_matches_fraction_reduction(numer, denom)
+
+
+@pytest.mark.parametrize("numer, denom", [
+    ([1], [2, -1]),
+    ([F(1), F(-1)], [F(1), F(-2), F(1)]),
+    ([F(1, 2), F(-1, 2)], [F(2, 3), F(-4, 3), F(2, 3)]),
+    ([0, 1], [0, 1, 1]),
+    ([0, 1], [0, 0, 1]),
+    ([], [3, 1]),
+    ([1], []),
+])
+def test_non_monic_and_edge_cases_match_fraction_reduction(numer, denom):
+    assert_matches_fraction_reduction(numer, denom)
