@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotXiLinear
 from .groups import MatGroup
-from .linalg import RatMatrix, block_diag, kernel_rref
+from .linalg import RatMatrix, block_diag, clear_denominators, kernel_rref
 from .poly import Exponents, MultiPoly, ProductTable, monomials_of_degree
 
 PHI_DAGGER = "phi_dagger"
@@ -172,17 +172,30 @@ def _substitution_matrix(group: MatGroup, action: str, g: int) -> RatMatrix:
     raise ValueError(f"action {action!r} is not a substitution; expected {PHI_DAGGER} or {PSI}")
 
 
+def _check_fit(group: MatGroup, action: str, obj) -> None:
+    """Raise DimensionMismatch unless the action acts on obj: theta on vector
+    fields of dimension n, phi_dagger on polynomials in n variables and psi
+    on phase polynomials in 2n."""
+    if not isinstance(obj, PolyVectorField if action == THETA else MultiPoly):
+        raise DimensionMismatch(f"action {action} does not act on a {type(obj).__name__}")
+    n = group.n
+    if action == THETA and obj.n != n:
+        raise DimensionMismatch(f"field dimension {obj.n}, group acts on {n}")
+    if action == PHI_DAGGER and obj.nvars != n:
+        raise DimensionMismatch(f"polynomial has {obj.nvars} variables, group acts on {n}")
+    if action == PSI and obj.nvars != 2 * n:
+        raise DimensionMismatch(f"phase polynomial has {obj.nvars} variables, expected {2 * n}")
+
+
 def act_phi_dagger(group: MatGroup, g: int, p: MultiPoly) -> MultiPoly:
     """(g . p)(x) = p(g^-1 x)."""
-    if p.nvars != group.n:
-        raise DimensionMismatch(f"polynomial has {p.nvars} variables, group acts on {group.n}")
+    _check_fit(group, PHI_DAGGER, p)
     return p.compose_linear(_substitution_matrix(group, PHI_DAGGER, g))
 
 
 def act_theta(group: MatGroup, g: int, field: PolyVectorField) -> PolyVectorField:
     """Pushforward g . V = g (V o g^-1)."""
-    if field.n != group.n:
-        raise DimensionMismatch(f"field dimension {field.n}, group acts on {group.n}")
+    _check_fit(group, THETA, field)
     inv = group.matrix(group.inverse_index(g))
     substituted = PolyVectorField([c.compose_linear(inv) for c in field.comps])
     return substituted.mix(group.matrix(g))
@@ -194,10 +207,7 @@ def act_psi(group: MatGroup, g: int, q: MultiPoly) -> MultiPoly:
     Both blocks transform linearly, so this preserves the bidegree
     (x-degree, xi-degree) of every term.
     """
-    if q.nvars != 2 * group.n:
-        raise DimensionMismatch(
-            f"phase polynomial has {q.nvars} variables, expected {2 * group.n}"
-        )
+    _check_fit(group, PSI, q)
     return q.compose_linear(_substitution_matrix(group, PSI, g))
 
 
@@ -320,10 +330,10 @@ def _restricted_columns(group: MatGroup, action: str, g: int, d: int, sums) -> l
     scale = lcm(*(den for _, den in cols))
     images = [nums if den == scale else [x * (scale // den) for x in nums] for nums, den in cols]
     if action == PSI:
-        gt = group.matrix(g).transpose()
-        t_den = lcm(*(c.denominator for c in gt.entries))
-        t = [[c.numerator * (t_den // c.denominator) for c in gt.row(i)] for i in range(group.n)]
-        images = [[x * c for x in col for c in row] for col in images for row in t]
+        n = group.n
+        t_den, t = group.matrix(g).integer_form()
+        rows = [t[i::n] for i in range(n)]  # row i of E g^T is column i of E g
+        images = [[x * c for x in col for c in row] for col in images for row in rows]
         scale *= t_den
     out = []
     for s in sums:
@@ -352,8 +362,8 @@ def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> lis
     """
     forms = {g: _monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices}
     sums = _orbit_sums([f for f in forms.values() if f is not None], monos)
-    den = lcm(*(c.denominator for s in sums for _, c in s))
-    int_sums = [[(j, c.numerator * (den // c.denominator)) for j, c in s] for s in sums]
+    nums = iter(clear_denominators([c for s in sums for _, c in s])[1])
+    int_sums = [[(j, next(nums)) for j, _ in s] for s in sums]
     d = sum(monos[0][: group.n])
     others = [g for g, f in forms.items() if f is None]
     rows = [r for g in others for r in zip(*_restricted_columns(group, action, g, d, int_sums))]
@@ -395,13 +405,12 @@ def is_invariant(group: MatGroup, obj, action: str | None = None) -> InvarianceC
     Generator invariance suffices for full invariance because each action is
     a group homomorphism, and it costs O(#generators) instead of O(|G|).
     Each image g . obj is read off the generator's table (_table).  Raises
-    DimensionMismatch when the action does not act on obj's type: theta acts
-    on vector fields, phi_dagger and psi on polynomials.
+    DimensionMismatch, before any image, when the action does not act on obj
+    (_check_fit): on its type or on its size.
     """
     if action is None:
         action = infer_action(group, obj)
-    if not isinstance(obj, PolyVectorField if action == THETA else MultiPoly):
-        raise DimensionMismatch(f"action {action} does not act on a {type(obj).__name__}")
+    _check_fit(group, action, obj)
     for g in group.gen_indices:
         if action == THETA:  # the pushforward g (V o g^-1) is (g V) o g^-1
             table = _table(group, PHI_DAGGER, g)

@@ -5,13 +5,15 @@ are only trustworthy in exact arithmetic.  Vectors are plain lists of
 Fraction; matrices for elimination are lists of row lists.  RatMatrix is the
 immutable matrix type used for group elements.
 
-All elimination (rref, kernel_basis, solve_free_zero, the matrix inverse,
-the fixed-space kernels and the incremental spans of Echelon)
-runs on fraction-free integer arithmetic: each row is cleared of
-denominators, rows are combined as p*row - f*pivot_row and divided by their
-content, and the pivots are divided out only when the result is read back as
-Fraction.  The reduced row echelon form is unique, so it is the same as
-Fraction elimination gives, and a span keeps the same rank and membership.
+All elimination runs one fraction-free step over the integers (_eliminate):
+rows are cleared of denominators (clear_denominators), combined as
+p*row - f*pivot_row and divided by their content, and the pivots are divided
+out only when a result is read back as Fraction.  The incremental spans of
+Echelon run it in add; kernel_basis, kernel_rref, solve_free_zero and the
+matrix inverse fill an Echelon and run it once more to read back the
+reduced row echelon form (_reduced_rows).  That form is unique, so it is
+the same as Fraction elimination gives, and a span keeps the same rank and
+membership.
 """
 
 from __future__ import annotations
@@ -86,8 +88,8 @@ class RatMatrix:
         """(D, A) with self = A / D: D the lcm of the denominators and A the
         integer numerators, row-major.  The pair is in lowest terms, so equal
         matrices give equal pairs."""
-        den = lcm(*(x.denominator for x in self.entries))
-        return den, tuple(x.numerator * (den // x.denominator) for x in self.entries)
+        den, nums = clear_denominators(self.entries)
+        return den, tuple(nums)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -100,12 +102,13 @@ class RatMatrix:
         return RatMatrix(self.rows, other.cols, out)
 
     def inverse(self) -> "RatMatrix":
-        """Gauss-Jordan inverse; raises ValueError if singular."""
+        """The inverse, read off the reduced [M | I]; raises ValueError if singular."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        red, pivots = _reduce([list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)])
-        if pivots[:n] != list(range(n)):
+        red, pivots = _reduced_rows([*self.row(i), *(int(i == j) for j in range(n))]
+                                    for i in range(n))
+        if pivots != list(range(n)):
             raise ValueError("singular matrix")
         return RatMatrix(n, n, (Fraction(red[i][n + j], red[i][i]) for i in range(n) for j in range(n)))
 
@@ -140,86 +143,43 @@ def block_diag(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction: one fraction-free Gauss-Jordan core over the integers.
+# Row reduction: one fraction-free elimination step.
 
 
-def _integer_row(row: Sequence) -> list[int]:
-    """The row (ints or Fractions) scaled to coprime integers."""
-    den = lcm(*(x.denominator for x in row))
+def clear_denominators(xs: Sequence) -> tuple[int, list[int]]:
+    """(D, A) with xs = A / D: D the lcm of the denominators of the ints or
+    Fractions xs, and A their integer numerators over D."""
+    den = lcm(*(x.denominator for x in xs))
     if den == 1:
-        ints = [int(x) for x in row]
-    else:
-        ints = [x.numerator * (den // x.denominator) for x in row]
-    c = gcd(*ints)
-    return ints if c <= 1 else [x // c for x in ints]
+        return 1, [x.numerator for x in xs]
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
-def _reduce(rows: Sequence[Sequence], npivot: int | None = None) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination.
-
-    Returns integer rows and their pivot columns: row i is a positive
-    multiple of row i of the reduced row echelon form, so it is zero in
-    every other pivot column, and it has content 1.  Zero rows are dropped
-    as soon as they appear; pivots are taken in the first column that has
-    one, scanning rows top-down.  With npivot given, pivots are taken only
-    in the first npivot columns, and the nonzero rows that are left without
-    one follow the pivot rows.
-    """
-    ncols = len(rows[0]) if rows else 0
-    m = [r for r in map(_integer_row, rows) if any(r)]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols if npivot is None else npivot):
-        sel = next((r for r in range(pr, len(m)) if m[r][pc]), None)
-        if sel is None:
-            continue
-        m[pr], m[sel] = m[sel], m[pr]
-        prow = m[pr]
-        p = prow[pc]
-        vanished = False
-        for r, row in enumerate(m):
-            f = row[pc]
-            if f and r != pr:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(row, prow)]
-                c = gcd(*row)
-                if c > 1:
-                    row = [x // c for x in row]
-                m[r] = row
-                vanished = vanished or c == 0
-        if vanished:  # only a row below the pivot can vanish
-            m = [row for row in m if any(row)]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(m):
-            break
-    signed = [[-x for x in row] if row[pc] < 0 else row for row, pc in zip(m, pivots)]
-    return signed + m[pr:], pivots
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.
-
-    Returns the nonzero rows (pivots normalized to 1, zeros above and below)
-    and the pivot column indices.  Column order is significant: pivots are
-    always chosen in the first column, scanning rows top-down; this is what
-    makes every downstream basis deterministic.
-    """
-    red, pivots = _reduce(rows)
-    return [[Fraction(x, row[pc]) for x in row] for row, pc in zip(red, pivots)], pivots
+def _eliminate(v: list[int], rows: list[list[int]], pivots: list[int]) -> list[int]:
+    """The integer row v reduced against the rows, in order, wherever it is
+    nonzero in their pivot: as a*v - b*row, with a and b the two pivot
+    entries divided by their gcd, then divided by its content."""
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f:
+            g = gcd(row[p], f)
+            a, b = row[p] // g, f // g
+            v = [a * x - b * y for x, y in zip(v, row)]
+            c = gcd(*v)
+            if c > 1:
+                v = [x // c for x in v]
+    return v
 
 
 class Echelon:
-    """Incremental row space on the integer core.
+    """Incremental row space over the integers.
 
     add() returns True when the vector enlarges the span.  Each vector is
     cleared of denominators and content, then reduced against the stored
-    rows in insertion order as a*v - b*row, with a and b the pivot entries
-    divided by their gcd, and divided by its content after every step.  A
-    vector that stays nonzero is stored as a coprime integer row, with its
-    pivot at its first nonzero entry.  Every stored row is zero in the
-    pivots of the rows before it, so insertion-order elimination stays sound.
+    rows in insertion order (_eliminate).  A vector that stays nonzero is
+    stored as a coprime integer row, with its pivot at its first nonzero
+    entry.  Every stored row is zero in the pivots of the rows before it, so
+    insertion-order elimination stays sound.
     """
 
     def __init__(self) -> None:
@@ -231,16 +191,11 @@ class Echelon:
         return len(self._rows)
 
     def add(self, vec: Sequence) -> bool:
-        v = _integer_row(vec)
-        for row, p in zip(self._rows, self._pivots):
-            f = v[p]
-            if f:
-                g = gcd(row[p], f)
-                a, b = row[p] // g, f // g
-                v = [a * x - b * y for x, y in zip(v, row)]
-                c = gcd(*v)
-                if c > 1:
-                    v = [x // c for x in v]
+        v = clear_denominators(vec)[1]
+        c = gcd(*v)
+        if c > 1:
+            v = [x // c for x in v]
+        v = _eliminate(v, self._rows, self._pivots)
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False
@@ -249,13 +204,34 @@ class Echelon:
         return True
 
 
+def _reduced_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form as integer rows, each a nonzero multiple
+    of its rref row, and their pivot columns in ascending order.
+
+    The rows go into an Echelon.  Its rows, sorted by pivot, are then
+    reduced from the bottom up against the rows below them, which clears
+    those rows' pivot columns.  A row is zero before its pivot, so in the
+    pivot columns of the rows above it too: each row ends up zero in every
+    other pivot column, and keeps its pivot.
+    """
+    span = Echelon()
+    for row in rows:
+        span.add(row)
+    red: list[list[int]] = []
+    pivots: list[int] = []
+    for p, row in sorted(zip(span._pivots, span._rows), reverse=True):
+        red.append(_eliminate(row, red, pivots))
+        pivots.append(p)
+    return red[::-1], pivots[::-1]
+
+
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right null space of the matrix.
 
     One vector per free column, in ascending free-column order, with a 1 in
     the free coordinate.
     """
-    red, pivots = _reduce(rows)
+    red, pivots = _reduced_rows(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
@@ -288,26 +264,26 @@ def solve_free_zero(
     set to zero.
 
     A is given by rows; unknowns correspond to columns.  [A | B], B the
-    right-hand sides as columns, is eliminated once, with pivots taken in
-    A's columns only.  A right-hand side is inconsistent exactly when a row
-    left with a zero A part is nonzero in its column; its entry in the
-    result is None, and so is every entry when A has no rows.  With columns
-    supplied in a canonical order, setting free variables to zero is the
-    deterministic tie-break used throughout: each solution is supported on
-    the earliest independent columns.
+    right-hand sides as columns, is reduced once.  A right-hand side is
+    inconsistent exactly when a row with its pivot among B's columns is
+    nonzero in its column; its entry in the result is None, and so is every
+    entry when A has no rows.  With columns supplied in a canonical order,
+    setting free variables to zero is the deterministic tie-break used
+    throughout: each solution is supported on the earliest independent
+    columns.
     """
     if not rows:
         return [None] * len(rhss)
     ncols = len(rows[0])
-    red, pivots = _reduce([[*r, *bs] for r, bs in zip(rows, zip(*rhss))], ncols)
-    unpivoted = red[len(pivots):]
+    red, pivots = _reduced_rows([*r, *bs] for r, bs in zip(rows, zip(*rhss)))
+    rank = sum(p < ncols for p in pivots)
     out: list[list[Fraction] | None] = []
     for k in range(ncols, ncols + len(rhss)):
-        if any(row[k] for row in unpivoted):
+        if any(row[k] for row in red[rank:]):
             out.append(None)
             continue
         x = [Fraction(0)] * ncols
-        for row, p in zip(red, pivots):
+        for row, p in zip(red[:rank], pivots):
             x[p] = Fraction(row[k], row[p])
         out.append(x)
     return out

@@ -28,14 +28,14 @@ and denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from numbers import Rational
 from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchWithMolien
 from .groups import MatGroup
-from .linalg import RatMatrix
+from .linalg import RatMatrix, clear_denominators
 
 UPoly = list[Fraction]
 
@@ -103,12 +103,6 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return quot
 
 
-def _integer_form(p: Sequence[Rational]) -> tuple[list[int], int]:
-    """(numerators, D) with p = numerators / D, D the lcm of the denominators."""
-    den = lcm(*(x.denominator for x in p))
-    return _utrim([x.numerator * (den // x.denominator) for x in p]), den
-
-
 def det_one_minus_t(m: RatMatrix) -> UPoly:
     """Coefficients of det(I - t M) via the Faddeev-LeVerrier recursion.
 
@@ -138,8 +132,9 @@ class MolienSeries:
     __slots__ = ("numer", "denom", "_coeffs")
 
     def __init__(self, numer: Sequence[Rational], denom: Sequence[Rational]) -> None:
-        num, num_scale = _integer_form(numer)
-        den, den_scale = _integer_form(denom)
+        num_scale, num = clear_denominators(numer)
+        den_scale, den = clear_denominators(denom)
+        num, den = _utrim(num), _utrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if num:
@@ -191,10 +186,10 @@ class MolienSeries:
         parameters, N counts the degrees of a free basis over the ring they
         generate.
         """
-        num, num_scale = _integer_form(self.numer)
+        num_scale, num = clear_denominators(self.numer)
         for d in degrees:
             num = _umul(num, [1] + [0] * (d - 1) + [-1])
-        den, den_scale = _integer_form(self.denom)
+        den_scale, den = clear_denominators(self.denom)
         prim = _primitive(den)
         quot = _exact_quotient(num, prim)
         if _umul(quot, prim) != num:

@@ -32,7 +32,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import RatMatrix, as_rational
+from .linalg import RatMatrix, as_rational, clear_denominators
 
 Exponents = tuple[int, ...]
 
@@ -506,8 +506,8 @@ def _pack(e: Exponents) -> int:
 def _packed(p: MultiPoly) -> tuple[int, list[tuple[int, int]]]:
     """p as (den, [(packed monomial, numerator)]) with p = sum num x^e / den."""
     terms = p.sorted_terms()
-    den = lcm(*(c.denominator for _, c in terms))
-    return den, [(_pack(e), c.numerator * (den // c.denominator)) for e, c in terms]
+    den, nums = clear_denominators([c for _, c in terms])
+    return den, [(_pack(e), x) for (e, _), x in zip(terms, nums)]
 
 
 def _strip(a: Exponents) -> Exponents:

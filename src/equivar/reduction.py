@@ -82,14 +82,13 @@ def directional_derivatives(field: PolyVectorField, inv: InvariantGens) -> list[
 def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:
     """Reduce an equivariant field to the orbit space.
 
-    Requires the field to be equivariant (raises NotInvariant otherwise),
-    which makes every X(p_i) invariant, so they are expressed without a
-    second invariance check.  The identity comps_i(p_1(x),..,p_k(x)) ==
+    Requires the field to be equivariant (raises NotInvariant otherwise, or
+    DimensionMismatch when it is not of the group's dimension), which makes
+    every X(p_i) invariant, so they are expressed without a second
+    invariance check.  The identity comps_i(p_1(x),..,p_k(x)) ==
     X(p_i)(x) is re-verified by substitution, read off the product table of
     inv, before returning.
     """
-    if field.n != inv.group.n:
-        raise DimensionMismatch("field dimension does not match the group")
     chk = is_invariant(inv.group, field, THETA)
     if not chk:
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)

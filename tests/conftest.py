@@ -31,7 +31,7 @@ from equivar import (
     pairing,
 )
 from equivar.equivariants import xilinear_monomials
-from equivar.linalg import rref
+from equivar.linalg import _reduced_rows
 from equivar.poly import poly_to_vector
 
 
@@ -77,6 +77,14 @@ def power_product(polys, exps) -> MultiPoly:
         if e:
             acc = acc * p**e
     return acc
+
+
+def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form: the nonzero rows, pivots normalized to 1,
+    and the pivot columns.  linalg's integer read-back with its pivots
+    divided out; test_linalg holds it against Fraction Gauss-Jordan."""
+    red, pivots = _reduced_rows(rows)
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(red, pivots)], pivots
 
 
 def field_to_vector(field: PolyVectorField, basis) -> list[Fraction]:

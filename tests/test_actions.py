@@ -204,6 +204,21 @@ def test_is_invariant_action_object_mismatch(c4, action, kind):
 ACT = {PHI_DAGGER: act_phi_dagger, THETA: act_theta, PSI: act_psi}
 
 
+@pytest.mark.parametrize("action, message", [
+    (PHI_DAGGER, "polynomial has 3 variables, group acts on 2"),
+    (PSI, "phase polynomial has 3 variables, expected 4"),
+    (THETA, "field dimension 3, group acts on 2"),
+])
+def test_is_invariant_size_mismatch_in_act_wording(c4, action, message):
+    xs = variables(3)
+    obj = PolyVectorField(xs) if action == THETA else xs[0] ** 2
+    with mock.patch.object(ProductTable, "substitute", side_effect=AssertionError("substituted")), \
+            pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        is_invariant(c4, obj, action)
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        ACT[action](c4, 1, obj)
+
+
 def invariance_by_act(group, action, obj):
     """(invariant, first moving generator, obj minus its image) by act_*."""
     for g in group.gen_indices:

@@ -236,6 +236,28 @@ def test_check_invariance_action_object_mismatch_exit_2(files, capsys, action, k
     assert doc["message"] == f"--action {action} needs --{'poly' if kind == '--field' else 'field'}"
 
 
+THREE_VARS = {"nvars": 3, "terms": [{"c": "1", "e": [2, 0, 0]}, {"c": "1", "e": [0, 0, 2]}]}
+THREE_COMPONENTS = {"n": 3, "comps": [
+    {"nvars": 3, "terms": [{"c": "1", "e": [int(i == j) for j in range(3)]}]} for i in range(3)
+]}
+
+
+@pytest.mark.parametrize("argv, obj, message", [
+    (["express", "--poly"], THREE_VARS, "polynomial has 3 variables, group acts on 2"),
+    (["check-invariance", "--action", "psi", "--poly"], THREE_VARS,
+     "phase polynomial has 3 variables, expected 4"),
+    (["check-invariance", "--field"], THREE_COMPONENTS, "field dimension 3, group acts on 2"),
+    (["reduce", "--field"], THREE_COMPONENTS, "field dimension 3, group acts on 2"),
+], ids=["express", "check-invariance-psi", "check-invariance-field", "reduce"])
+def test_object_size_mismatch_exit_1(files, capsys, argv, obj, message):
+    # the size is checked against the action before any image is computed
+    _, write = files
+    group = write("c4.json", C4_DOC)
+    code, out, err = run([*argv, write("obj.json", obj), "--group", group], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "DimensionMismatch", "message": message}
+
+
 def test_integrate_check(files, capsys):
     _, write = files
     group = write("z2.json", Z2_DOC)

@@ -41,7 +41,6 @@ from equivar import (
     xilinear_monomials,
 )
 from equivar.actions import _monomial_form, _orbit_sums, _substitution_matrix
-from equivar.linalg import rref
 from equivar.molien import _averaged_series, det_one_minus_t
 from equivar.poly import poly_to_vector
 from equivar.serialize import group_from_doc
@@ -55,6 +54,7 @@ from conftest import (
     monomial,
     poly_action_matrix,
     rational_conjugates,
+    rref,
     signed_permutation_groups,
     signed_permutations,
 )

@@ -1,8 +1,10 @@
 """Exact matrices and row reduction.
 
-The integer Gauss-Jordan core under rref, kernel_basis, kernel_rref and
-solve_free_zero is held against a plain Fraction Gauss-Jordan kept here as
-the oracle, on random rational matrices.
+The one integer elimination engine, Echelon, is held against Fraction
+arithmetic kept here as the oracle, on random rational matrices: its
+incremental spans against a Fraction echelon, and the reduced row echelon
+form read back from it (conftest.rref, and through it kernel_basis,
+kernel_rref and solve_free_zero) against a plain Fraction Gauss-Jordan.
 """
 
 from fractions import Fraction
@@ -20,9 +22,10 @@ from equivar.linalg import (
     block_diag,
     kernel_basis,
     kernel_rref,
-    rref,
     solve_free_zero,
 )
+
+from conftest import rref
 
 
 def F(n, d=1):
@@ -129,7 +132,7 @@ def test_as_rational_keeps_messages():
 
 
 # ---------------------------------------------------------------------------
-# The integer core against Fraction Gauss-Jordan.
+# The integer engine against Fraction Gauss-Jordan.
 
 
 def fraction_rref(rows):

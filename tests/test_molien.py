@@ -20,7 +20,7 @@ from equivar import (
 from equivar import serialize as sz
 from equivar.molien import MolienSeries, det_one_minus_t
 
-from conftest import MIXED_GROUPS, field_action_matrix, fixed_space_dim, mixed_group
+from conftest import MIXED_GROUPS, field_action_matrix, fixed_space_dim, mixed_group, rref
 
 # the package's `molien` attribute is the function of that name
 molien_module = importlib.import_module("equivar.molien")
@@ -190,7 +190,6 @@ def test_equivariant_molien_matches_fixed_space_oracle(sample_groups, gname):
 
 def _equivariant_dim(group, d):
     from equivar.equivariants import xilinear_monomials
-    from equivar.linalg import rref
 
     basis = xilinear_monomials(group.n, d)
     stacked = []

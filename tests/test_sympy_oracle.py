@@ -1,4 +1,5 @@
-"""Polynomial arithmetic held against sympy, an independent implementation.
+"""Polynomial arithmetic and exact linear algebra held against sympy, an
+independent implementation.
 
 Skipped when sympy is not installed; it is a test oracle only, never a
 dependency of the library.
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivar import MultiPoly
+from equivar.linalg import RatMatrix, kernel_basis, kernel_rref, solve_free_zero
+from equivar.molien import det_one_minus_t
 from equivar.poly import ProductTable
 
 from conftest import coeffs, poly_cases
@@ -75,3 +78,84 @@ def test_evaluate_matches_sympy():
         {x: sympy.Rational(v.numerator, v.denominator) for x, v in zip(xs, point)}
     )
     assert p.evaluate(point) == Fraction(int(want.p), int(want.q))
+
+
+# ---------------------------------------------------------------------------
+# linalg against sympy's Matrix.
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """1-5 rows of 1-5 entries, the last row sometimes a multiple of the first."""
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        k = draw(entries)
+        rows[-1] = [k * x for x in rows[0]]
+    return rows
+
+
+def to_matrix(rows) -> "sympy.Matrix":
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def to_fractions(m: "sympy.Matrix") -> list[list[Fraction]]:
+    return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices())
+def test_kernels_match_sympy(rows):
+    ncols = len(rows[0])
+    null = to_matrix(rows).nullspace()
+    # one vector per free column, 1 there and 0 on the other free columns
+    assert kernel_basis(rows, ncols) == [[x for x, in to_fractions(v)] for v in null]
+    want = to_fractions(sympy.Matrix.hstack(*null).T.rref()[0]) if null else []
+    assert kernel_rref(rows, ncols) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_free_zero_matches_sympy(rows, data):
+    ncols = len(rows[0])
+    x0 = data.draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    consistent = [sum((a * b for a, b in zip(r, x0)), Fraction(0)) for r in rows]
+    drawn = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    got = solve_free_zero(rows, [consistent, drawn])
+    a = to_matrix(rows)
+    for b, x in zip([consistent, drawn], got):
+        try:
+            sol, params = a.gauss_jordan_solve(to_matrix([[c] for c in b]))
+        except ValueError:  # sympy: no solution
+            assert x is None
+            continue
+        # sympy's free parameters set to zero
+        assert x == [y for y, in to_fractions(sol.subs({p: 0 for p in params}))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(square=True))
+def test_inverse_matches_sympy(rows):
+    m, a = RatMatrix.from_rows(rows), to_matrix(rows)
+    if a.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        assert m.inverse() == RatMatrix.from_rows(to_fractions(a.inv()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(square=True))
+def test_det_one_minus_t_matches_charpoly(rows):
+    # det(I - t M) = t^n charpoly(1/t): the charpoly's coefficients, leading first
+    want = [Fraction(int(c.p), int(c.q)) for c in to_matrix(rows).charpoly().all_coeffs()]
+    while want[-1] == 0:
+        want.pop()
+    assert det_one_minus_t(RatMatrix.from_rows(rows)) == want
