@@ -57,7 +57,7 @@ class PolyVectorField:
         object.__setattr__(self, "comps", comps)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PolyVectorField is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "PolyVectorField":
@@ -94,19 +94,6 @@ class PolyVectorField:
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.comps)
-
-    def total_degree(self) -> int:
-        return max(c.total_degree() for c in self.comps)
-
-    def is_homogeneous(self) -> bool:
-        degs = {c.total_degree() for c in self.comps if not c.is_zero}
-        return len(degs) <= 1 and all(c.is_homogeneous() for c in self.comps)
-
-    def homogeneous_part(self, degree: int) -> "PolyVectorField":
-        return PolyVectorField([c.homogeneous_part(degree) for c in self.comps])
-
-    def evaluate(self, point: Sequence) -> tuple[Fraction, ...]:
-        return tuple(c.evaluate(point) for c in self.comps)
 
     def mix(self, matrix: RatMatrix) -> "PolyVectorField":
         """Linear recombination of components: (M V)_i = sum_j M_ij V_j,
@@ -252,6 +239,17 @@ def _monomial_form(m: RatMatrix) -> tuple[tuple[int, Fraction], ...] | None:
     return tuple(form)
 
 
+def _monomial_forms(group: MatGroup, action: str) -> dict[int, tuple | None]:
+    """The _monomial_form of each generator's substitution matrix, by index.
+    Memoised on the group, as _table is, so no degree rebuilds them."""
+    key = ("forms", action)
+    if key not in group._derived:
+        group._derived[key] = {
+            g: _monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices
+        }
+    return group._derived[key]
+
+
 def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, int | Fraction]]]:
     """Fixed-space basis of monomial substitutions: one sum per orbit, as
     (index into monos, coefficient) pairs, in the order of its first monomial.
@@ -360,7 +358,7 @@ def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> lis
     sums have disjoint supports, are monic on their first monomials and come
     in that order, so the rref kernel over them expands to the rref basis.
     """
-    forms = {g: _monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices}
+    forms = _monomial_forms(group, action)
     sums = _orbit_sums([f for f in forms.values() if f is not None], monos)
     nums = iter(clear_denominators([c for s in sums for _, c in s])[1])
     int_sums = [[(j, next(nums)) for j, _ in s] for s in sums]

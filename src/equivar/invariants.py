@@ -106,11 +106,12 @@ class InvariantGens:
 
     @classmethod
     def from_polys(cls, group: MatGroup, polys: Sequence[MultiPoly]) -> "InvariantGens":
-        """Wrap explicit generators, validating invariance and homogeneity."""
+        """Wrap explicit generators, validating invariance and homogeneity of
+        positive degree: a constant generates nothing and has weight 0."""
         checked = []
         for p in polys:
-            if p.is_zero or not p.is_homogeneous():
-                raise ValueError(f"generator {p!r} is not homogeneous and nonzero")
+            if p.is_zero or not p.is_homogeneous() or not p.total_degree():
+                raise ValueError(f"generator {p!r} is not homogeneous of positive degree")
             chk = is_invariant(group, p, PHI_DAGGER)
             if not chk:
                 raise NotInvariant(

@@ -35,42 +35,29 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class ReducedSystem:
-    """Polynomial dynamics in the orbit-space coordinates P_1..P_k."""
+class ReducedSystem(PolyVectorField):
+    """The dynamics Y in the orbit-space coordinates P_1..P_k: a PolyVectorField."""
 
-    __slots__ = ("k", "comps", "source")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        comps: Sequence[MultiPoly],
-        source: tuple[PolyVectorField, InvariantGens] | None = None,
-    ) -> None:
-        comps = tuple(comps)
-        k = len(comps)
-        for c in comps:
-            if c.nvars != k:
-                raise DimensionMismatch(
-                    f"component has {c.nvars} variables, expected {k}"
-                )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "comps", comps)
-        object.__setattr__(self, "source", source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReducedSystem is immutable")
-
-    def __getitem__(self, i: int) -> MultiPoly:
-        return self.comps[i]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReducedSystem):
-            return NotImplemented
-        return self.comps == other.comps
+    @property
+    def k(self) -> int:
+        return self.n
 
     def __repr__(self) -> str:
         names = [f"P{i + 1}" for i in range(self.k)]
         inner = ", ".join(c.format(names) for c in self.comps)
         return f"ReducedSystem({inner})"
+
+
+def _reduced_system(reduced: ReducedSystem | Sequence[MultiPoly], inv: InvariantGens) -> ReducedSystem:
+    """reduced as a ReducedSystem, a sequence checked by its constructor;
+    DimensionMismatch unless it has one component per generator of inv."""
+    if not isinstance(reduced, ReducedSystem):
+        reduced = ReducedSystem(reduced)
+    if reduced.k != inv.k:
+        raise DimensionMismatch(f"reduced system has {reduced.k} components, expected {inv.k}")
+    return reduced
 
 
 def directional_derivatives(field: PolyVectorField, inv: InvariantGens) -> list[MultiPoly]:
@@ -97,7 +84,7 @@ def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:
     for i, (f, q) in enumerate(zip(comps, derivs)):
         if inv.substitute(f) != q:
             raise NoSolution(f"internal: reduced component {i} fails the defining identity")
-    return ReducedSystem(comps, source=(field, inv))
+    return ReducedSystem(comps)
 
 
 class RelatednessCheck:
@@ -126,11 +113,9 @@ def check_related(
     inv: InvariantGens,
 ) -> RelatednessCheck:
     """Verify sum_j X_j dp_i/dx_j == Y_i(p_1,..,p_k) for every i, exactly."""
-    comps = reduced.comps if isinstance(reduced, ReducedSystem) else tuple(reduced)
-    if len(comps) != inv.k:
-        raise DimensionMismatch(f"reduced system has {len(comps)} components, expected {inv.k}")
+    reduced = _reduced_system(reduced, inv)
     derivs = directional_derivatives(field, inv)
-    for i, (lhs, y_i) in enumerate(zip(derivs, comps)):
+    for i, (lhs, y_i) in enumerate(zip(derivs, reduced.comps)):
         diff = lhs - inv.substitute(y_i)
         if not diff.is_zero:
             return RelatednessCheck(False, i, diff)
@@ -346,9 +331,7 @@ def integrate_pair(
         raise ValueError(f"step {step} is longer than t_end {t_end}; no step would be taken")
     if abs(nsteps * step - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end {t_end} is not a whole number of steps of {step}")
-    comps = reduced.comps if isinstance(reduced, ReducedSystem) else tuple(reduced)
-    if len(comps) != inv.k:
-        raise DimensionMismatch(f"reduced system has {len(comps)} components, expected {inv.k}")
+    reduced = _reduced_system(reduced, inv)
     n = field.n
     if len(x0) != n:
         raise DimensionMismatch(f"x0 has length {len(x0)}, field dimension is {n}")
@@ -358,7 +341,7 @@ def integrate_pair(
     import numpy as np
 
     t_grid = np.arange(nsteps + 1, dtype=float) * step
-    f = _compile_blocks([(field.comps, n), (comps, inv.k)])
+    f = _compile_blocks([(field.comps, n), (reduced.comps, inv.k)])
     sigma = _compile_polys(inv.gens, n)
     x0_float = [_float(v, "x0 entry") for v in x0_exact]
     # divergence is reported through NonFiniteState, not numpy warnings

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .actions import PolyVectorField
 from .equivariants import EquivariantGens
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from .groups import DEFAULT_CAP, MatGroup, close_group
 from .invariants import InvariantGens
 from .linalg import RatMatrix
@@ -111,17 +111,21 @@ def field_to_doc(field: PolyVectorField) -> dict:
     return {"n": field.n, "comps": [poly_to_doc(c) for c in field.comps]}
 
 
-def field_from_doc(doc) -> PolyVectorField:
-    n = _expect(doc, "n", int, "vector field")
-    comps = _expect(doc, "comps", list, "vector field")
-    if len(comps) != n:
-        raise ParseError(f"vector field: expected {n} components, got {len(comps)}")
+def _comps_from_doc(doc, size_key: str, cls, what: str):
+    """The cls of the polynomials under doc["comps"], whose count doc[size_key]
+    states: the one reader of vector fields and reduced systems."""
+    size = _expect(doc, size_key, int, what)
+    comps = _expect(doc, "comps", list, what)
+    if len(comps) != size:
+        raise ParseError(f"{what}: expected {size} components, got {len(comps)}")
     try:
-        return PolyVectorField([poly_from_doc(c) for c in comps])
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"invalid vector field: {exc}") from exc
+        return cls([poly_from_doc(c) for c in comps])
+    except (ValueError, DimensionMismatch) as exc:
+        raise ParseError(f"invalid {what}: {exc}") from exc
+
+
+def field_from_doc(doc) -> PolyVectorField:
+    return _comps_from_doc(doc, "n", PolyVectorField, "vector field")
 
 
 # -- matrices and groups ----------------------------------------------------
@@ -215,16 +219,7 @@ def reduced_to_doc(rs: ReducedSystem) -> dict:
 
 
 def reduced_from_doc(doc) -> ReducedSystem:
-    k = _expect(doc, "k", int, "reduced system")
-    comps = _expect(doc, "comps", list, "reduced system")
-    if len(comps) != k:
-        raise ParseError(f"reduced system: expected {k} components, got {len(comps)}")
-    try:
-        return ReducedSystem([poly_from_doc(c) for c in comps])
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(f"invalid reduced system: {exc}") from exc
+    return _comps_from_doc(doc, "k", ReducedSystem, "reduced system")
 
 
 # -- files ------------------------------------------------------------------

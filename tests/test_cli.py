@@ -215,6 +215,19 @@ def test_check_invariance(files, capsys):
     code, _, err = run(["check-invariance", "--group", group, "--poly", odd], capsys)
     assert code == 1
     assert json.loads(err)["error"] == "NotInvariant"
+    # X = x^2 is not equivariant: the witness is the field X - g.X = 2 x^2
+    square = write("square.json", {"n": 1, "comps": [{"nvars": 1, "terms": [{"c": "1", "e": [2]}]}]})
+    code, out, err = run(["check-invariance", "--group", group, "--field", square], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["witness"] == {
+        "generator_index": 1,
+        "difference": {"n": 1, "comps": [{"nvars": 1, "terms": [{"c": "2", "e": [2]}]}]},
+    }
+    for objects in ([], ["--poly", even, "--field", square]):
+        code, out, err = run(["check-invariance", "--group", group, *objects], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ParseError",
+                                   "message": "exactly one of --poly or --field is required"}
 
 
 @pytest.mark.parametrize("action, kind", [
@@ -248,7 +261,9 @@ THREE_COMPONENTS = {"n": 3, "comps": [
      "phase polynomial has 3 variables, expected 4"),
     (["check-invariance", "--field"], THREE_COMPONENTS, "field dimension 3, group acts on 2"),
     (["reduce", "--field"], THREE_COMPONENTS, "field dimension 3, group acts on 2"),
-], ids=["express", "check-invariance-psi", "check-invariance-field", "reduce"])
+    (["check-invariance", "--poly"], THREE_VARS,
+     "cannot infer an action for MultiPoly(x1^2 + x3^2) on a group of dimension 2"),
+], ids=["express", "check-invariance-psi", "check-invariance-field", "reduce", "check-invariance-infer"])
 def test_object_size_mismatch_exit_1(files, capsys, argv, obj, message):
     # the size is checked against the action before any image is computed
     _, write = files
@@ -297,6 +312,21 @@ def test_integrate_check_fails_tight_tol(files, capsys):
     assert code == 1
     assert json.loads(out)["pass"] is False
     assert "FAIL" in err
+
+
+def test_integrate_check_non_finite_exit_1(files, capsys):
+    # x' = x^3 from 1 blows up at t = 1/2; RK4 with the default step 1e-3
+    # first leaves the doubles two steps later
+    _, write = files
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
+    cube = write("cube.json", {"n": 1, "comps": [{"nvars": 1, "terms": [{"c": "1", "e": [3]}]}]})
+    code, out, err = run(
+        ["integrate-check", "--group", os.path.join(data, "z2_line.json"), "--field", cube, "--x0", "1"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "NonFiniteState", "time": 0.502,
+                               "message": "full trajectory became non-finite at t=0.502"}
 
 
 def test_integrate_check_out_is_deterministic(tmp_path, capsys):
@@ -476,6 +506,64 @@ def test_boolean_in_reduced_exit_2(files, capsys):
     )
     assert code == 2 and out == "" and "Traceback" not in err
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_component_in_wrong_variable_count_exit_2(files, capsys):
+    # the documents state one size; a component in another variable count
+    # is a malformed file, in a field and in a reduced system alike
+    _, write = files
+    group, field = write("z2.json", Z2_DOC), write("x.json", CUBIC_FIELD_DOC)
+    wide = {"nvars": 2, "terms": [{"c": "1", "e": [1, 0]}]}
+    bad_field = write("f.json", {"n": 1, "comps": [wide]})
+    bad_reduced = write("r.json", {"k": 1, "comps": [wide]})
+    for argv, what in ((["reduce", "--field", bad_field], "vector field"),
+                       (["check-related", "--field", field, "--reduced", bad_reduced], "reduced system")):
+        code, out, err = run([*argv, "--group", group], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "ParseError",
+                                   "message": f"invalid {what}: component has 2 variables, expected 1"}
+
+
+EMPTY_INVARIANTS = {"generators": []}
+CONSTANT_INVARIANTS = {"generators": [
+    {"nvars": 2, "terms": [{"c": "1", "e": [0, 0]}]},
+    {"nvars": 2, "terms": [{"c": "1", "e": [2, 0]}, {"c": "1", "e": [0, 2]}]},
+]}
+# (x1^2, 1), not equivariant under C4
+SQUARE_ONE_FIELD = {"n": 2, "comps": [{"nvars": 2, "terms": [{"c": "1", "e": [2, 0]}]},
+                                      {"nvars": 2, "terms": [{"c": "1", "e": [0, 0]}]}]}
+ROTATION_FIELD = {"n": 2, "comps": [{"nvars": 2, "terms": [{"c": "-1", "e": [0, 1]}]},
+                                    {"nvars": 2, "terms": [{"c": "1", "e": [1, 0]}]}]}
+
+
+@pytest.mark.parametrize("invariants, argv, error", [
+    (EMPTY_INVARIANTS, ["reduce", "--field", "rotation"], "ValueError"),
+    (EMPTY_INVARIANTS, ["check-related", "--field", "square", "--reduced", "empty"], "ParseError"),
+    (EMPTY_INVARIANTS, ["integrate-check", "--field", "rotation", "--x0", "1,1"], "ValueError"),
+    (CONSTANT_INVARIANTS, ["equivariants"], "ValueError"),
+    (CONSTANT_INVARIANTS, ["express", "--poly", "radius"], "ValueError"),
+    (CONSTANT_INVARIANTS, ["relations"], "ValueError"),
+    (CONSTANT_INVARIANTS, ["reduce", "--field", "rotation"], "ValueError"),
+], ids=["empty-reduce", "empty-check-related", "empty-integrate-check", "constant-equivariants",
+        "constant-express", "constant-relations", "constant-reduce"])
+def test_degenerate_invariants_exit_2(files, capsys, invariants, argv, error):
+    # no generator leaves no orbit-space coordinate, so nothing can be
+    # reduced; a constant generator has degree 0 and is rejected on reading
+    _, write = files
+    paths = {
+        "rotation": write("rotation.json", ROTATION_FIELD),
+        "square": write("square.json", SQUARE_ONE_FIELD),
+        "empty": write("empty.json", {"k": 0, "comps": []}),
+        "radius": write("radius.json", CONSTANT_INVARIANTS["generators"][1]),
+    }
+    argv = [paths.get(a, a) for a in argv]
+    code, out, err = run([*argv, "--group", write("c4.json", C4_DOC),
+                          "--invariants", write("inv.json", invariants)], capsys)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == error
+    assert ("component" if invariants is EMPTY_INVARIANTS else "positive degree") in doc["message"]
 
 
 def test_missing_file_exit_2(files, capsys):

@@ -75,6 +75,8 @@ def test_basis_z2_line(z2_line):
     x, = variables(1)
     assert equivariant_basis(z2_line, 1) == [PolyVectorField([x])]
     assert equivariant_basis(z2_line, 2) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        equivariant_basis(z2_line, -1)
 
 
 def test_basis_swap_degree0(swap2):
@@ -137,6 +139,11 @@ def test_module_generators_z2_line(z2_line):
     eg = equivariant_module_generators(z2_line, inv)
     assert eg.vgens == (PolyVectorField([x]),)
     assert eg.degrees == (1,)
+    with pytest.raises(ValueError, match="non-negative"):
+        equivariant_module_generators(z2_line, inv, degree_bound=-1)
+    other = close_group([RatMatrix.from_rows([[1]])])
+    with pytest.raises(ValueError, match="different group"):
+        equivariant_module_generators(other, inv)
 
 
 def test_module_generators_z2_diag(z2_diag):

@@ -48,6 +48,8 @@ def test_invariant_basis_examples(z2_line, z2_diag):
 
     x1, x2 = variables(2)
     assert invariant_basis(z2_diag, 2) == [x1**2, x1 * x2, x2**2]
+    with pytest.raises(ValueError, match="non-negative"):
+        invariant_basis(z2_line, -1)
 
 
 @pytest.mark.parametrize("gname", ["z2_line", "z2_diag", "swap2", "c4"])
@@ -253,6 +255,8 @@ def test_from_polys_validates(z2_line):
         InvariantGens.from_polys(z2_line, [x])
     with pytest.raises(ValueError):
         InvariantGens.from_polys(z2_line, [x**2 + x**4])  # not homogeneous
+    with pytest.raises(ValueError, match="positive degree"):
+        InvariantGens.from_polys(z2_line, [MultiPoly.constant(1, 1), x**2])  # degree 0
 
 
 def test_from_polys_normalizes_order_and_scale(swap2):

@@ -9,6 +9,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from equivar import (
+    DimensionMismatch,
+    InvariantGens,
     MultiPoly,
     NonFiniteState,
     NotInvariant,
@@ -502,6 +504,8 @@ def test_integrate_validates_arguments(cubic_line):
                         (1.0, float("inf"))):
         with pytest.raises(ValueError, match="finite and positive"):
             integrate_pair(field, rs, inv, [Fraction(1, 2)], t_end, step)
+    with pytest.raises(DimensionMismatch, match="x0 has length 2, field dimension is 1"):
+        integrate_pair(field, rs, inv, [Fraction(1, 2), 1], 1.0, 0.1)
 
 
 def test_integrate_rejects_values_beyond_double_range(cubic_line):
@@ -525,6 +529,29 @@ def test_integrate_rejects_zero_steps_and_partial_steps(cubic_line):
     assert len(integrate_pair(field, rs, inv, [Fraction(1, 2)], 0.3, 0.1).t_grid) == 4
 
 
-def test_reduced_system_validation():
+def test_reduced_system_validation(radial_plane):
     with pytest.raises(Exception):
         ReducedSystem([MultiPoly.zero(2)])  # one component in two variables
+    # Y is the PolyVectorField of dimension k = 3 in P1, P2, P3
+    field, inv = radial_plane
+    rs = reduce_field(field, inv)
+    assert isinstance(rs, PolyVectorField) and rs.k == rs.n == inv.k == 3
+    plain = PolyVectorField(rs.comps)
+    assert rs == plain and hash(rs) == hash(plain) and rs[1] == rs.comps[1]
+    assert repr(rs) == ("ReducedSystem(-2*P1^2 - 2*P1*P3 + 2*P1, -2*P1*P2 - 2*P2*P3 + 2*P2, "
+                        "-2*P1*P3 - 2*P3^2 + 2*P3)")
+    with pytest.raises(AttributeError, match="ReducedSystem is immutable"):
+        rs.source = (field, inv)
+    # a sequence given as Y meets the constructor's rule, then the count check
+    y = MultiPoly.variable(4, 0)
+    for use in (lambda ys: check_related(field, ys, inv),
+                lambda ys: integrate_pair(field, ys, inv, [1, 2], 1.0, 0.1)):
+        with pytest.raises(DimensionMismatch, match="component has 4 variables, expected 3"):
+            use([y, y, y])
+        with pytest.raises(DimensionMismatch, match="reduced system has 2 components, expected 3"):
+            use([MultiPoly.zero(2)] * 2)
+        with pytest.raises(ValueError, match="at least one component"):
+            use([])
+    # with no generators there is no orbit-space coordinate to reduce to
+    with pytest.raises(ValueError, match="at least one component"):
+        reduce_field(field, InvariantGens.from_polys(inv.group, []))
