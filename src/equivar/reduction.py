@@ -8,16 +8,17 @@ system Y is the reduced dynamics: sigma-images of X-trajectories solve it.
 check_related verifies the defining identity for a given (X, Y) pair, and
 integrate_pair witnesses it numerically by running classical fixed-step RK4
 in double precision.  Exact arithmetic stops at that boundary: coefficients
-are converted to floats only inside the integrator.  There the full and the
-reduced system run as one RK4 loop over the stacked state (x, P), in plain
-Python floats.  Each polynomial map is compiled once, by its own size: a
-small one into straight-line Python, where every monomial is one product of
-a lower monomial and one coordinate (no pow); a large one into a numpy
-evaluator that builds a table of integer powers of every coordinate and ends
-in one matrix-vector product.  The stacked evaluator is the two lone
-evaluators concatenated, so the blocks cannot mix.  The Hilbert map is
-compiled by the same rule.  The path is checked for non-finite states once,
-after the loop.
+are converted to floats only inside the integrator.  There one Python
+function, generated for the call, runs RK4 over the stacked state (x, P)
+held in scalar locals, and after each step evaluates the Hilbert map on x
+for the defect.  Its stage loop holds each polynomial map's code once,
+chosen by the map's size: a small map is straight-line Python, where every
+monomial is one product of a lower monomial and one coordinate (no pow); a
+large one is a call of a numpy evaluator that builds a table of integer
+powers of every coordinate and ends in one matrix-vector product.  Each
+block reads only its own coordinates, so each path is bit for bit the one
+RK4 gives its system alone.  The Hilbert map is compiled by the same rule.
+The path is checked for non-finite states once, after the loop.
 """
 
 from __future__ import annotations
@@ -164,18 +165,33 @@ def _float(v: Fraction, what: str) -> float:
 # compiler runs out of recursion.
 _STRAIGHT_LINE_TERMS = 300
 
+# integrate_pair refuses a run of more steps than this before it allocates
+# anything: it keeps every state, so 10^9 steps would ask for gigabytes and
+# run for hours.  A witness needs far fewer; the documented runs take 1,000.
+_MAX_STEPS = 10**6
 
-def _straight_line(polys: Sequence[MultiPoly], nvars: int):
-    """Compile a small polynomial map into one generated Python function.
 
-    Each monomial x^e is one multiplication of a lower monomial by one
-    coordinate: x^e = x^(e - u_j) * x_j, with j the last variable of e, so
-    monomials sharing a prefix share its products and no pow is called.
-    Each component is c_1*m_1 + c_2*m_2 + ..., its terms in descending grlex
-    order, summed left to right; a component reads only its own monomials.
-    A term -c*m is written as a subtraction of c*m and a factor 1.0 is left
-    out, which changes no bit of the sum.
+def _map_lines(polys: Sequence[MultiPoly], inputs: Sequence[str], outputs: Sequence[str],
+               tag: str, scope: dict) -> list[str]:
+    """The statements that set the names in outputs to the values of a
+    polynomial map at the floats named in inputs: the one code generator
+    behind both the lone evaluators and the RK4 kernel.
+
+    A map of at most _STRAIGHT_LINE_TERMS terms (summed over its components)
+    becomes straight-line code.  Each monomial x^e is one multiplication of
+    a lower monomial by one coordinate: x^e = x^(e - u_j) * x_j, with j the
+    last variable of e, so monomials sharing a prefix share its products and
+    no pow is called; the products are named tag0, tag1, ...  Each component
+    is c_1*m_1 + c_2*m_2 + ..., its terms in descending grlex order, summed
+    left to right; a component reads only its own monomials.  A term -c*m
+    is written as a subtraction of c*m and a factor 1.0 is left out, which
+    changes no bit of the sum.  A larger map becomes one call of its numpy
+    evaluator (_power_table), stored in scope under tag.
     """
+    if sum(len(p) for p in polys) > _STRAIGHT_LINE_TERMS:
+        scope[tag] = _power_table(polys, len(inputs))
+        return [f"{_targets(outputs)}= {tag}([{', '.join(inputs)}])"]
+
     def lower(e: Exponents) -> tuple[Exponents, int]:
         j = max(i for i, a in enumerate(e) if a)
         return e[:j] + (e[j] - 1,) + e[j + 1:], j
@@ -187,16 +203,15 @@ def _straight_line(polys: Sequence[MultiPoly], nvars: int):
                 needed.add(e)
                 e = lower(e)[0]
     names: dict[Exponents, str] = {}
-    products = []
+    lines = []
     for e in sorted(needed, key=grlex_key):
         below, j = lower(e)
         if any(below):
-            names[e] = f"m{len(products)}"
-            products.append(f"    {names[e]} = {names[below]} * x{j}")
+            names[e] = f"{tag}{len(lines)}"
+            lines.append(f"{names[e]} = {names[below]} * {inputs[j]}")
         else:
-            names[e] = f"x{j}"
-    comps = []
-    for p in polys:
+            names[e] = inputs[j]
+    for p, out in zip(polys, outputs):
         text = ""
         for e, c in p:
             c = _float(c, "coefficient")
@@ -210,12 +225,13 @@ def _straight_line(polys: Sequence[MultiPoly], nvars: int):
                 text += f" - {term}" if c < 0 else f" + {term}"
             else:
                 text = f"-{term}" if c < 0 else term
-        comps.append(text or "0.0")
-    unpack = [f"    {''.join(f'x{j}, ' for j in range(nvars))}= v"] if nvars else []
-    lines = ["def straight_line(v):", *unpack, *products, f"    return [{', '.join(comps)}]"]
-    scope: dict = {}
-    exec("\n".join(lines), scope)
-    return scope["straight_line"]
+        lines.append(f"{out} = {text or '0.0'}")
+    return lines
+
+
+def _targets(names: Sequence[str]) -> str:
+    """names as the target list of an unpacking assignment: 'a, b, '."""
+    return "".join(f"{name}, " for name in names)
 
 
 def _power_table(polys: Sequence[MultiPoly], nvars: int):
@@ -254,49 +270,88 @@ def _power_table(polys: Sequence[MultiPoly], nvars: int):
 
 def _compile_polys(polys: Sequence[MultiPoly], nvars: int):
     """Compile one polynomial map R^nvars -> R^len(polys) into a float
-    evaluator taking and returning lists; exact arithmetic ends here.  A map
-    of at most _STRAIGHT_LINE_TERMS terms becomes straight-line Python, a
-    larger one a numpy power-table evaluator."""
-    if sum(len(p) for p in polys) <= _STRAIGHT_LINE_TERMS:
-        return _straight_line(polys, nvars)
-    return _power_table(polys, nvars)
+    evaluator taking and returning lists; exact arithmetic ends here.  By
+    _map_lines's rule, a small map becomes a generated function
+    straight_line, a large one its numpy evaluator power_table."""
+    inputs = [f"x{j}" for j in range(nvars)]
+    outputs = [f"y{i}" for i in range(len(polys))]
+    scope: dict = {}
+    body = _map_lines(polys, inputs, outputs, "m", scope)
+    if "m" in scope:
+        return scope["m"]
+    unpack = [f"{_targets(inputs)}= v"] if nvars else []
+    lines = [*unpack, *body, f"return [{', '.join(outputs)}]"]
+    exec("\n".join(["def straight_line(v):", *(f"    {line}" for line in lines)]), scope)
+    return scope["straight_line"]
 
 
-def _compile_blocks(blocks: Sequence[tuple[Sequence[MultiPoly], int]]):
-    """Compile polynomial maps, one per block, into one evaluator over the
-    blocks' coordinates stacked in block order, returning their values
-    stacked the same way.  It is the lone evaluators concatenated, so block
-    b reads only its own coordinates and its values are bit for bit those
-    of its lone evaluator: an overflow in one block cannot reach another."""
-    (polys, nvars), *rest = blocks
-    first = _compile_polys(polys, nvars)
-    if not rest:
-        return first
-    others = _compile_blocks(rest)
-    return lambda v: first(v[:nvars]) + others(v[nvars:])
+def _rk4_kernel(field: Sequence[MultiPoly], reduced: Sequence[MultiPoly], sigma: Sequence[MultiPoly]):
+    """Compile classical fixed-step RK4 for the stacked system
+    (x, P)' = (X(x), Y(P)), X = field (n components) and Y = reduced (k),
+    with the defect against the Hilbert map sigma, into one generated
+    function rk4(start, nsteps, h) -> (states, defect).
 
+    The state lives in scalar locals, and the four stages run as one inner
+    loop whose body holds each map's code once (_map_lines); X reads only
+    the stage point's x coordinates and Y only its P ones, so each block's
+    path is bit for bit the one RK4 gives its system alone.  Each coordinate
+    is updated as numpy evaluates y + 0.5 * h * k1, ..,
+    y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4): the stage points are
+    y + (0.5 * h) * k and y + h * k, and the sum is accumulated as s = k1,
+    then s + 2.0 * k2, s + 2.0 * k3 and s + 1.0 * k4, which groups as that
+    sum does (1.0 * k is k).  states holds the nsteps + 1 states one after
+    another, in one flat list.
 
-def _rk4_path(f, y0: list[float], nsteps: int, h: float) -> list[list[float]]:
-    """Classical fixed-step RK4 for dy/dt = f(y) in Python floats: the
-    nsteps + 1 states at t = 0, h, .., nsteps * h, each a list.  Every
-    coordinate is updated by the expressions numpy would evaluate for
-    y + 0.5 * h * k1, .., y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4).
-
-    No step checks for finiteness: a coordinate that is nan or inf stays
-    non-finite under the update, so the caller scans the path once,
-    afterwards.
+    After each step, defect takes the largest |sigma(x) - P|, passing over a
+    state with a nan gap, as Python's max passes over numpy's per-row
+    maximum, which is nan there; the start's gaps are 0 or nan.  No step
+    checks for finiteness: a non-finite coordinate stays non-finite, so the
+    caller scans the states once, afterwards.
     """
-    half, sixth = 0.5 * h, h / 6.0
-    path = [y0]
-    y = y0
-    for _ in range(nsteps):
-        k1 = f(y)
-        k2 = f([a + half * b for a, b in zip(y, k1)])
-        k3 = f([a + half * b for a, b in zip(y, k2)])
-        k4 = f([a + h * b for a, b in zip(y, k3)])
-        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        path.append(y)
-    return path
+    n, k = len(field), len(reduced)
+    y, z = [f"y{i}" for i in range(n + k)], [f"z{i}" for i in range(n + k)]
+    dy, s = [f"k{i}" for i in range(n + k)], [f"s{i}" for i in range(n + k)]
+    q, gaps = [f"q{i}" for i in range(k)], [f"g{i}" for i in range(k)]
+    scope: dict = {}
+
+    stage_body = [
+        *_map_lines(field, z[:n], dy[:n], "mx", scope),
+        *_map_lines(reduced, z[n:], dy[n:], "mp", scope),
+        "if stage:",
+        *(f"    {c} = {c} + weight * {d}" for c, d in zip(s, dy)),
+        "else:",
+        *(f"    {c} = {d}" for c, d in zip(s, dy)),
+        "if stage < 3:",
+        *(f"    {b} = {a} + length * {d}" for a, b, d in zip(y, z, dy)),
+        "else:",
+        *(f"    {a} = {b} = {a} + sixth * {c}" for a, b, c in zip(y, z, s)),
+    ]
+    step_body = [
+        "for stage, weight, length in stages:",
+        *(f"    {line}" for line in stage_body),
+        f"extend(({_targets(y)}))",
+        *_map_lines(sigma, y[:n], q, "ms", scope),
+        *(f"{g} = abs({a} - {b})" for g, a, b in zip(gaps, q, y[n:])),
+        f"total = {' + '.join(gaps)}",
+        "if total == total:",
+        f"    defect = max(defect, {', '.join(gaps)})",
+    ]
+    lines = [
+        "def rk4(start, nsteps, h):",
+        "    half, sixth = 0.5 * h, h / 6.0",
+        # (index, weight of the stage's k in the sum, step from y to the next
+        # stage point); stage 0 starts the sum and stage 3 ends the step
+        "    stages = (0, None, half), (1, 2.0, half), (2, 2.0, h), (3, 1.0, None)",
+        f"    {_targets(y)}= {_targets(z)}= start",
+        f"    states = [{_targets(y)}]",
+        "    extend = states.extend",
+        "    defect = 0.0",
+        "    for _ in range(nsteps):",
+        *(f"        {line}" for line in step_body),
+        "    return states, defect",
+    ]
+    exec("\n".join(lines), scope)
+    return scope["rk4"]
 
 
 def integrate_pair(
@@ -309,23 +364,27 @@ def integrate_pair(
 ) -> TrajectoryReport:
     """Integrate dx/dt = X(x) and dp/dt = Y(p) from matched starts.
 
-    Classical fixed-step RK4 in Python floats, run once over the stacked
-    state z = (x, p) with the two systems' evaluators concatenated
-    (_compile_blocks), so each path is the one RK4 gives its system alone.
-    The paths are returned as numpy arrays.  Exact coefficients are converted to floats only at this
-    boundary.  The reduced trajectory starts from the (float) Hilbert-map
-    image of the float start, so a constant pair has defect exactly zero.
+    Classical fixed-step RK4 in Python floats, run by one kernel generated
+    for this call (_rk4_kernel) over the stacked state z = (x, p), so each
+    path is the one RK4 gives its system alone; the same kernel tracks the
+    defect.  The paths are returned as numpy arrays.  Exact coefficients are
+    converted to floats only at this boundary.  The reduced trajectory
+    starts from the (float) Hilbert-map image of the float start, so a
+    constant pair has defect exactly zero.
 
     Raises NonFiniteState on overflow or NaN, with the time of the first
     non-finite state; the full system is reported whenever it diverges,
     else the reduced one.  Raises ValueError unless step and t_end are
-    finite and positive and t_end is a whole number (at least one) of
-    steps, so the run never stops short of t_end or passes without
-    integrating, and when a start value or a coefficient lies beyond the
-    double range.
+    finite and positive and t_end is a whole number (at least one and at
+    most _MAX_STEPS) of steps, so the run never stops short of t_end,
+    passes without integrating or asks for more memory than a witness
+    needs, and when a start value or a coefficient lies beyond the double
+    range.
     """
     if not (0 < step < math.inf and 0 < t_end < math.inf):  # also false for NaN
         raise ValueError(f"step and t_end must be finite and positive, got {step} and {t_end}")
+    if t_end / step > _MAX_STEPS + 0.5:  # round(t_end / step) > _MAX_STEPS, inf included
+        raise ValueError(f"t_end {t_end} is more than {_MAX_STEPS} steps of {step}")
     nsteps = int(round(t_end / step))
     if nsteps < 1:
         raise ValueError(f"step {step} is longer than t_end {t_end}; no step would be taken")
@@ -341,29 +400,20 @@ def integrate_pair(
     import numpy as np
 
     t_grid = np.arange(nsteps + 1, dtype=float) * step
-    f = _compile_blocks([(field.comps, n), (reduced.comps, inv.k)])
+    rk4 = _rk4_kernel(field.comps, reduced.comps, inv.gens)
     sigma = _compile_polys(inv.gens, n)
     x0_float = [_float(v, "x0 entry") for v in x0_exact]
     # divergence is reported through NonFiniteState, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _rk4_path(f, x0_float + sigma(x0_float), nsteps, step)
-        path = np.array(rows)
-        x_path, p_path = path[:, :n], path[:, n:]
-        # the first non-finite row after the start is the step at which a
-        # check after every step would have stopped that system alone; a
-        # non-finite start (sigma(x0) overflowing) is thus reported after one
-        # step
-        for label, block in (("full", x_path), ("reduced", p_path)):
-            bad = ~np.isfinite(block[1:]).all(axis=1)
-            if bad.any():
-                t = (int(bad.argmax()) + 1) * step
-                raise NonFiniteState(f"{label} trajectory became non-finite at t={t}", t)
-        defect = 0.0
-        for row in rows:
-            gaps = [abs(s - q) for s, q in zip(sigma(row[:n]), row[n:])]
-            # a row with a nan gap (sigma(x) non-finite) counts for nothing:
-            # the defect is the max over rows of numpy's per-row maximum,
-            # which is nan there and which Python's max passes over
-            if not math.isnan(sum(gaps)):
-                defect = max(defect, *gaps)
+        states, defect = rk4(x0_float + sigma(x0_float), nsteps, step)
+    path = np.fromiter(states, float, len(states)).reshape(nsteps + 1, -1)
+    x_path, p_path = path[:, :n], path[:, n:]
+    # the first non-finite row after the start is the step at which a check
+    # after every step would have stopped that system alone; a non-finite
+    # start (sigma(x0) overflowing) is thus reported after one step
+    for label, block in (("full", x_path), ("reduced", p_path)):
+        bad = ~np.isfinite(block[1:]).all(axis=1)
+        if bad.any():
+            t = (int(bad.argmax()) + 1) * step
+            raise NonFiniteState(f"{label} trajectory became non-finite at t={t}", t)
     return TrajectoryReport(t_grid, x_path, p_path, defect)

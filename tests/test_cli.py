@@ -430,6 +430,23 @@ def test_integrate_check_x0_beyond_double_range_exit_2(capsys):
     assert doc["error"] == "ValueError" and "beyond the double range" in doc["message"]
 
 
+@pytest.mark.parametrize("t_end, step", [("1000000", "1e-6"), ("1e300", "1e-300")])
+def test_integrate_check_too_many_steps_exit_2(capsys, t_end, step):
+    # 10^12 steps (and a step count past the float range) are refused before
+    # the step grid is allocated or the kernel built: exit 2, no traceback
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
+    with mock.patch("equivar.reduction._rk4_kernel", side_effect=AssertionError("kernel built")):
+        code, out, err = run(
+            ["integrate-check", "--group", os.path.join(data, "z2_line.json"),
+             "--field", os.path.join(data, "cubic_line_field.json"), "--x0", "1/2",
+             "--t-end", t_end, "--step", step],
+            capsys,
+        )
+    assert code == 2 and out == "" and "Traceback" not in err
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "more than 1000000 steps" in doc["message"]
+
+
 def test_stop_rule_in_generator_documents(files, capsys):
     tmp, write = files
     # D4 on the plane: the hsop x1^2 + x2^2, x1^2 x2^2 certifies 4 / 3 of |G| = 8

@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from equivar import (
     NonFiniteState,
     NotInvariant,
     PolyVectorField,
+    RatMatrix,
     ReducedSystem,
     check_related,
+    close_group,
     directional_derivatives,
     integrate_pair,
     invariant_ring_generators,
@@ -26,7 +29,7 @@ from equivar import (
 from equivar import serialize as sz
 from equivar import reduction
 from equivar.poly import monomials_of_degree
-from equivar.reduction import _STRAIGHT_LINE_TERMS, _compile_blocks, _compile_polys, _rk4_path
+from equivar.reduction import _MAX_STEPS, _STRAIGHT_LINE_TERMS, _compile_polys, _rk4_kernel
 
 from conftest import monomial
 
@@ -215,10 +218,11 @@ def exponents(draw, n, total):
 
 
 @st.composite
-def poly_systems(draw):
+def poly_systems(draw, square=False):
     """A system of polynomials in 1-4 variables of degree up to 12, always
     with a zero and a constant component; the others either share monomials
-    or have pairwise disjoint supports."""
+    or have pairwise disjoint supports.  A square system (a vector field)
+    has one component per variable, each drawn from such a system."""
     n = draw(st.integers(min_value=1, max_value=4))
     monos = draw(st.lists(exponents(n, 12), min_size=1, max_size=12, unique=True))
     ncomps = draw(st.integers(min_value=1, max_value=3))
@@ -231,6 +235,8 @@ def poly_systems(draw):
     comps = [MultiPoly(n, {e: draw(coeffs) for e in support}) for support in supports]
     comps.insert(draw(st.integers(0, len(comps))), MultiPoly.zero(n))
     comps.insert(draw(st.integers(0, len(comps))), MultiPoly.constant(n, draw(coeffs)))
+    if square:
+        comps = [draw(st.sampled_from(comps)) for _ in range(n)]
     point = draw(st.lists(
         st.one_of(st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=7)),
         min_size=n, max_size=n,
@@ -249,32 +255,64 @@ def floats(point):
     return np.array([float(v) for v in point])
 
 
+def lone_rk4(f, y0, nsteps, step):
+    """Classical RK4 for one system alone, from its own evaluator, in numpy
+    array arithmetic: the nsteps + 1 states, non-finite ones included."""
+    out = np.empty((nsteps + 1, len(y0)))
+    out[0] = y = np.array(y0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(nsteps):
+            k1 = np.array(f(y))
+            k2 = np.array(f(y + 0.5 * step * k1))
+            k3 = np.array(f(y + 0.5 * step * k2))
+            k4 = np.array(f(y + step * k3))
+            y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[i + 1] = y
+    return out
+
+
+def kernel_path(first, second, start, nsteps, step):
+    """The RK4 kernel's path over two vector fields stacked as its x and P
+    blocks, with the zero map as sigma, as one array."""
+    zero = [MultiPoly.zero(len(first))] * len(second)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, _ = _rk4_kernel(first, second, zero)(np.asarray(start, dtype=float).tolist(), nsteps, step)
+    return np.array(states).reshape(nsteps + 1, -1)
+
+
+def assert_blocks_run_alone(first, second, start, nsteps, step):
+    """Assert that each block of the kernel's path is bit for bit the lone
+    RK4 path of its system, from its lone evaluator (so a block reads only
+    its own coordinates), and return the path."""
+    path = kernel_path(first, second, start, nsteps, step)
+    n = len(first)
+    for comps, y0, block in ((first, start[:n], path[:, :n]), (second, start[n:], path[:, n:])):
+        alone = lone_rk4(_compile_polys(comps, len(comps)), y0, nsteps, step)
+        assert np.array_equal(block, alone, equal_nan=True)
+    return path
+
+
 @settings(max_examples=100, deadline=None)
-@given(poly_systems(), poly_systems())
-def test_compiled_evaluator_matches_exact(system, other):
+@given(poly_systems(), poly_systems(square=True), poly_systems(square=True), st.sampled_from([1.0, 0.1, 1e-3]))
+def test_compiled_evaluator_matches_exact(system, field, other, step):
     n, comps, point = system
-    alone = np.array(_compile_polys(comps, n)(floats(point)))
-    assert_matches_exact(comps, point, alone)
-    # as one of two blocks, in either order and whatever the other's width,
-    # a block reads only its own coordinates and its values keep every bit
-    m, other_comps, other_point = other
-    k, j = len(comps), len(other_comps)
-    got = np.array(_compile_blocks([(comps, n), (other_comps, m)])(floats(point + other_point)))
-    assert np.array_equal(got[:k], alone)
-    assert_matches_exact(other_comps, other_point, got[k:])
-    got = np.array(_compile_blocks([(other_comps, m), (comps, n)])(floats(other_point + point)))
-    assert_matches_exact(other_comps, other_point, got[:j])
-    assert np.array_equal(got[j:], alone)
+    assert_matches_exact(comps, point, np.array(_compile_polys(comps, n)(floats(point))))
+    # as one of the kernel's two blocks, in either order and whatever the
+    # other's width, a vector field runs as it does alone
+    (n, comps, point), (m, other_comps, other_point) = field, other
+    assert_blocks_run_alone(comps, other_comps, floats(point + other_point), 3, step)
+    assert_blocks_run_alone(other_comps, comps, floats(other_point + point), 3, step)
 
 
 @st.composite
-def sized_maps(draw, terms):
-    """A map of exactly `terms` terms: 4-6 components in 2-4 variables, each
-    term a distinct (component, monomial) pair of degree at most 12, with a
-    point to evaluate it at.  Tests drawing these skip shrinking: a failing
-    300-term map shrinks for minutes and stays as hard to read."""
-    n = draw(st.integers(min_value=2, max_value=4))
-    ncomps = draw(st.integers(min_value=4, max_value=6))
+def sized_maps(draw, terms, square=False):
+    """A map of exactly `terms` terms: 4-6 components in 2-4 variables, or a
+    vector field in 3-4 variables when square, each term a distinct
+    (component, monomial) pair of degree at most 12, with a point to
+    evaluate it at.  Tests drawing these skip shrinking: a failing 300-term
+    map shrinks for minutes and stays as hard to read."""
+    n = draw(st.integers(min_value=3 if square else 2, max_value=4))
+    ncomps = n if square else draw(st.integers(min_value=4, max_value=6))
     monos = [e for d in range(13) for e in monomials_of_degree(n, d)]
     rnd = draw(st.randoms(use_true_random=False))
     pairs = rnd.sample([(i, e) for i in range(ncomps) for e in monos], terms)
@@ -299,14 +337,17 @@ def test_evaluator_choice_at_the_term_limit(data, offset):
 @settings(max_examples=10, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(data=st.data())
 def test_stacked_blocks_across_the_term_limit(data):
-    # one block on each side of the limit: in either order each block's
-    # values equal its lone evaluator's, bit for bit
-    n, large, point = data.draw(sized_maps(_STRAIGHT_LINE_TERMS + 1))
-    m, small, other_point = data.draw(poly_systems())
-    x, y = [float(v) for v in point], [float(v) for v in other_point]
-    alone_large, alone_small = _compile_polys(large, n)(x), _compile_polys(small, m)(y)
-    assert _compile_blocks([(large, n), (small, m)])(x + y) == alone_large + alone_small
-    assert _compile_blocks([(small, m), (large, n)])(y + x) == alone_small + alone_large
+    # one block on each side of the limit, the large one on the numpy
+    # evaluator inside the kernel: in either order each block's path equals
+    # its lone path, bit for bit; the large field starts within 1/2 of the
+    # origin, where it stays finite
+    n, large, point = data.draw(sized_maps(_STRAIGHT_LINE_TERMS + 1, square=True))
+    m, small, other_point = data.draw(poly_systems(square=True))
+    assert _compile_polys(large, n).__name__ == "power_table"
+    x, y = floats(point) / 4, floats(other_point)
+    path = assert_blocks_run_alone(large, small, np.concatenate([x, y]), 5, 1e-2)
+    assert np.isfinite(path[:, :n]).all()
+    assert_blocks_run_alone(small, large, np.concatenate([y, x]), 5, 1e-2)
 
 
 def non_finite_runs():
@@ -350,26 +391,16 @@ def test_non_finite_state_on_the_numpy_side(request, monkeypatch, case):
 
 def separate_rk4(field, comps, inv, x0, t_end, step):
     """Both systems integrated one after the other, each from its own
-    evaluator with a finiteness check after every step: the reference that
-    integrate_pair's one stacked pass must match bit for bit."""
+    evaluator and checked for finiteness after every step, then the defect
+    row by row: the reference that integrate_pair's one generated kernel
+    must match bit for bit."""
     nsteps = int(round(t_end / step))
 
     def path(f, y0, label):
-        out = np.empty((nsteps + 1, y0.size))
-        out[0] = y0
-        y = y0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(nsteps):
-                k1 = np.array(f(y))
-                k2 = np.array(f(y + 0.5 * step * k1))
-                k3 = np.array(f(y + 0.5 * step * k2))
-                k4 = np.array(f(y + step * k3))
-                y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.isfinite(y)):
-                    raise NonFiniteState(
-                        f"{label} trajectory became non-finite at t={(i + 1) * step}", (i + 1) * step
-                    )
-                out[i + 1] = y
+        out = lone_rk4(f, y0, nsteps, step)
+        for i in range(1, nsteps + 1):
+            if not np.all(np.isfinite(out[i])):
+                raise NonFiniteState(f"{label} trajectory became non-finite at t={i * step}", i * step)
         return out
 
     sigma = _compile_polys(inv.gens, field.n)
@@ -379,12 +410,21 @@ def separate_rk4(field, comps, inv, x0, t_end, step):
         p0 = np.array(sigma(x0_float))
     p_path = path(_compile_polys(comps, inv.k), p0, "reduced")
     defect = 0.0
-    for xi, pi in zip(x_path, p_path):
-        defect = max(defect, float(np.max(np.abs(np.array(sigma(xi)) - pi))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xi, pi in zip(x_path, p_path):
+            defect = max(defect, float(np.max(np.abs(np.array(sigma(xi)) - pi))))
     return x_path, p_path, defect
 
 
 def assert_matches_separate_loops(field, comps, inv, x0, t_end, step):
+    # at the default term limit and at 0, where every block and sigma take
+    # the numpy evaluator inside the kernel (and in the reference)
+    for limit in (_STRAIGHT_LINE_TERMS, 0):
+        with mock.patch.object(reduction, "_STRAIGHT_LINE_TERMS", limit):
+            assert_matches_separate_loops_once(field, comps, inv, x0, t_end, step)
+
+
+def assert_matches_separate_loops_once(field, comps, inv, x0, t_end, step):
     try:
         x_path, p_path, defect = separate_rk4(field, comps, inv, x0, t_end, step)
     except NonFiniteState as want:
@@ -441,6 +481,42 @@ def test_stacked_rk4_matches_separate_loops_on_drawn_systems(sample_invs, data):
     assert_matches_separate_loops(field, comps, inv, x0, nsteps * step, step)
 
 
+def test_sigma_alone_above_the_term_limit():
+    # -I on Q^4 with generators the sums of all monomials of degrees 2 and
+    # 12 (10 + 455 terms): sigma alone takes the numpy evaluator inside the
+    # kernel.  X = -x pushes down to Y = (-2 P1, -12 P2) exactly.
+    inv = InvariantGens.from_polys(
+        close_group([RatMatrix.from_rows([[-1 if i == j else 0 for j in range(4)] for i in range(4)])]),
+        [sum((monomial(e) for e in monomials_of_degree(4, d)), MultiPoly.zero(4)) for d in (2, 12)],
+    )
+    field = PolyVectorField([-v for v in variables(4)])
+    P1, P2 = variables(2)
+    reduced = [P1 * -2, P2 * -12]
+    assert check_related(field, reduced, inv)
+    assert _compile_polys(inv.gens, 4).__name__ == "power_table"
+    assert _compile_polys(field.comps, 4).__name__ == _compile_polys(reduced, 2).__name__ == "straight_line"
+    x0 = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 8), Fraction(1, 2)]
+    assert integrate_pair(field, reduced, inv, x0, 1.0, 1e-2).max_defect < 1e-8
+    assert_matches_separate_loops(field, reduced, inv, x0, 1.0, 1e-2)
+
+
+def test_rows_with_a_nan_gap_count_for_nothing(z2_line, monkeypatch):
+    # X = x from 5 and the generators x^2, x^400: the path stays finite, but
+    # from t = 0.17 on x^400 overflows.  The numpy evaluator then returns
+    # (nan, inf) (0.0 * inf in the matrix-vector product), so those rows
+    # count for nothing and the defect stays finite; straight-line code
+    # returns (x^2, inf), an infinite gap that counts.
+    x, = variables(1)
+    inv = InvariantGens.from_polys(z2_line, [x**2, x**400])
+    field = PolyVectorField([x])
+    P1, _ = variables(2)
+    reduced = [P1 * 2, MultiPoly.zero(2)]
+    assert_matches_separate_loops(field, reduced, inv, [5], 1.0, 1e-2)
+    assert integrate_pair(field, reduced, inv, [5], 1.0, 1e-2).max_defect == float("inf")
+    monkeypatch.setattr(reduction, "_STRAIGHT_LINE_TERMS", 0)
+    assert np.isfinite(integrate_pair(field, reduced, inv, [5], 1.0, 1e-2).max_defect)
+
+
 def test_non_finite_only_in_reduced(z2_line):
     # X = -x decays; the unrelated Y = P1^3 from P1 = 4 blows up at t = 1/32
     x, = variables(1)
@@ -480,17 +556,20 @@ def test_non_finite_in_both_reports_full(z2_line):
 @pytest.mark.parametrize("diverging", ["full", "reduced"])
 def test_overflow_in_one_block_leaves_the_other_finite(diverging):
     # one system overflows (y' = y^3 from 4), the other decays (y' = 1/2 - y);
-    # the decaying block's path stays finite and equals its lone RK4 path
+    # in the kernel, on either evaluator, the decaying block's path stays
+    # finite and equals its lone RK4 path
     cube = [MultiPoly(1, {(3,): 1})]
     decay = [MultiPoly(1, {(1,): -1, (0,): Fraction(1, 2)})]
-    blocks = [(cube, 1), (decay, 1)] if diverging == "full" else [(decay, 1), (cube, 1)]
+    blocks = (cube, decay) if diverging == "full" else (decay, cube)
     start = [4.0, 1.0] if diverging == "full" else [1.0, 4.0]
-    path = np.array(_rk4_path(_compile_blocks(blocks), start, 200, 1e-2))
     blown, kept = (0, 1) if diverging == "full" else (1, 0)
-    assert not np.isfinite(path[-1, blown])
-    assert np.all(np.isfinite(path[:, kept]))
-    alone = np.array(_rk4_path(_compile_polys(decay, 1), start[kept:kept + 1], 200, 1e-2))
-    assert np.array_equal(path[:, kept], alone[:, 0])
+    for limit in (_STRAIGHT_LINE_TERMS, 0):
+        with mock.patch.object(reduction, "_STRAIGHT_LINE_TERMS", limit):
+            path = kernel_path(*blocks, start, 200, 1e-2)
+            alone = lone_rk4(_compile_polys(decay, 1), start[kept:kept + 1], 200, 1e-2)
+        assert not np.isfinite(path[-1, blown])
+        assert np.all(np.isfinite(path[:, kept]))
+        assert np.array_equal(path[:, kept], alone[:, 0])
 
 
 def test_integrate_validates_arguments(cubic_line):
@@ -527,6 +606,24 @@ def test_integrate_rejects_zero_steps_and_partial_steps(cubic_line):
         integrate_pair(field, rs, inv, [Fraction(1, 2)], 1.0, 0.3)
     # floating-point round-off in t_end / step is not a partial step
     assert len(integrate_pair(field, rs, inv, [Fraction(1, 2)], 0.3, 0.1).t_grid) == 4
+
+
+def test_integrate_rejects_runs_beyond_the_step_limit(cubic_line, monkeypatch):
+    # refused before anything is allocated or compiled: at 10^12 steps (or
+    # an overflowing t_end / step) the step grid alone would not fit
+    field, inv = cubic_line
+    rs = reduce_field(field, inv)
+
+    def fail(*args):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(reduction, "_rk4_kernel", fail)
+    for t_end, step in ((1e6, 1e-6), (1e300, 1e-300), (_MAX_STEPS + 1.0, 1.0), (1.0, 1 / (_MAX_STEPS + 1))):
+        with pytest.raises(ValueError, match=f"more than {_MAX_STEPS} steps"):
+            integrate_pair(field, rs, inv, [Fraction(1, 2)], t_end, step)
+    # exactly _MAX_STEPS steps is allowed
+    with pytest.raises(AssertionError, match="the kernel was built"):
+        integrate_pair(field, rs, inv, [Fraction(1, 2)], float(_MAX_STEPS), 1.0)
 
 
 def test_reduced_system_validation(radial_plane):
