@@ -52,6 +52,13 @@ REDUCE_CASES = [
     ("c4", "radial_plane_field"),
 ]
 
+# One start per reduce case for integrate-check, at its default t_end and
+# step (1,000 RK4 steps), passed as --x0=... since a start may begin with
+# "-".  Every map here has far fewer terms than the
+# straight-line limit, so the printed max_defect comes from Python float
+# arithmetic alone and does not depend on the BLAS numpy links.
+X0 = {"z2_line": "1/2", "z2_diag": "1/2,1/3", "swap": "1/2,-1/3", "c4": "-3/4,1/5"}
+
 
 def _bound(b) -> list[str]:
     return [] if b is None else ["--bound", str(b)]
@@ -82,11 +89,18 @@ def cases() -> list[tuple[str, list[str]]]:
         out.append((f"{name}.molien.json",
                     ["molien", "--group", "{groups}/%s.json" % name, "--degrees", "12"]))
     for name, field in REDUCE_CASES:
-        out.append((f"{name}.{field}.reduce.json", [
-            "reduce", "--group", "{root}/demos/data/%s.json" % name,
+        given = [
+            "--group", "{root}/demos/data/%s.json" % name,
             "--invariants", "{out}/%s.invariants.json" % name,
             "--field", "{root}/demos/data/%s.json" % field,
-        ]))
+        ]
+        reduced = ["--reduced", "{out}/%s.%s.reduce.json" % (name, field)]
+        out += [
+            (f"{name}.{field}.reduce.json", ["reduce", *given]),
+            (f"{name}.{field}.check-related.json", ["check-related", *given, *reduced]),
+            (f"{name}.{field}.integrate-check.json",
+             ["integrate-check", *given, *reduced, f"--x0={X0[name]}"]),
+        ]
     return out
 
 
