@@ -7,18 +7,17 @@ system Y is the reduced dynamics: sigma-images of X-trajectories solve it.
 
 check_related verifies the defining identity for a given (X, Y) pair, and
 integrate_pair witnesses it numerically by running classical fixed-step RK4
-in double precision.  Exact arithmetic stops at that boundary: coefficients
-are converted to floats only inside the integrator.  There one Python
-function, generated for the call, runs RK4 over the stacked state (x, P)
-held in scalar locals, and after each step evaluates the Hilbert map on x
-for the defect.  Its stage loop holds each polynomial map's code once,
-chosen by the map's size: a small map is straight-line Python, where every
-monomial is one product of a lower monomial and one coordinate (no pow); a
-large one is a call of a numpy evaluator that builds a table of integer
-powers of every coordinate and ends in one matrix-vector product.  Each
-block reads only its own coordinates, so each path is bit for bit the one
-RK4 gives its system alone.  The Hilbert map is compiled by the same rule.
-The path is checked for non-finite states once, after the loop.
+in double precision.  Exact arithmetic stops at that boundary.  One Python
+function, generated for the call, is the whole float side: it runs RK4 over
+the stacked state (x, P) held in scalar locals and evaluates the Hilbert map
+on x at every state, at the start to set P and after each step for the
+defect.  It holds the code of X, Y and the Hilbert map once each, chosen by
+the map's size: a small map is straight-line Python, where every monomial
+is one product of a lower monomial and one coordinate (no pow); a large one
+is a call of a numpy evaluator that builds a table of integer powers of
+every coordinate and ends in one matrix-vector product.  Each block reads
+only its own coordinates, so each path is bit for bit the one RK4 gives its
+system alone.  The path is checked for non-finite states once, afterwards.
 """
 
 from __future__ import annotations
@@ -82,9 +81,9 @@ def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
     derivs = directional_derivatives(field, inv)
     comps = _express_all(inv, derivs)
-    for i, (f, q) in enumerate(zip(comps, derivs)):
-        if inv.substitute(f) != q:
-            raise NoSolution(f"internal: reduced component {i} fails the defining identity")
+    chk = _related(derivs, comps, inv)
+    if not chk:
+        raise NoSolution(f"internal: reduced component {chk.index} fails the defining identity")
     return ReducedSystem(comps)
 
 
@@ -115,11 +114,17 @@ def check_related(
 ) -> RelatednessCheck:
     """Verify sum_j X_j dp_i/dx_j == Y_i(p_1,..,p_k) for every i, exactly."""
     reduced = _reduced_system(reduced, inv)
-    derivs = directional_derivatives(field, inv)
-    for i, (lhs, y_i) in enumerate(zip(derivs, reduced.comps)):
-        diff = lhs - inv.substitute(y_i)
-        if not diff.is_zero:
-            return RelatednessCheck(False, i, diff)
+    return _related(directional_derivatives(field, inv), reduced.comps, inv)
+
+
+def _related(derivs: Sequence[MultiPoly], comps: Sequence[MultiPoly], inv: InvariantGens) -> RelatednessCheck:
+    """X(p_i) == Y_i(p_1,..,p_k) checked exactly, derivs holding the X(p_i)
+    and comps the Y_i: the first failing i with X(p_i) - Y_i(p), built only
+    for it (on S4 a comparison costs a fifth of a subtraction), else related."""
+    for i, (lhs, y_i) in enumerate(zip(derivs, comps)):
+        rhs = inv.substitute(y_i)
+        if lhs != rhs:
+            return RelatednessCheck(False, i, lhs - rhs)
     return RelatednessCheck(True)
 
 
@@ -145,14 +150,20 @@ class TrajectoryReport:
         )
 
 
-def _float(v: Fraction, what: str) -> float:
-    """v as a double; ValueError naming v when it lies beyond the double range."""
+def _float(v, what: str) -> float:
+    """v (an int, Fraction, float or rational string) as a finite double;
+    ValueError naming v when it is inf, nan or beyond the double range."""
     try:
-        return float(v)
+        x = float(v if isinstance(v, (int, float, Fraction)) else Fraction(v))
     except OverflowError:
-        text = str(v)
-        text = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
-        raise ValueError(f"{what} {text} lies beyond the double range") from None
+        reason = "lies beyond the double range"
+    else:
+        if math.isfinite(x):
+            return x
+        reason = "is not finite"
+    text = str(v)
+    text = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+    raise ValueError(f"{what} {text} {reason}")
 
 
 # A map of at most this many terms (summed over its components) compiles to
@@ -175,7 +186,7 @@ def _map_lines(polys: Sequence[MultiPoly], inputs: Sequence[str], outputs: Seque
                tag: str, scope: dict) -> list[str]:
     """The statements that set the names in outputs to the values of a
     polynomial map at the floats named in inputs: the one code generator
-    behind both the lone evaluators and the RK4 kernel.
+    behind the RK4 kernel.
 
     A map of at most _STRAIGHT_LINE_TERMS terms (summed over its components)
     becomes straight-line code.  Each monomial x^e is one multiplication of
@@ -268,32 +279,17 @@ def _power_table(polys: Sequence[MultiPoly], nvars: int):
     return power_table
 
 
-def _compile_polys(polys: Sequence[MultiPoly], nvars: int):
-    """Compile one polynomial map R^nvars -> R^len(polys) into a float
-    evaluator taking and returning lists; exact arithmetic ends here.  By
-    _map_lines's rule, a small map becomes a generated function
-    straight_line, a large one its numpy evaluator power_table."""
-    inputs = [f"x{j}" for j in range(nvars)]
-    outputs = [f"y{i}" for i in range(len(polys))]
-    scope: dict = {}
-    body = _map_lines(polys, inputs, outputs, "m", scope)
-    if "m" in scope:
-        return scope["m"]
-    unpack = [f"{_targets(inputs)}= v"] if nvars else []
-    lines = [*unpack, *body, f"return [{', '.join(outputs)}]"]
-    exec("\n".join(["def straight_line(v):", *(f"    {line}" for line in lines)]), scope)
-    return scope["straight_line"]
-
-
 def _rk4_kernel(field: Sequence[MultiPoly], reduced: Sequence[MultiPoly], sigma: Sequence[MultiPoly]):
     """Compile classical fixed-step RK4 for the stacked system
     (x, P)' = (X(x), Y(P)), X = field (n components) and Y = reduced (k),
     with the defect against the Hilbert map sigma, into one generated
-    function rk4(start, nsteps, h) -> (states, defect).
+    function rk4(x0, nsteps, h) -> (states, defect).
 
-    The state lives in scalar locals, and the four stages run as one inner
-    loop whose body holds each map's code once (_map_lines); X reads only
-    the stage point's x coordinates and Y only its P ones, so each block's
+    The state lives in scalar locals.  One loop visits the nsteps + 1
+    states: it evaluates sigma on x (at the start, to set P to sigma(x0)),
+    then steps, unless the state is the last, with the four stages as one
+    inner loop.  Each map's code appears once (_map_lines); X reads only the
+    stage point's x coordinates and Y only its P ones, so each block's
     path is bit for bit the one RK4 gives its system alone.  Each coordinate
     is updated as numpy evaluates y + 0.5 * h * k1, ..,
     y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4): the stage points are
@@ -302,7 +298,7 @@ def _rk4_kernel(field: Sequence[MultiPoly], reduced: Sequence[MultiPoly], sigma:
     sum does (1.0 * k is k).  states holds the nsteps + 1 states one after
     another, in one flat list.
 
-    After each step, defect takes the largest |sigma(x) - P|, passing over a
+    On each state, defect takes the largest |sigma(x) - P|, passing over a
     state with a nan gap, as Python's max passes over numpy's per-row
     maximum, which is nan there; the start's gaps are 0 or nan.  No step
     checks for finiteness: a non-finite coordinate stays non-finite, so the
@@ -326,28 +322,32 @@ def _rk4_kernel(field: Sequence[MultiPoly], reduced: Sequence[MultiPoly], sigma:
         "else:",
         *(f"    {a} = {b} = {a} + sixth * {c}" for a, b, c in zip(y, z, s)),
     ]
-    step_body = [
-        "for stage, weight, length in stages:",
-        *(f"    {line}" for line in stage_body),
-        f"extend(({_targets(y)}))",
+    state_body = [
         *_map_lines(sigma, y[:n], q, "ms", scope),
+        "if not i:",
+        *(f"    {a} = {b} = {c}" for a, b, c in zip(y[n:], z[n:], q)),
         *(f"{g} = abs({a} - {b})" for g, a, b in zip(gaps, q, y[n:])),
         f"total = {' + '.join(gaps)}",
         "if total == total:",
         f"    defect = max(defect, {', '.join(gaps)})",
+        f"extend(({_targets(y)}))",
+        "if i == nsteps:",
+        "    break",
+        "for stage, weight, length in stages:",
+        *(f"    {line}" for line in stage_body),
     ]
     lines = [
-        "def rk4(start, nsteps, h):",
+        "def rk4(x0, nsteps, h):",
         "    half, sixth = 0.5 * h, h / 6.0",
         # (index, weight of the stage's k in the sum, step from y to the next
         # stage point); stage 0 starts the sum and stage 3 ends the step
         "    stages = (0, None, half), (1, 2.0, half), (2, 2.0, h), (3, 1.0, None)",
-        f"    {_targets(y)}= {_targets(z)}= start",
-        f"    states = [{_targets(y)}]",
+        f"    {_targets(y[:n])}= {_targets(z[:n])}= x0",
+        "    states = []",
         "    extend = states.extend",
         "    defect = 0.0",
-        "    for _ in range(nsteps):",
-        *(f"        {line}" for line in step_body),
+        "    for i in range(nsteps + 1):",
+        *(f"        {line}" for line in state_body),
         "    return states, defect",
     ]
     exec("\n".join(lines), scope)
@@ -367,10 +367,11 @@ def integrate_pair(
     Classical fixed-step RK4 in Python floats, run by one kernel generated
     for this call (_rk4_kernel) over the stacked state z = (x, p), so each
     path is the one RK4 gives its system alone; the same kernel tracks the
-    defect.  The paths are returned as numpy arrays.  Exact coefficients are
-    converted to floats only at this boundary.  The reduced trajectory
-    starts from the (float) Hilbert-map image of the float start, so a
-    constant pair has defect exactly zero.
+    defect.  The paths are returned as numpy arrays.  Each start value
+    becomes a double once (_float), before the kernel is generated, and
+    exact coefficients only inside it.  P starts from the kernel's own
+    Hilbert-map image of the float start, so a constant pair has defect
+    exactly zero.
 
     Raises NonFiniteState on overflow or NaN, with the time of the first
     non-finite state; the full system is reported whenever it diverges,
@@ -378,8 +379,8 @@ def integrate_pair(
     finite and positive and t_end is a whole number (at least one and at
     most _MAX_STEPS) of steps, so the run never stops short of t_end,
     passes without integrating or asks for more memory than a witness
-    needs, and when a start value or a coefficient lies beyond the double
-    range.
+    needs; also when a start value is not a finite double or a coefficient
+    lies beyond the double range.
     """
     if not (0 < step < math.inf and 0 < t_end < math.inf):  # also false for NaN
         raise ValueError(f"step and t_end must be finite and positive, got {step} and {t_end}")
@@ -394,18 +395,16 @@ def integrate_pair(
     n = field.n
     if len(x0) != n:
         raise DimensionMismatch(f"x0 has length {len(x0)}, field dimension is {n}")
-    x0_exact = [v if isinstance(v, Fraction) else Fraction(v) for v in x0]
+    x0_float = [_float(v, "x0 entry") for v in x0]
     # numpy is imported here rather than with the module: only the integrator
     # needs it, and it takes several times longer to load than all of equivar
     import numpy as np
 
     t_grid = np.arange(nsteps + 1, dtype=float) * step
     rk4 = _rk4_kernel(field.comps, reduced.comps, inv.gens)
-    sigma = _compile_polys(inv.gens, n)
-    x0_float = [_float(v, "x0 entry") for v in x0_exact]
     # divergence is reported through NonFiniteState, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        states, defect = rk4(x0_float + sigma(x0_float), nsteps, step)
+        states, defect = rk4(x0_float, nsteps, step)
     path = np.fromiter(states, float, len(states)).reshape(nsteps + 1, -1)
     x_path, p_path = path[:, :n], path[:, n:]
     # the first non-finite row after the start is the step at which a check

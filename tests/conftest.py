@@ -30,6 +30,7 @@ from equivar import (
     monomials_of_degree,
     pairing,
 )
+from equivar import reduction
 from equivar.equivariants import xilinear_monomials
 from equivar.linalg import _reduced_rows
 from equivar.poly import poly_to_vector
@@ -85,6 +86,24 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     divided out; test_linalg holds it against Fraction Gauss-Jordan."""
     red, pivots = _reduced_rows(rows)
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(red, pivots)], pivots
+
+
+def compile_polys(polys, nvars: int):
+    """The lone float evaluator of one polynomial map R^nvars -> R^len(polys),
+    taking and returning lists: the reference the RK4 kernel's blocks and
+    Hilbert map are held against, from the kernel's own code generator
+    (reduction._map_lines).  A small map becomes a generated function
+    straight_line, a large one its numpy evaluator power_table."""
+    inputs = [f"x{j}" for j in range(nvars)]
+    outputs = [f"y{i}" for i in range(len(polys))]
+    scope: dict = {}
+    body = reduction._map_lines(polys, inputs, outputs, "m", scope)
+    if "m" in scope:
+        return scope["m"]
+    unpack = [f"{''.join(f'{x}, ' for x in inputs)}= v"] if nvars else []
+    lines = [*unpack, *body, f"return [{', '.join(outputs)}]"]
+    exec("\n".join(["def straight_line(v):", *(f"    {line}" for line in lines)]), scope)
+    return scope["straight_line"]
 
 
 def field_to_vector(field: PolyVectorField, basis) -> list[Fraction]:

@@ -13,6 +13,7 @@ from equivar import (
     DimensionMismatch,
     InvariantGens,
     MultiPoly,
+    NoSolution,
     NonFiniteState,
     NotInvariant,
     PolyVectorField,
@@ -29,9 +30,9 @@ from equivar import (
 from equivar import serialize as sz
 from equivar import reduction
 from equivar.poly import monomials_of_degree
-from equivar.reduction import _MAX_STEPS, _STRAIGHT_LINE_TERMS, _compile_polys, _rk4_kernel
+from equivar.reduction import _MAX_STEPS, _STRAIGHT_LINE_TERMS, _rk4_kernel
 
-from conftest import monomial
+from conftest import compile_polys, monomial
 
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
 
@@ -112,6 +113,23 @@ def test_check_related_wrong_system(z2_line):
     assert not chk
     assert chk.index == 0
     assert chk.difference == x**2
+
+
+def test_reduce_field_rechecks_the_identity(radial_plane, monkeypatch):
+    # reduce_field re-checks what the solve returns with the same identity
+    # loop as check_related: a wrong second component is reported by index
+    field, inv = radial_plane
+    solve = reduction._express_all
+
+    def wrong_second(inv, derivs):
+        comps = solve(inv, derivs)
+        return [comps[0], comps[1] + MultiPoly.constant(inv.k, 1), *comps[2:]]
+
+    monkeypatch.setattr(reduction, "_express_all", wrong_second)
+    with pytest.raises(NoSolution, match="internal: reduced component 1 fails the defining identity"):
+        reduce_field(field, inv)
+    chk = check_related(field, wrong_second(inv, directional_derivatives(field, inv)), inv)
+    assert (chk.index, chk.difference) == (1, MultiPoly.constant(2, -1))
 
 
 def test_check_related_zero(z2_line):
@@ -273,10 +291,12 @@ def lone_rk4(f, y0, nsteps, step):
 
 def kernel_path(first, second, start, nsteps, step):
     """The RK4 kernel's path over two vector fields stacked as its x and P
-    blocks, with the zero map as sigma, as one array."""
-    zero = [MultiPoly.zero(len(first))] * len(second)
+    blocks, as one array; sigma is the constant map to the P block's start,
+    so the kernel starts P there."""
+    n = len(first)
+    sigma = [MultiPoly.constant(n, Fraction(v)) for v in start[n:]]
     with np.errstate(over="ignore", invalid="ignore"):
-        states, _ = _rk4_kernel(first, second, zero)(np.asarray(start, dtype=float).tolist(), nsteps, step)
+        states, _ = _rk4_kernel(first, second, sigma)(np.asarray(start[:n], dtype=float).tolist(), nsteps, step)
     return np.array(states).reshape(nsteps + 1, -1)
 
 
@@ -287,7 +307,7 @@ def assert_blocks_run_alone(first, second, start, nsteps, step):
     path = kernel_path(first, second, start, nsteps, step)
     n = len(first)
     for comps, y0, block in ((first, start[:n], path[:, :n]), (second, start[n:], path[:, n:])):
-        alone = lone_rk4(_compile_polys(comps, len(comps)), y0, nsteps, step)
+        alone = lone_rk4(compile_polys(comps, len(comps)), y0, nsteps, step)
         assert np.array_equal(block, alone, equal_nan=True)
     return path
 
@@ -296,7 +316,7 @@ def assert_blocks_run_alone(first, second, start, nsteps, step):
 @given(poly_systems(), poly_systems(square=True), poly_systems(square=True), st.sampled_from([1.0, 0.1, 1e-3]))
 def test_compiled_evaluator_matches_exact(system, field, other, step):
     n, comps, point = system
-    assert_matches_exact(comps, point, np.array(_compile_polys(comps, n)(floats(point))))
+    assert_matches_exact(comps, point, np.array(compile_polys(comps, n)(floats(point))))
     # as one of the kernel's two blocks, in either order and whatever the
     # other's width, a vector field runs as it does alone
     (n, comps, point), (m, other_comps, other_point) = field, other
@@ -329,7 +349,7 @@ def test_evaluator_choice_at_the_term_limit(data, offset):
     # straight-line and the numpy evaluator as the limit says, and both match
     # exact evaluation
     n, comps, point = data.draw(sized_maps(_STRAIGHT_LINE_TERMS + offset))
-    evaluate = _compile_polys(comps, n)
+    evaluate = compile_polys(comps, n)
     assert evaluate.__name__ == ("straight_line" if offset <= 0 else "power_table")
     assert_matches_exact(comps, point, np.array(evaluate(floats(point))))
 
@@ -343,7 +363,7 @@ def test_stacked_blocks_across_the_term_limit(data):
     # origin, where it stays finite
     n, large, point = data.draw(sized_maps(_STRAIGHT_LINE_TERMS + 1, square=True))
     m, small, other_point = data.draw(poly_systems(square=True))
-    assert _compile_polys(large, n).__name__ == "power_table"
+    assert compile_polys(large, n).__name__ == "power_table"
     x, y = floats(point) / 4, floats(other_point)
     path = assert_blocks_run_alone(large, small, np.concatenate([x, y]), 5, 1e-2)
     assert np.isfinite(path[:, :n]).all()
@@ -379,7 +399,7 @@ def test_non_finite_state_on_the_numpy_side(request, monkeypatch, case):
     errors = []
     for limit in (_STRAIGHT_LINE_TERMS, 0):
         monkeypatch.setattr(reduction, "_STRAIGHT_LINE_TERMS", limit)
-        assert _compile_polys(comps, inv.k).__name__ == ("power_table" if limit == 0 else "straight_line")
+        assert compile_polys(comps, inv.k).__name__ == ("power_table" if limit == 0 else "straight_line")
         with pytest.raises(NonFiniteState) as err:
             integrate_pair(field, comps, inv, x0, t_end, step)
         errors.append((str(err.value), err.value.time))
@@ -403,12 +423,12 @@ def separate_rk4(field, comps, inv, x0, t_end, step):
                 raise NonFiniteState(f"{label} trajectory became non-finite at t={i * step}", i * step)
         return out
 
-    sigma = _compile_polys(inv.gens, field.n)
+    sigma = compile_polys(inv.gens, field.n)
     x0_float = floats(x0)
-    x_path = path(_compile_polys(field.comps, field.n), x0_float, "full")
+    x_path = path(compile_polys(field.comps, field.n), x0_float, "full")
     with np.errstate(over="ignore"):
         p0 = np.array(sigma(x0_float))
-    p_path = path(_compile_polys(comps, inv.k), p0, "reduced")
+    p_path = path(compile_polys(comps, inv.k), p0, "reduced")
     defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for xi, pi in zip(x_path, p_path):
@@ -493,8 +513,8 @@ def test_sigma_alone_above_the_term_limit():
     P1, P2 = variables(2)
     reduced = [P1 * -2, P2 * -12]
     assert check_related(field, reduced, inv)
-    assert _compile_polys(inv.gens, 4).__name__ == "power_table"
-    assert _compile_polys(field.comps, 4).__name__ == _compile_polys(reduced, 2).__name__ == "straight_line"
+    assert compile_polys(inv.gens, 4).__name__ == "power_table"
+    assert compile_polys(field.comps, 4).__name__ == compile_polys(reduced, 2).__name__ == "straight_line"
     x0 = [Fraction(1, 4), Fraction(-1, 4), Fraction(1, 8), Fraction(1, 2)]
     assert integrate_pair(field, reduced, inv, x0, 1.0, 1e-2).max_defect < 1e-8
     assert_matches_separate_loops(field, reduced, inv, x0, 1.0, 1e-2)
@@ -566,7 +586,7 @@ def test_overflow_in_one_block_leaves_the_other_finite(diverging):
     for limit in (_STRAIGHT_LINE_TERMS, 0):
         with mock.patch.object(reduction, "_STRAIGHT_LINE_TERMS", limit):
             path = kernel_path(*blocks, start, 200, 1e-2)
-            alone = lone_rk4(_compile_polys(decay, 1), start[kept:kept + 1], 200, 1e-2)
+            alone = lone_rk4(compile_polys(decay, 1), start[kept:kept + 1], 200, 1e-2)
         assert not np.isfinite(path[-1, blown])
         assert np.all(np.isfinite(path[:, kept]))
         assert np.array_equal(path[:, kept], alone[:, 0])
@@ -595,6 +615,58 @@ def test_integrate_rejects_values_beyond_double_range(cubic_line):
         integrate_pair(big, rs, inv, [Fraction(1, 2)], 1.0, 0.1)
     with pytest.raises(ValueError, match="x0 entry .*401 characters"):
         integrate_pair(field, rs, inv, [Fraction(10**400)], 1.0, 0.1)
+
+
+def kernel_never_built(*args):
+    raise AssertionError("the kernel was built")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (float("inf"), "x0 entry inf is not finite"),
+    (float("-inf"), "x0 entry -inf is not finite"),
+    (float("nan"), "x0 entry nan is not finite"),
+    (10**400, r"x0 entry 1000.*\(401 characters\) lies beyond the double range"),
+], ids=["inf", "-inf", "nan", "1e400"])
+def test_integrate_rejects_starts_that_are_not_finite_doubles(radial_plane, monkeypatch, bad, message):
+    # each start value is converted once, before the kernel is generated,
+    # and the ValueError names the entry, wherever it sits in x0
+    field, inv = radial_plane
+    rs = reduce_field(field, inv)
+    monkeypatch.setattr(reduction, "_rk4_kernel", kernel_never_built)
+    for x0 in ([bad, Fraction(1, 2)], [Fraction(1, 2), bad]):
+        with pytest.raises(ValueError, match=message):
+            integrate_pair(field, rs, inv, x0, 1.0, 0.1)
+
+
+def test_integrate_accepts_ints_fractions_floats_and_rational_strings(radial_plane):
+    # every spelling of the same start gives the same run, bit for bit
+    field, inv = radial_plane
+    rs = reduce_field(field, inv)
+    want = integrate_pair(field, rs, inv, [Fraction(1, 2), Fraction(1)], 1.0, 0.1)
+    for x0 in ([0.5, 1], ["1/2", "1"], [Fraction(1, 2), 1.0], ["0.5", Fraction(2, 2)]):
+        got = integrate_pair(field, rs, inv, x0, 1.0, 0.1)
+        assert np.array_equal(got.x_path, want.x_path) and np.array_equal(got.p_path, want.p_path)
+        assert got.max_defect == want.max_defect
+
+
+@pytest.mark.parametrize("limit", [_STRAIGHT_LINE_TERMS, 0])
+def test_each_map_is_generated_once_per_run(radial_plane, monkeypatch, limit):
+    # X, Y and sigma each pass through the code generator exactly once:
+    # sigma(x0) comes from the kernel's own sigma code, not a second evaluator
+    field, inv = radial_plane
+    rs = reduce_field(field, inv)
+    generated = []
+    generate = reduction._map_lines
+
+    def spy(polys, *args):
+        generated.append(list(polys))
+        return generate(polys, *args)
+
+    monkeypatch.setattr(reduction, "_STRAIGHT_LINE_TERMS", limit)
+    monkeypatch.setattr(reduction, "_map_lines", spy)
+    integrate_pair(field, rs, inv, [Fraction(1, 2), Fraction(1, 3)], 1.0, 0.1)
+    assert len(generated) == 3
+    assert all(list(m) in generated for m in (field.comps, rs.comps, inv.gens))
 
 
 def test_integrate_rejects_zero_steps_and_partial_steps(cubic_line):
