@@ -40,6 +40,15 @@ GENERATOR_CASES = [(g, "{root}/demos/data/%s.json" % g, None, None) for g in DEM
 # (24 / 23 and 48 / 47) the same outputs took minutes.
 DEFAULT_CASES = [("s4_default", "{groups}/s4.json"), ("b3_default", "{groups}/b3.json")]
 
+# Groups that are not in the demos, at the CLI defaults: A4 and O (the cube's
+# rotations) on Q^3 stop on an hsop, and Q8 on Q^4 runs to Noether's bound
+# (8 / 7).  BT, the binary tetrahedral group on Q^4 (order 24), runs its
+# invariants to an explicit bound: most of its degrees are spanned by the
+# products of its generators, so it shows what a degree costs when no new
+# generator lies there.
+EXTRA_CASES = [(g, "{groups}/%s.json" % g) for g in ("q8", "a4", "o")]
+BT_BOUND = 18
+
 # Groups whose set-up is the cost: S6 (order 720) and F4 (order 1152) on
 # their own, by the Molien series alone.
 MOLIEN_CASES = ("s6", "f4")
@@ -83,8 +92,10 @@ def cases() -> list[tuple[str, list[str]]]:
         if name in DEMO_GROUPS:
             out.append((f"{name}.relations.json",
                         ["relations", "--group", group, "--invariants", inv]))
-    for name, group in DEFAULT_CASES:
+    for name, group in DEFAULT_CASES + EXTRA_CASES:
         out += _generator_cases(name, group, None, None)
+    out.append(("bt.invariants.json",
+                ["invariants", "--group", "{groups}/bt.json", "--bound", str(BT_BOUND)]))
     for name in MOLIEN_CASES:
         out.append((f"{name}.molien.json",
                     ["molien", "--group", "{groups}/%s.json" % name, "--degrees", "12"]))
