@@ -18,6 +18,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 from .actions import ACTIONS, THETA, PolyVectorField, infer_action, is_invariant
@@ -265,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduced", required=True, help="reduced system JSON file")
 
     p = add("integrate-check", _cmd_integrate_check, help="numeric witness of relatedness")
+    # a dash then a digit is a value, so "--x0 -3/4,1/5" reads like "--x0=-3/4,1/5"
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("--invariants", help="invariant generators JSON (computed when omitted)")
     p.add_argument("--field", required=True, help="vector field JSON file")
     p.add_argument("--reduced", help="reduced system JSON (derived via reduce when omitted)")

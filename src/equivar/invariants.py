@@ -4,9 +4,10 @@ expression and relations.
 One degree loop (_graded_generators) builds both outputs of the library:
 the invariant ring, a module of rank 1 over itself generated by 1, and the
 equivariant fields, a module of rank n over the ring of given invariants.
-At each degree it takes the canonical fixed-space basis (actions.fixed_basis),
-checks its size against the Molien series, and keeps whatever the products
-p^a W_j of ring generators and module generators fail to span.  It stops at
+At each degree it spans the products p^a W_j of ring generators and module
+generators first.  Only where they fall short of the Molien coefficient does
+it take the canonical fixed-space basis (actions.fixed_basis), check its size
+against the series, and keep whatever the products fail to span.  It stops at
 the bound an hsop certificate gives (find_hsop: n generators whose ideal
 contains every monomial of one degree, so the module is free over them and
 its Molien series says in which degrees its basis lies), or at Noether's
@@ -191,13 +192,16 @@ def _graded_generators(
     With inv None the module is the invariant ring, of rank 1 and generated
     by 1, and new elements join the ring and ring_table, which starts empty;
     otherwise the ring is inv's, r = n, and new elements join the module.  At
-    each degree d, basis(d) gives the fixed space, each element with its r
-    components, and completes the span of the products p^a W_j; both
-    dimensions must equal the Molien coefficient (nouns name them in the
-    error).  Unless the bound is explicit, find_hsop runs whenever the ring
-    has grown since its last search (it skips the rank test of inv.hsop), and
-    an hsop lowers the bound to max(d, deg N).  Returns the new elements,
-    their degrees, the bound, the stop rule and the hsop.
+    each degree d the products p^a W_j come first.  Only where their rank
+    falls short of the Molien coefficient m_d can a new element lie, and only
+    there does basis(d) give the fixed space, each element with its r
+    components, to complete the span; the products precede it in the span,
+    so skipping it elsewhere changes no choice.  The span, and each fixed
+    space computed, must have dimension m_d (nouns name them in the error).
+    Unless the bound is explicit, find_hsop runs whenever the ring has grown
+    since its last search (it skips the rank test of inv.hsop), and an hsop
+    lowers the bound to max(d, deg N).  Returns the new elements, their
+    degrees, the bound, the stop rule and the hsop.
     """
     n = group.n
     new: list = []
@@ -221,23 +225,24 @@ def _graded_generators(
         if d >= bound:  # checked after the search, which may have lowered the bound to d
             return new, new_degrees, bound, stop, hsop
         d += 1
-        elements = basis(d)
         expected = series.coefficient(d)
-        if len(elements) != expected:
-            raise DimensionMismatchWithMolien(
-                f"degree {d}: {nouns[0]} dimension {len(elements)}, Molien says {expected}")
-        monos = table.monomials(d)
         span = Echelon()
         for col in _module_products(table, degrees, ws, w_degrees, d)[1]:
             span.add(col)
-        for element, comps in elements:
-            if span.add(_vector(comps, monos)):
-                new.append(element)
-                new_degrees.append(d)
-                if inv is None:
-                    table.append(element)
-                else:
-                    ws.append(comps)
+        if span.rank < expected:  # only then can the fixed space hold a new element
+            elements = basis(d)
+            if len(elements) != expected:
+                raise DimensionMismatchWithMolien(
+                    f"degree {d}: {nouns[0]} dimension {len(elements)}, Molien says {expected}")
+            monos = table.monomials(d)
+            for element, comps in elements:
+                if span.add(_vector(comps, monos)):
+                    new.append(element)
+                    new_degrees.append(d)
+                    if inv is None:
+                        table.append(element)
+                    else:
+                        ws.append(comps)
         if span.rank != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")

@@ -30,9 +30,10 @@ from equivar import (
     monomials_of_degree,
     pairing,
 )
-from equivar import reduction
+from equivar import invariants, reduction
 from equivar.equivariants import xilinear_monomials
-from equivar.linalg import _reduced_rows
+from equivar.errors import DimensionMismatchWithMolien
+from equivar.linalg import Echelon, _reduced_rows
 from equivar.poly import poly_to_vector
 
 
@@ -104,6 +105,55 @@ def compile_polys(polys, nvars: int):
     lines = [*unpack, *body, f"return [{', '.join(outputs)}]"]
     exec("\n".join(["def straight_line(v):", *(f"    {line}" for line in lines)]), scope)
     return scope["straight_line"]
+
+
+def graded_generators_every_degree(group, inv, series, basis, bound, explicit, nouns, ring_table=None):
+    """invariants._graded_generators with the fixed space computed, and its
+    size checked, at every degree, before the products are spanned: the
+    reference the products-first loop must match in every output, since
+    both put the products into the span before any fixed-space element."""
+    n = group.n
+    new: list = []
+    new_degrees: list[int] = []
+    if inv is None:
+        gens, degrees, table, rank, certified = new, new_degrees, ring_table, 1, None
+        ws, w_degrees = [[MultiPoly.constant(n, 1)]], [0]
+    else:
+        gens, degrees, table, rank, certified = inv.gens, inv.degrees, inv._table, n, inv.hsop
+        ws, w_degrees = [], new_degrees
+    stop, hsop = ("explicit" if explicit else "noether"), None
+    searched = 0
+    d = max(w_degrees, default=-1)
+    while True:
+        if not explicit and len(gens) > searched and d < bound:
+            found = invariants.find_hsop(group, gens, degrees, series, rank, bound, searched, certified)
+            searched = len(gens)
+            if found is not None:
+                hsop, deg_n = found
+                bound, stop = max(d, deg_n), "hsop"
+        if d >= bound:
+            return new, new_degrees, bound, stop, hsop
+        d += 1
+        elements = basis(d)
+        expected = series.coefficient(d)
+        if len(elements) != expected:
+            raise DimensionMismatchWithMolien(
+                f"degree {d}: {nouns[0]} dimension {len(elements)}, Molien says {expected}")
+        monos = table.monomials(d)
+        span = Echelon()
+        for col in invariants._module_products(table, degrees, ws, w_degrees, d)[1]:
+            span.add(col)
+        for element, comps in elements:
+            if span.add(invariants._vector(comps, monos)):
+                new.append(element)
+                new_degrees.append(d)
+                if inv is None:
+                    table.append(element)
+                else:
+                    ws.append(comps)
+        if span.rank != expected:
+            raise DimensionMismatchWithMolien(
+                f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")
 
 
 def field_to_vector(field: PolyVectorField, basis) -> list[Fraction]:

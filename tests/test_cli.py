@@ -430,6 +430,21 @@ def test_integrate_check_x0_beyond_double_range_exit_2(capsys):
     assert doc["error"] == "ValueError" and "beyond the double range" in doc["message"]
 
 
+def test_integrate_check_x0_with_leading_minus_in_either_spelling(capsys):
+    # "--x0 -3/4,1/5" is the start, not an unknown option: the same bytes and
+    # exit code as "--x0=-3/4,1/5"; a malformed start is still exit 2 with
+    # one JSON object
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
+    given = ["integrate-check", "--group", os.path.join(data, "c4.json"),
+             "--field", os.path.join(data, "radial_plane_field.json")]
+    spaced = run(given + ["--x0", "-3/4,1/5"], capsys)
+    assert spaced == run(given + ["--x0=-3/4,1/5"], capsys)
+    assert spaced[0] == 0 and json.loads(spaced[1])["pass"]
+    code, out, err = run(given + ["--x0", "-3/4,abc"], capsys)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert json.loads(err)["error"] == "ParseError"
+
+
 @pytest.mark.parametrize("t_end, step", [("1000000", "1e-6"), ("1e300", "1e-300")])
 def test_integrate_check_too_many_steps_exit_2(capsys, t_end, step):
     # 10^12 steps (and a step count past the float range) are refused before

@@ -317,23 +317,25 @@ def test_express_equivariant_with_non_integral_products(z2_diag):
 
 
 def test_folded_module_span_check_raises(c4, monkeypatch):
-    # a degree-5 basis of the right size with one field that is not
+    # a degree-3 basis of the right size with one field that is not
     # equivariant passes the fixed-space count; only the span check catches
-    # it (degree 5 is past C4's bound |G| - 1, where the module spans it all)
+    # it (at degree 3 the two linear generators times the quadratic
+    # invariant span 2 of Molien's 4, so the loop computes the fixed space)
     x1, _ = variables(2)
-    bad = PolyVectorField([x1**5, MultiPoly.zero(2)])
+    bad = PolyVectorField([x1**3, MultiPoly.zero(2)])
     assert not is_invariant(c4, bad, THETA)
     real = equivariants.fixed_basis
 
     def patched(group, action, monos):
         basis = real(group, action, monos)
-        return basis[:-1] + [pairing(bad)] if sum(monos[0]) == 6 else basis
+        return basis[:-1] + [pairing(bad)] if sum(monos[0]) == 4 else basis
 
     monkeypatch.setattr(equivariants, "fixed_basis", patched)
     inv = invariant_ring_generators(c4)
-    assert len(equivariant_basis(c4, 5)) == molien_equivariant(c4).coefficient(5)
-    with pytest.raises(DimensionMismatchWithMolien, match="^degree 5: module span"):
-        equivariant_module_generators(c4, inv, degree_bound=5)
+    assert len(equivariant_basis(c4, 3)) == molien_equivariant(c4).coefficient(3)
+    with pytest.raises(DimensionMismatchWithMolien,
+                       match="^degree 3: module span has dimension 5, Molien says 4$"):
+        equivariant_module_generators(c4, inv, degree_bound=3)
 
 
 def test_express_equivariant_no_solution_messages(z2_diag):

@@ -3,6 +3,9 @@
 A certified run must return exactly the generators the run to |G| (and
 |G| - 1 for the fields) returns; conjugating a group by a rational matrix must
 keep every count the certificate reads, and the stop degree it certifies.
+Either loop computes a fixed space only where the generator products fall
+short of Molien, and must return what a loop computing one at every degree
+returns.
 """
 
 import os
@@ -29,8 +32,10 @@ from equivar.invariants import _ideal_spans_degree, find_hsop
 
 from conftest import (
     BASE_GROUPS,
+    MIXED_GROUPS,
     closed_or_reject,
     conjugators,
+    graded_generators_every_degree,
     rational_conjugates,
     signed_permutation_groups,
     signed_permutations,
@@ -191,7 +196,39 @@ def test_no_fixed_space_above_the_reported_bound(name, inv_bound, eq_bound):
             mock.patch.object(equivariants, "equivariant_basis", record("eq", equivariants.equivariant_basis)):
         inv = invariant_ring_generators(group, degree_bound=inv_bound)
         eg = equivariant_module_generators(group, inv, degree_bound=eq_bound)
-    assert max(seen["inv"]) == inv.bound
-    assert max(seen["eq"]) == eg.bound
+    # a fixed space is computed where the products fall short of Molien, and
+    # only there, once each: exactly the degrees of the new generators
+    assert seen["inv"] == sorted(set(inv.degrees))
+    assert seen["eq"] == sorted(set(eg.degrees))
+    assert max(seen["inv"]) <= inv.bound
+    assert max(seen["eq"]) <= eg.bound
     if inv_bound is not None:
         assert (inv.bound, eg.bound) == (inv_bound, eq_bound)
+
+
+POOL = {name: close_group([RatMatrix.from_rows(g) for g in gens])
+        for name, gens in {**BASE_GROUPS, **MIXED_GROUPS}.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@example(Q8, 8, 7)
+@example(C5_CONJ, 5, 4)
+@given(
+    st.one_of(st.sampled_from(sorted(POOL)).map(POOL.get), rational_conjugates(names=SMALL)),
+    st.one_of(st.none(), st.integers(1, 8)),
+    st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_products_first_matches_every_degree_loop(group, inv_bound, eq_bound):
+    # the loop that computes each fixed space only where the products fall
+    # short returns what the one computing it at every degree returns
+    def run():
+        inv = invariant_ring_generators(group, degree_bound=inv_bound)
+        eg = equivariant_module_generators(group, inv, degree_bound=eq_bound)
+        docs = (sz.invariant_gens_to_doc(inv, molien(group)),
+                sz.equivariant_gens_to_doc(eg, molien_equivariant(group)))
+        return inv.gens, eg.vgens, [sz.dumps(doc) for doc in docs]
+
+    got = run()
+    with mock.patch.object(invariants, "_graded_generators", graded_generators_every_degree), \
+            mock.patch.object(equivariants, "_graded_generators", graded_generators_every_degree):
+        assert run() == got

@@ -346,21 +346,23 @@ def test_express_and_relations_with_non_integral_generators(z2_diag):
 
 
 def test_folded_span_check_raises(c4, monkeypatch):
-    # a degree-6 basis of the right size with one element that is not
+    # a degree-4 basis of the right size with one element that is not
     # invariant passes the fixed-space count; only the span check catches it
-    # (degree 6 is past C4's Noether bound, where the products span it all)
+    # (at degree 4 the square of C4's quadratic generator spans 1 of
+    # Molien's 3, so the loop computes the fixed space there)
     x1, _ = variables(2)
-    assert not is_invariant(c4, x1**6, PHI_DAGGER)
+    assert not is_invariant(c4, x1**4, PHI_DAGGER)
     real = invariants.fixed_basis
 
     def patched(group, action, monos):
         basis = real(group, action, monos)
-        return basis[:-1] + [x1**6] if sum(monos[0]) == 6 else basis
+        return basis[:-1] + [x1**4] if sum(monos[0]) == 4 else basis
 
     monkeypatch.setattr(invariants, "fixed_basis", patched)
-    assert len(invariant_basis(c4, 6)) == molien(c4).coefficient(6)
-    with pytest.raises(DimensionMismatchWithMolien, match="^degree 6: generator products span"):
-        invariant_ring_generators(c4, degree_bound=6)
+    assert len(invariant_basis(c4, 4)) == molien(c4).coefficient(4)
+    with pytest.raises(DimensionMismatchWithMolien,
+                       match="^degree 4: generator products span dimension 4, Molien says 3$"):
+        invariant_ring_generators(c4, degree_bound=4)
 
 
 def test_loop_table_survives_handover(c4):
