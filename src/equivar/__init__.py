@@ -20,13 +20,13 @@ from .actions import (
     pairing,
     reynolds,
     unpairing,
+    xilinear_monomials,
 )
 from .equivariants import (
     EquivariantGens,
     equivariant_basis,
     equivariant_module_generators,
     express_equivariant,
-    xilinear_monomials,
 )
 from .errors import (
     ClosureExceedsCap,

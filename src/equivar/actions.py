@@ -7,18 +7,19 @@ Three actions of a finite matrix group G < GL(n, Q) are implemented:
 * on phase polynomials q(x, xi) in x_1..x_n, xi_1..xi_n:
                               (g . q)(x, xi) = q(g^-1 x, g^T xi)
 
-The phase action restricts to polynomials of xi-degree one, and under the
-pairing V <-> sum_i V_i(x) xi_i it matches the pushforward action on vector
-fields.  That correspondence is what lets the equivariants module compute
-vector-field generators as fixed phase polynomials.
+The phase action restricts to the span of the xilinear_monomials (xi-degree
+one), and under the pairing V <-> sum_i V_i(x) xi_i it matches the
+pushforward action on vector fields, which lets the equivariants module
+compute vector-field generators as fixed phase polynomials.
 
 One integer engine acts: each generator keeps, on the group, the
 poly.ProductTable of the linear forms of its substitution, whose columns are
 the images of the monomials.  fixed_basis reads them for the canonical basis
-of the fixed points of one degree (orbit sums of the monomial generators,
-cut down by the kernel of the others), and is_invariant through
-ProductTable.substitute.  The act_* functions and the Reynolds projector,
-which averages over the whole group, stay in Fraction arithmetic as oracles.
+of the fixed points of one degree, over the monomials it builds for it
+(orbit sums of the monomial generators, cut down by the kernel of the
+others), and is_invariant through ProductTable.substitute.  The act_*
+functions and the Reynolds projector, which averages over the whole group,
+stay in Fraction arithmetic as oracles.
 """
 
 from __future__ import annotations
@@ -128,6 +129,14 @@ def pairing(field: PolyVectorField) -> MultiPoly:
             xi = tuple(int(j == i) for j in range(n))
             out[e + xi] = c
     return MultiPoly._of(2 * n, out)
+
+
+def xilinear_monomials(n: int, m: int) -> list[Exponents]:
+    """Monomials x^alpha xi_i with |alpha| = m, as 2n-exponent tuples, in
+    descending graded-lex order on the full tuple: the x block dominates,
+    and xi_1 outranks xi_2 within one alpha."""
+    units = monomials_of_degree(n, 1)  # xi_1, ..., xi_n
+    return [alpha + xi for alpha in monomials_of_degree(n, m) for xi in units]
 
 
 def unpairing(q: MultiPoly) -> PolyVectorField:
@@ -319,9 +328,9 @@ def _restricted_columns(group: MatGroup, action: str, g: int, d: int, sums) -> l
 
     The image of x^alpha is the column of alpha in the table of generator g,
     over the lcm of the degree's denominators.  Under the phase action, that
-    of x^alpha xi_i is (g^-1 . x^alpha) (g^T xi)_i: over the alpha-major
-    xilinear_monomials, the Kronecker product of that column with row i of
-    E g^T, E the lcm of g^T's denominators.
+    of x^alpha xi_i is (g^-1 . x^alpha) (g^T xi)_i: over fixed_basis's
+    alpha-major xilinear_monomials, the Kronecker product of that column with
+    row i of E g^T, E the lcm of g^T's denominators.
     """
     table = _table(group, PHI_DAGGER, g)
     cols = [table.column(alpha) for alpha in table.monomials(d)]
@@ -345,24 +354,26 @@ def _restricted_columns(group: MatGroup, action: str, g: int, d: int, sums) -> l
     return out
 
 
-def fixed_basis(group: MatGroup, action: str, monos: Sequence[Exponents]) -> list[MultiPoly]:
-    """Basis of the polynomials in span(monos) fixed by a substitution action.
+def fixed_basis(group: MatGroup, action: str, d: int) -> list[MultiPoly]:
+    """Basis of the degree-d polynomials fixed by a substitution action.
 
-    `monos` is all of monomials_of_degree(n, d) or of xilinear_monomials(n,
-    d), in order.  The result is the unique reduced row echelon basis over
-    those columns, so it equals the rref of the Reynolds averages of the
-    monomials.  It comes from the generators alone: the orbit sums of the
-    monomial generators (one nonzero per row; with none, every monomial is
-    its own sum), then the common kernel, over those sums, of
-    (rho_d(g) - I) S for the other generators (_restricted_columns).  The
+    The columns are monomials_of_degree(n, d) under phi_dagger and
+    xilinear_monomials(n, d) under psi.  The result is the unique reduced row
+    echelon basis over them, so it equals the rref of the Reynolds averages
+    of the monomials ([1] at d = 0).  It comes from the generators alone: the
+    orbit sums of the monomial generators (one nonzero per row; with none,
+    every monomial is its own sum), then the common kernel, over those sums,
+    of (rho_d(g) - I) S for the other generators (_restricted_columns).  The
     sums have disjoint supports, are monic on their first monomials and come
     in that order, so the rref kernel over them expands to the rref basis.
     """
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    monos = (monomials_of_degree if action == PHI_DAGGER else xilinear_monomials)(group.n, d)
     forms = _monomial_forms(group, action)
     sums = _orbit_sums([f for f in forms.values() if f is not None], monos)
     nums = iter(clear_denominators([c for s in sums for _, c in s])[1])
     int_sums = [[(j, next(nums)) for j, _ in s] for s in sums]
-    d = sum(monos[0][: group.n])
     others = [g for g, f in forms.items() if f is None]
     rows = [r for g in others for r in zip(*_restricted_columns(group, action, g, d, int_sums))]
     return [

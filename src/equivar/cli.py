@@ -212,12 +212,17 @@ def _cmd_integrate_check(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):  # each subcommand's parser is one too
+    def error(self, message):  # usage errors: main's exit 2, one JSON object
+        raise ParseError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process and shared by every main call:
     its defaults are immutable, parse_args returns a fresh Namespace, and
     the _cmd_* functions read the module globals when called."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equivar",
         description="Invariant rings, equivariant vector fields, and orbit-space reduction "
         "for finite rational matrix groups.",
@@ -280,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NotInvariant as exc:
         sys.stderr.write(sz.dumps(_poly_error_doc(exc)))

@@ -6,7 +6,8 @@ sum_i V_i(x) xi_i, homogeneous of degree m+1 and linear in the xi block.
 That subspace is stable under the phase action, and its fixed points are
 exactly the pairings of the equivariant fields.  So the degree-m equivariant
 basis is the canonical fixed-space basis of the phase action on the
-monomials x^alpha xi_i (actions.fixed_basis, one pipeline for every group).
+monomials x^alpha xi_i, actions.xilinear_monomials (actions.fixed_basis,
+one pipeline for every group).
 
 The fields form a module of rank n over the ring Q[p] of the given invariant
 generators p.  Its generators come from the same degree loop as the
@@ -20,24 +21,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from .actions import PSI, THETA, PolyVectorField, fixed_basis, is_invariant, unpairing
+from .actions import xilinear_monomials  # noqa: F401  re-exported
 from .errors import NotInvariant
 from .groups import MatGroup
 from .invariants import InvariantGens, _express_over, _graded_generators
 from .molien import molien_equivariant
-from .poly import Exponents, MultiPoly, monomials_of_degree
-
-
-def xilinear_monomials(n: int, m: int) -> list[Exponents]:
-    """Monomials x^alpha xi_i with |alpha| = m, as 2n-exponent tuples.
-
-    Descending graded-lex order on the full tuple: the x block dominates,
-    and xi_1 outranks xi_2 within one alpha.
-    """
-    out = []
-    for alpha in monomials_of_degree(n, m):
-        for i in range(n):
-            out.append(alpha + tuple(int(j == i) for j in range(n)))
-    return out
+from .poly import MultiPoly
 
 
 def equivariant_basis(group: MatGroup, m: int) -> list[PolyVectorField]:
@@ -50,33 +39,31 @@ def equivariant_basis(group: MatGroup, m: int) -> list[PolyVectorField]:
     under the pushforward action) must span the same subspace; tests hold
     the two against each other.
     """
-    if m < 0:
-        raise ValueError("degree must be non-negative")
-    return [unpairing(q) for q in fixed_basis(group, PSI, xilinear_monomials(group.n, m))]
+    return [unpairing(q) for q in fixed_basis(group, PSI, m)]
 
 
 class EquivariantGens:
     """Module generators for the equivariant fields over the invariant ring.
 
-    `bound`, `stop` and `hsop` record how the degree loop ended, as on
-    InvariantGens; hsop indexes the invariant generators.
+    The group is invariant_gens', and each degree is that of its homogeneous
+    generator.  `bound`, `stop` and `hsop` record how the degree loop ended,
+    as on InvariantGens; hsop indexes the invariant generators.
     """
 
     __slots__ = ("group", "vgens", "degrees", "invariant_gens", "bound", "stop", "hsop")
 
     def __init__(
         self,
-        group: MatGroup,
         vgens: Sequence[PolyVectorField],
-        degrees: Sequence[int],
         invariant_gens: InvariantGens,
+        *,
         bound: int | None = None,
         stop: str | None = None,
         hsop: Sequence[int] | None = None,
     ) -> None:
-        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "group", invariant_gens.group)
         object.__setattr__(self, "vgens", tuple(vgens))
-        object.__setattr__(self, "degrees", tuple(degrees))
+        object.__setattr__(self, "degrees", tuple(max(c.total_degree() for c in v.comps) for v in self.vgens))
         object.__setattr__(self, "invariant_gens", invariant_gens)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "stop", stop)
@@ -111,11 +98,11 @@ def equivariant_module_generators(
     bound = group.order - 1 if degree_bound is None else degree_bound
     if bound < 0:
         raise ValueError("degree bound must be non-negative")
-    vgens, degrees, bound, stop, hsop = _graded_generators(
+    vgens, bound, stop, hsop = _graded_generators(
         group, inv, molien_equivariant(group),
         lambda m: [(v, v.comps) for v in equivariant_basis(group, m)],
         bound, degree_bound is not None, ("equivariant space has", "module span has"))
-    return EquivariantGens(group, vgens, degrees, inv, bound, stop, hsop)
+    return EquivariantGens(vgens, inv, bound=bound, stop=stop, hsop=hsop)
 
 
 def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[MultiPoly]:
@@ -131,4 +118,4 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
     inv = eg.invariant_gens
     ws = [v.comps for v in eg.vgens]
-    return _express_over(inv._table, inv.degrees, ws, eg.degrees, [field.comps], "module")[0]
+    return _express_over(inv._table, ws, eg.degrees, [field.comps], "module")[0]

@@ -75,6 +75,7 @@ class InvariantGens:
     then by descending leading monomial.  The Hilbert map sends a point x to
     the tuple of generator values; its image models the orbit space.
 
+    The degrees are read off the generators, through their ProductTable.
     A computed set records how its degree loop ended: `bound` is the last
     degree it ran, `stop` the rule that ended it ("noether", "hsop" or
     "explicit"), and `hsop` the indices of the generators that certified the
@@ -87,20 +88,18 @@ class InvariantGens:
         self,
         group: MatGroup,
         gens: Sequence[MultiPoly],
-        degrees: Sequence[int],
+        *,
         bound: int | None = None,
         stop: str | None = None,
         hsop: Sequence[int] | None = None,
     ) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "gens", tuple(gens))
-        object.__setattr__(self, "degrees", tuple(degrees))
-        if len(self.gens) != len(self.degrees):
-            raise ValueError("generator and degree lists have different lengths")
+        object.__setattr__(self, "_table", ProductTable(group.n, self.gens))
+        object.__setattr__(self, "degrees", tuple(self._table.degrees))
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "hsop", None if hsop is None else tuple(hsop))
-        object.__setattr__(self, "_table", ProductTable(group.n, self.gens))
 
     def __setattr__(self, name, value):
         raise AttributeError("InvariantGens is immutable")
@@ -122,7 +121,7 @@ class InvariantGens:
                 )
             checked.append(p.monic())
         checked.sort(key=lambda p: (p.total_degree(), tuple(-e for e in p.leading_term()[0])))
-        return cls(group, checked, [p.total_degree() for p in checked])
+        return cls(group, checked)
 
     @property
     def k(self) -> int:
@@ -150,11 +149,7 @@ def invariant_basis(group: MatGroup, degree: int) -> list[MultiPoly]:
     graded-lex order (see actions.fixed_basis), so each basis element is
     monic on its pivot monomial and the output is canonical.
     """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if degree == 0:
-        return [MultiPoly.constant(group.n, 1)]
-    return fixed_basis(group, PHI_DAGGER, monomials_of_degree(group.n, degree))
+    return fixed_basis(group, PHI_DAGGER, degree)
 
 
 def invariant_ring_generators(
@@ -172,10 +167,10 @@ def invariant_ring_generators(
     if bound < 1:
         raise ValueError("degree bound must be at least 1")
     table = ProductTable(group.n)
-    gens, degrees, bound, stop, hsop = _graded_generators(
+    gens, bound, stop, hsop = _graded_generators(
         group, None, molien(group), lambda d: [(b, [b]) for b in invariant_basis(group, d)],
         bound, degree_bound is not None, ("fixed space has", "generator products span"), table)
-    inv = InvariantGens(group, gens, degrees, bound, stop, hsop)
+    inv = InvariantGens(group, gens, bound=bound, stop=stop, hsop=hsop)
     if table._gens != inv._table._gens:
         raise RuntimeError("internal: the loop's product table is not over the generators in order")
     object.__setattr__(inv, "_table", table)  # with the columns the loop memoised
@@ -185,7 +180,7 @@ def invariant_ring_generators(
 def _graded_generators(
     group: MatGroup, inv: InvariantGens | None, series: MolienSeries, basis, bound: int,
     explicit: bool, nouns: tuple[str, str], ring_table: ProductTable | None = None,
-) -> tuple[list, list[int], int, str, tuple[int, ...] | None]:
+) -> tuple[list, int, str, tuple[int, ...] | None]:
     """The one degree loop: generators of a graded module of rank r over the
     ring Q[p] of some invariants p, up to a degree bound.
 
@@ -200,34 +195,33 @@ def _graded_generators(
     space computed, must have dimension m_d (nouns name them in the error).
     Unless the bound is explicit, find_hsop runs whenever the ring has grown
     since its last search (it skips the rank test of inv.hsop), and an hsop
-    lowers the bound to max(d, deg N).  Returns the new elements, their
-    degrees, the bound, the stop rule and the hsop.
+    lowers the bound to max(d, deg N).  Returns the new elements, the bound,
+    the stop rule and the hsop.
     """
     n = group.n
     new: list = []
-    new_degrees: list[int] = []
     if inv is None:  # the new elements are the ring's generators
-        gens, degrees, table, rank, certified = new, new_degrees, ring_table, 1, None
+        gens, table, rank, certified = new, ring_table, 1, None
         ws, w_degrees = [[MultiPoly.constant(n, 1)]], [0]
     else:  # the new elements are the module's generators
-        gens, degrees, table, rank, certified = inv.gens, inv.degrees, inv._table, n, inv.hsop
-        ws, w_degrees = [], new_degrees
+        gens, table, rank, certified = inv.gens, inv._table, n, inv.hsop
+        ws, w_degrees = [], []
     stop, hsop = ("explicit" if explicit else "noether"), None
     searched = 0
     d = max(w_degrees, default=-1)  # the last degree spanned: 0 by the generator 1
     while True:
         if not explicit and len(gens) > searched and d < bound:
-            found = find_hsop(group, gens, degrees, series, rank, bound, searched, certified)
+            found = find_hsop(group, gens, series, rank, bound, searched, certified)
             searched = len(gens)
             if found is not None:
                 hsop, deg_n = found
                 bound, stop = max(d, deg_n), "hsop"
         if d >= bound:  # checked after the search, which may have lowered the bound to d
-            return new, new_degrees, bound, stop, hsop
+            return new, bound, stop, hsop
         d += 1
         expected = series.coefficient(d)
         span = Echelon()
-        for col in _module_products(table, degrees, ws, w_degrees, d)[1]:
+        for col in _module_products(table, ws, w_degrees, d)[1]:
             span.add(col)
         if span.rank < expected:  # only then can the fixed space hold a new element
             elements = basis(d)
@@ -238,11 +232,11 @@ def _graded_generators(
             for element, comps in elements:
                 if span.add(_vector(comps, monos)):
                     new.append(element)
-                    new_degrees.append(d)
                     if inv is None:
                         table.append(element)
                     else:
                         ws.append(comps)
+                        w_degrees.append(d)
         if span.rank != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")
@@ -251,7 +245,6 @@ def _graded_generators(
 def find_hsop(
     group: MatGroup,
     gens: Sequence[MultiPoly],
-    degrees: Sequence[int],
     series: MolienSeries,
     rank: int,
     limit: int,
@@ -271,14 +264,15 @@ def find_hsop(
     the invariants (1 for the invariant ring itself, n for the fields), so
     N(1) = rank * prod d_i / |G|.
 
-    n-subsets of indices are tried by degree sum, then index; degrees must
-    be ascending, and every subset holds an index >= first_new.  Two cheap
-    conditions come first, that N is a polynomial with non-negative integer
-    coefficients and that N(1) is right, and the rank test runs only when
-    deg N < limit, and not for the subset `certified`, already known to be
-    an hsop.  Returns (indices, deg N) or None.
+    n-subsets of indices are tried by degree sum, then index; the degrees of
+    gens must ascend, and every subset holds an index >= first_new.  Two
+    cheap conditions come first, that N is a polynomial with non-negative
+    integer coefficients and that N(1) is right, and the rank test runs only
+    when deg N < limit, and not for the subset `certified`, already known to
+    be an hsop.  Returns (indices, deg N) or None.
     """
     n = group.n
+    degrees = [p.total_degree() for p in gens]
     excess = len(series.numer) - len(series.denom)  # deg N - sum d_i, whatever the subset
     for subset in _subsets(degrees, n, limit - excess, first_new):
         ds = [degrees[i] for i in subset]
@@ -287,7 +281,7 @@ def find_hsop(
             continue
         if sum(numer) * group.order != rank * prod(ds):
             continue
-        if subset == certified or _ideal_spans_degree([gens[i] for i in subset], sum(ds) - n + 1):
+        if subset == certified or _ideal_spans_degree([gens[i] for i in subset]):
             return subset, len(numer) - 1
     return None
 
@@ -312,11 +306,12 @@ def _subsets(degrees: Sequence[int], n: int, limit: int, first_new: int) -> list
     return [s for _, s in sorted(out)]
 
 
-def _ideal_spans_degree(thetas: Sequence[MultiPoly], degree: int) -> bool:
+def _ideal_spans_degree(thetas: Sequence[MultiPoly]) -> bool:
     """Whether the products m * theta_i, m a monomial, span every monomial of
-    the degree: the rows are the integer coefficients of theta_i, shifted by
-    the packed exponents of m."""
+    degree D = sum_i (deg theta_i - 1) + 1: the rows are the integer
+    coefficients of theta_i, shifted by the packed exponents of m."""
     n = thetas[0].nvars
+    degree = sum(theta.total_degree() - 1 for theta in thetas) + 1
     index = {_pack(e): j for j, e in enumerate(monomials_of_degree(n, degree))}
     span = Echelon()
     for theta in thetas:
@@ -349,12 +344,12 @@ def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
 def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]:
     """express for each polynomial, each already known invariant."""
     unit = [[MultiPoly.constant(inv.group.n, 1)]]
-    fs = _express_over(inv._table, inv.degrees, unit, [0], [[q] for q in qs], "generator")
+    fs = _express_over(inv._table, unit, [0], [[q] for q in qs], "generator")
     return [f for f, in fs]
 
 
 def _express_over(
-    table: ProductTable, ring_degrees: Sequence[int], ws, w_degrees: Sequence[int], targets, noun: str
+    table: ProductTable, ws, w_degrees: Sequence[int], targets, noun: str
 ) -> list[list[MultiPoly]]:
     """For each target (r components), the P-polynomials f_j with
     sum_j f_j(p) W_j equal to it, one per module generator.
@@ -370,7 +365,7 @@ def _express_over(
     sols: dict[tuple[int, int], list | None] = {}
     for d in set().union(*target_degrees):
         idx = [i for i, ds in enumerate(target_degrees) if d in ds]
-        labels, cols, dens = _module_products(table, ring_degrees, ws, w_degrees, d)
+        labels, cols, dens = _module_products(table, ws, w_degrees, d)
         if cols:
             rhss = [_vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d)) for i in idx]
             for i, sol in zip(idx, solve_free_zero(list(zip(*cols)), rhss)):
@@ -386,16 +381,16 @@ def _express_over(
             for (j, a), c in sols[i, d]:
                 if c:
                     coeffs[j][a] = c
-        out.append([MultiPoly._of(len(ring_degrees), t) for t in coeffs])
+        out.append([MultiPoly._of(len(table.degrees), t) for t in coeffs])
     return out
 
 
 def _module_products(
-    table: ProductTable, ring_degrees: Sequence[int], ws, w_degrees: Sequence[int], d: int
+    table: ProductTable, ws, w_degrees: Sequence[int], d: int
 ) -> tuple[list[tuple[int, Exponents]], list[list[int]], list[int]]:
     """Labels (j, a), integer columns and denominators of the degree-d
-    products p^a W_j (p the table's generators, of degrees ring_degrees; W_j
-    the module generators, r components each), by j, then descending
+    products p^a W_j (p the table's generators, of degrees table.degrees;
+    W_j the module generators, r components each), by j, then descending
     graded-lex on a.  Component i fills the rows alpha * r + i, alpha over
     table.monomials(d), over the lcm of the components' denominators; for
     the generator 1 of the ring itself the column is the table's own.
@@ -408,7 +403,7 @@ def _module_products(
     labels, cols, dens = [], [], []
     for j, (w, m_w) in enumerate(zip(ws, w_degrees)):
         r, unit = len(w), list(w) == [one]
-        for a in weighted_monomials(ring_degrees, d - m_w):
+        for a in weighted_monomials(table.degrees, d - m_w):
             if unit:
                 col, den = table.column(a)
             else:
@@ -441,17 +436,17 @@ class RelationSet:
     """Polynomial relations among invariant generators.
 
     Each relation r satisfies r(p_1, ..., p_k) == 0 identically; together
-    they cut out the image of the Hilbert map at the computed degrees.
+    they cut out the image of the Hilbert map at the computed degrees.  The
+    weighted degree of r is sum_i a_i deg(p_i), a its leading exponents.
     """
 
     __slots__ = ("gens", "rels", "weighted_degrees")
 
-    def __init__(
-        self, gens: InvariantGens, rels: Sequence[MultiPoly], weighted_degrees: Sequence[int]
-    ) -> None:
+    def __init__(self, gens: InvariantGens, rels: Sequence[MultiPoly]) -> None:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "rels", tuple(rels))
-        object.__setattr__(self, "weighted_degrees", tuple(weighted_degrees))
+        object.__setattr__(self, "weighted_degrees", tuple(
+            sum(x * w for x, w in zip(r.leading_term()[0], gens.degrees)) for r in self.rels))
 
     def __setattr__(self, name, value):
         raise AttributeError("RelationSet is immutable")
@@ -477,7 +472,7 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
     graded-lex on P-exponents.
     """
     if not inv.gens:
-        return RelationSet(inv, [], [])
+        return RelationSet(inv, [])
     if weighted_degree_bound < 2 * min(inv.degrees):
         raise ValueError(
             f"weighted degree bound {weighted_degree_bound} is below twice the minimal "
@@ -487,7 +482,7 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
     rels: list[MultiPoly] = []
     rel_degrees: list[int] = []
     for d in range(1, weighted_degree_bound + 1):
-        labels, cols, dens = _module_products(inv._table, inv.degrees, unit, [0], d)
+        labels, cols, dens = _module_products(inv._table, unit, [0], d)
         if len(cols) < 2:
             continue
         candidates = [a for _, a in labels]
@@ -509,4 +504,4 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
                 rel = MultiPoly._of(inv.k, {a: c for a, c in zip(candidates, v) if c}).monic()
                 rels.append(rel)
                 rel_degrees.append(d)
-    return RelationSet(inv, rels, rel_degrees)
+    return RelationSet(inv, rels)

@@ -392,7 +392,7 @@ class ProductTable:
     """Coefficient columns of the generator products p^a, memoised by a.
 
     The column of p^a holds its coefficients over monomials_of_degree(n, d),
-    d = sum_i a_i deg(p_i), in descending graded-lex order, as integer
+    d = sum_i a_i degrees[i], in descending graded-lex order, as integer
     numerators over one positive denominator.  A new column is one cached
     column times one generator, col(a) = col(a - e_i) * p_i with i the last
     nonzero index of a, so each product costs a single multiplication by a
@@ -405,11 +405,11 @@ class ProductTable:
     adding ints.
     """
 
-    __slots__ = ("n", "_degrees", "_gens", "_cols", "_graded")
+    __slots__ = ("n", "degrees", "_gens", "_cols", "_graded")
 
     def __init__(self, n: int, gens: Sequence[MultiPoly] = ()) -> None:
         self.n = n
-        self._degrees: list[int] = []
+        self.degrees: list[int] = []
         self._gens: list[tuple[int, list[tuple[int, int]]]] = []
         self._cols: dict[Exponents, tuple[list[int], int]] = {(): ([1], 1)}
         self._graded: dict[int, tuple[list[Exponents], list[int], dict[int, int]]] = {}
@@ -419,7 +419,7 @@ class ProductTable:
     def append(self, p: MultiPoly) -> None:
         """Add a homogeneous generator as the next variable."""
         self._gens.append(_packed(p))
-        self._degrees.append(p.total_degree())
+        self.degrees.append(p.total_degree())
 
     def monomials(self, d: int) -> list[Exponents]:
         """The degree-d monomials, descending graded-lex: the rows of every column."""
@@ -438,7 +438,7 @@ class ProductTable:
             i = len(a) - 1
             nums, den = self._cols[prev]
             gden, terms = self._gens[i]
-            self._cols[a] = (self._times(nums, self._weight(prev), terms, self._degrees[i]), den * gden)
+            self._cols[a] = (self._times(nums, self._weight(prev), terms, self.degrees[i]), den * gden)
         return self._cols[key]
 
     def times(self, a: Sequence[int], p: MultiPoly) -> tuple[list[int], int]:
@@ -480,7 +480,7 @@ class ProductTable:
         return out
 
     def _weight(self, a: Sequence[int]) -> int:
-        return sum(x * w for x, w in zip(a, self._degrees))
+        return sum(x * w for x, w in zip(a, self.degrees))
 
     def _degree(self, d: int) -> tuple[list[Exponents], list[int], dict[int, int]]:
         got = self._graded.get(d)

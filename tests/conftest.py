@@ -114,25 +114,24 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
     both put the products into the span before any fixed-space element."""
     n = group.n
     new: list = []
-    new_degrees: list[int] = []
     if inv is None:
-        gens, degrees, table, rank, certified = new, new_degrees, ring_table, 1, None
+        gens, table, rank, certified = new, ring_table, 1, None
         ws, w_degrees = [[MultiPoly.constant(n, 1)]], [0]
     else:
-        gens, degrees, table, rank, certified = inv.gens, inv.degrees, inv._table, n, inv.hsop
-        ws, w_degrees = [], new_degrees
+        gens, table, rank, certified = inv.gens, inv._table, n, inv.hsop
+        ws, w_degrees = [], []
     stop, hsop = ("explicit" if explicit else "noether"), None
     searched = 0
     d = max(w_degrees, default=-1)
     while True:
         if not explicit and len(gens) > searched and d < bound:
-            found = invariants.find_hsop(group, gens, degrees, series, rank, bound, searched, certified)
+            found = invariants.find_hsop(group, gens, series, rank, bound, searched, certified)
             searched = len(gens)
             if found is not None:
                 hsop, deg_n = found
                 bound, stop = max(d, deg_n), "hsop"
         if d >= bound:
-            return new, new_degrees, bound, stop, hsop
+            return new, bound, stop, hsop
         d += 1
         elements = basis(d)
         expected = series.coefficient(d)
@@ -141,16 +140,16 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
                 f"degree {d}: {nouns[0]} dimension {len(elements)}, Molien says {expected}")
         monos = table.monomials(d)
         span = Echelon()
-        for col in invariants._module_products(table, degrees, ws, w_degrees, d)[1]:
+        for col in invariants._module_products(table, ws, w_degrees, d)[1]:
             span.add(col)
         for element, comps in elements:
             if span.add(invariants._vector(comps, monos)):
                 new.append(element)
-                new_degrees.append(d)
                 if inv is None:
                     table.append(element)
                 else:
                     ws.append(comps)
+                    w_degrees.append(d)
         if span.rank != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")

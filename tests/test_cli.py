@@ -672,12 +672,30 @@ def test_reused_parser_forgets_options(files, capsys):
 
 def test_usage_error_then_valid_command(files, capsys):
     _, write = files
-    with pytest.raises(SystemExit) as exc:
-        main(["invariants"])
-    assert exc.value.code == 2
-    assert "the following arguments are required: --group" in capsys.readouterr().err
+    code, out, err = run(["invariants"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ParseError",
+                               "message": "the following arguments are required: --group"}
     code, out, _ = run(["invariants", "--group", write("z2.json", Z2_DOC)], capsys)
     assert code == 0 and json.loads(out)["degrees"] == [2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invariants", "--bogus"], "the following arguments are required: --group"),
+    (["invariants", "--group", "G", "--bogus"], "unrecognized arguments: --bogus"),
+    (["invariants"], "the following arguments are required: --group"),
+    (["invariants", "--group", "G", "--bound", "x"], "argument --bound: invalid int value: 'x'"),
+    (["integrate-check", "--group", "G", "--field", "F", "--x0", "-abc"],
+     "argument --x0: expected one argument"),
+])
+def test_usage_errors_print_one_json_object(files, capsys, argv, message):
+    # argparse's own errors take the ParseError exit: code 2 and one JSON
+    # object on stderr, with no usage block
+    _, write = files
+    paths = {"G": write("c4.json", C4_DOC), "F": write("field.json", CUBIC_FIELD_DOC)}
+    code, out, err = run([paths.get(a, a) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ParseError", "message": message}
 
 
 @pytest.mark.parametrize("command", [None] + COMMANDS)

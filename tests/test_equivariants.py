@@ -228,8 +228,8 @@ def module_inputs(draw):
 def test_module_products_match_power_product(inputs):
     gens, fields, field_degrees, m = inputs
     n = gens[0].nvars
-    inv = InvariantGens(close_group([RatMatrix.identity(n)]), gens, [p.total_degree() for p in gens])
-    labels, cols, dens = _module_products(inv._table, inv.degrees, [f.comps for f in fields], field_degrees, m)
+    inv = InvariantGens(close_group([RatMatrix.identity(n)]), gens)
+    labels, cols, dens = _module_products(inv._table, [f.comps for f in fields], field_degrees, m)
     assert labels == [
         (j, a) for j, m_w in enumerate(field_degrees) for a in weighted_monomials(inv.degrees, m - m_w)
     ]
@@ -326,9 +326,9 @@ def test_folded_module_span_check_raises(c4, monkeypatch):
     assert not is_invariant(c4, bad, THETA)
     real = equivariants.fixed_basis
 
-    def patched(group, action, monos):
-        basis = real(group, action, monos)
-        return basis[:-1] + [pairing(bad)] if sum(monos[0]) == 4 else basis
+    def patched(group, action, d):
+        basis = real(group, action, d)
+        return basis[:-1] + [pairing(bad)] if d == 3 else basis
 
     monkeypatch.setattr(equivariants, "fixed_basis", patched)
     inv = invariant_ring_generators(c4)
@@ -338,6 +338,17 @@ def test_folded_module_span_check_raises(c4, monkeypatch):
         equivariant_module_generators(c4, inv, degree_bound=3)
 
 
+def test_equivariant_gens_read_group_and_degrees_off_their_inputs(c4):
+    # the group is the invariant generators', each degree its field's
+    inv = invariant_ring_generators(c4)
+    eg = equivariant_module_generators(c4, inv)
+    rebuilt = equivariants.EquivariantGens(eg.vgens, inv)
+    assert rebuilt.group is inv.group
+    assert rebuilt.degrees == eg.degrees == (1, 1, 3, 3)
+    with pytest.raises(TypeError):
+        equivariants.EquivariantGens(c4, eg.vgens, eg.degrees, inv)
+
+
 def test_express_equivariant_no_solution_messages(z2_diag):
     # over -I every linear field is equivariant; a module of one linear
     # generator misses (x2, 0), and one of a cubic generator has no product
@@ -345,9 +356,9 @@ def test_express_equivariant_no_solution_messages(z2_diag):
     x1, x2 = variables(2)
     zero = MultiPoly.zero(2)
     inv = invariant_ring_generators(z2_diag)
-    linear = equivariants.EquivariantGens(z2_diag, [PolyVectorField([x1, zero])], [1], inv)
+    linear = equivariants.EquivariantGens([PolyVectorField([x1, zero])], inv)
     with pytest.raises(NoSolution, match="^degree-1 component is outside the module span$"):
         express_equivariant(linear, PolyVectorField([x2, zero]))
-    cubic = equivariants.EquivariantGens(z2_diag, [PolyVectorField([x1**3, zero])], [3], inv)
+    cubic = equivariants.EquivariantGens([PolyVectorField([x1**3, zero])], inv)
     with pytest.raises(NoSolution, match="^no module products exist at degree 1$"):
         express_equivariant(cubic, PolyVectorField([x1, zero]) + PolyVectorField([x1**3, zero]))

@@ -16,6 +16,7 @@ from equivar import (
     NotInvariant,
     PHI_DAGGER,
     RatMatrix,
+    RelationSet,
     close_group,
     express,
     invariant_basis,
@@ -217,6 +218,29 @@ def test_relations_z2_diag(z2_diag):
     assert inv.substitute(rset.rels[0]).is_zero
 
 
+@pytest.mark.parametrize("name, bound", [("z2_diag", 8), ("c4", 12), ("swap2", 6)])
+def test_relation_set_reads_its_weighted_degrees_off_the_relations(name, bound, request):
+    # each relation is weighted homogeneous, so the weight of its leading
+    # exponents is the weighted degree at which relations found it
+    inv = invariant_ring_generators(request.getfixturevalue(name))
+    rset = relations(inv, bound)
+    assert RelationSet(inv, rset.rels).weighted_degrees == rset.weighted_degrees
+    for rel, w in zip(rset.rels, rset.weighted_degrees):
+        assert {sum(x * d for x, d in zip(a, inv.degrees)) for a, _ in rel} == {w}
+
+
+def test_degrees_and_monomials_cannot_be_restated(c4):
+    # C4's degrees are (2, 4, 4); the set and the fixed space derive theirs,
+    # so a caller has no way to hand them a contradicting list
+    inv = invariant_ring_generators(c4)
+    with pytest.raises(TypeError):
+        InvariantGens(c4, inv.gens, [2, 2, 4])
+    with pytest.raises(TypeError):
+        InvariantGens(c4, inv.gens, [2, 4, 4])
+    with pytest.raises(TypeError):
+        invariants.fixed_basis(c4, PHI_DAGGER, monomials_of_degree(2, 4)[::-1])
+
+
 def test_relations_multiples_are_dropped(z2_diag):
     inv = invariant_ring_generators(z2_diag)
     rset = relations(inv, 8)
@@ -320,12 +344,17 @@ def test_product_table_matches_power_product(gs, data):
 @settings(max_examples=25, deadline=None)
 @given(generator_sets(), st.data())
 def test_substitute_matches_polynomial_substitution(gs, data):
+    # the set reads its degrees off the generators, and express solves over
+    # the products of those degrees: it writes f(p) back over p
     n, gens = gs
-    inv = InvariantGens(close_group([RatMatrix.identity(n)]), gens, [p.total_degree() for p in gens])
+    inv = InvariantGens(close_group([RatMatrix.identity(n)]), gens)
+    assert inv.degrees == tuple(p.total_degree() for p in gens)
     terms = data.draw(st.dictionaries(
         st.tuples(*[st.integers(0, 3)] * len(gens)), COEFFS, max_size=6))
     f = MultiPoly(len(gens), terms)
-    assert inv.substitute(f) == f.substitute(list(gens))
+    q = inv.substitute(f)
+    assert q == f.substitute(list(gens))
+    assert inv.substitute(express(inv, q)) == q
 
 
 def test_express_and_relations_with_non_integral_generators(z2_diag):
@@ -354,9 +383,9 @@ def test_folded_span_check_raises(c4, monkeypatch):
     assert not is_invariant(c4, x1**4, PHI_DAGGER)
     real = invariants.fixed_basis
 
-    def patched(group, action, monos):
-        basis = real(group, action, monos)
-        return basis[:-1] + [x1**4] if sum(monos[0]) == 4 else basis
+    def patched(group, action, d):
+        basis = real(group, action, d)
+        return basis[:-1] + [x1**4] if d == 4 else basis
 
     monkeypatch.setattr(invariants, "fixed_basis", patched)
     assert len(invariant_basis(c4, 4)) == molien(c4).coefficient(4)
@@ -367,7 +396,7 @@ def test_folded_span_check_raises(c4, monkeypatch):
 
 def test_loop_table_survives_handover(c4):
     inv = invariant_ring_generators(c4)
-    fresh = InvariantGens(c4, inv.gens, inv.degrees)
+    fresh = InvariantGens(c4, inv.gens)
     memo = dict(inv._table._cols)
     assert len(memo) > 1 and len(fresh._table._cols) == 1
     for a, col in memo.items():
@@ -383,8 +412,8 @@ def test_loop_table_out_of_generator_order_is_an_internal_error(c4):
     real = invariants._graded_generators
 
     def reordered(*args):
-        gens, degrees, *rest = real(*args)
-        return gens[::-1], degrees[::-1], *rest
+        gens, *rest = real(*args)
+        return gens[::-1], *rest
 
     with mock.patch.object(invariants, "_graded_generators", side_effect=reordered), \
             pytest.raises(RuntimeError, match="not over the generators in order"):
