@@ -8,7 +8,8 @@ change to the output is intended, regenerate on purpose and review the diff:
     PYTHONPATH=src python tests/golden/regen.py
 
 Argument templates use `{root}` for the repository root, `{groups}` for the
-group files kept here, and `{out}` for the directory the outputs go to;
+group files kept here, `{inputs}` for the polynomial and field files kept
+here, and `{out}` for the directory the outputs go to;
 cases run in list order, so a later case may read an earlier one's output.
 """
 
@@ -29,11 +30,17 @@ DEMO_GROUPS = ("c4", "swap", "z2_diag", "z2_line")
 # s3_conj and d4_frac (conjugated by dense unimodular integer matrices or by
 # [[2,1],[0,1]], so its entries are not integers) have none, so only the
 # kernel acts; d6_hex mixes a monomial swap with a non-monomial rotation.
+# swap_frac is the swap conjugated by diag(1, 1/2), [[0,2],[1/2,0]]: a monomial
+# generator with entries that are not integers.
 GENERATOR_CASES = [(g, "{root}/demos/data/%s.json" % g, None, None) for g in DEMO_GROUPS] + [
     ("b3", "{groups}/b3.json", 8, 5),
     ("s4", "{groups}/s4.json", 6, 4),
 ] + [(g, "{groups}/%s.json" % g, None, None)
-     for g in ("d6_hex", "c6_hex", "d4_conj", "s3_conj", "d4_frac")]
+     for g in ("d6_hex", "c6_hex", "d4_conj", "s3_conj", "d4_frac", "swap_frac")]
+
+# relations on groups beyond the demos: the monomial groups s4 and b3, d6_hex
+# with one monomial and one non-monomial generator, and swap_frac.
+RELATION_GROUPS = DEMO_GROUPS + ("s4", "b3", "d6_hex", "swap_frac")
 
 # The two monomial groups again at the CLI defaults, where both loops stop on
 # an hsop certificate (S4 at 4 / 3, B3 at 6 / 5); run to Noether's bound
@@ -68,6 +75,14 @@ REDUCE_CASES = [
 # arithmetic alone and does not depend on the BLAS numpy links.
 X0 = {"z2_line": "1/2", "z2_diag": "1/2,1/3", "swap": "1/2,-1/3", "c4": "-3/4,1/5"}
 
+# Groups with an invariant polynomial and an equivariant field kept in
+# inputs/ as <name>_invariant.json and <name>_field.json, for express, reduce
+# and check-related: S4's field of degree 5 (504 terms) and invariant of
+# degree 6, and swap_frac's of the same degrees.  Both groups' generators are
+# monomial, so an invariant's coefficients are fixed along each orbit of
+# monomials.
+SOLVE_GROUPS = ("s4", "swap_frac")
+
 
 def _bound(b) -> list[str]:
     return [] if b is None else ["--bound", str(b)]
@@ -89,7 +104,7 @@ def cases() -> list[tuple[str, list[str]]]:
         inv = "{out}/%s.invariants.json" % name
         out += _generator_cases(name, group, inv_bound, eq_bound)
         out.append((f"{name}.molien.json", ["molien", "--group", group, "--degrees", "12"]))
-        if name in DEMO_GROUPS:
+        if name in RELATION_GROUPS:
             out.append((f"{name}.relations.json",
                         ["relations", "--group", group, "--invariants", inv]))
     for name, group in DEFAULT_CASES + EXTRA_CASES:
@@ -112,11 +127,22 @@ def cases() -> list[tuple[str, list[str]]]:
             (f"{name}.{field}.integrate-check.json",
              ["integrate-check", *given, *reduced, f"--x0={X0[name]}"]),
         ]
+    for name in SOLVE_GROUPS:
+        given = ["--group", "{groups}/%s.json" % name, "--invariants", "{out}/%s.invariants.json" % name]
+        field = ["--field", "{inputs}/%s_field.json" % name]
+        out += [
+            (f"{name}.invariant.express.json",
+             ["express", *given, "--poly", "{inputs}/%s_invariant.json" % name]),
+            (f"{name}.field.reduce.json", ["reduce", *given, *field]),
+            (f"{name}.field.check-related.json",
+             ["check-related", *given, *field, "--reduced", "{out}/%s.field.reduce.json" % name]),
+        ]
     return out
 
 
 def argv_for(template: list[str], out_dir: str, file_name: str) -> list[str]:
-    subst = {"root": ROOT, "groups": os.path.join(GOLDEN_DIR, "groups"), "out": out_dir}
+    subst = {"root": ROOT, "groups": os.path.join(GOLDEN_DIR, "groups"),
+             "inputs": os.path.join(GOLDEN_DIR, "inputs"), "out": out_dir}
     return [a.format(**subst) for a in template] + ["--out", os.path.join(out_dir, file_name)]
 
 
