@@ -12,19 +12,25 @@ one), and under the pairing V <-> sum_i V_i(x) xi_i it matches the
 pushforward action on vector fields, which lets the equivariants module
 compute vector-field generators as fixed phase polynomials.
 
-One integer engine acts: each generator keeps, on the group, the
+A generator whose substitution has one nonzero per row (a monomial
+generator) sends each term to one term, x_i -> a_i x_j(i).  Its images are
+relabelled terms: the orbit sums of the monomial generators, which fix an
+invariant's coefficients along each orbit of monomials, and is_invariant's
+images of them.  Every other generator keeps, on the group, the
 poly.ProductTable of the linear forms of its substitution, whose columns are
-the images of the monomials.  fixed_basis reads them for the canonical basis
-of the fixed points of one degree, over the monomials it builds for it
-(orbit sums of the monomial generators, cut down by the kernel of the
-others), and is_invariant through ProductTable.substitute.  The act_*
-functions and the Reynolds projector, which averages over the whole group,
-stay in Fraction arithmetic as oracles.
+the images of the monomials.  fixed_basis gives the canonical basis of the
+fixed points of one degree, over the monomials it builds for it (orbit
+sums, cut down by the kernel of the other generators' columns), and
+leader_rows the first monomial of each orbit sum: the rows on which a
+linear system over fixed polynomials can be solved.  The act_* functions
+and the Reynolds projector, which averages over the whole group, stay in
+Fraction arithmetic as oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Sequence
 
@@ -98,19 +104,16 @@ class PolyVectorField:
 
     def mix(self, matrix: RatMatrix) -> "PolyVectorField":
         """Linear recombination of components: (M V)_i = sum_j M_ij V_j,
-        summed over the nonzero entries M_ij only, so a signed permutation
-        costs one scaling per component."""
+        summed over the nonzero entries M_ij only, and an entry 1 takes V_j
+        as it is, so a permutation copies no component and a signed one
+        scales only those with entry -1."""
         if matrix.rows != self.n or matrix.cols != self.n:
             raise DimensionMismatch("matrix size does not match field dimension")
-        return PolyVectorField(
-            [
-                sum(
-                    (self.comps[j] * m for j, m in enumerate(matrix.row(i)) if m),
-                    MultiPoly.zero(self.n),
-                )
-                for i in range(self.n)
-            ]
-        )
+        comps = []
+        for i in range(self.n):
+            parts = [self.comps[j] if m == 1 else self.comps[j] * m for j, m in enumerate(matrix.row(i)) if m]
+            comps.append(sum(parts[1:], parts[0]) if parts else MultiPoly.zero(self.n))
+        return PolyVectorField(comps)
 
     def __repr__(self) -> str:
         return "PolyVectorField(" + ", ".join(c.format() for c in self.comps) + ")"
@@ -259,22 +262,48 @@ def _monomial_forms(group: MatGroup, action: str) -> dict[int, tuple | None]:
     return group._derived[key]
 
 
+def _relabelling(form) -> tuple[list[int], list[tuple[int, int | Fraction]]]:
+    """The substitution x_i -> a_i x_j(i) of a monomial form as (src, scaled):
+    the image of x^e has exponent e[src[j]] at j, and its coefficient is
+    multiplied by a_i**e_i for each (i, a_i) in scaled, the entries other
+    than 1, each read as an int when its denominator is 1."""
+    src = [0] * len(form)
+    for i, (j, _) in enumerate(form):
+        src[j] = i
+    return src, [(i, a.numerator if a.denominator == 1 else a) for i, (_, a) in enumerate(form) if a != 1]
+
+
+def _image(relabelling, e: Exponents, c):
+    """The term c x^e after a _relabelling: one term c' x^e', as (e', c')."""
+    src, scaled = relabelling
+    for i, a in scaled:
+        if e[i]:
+            c *= a ** e[i]
+    return tuple(map(e.__getitem__, src)), c
+
+
+def _relabel(form, q: MultiPoly) -> MultiPoly:
+    """q after the substitution of a monomial form, term by term (_image):
+    the form permutes the variables, so distinct terms stay distinct."""
+    relabelling = _relabelling(form)
+    return MultiPoly._of(q.nvars, dict(_image(relabelling, e, c) for e, c in q._terms.items()))
+
+
 def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, int | Fraction]]]:
     """Fixed-space basis of monomial substitutions: one sum per orbit, as
     (index into monos, coefficient) pairs, in the order of its first monomial.
 
-    Substituting x_i -> a_i x_j(i) sends x^e to c x^e', so p is fixed exactly
-    when coef[e'] == c coef[e] for every generator and every e.  Each orbit
-    is walked from its first monomial in `monos`, with coefficient 1 there
-    and the others forced by that rule; an orbit that forces two different
-    coefficients on one monomial carries no fixed vector.
+    Substituting x_i -> a_i x_j(i) sends x^e to c x^e' (_image), so p is
+    fixed exactly when coef[e'] == c coef[e] for every generator and every e.
+    Each orbit is walked from its first monomial in `monos`, with
+    coefficient 1 there and the others forced by that rule; an orbit that
+    forces two different coefficients on one monomial carries no fixed vector.
 
     The coefficients are Python ints as long as the entries a_i are: each
-    entry with denominator 1 is read as an int, and only the others stay
-    Fractions.  A factor a_i = 1 is skipped.
+    entry with denominator 1 is read as an int (_relabelling), and only the
+    others stay Fractions.
     """
-    nvars = len(monos[0])
-    forms = [[(j, a.numerator if a.denominator == 1 else a) for j, a in form] for form in forms]
+    forms = [_relabelling(form) for form in forms]
     index = {e: j for j, e in enumerate(monos)}
     seen: set[Exponents] = set()
     out = []
@@ -286,16 +315,8 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, int |
         cancels = False
         while stack:
             e = stack.pop()
-            ce = coef[e]
             for form in forms:
-                exps = [0] * nvars
-                c = ce
-                for (j, a), k in zip(form, e):
-                    if k:
-                        exps[j] = k
-                        if a != 1:
-                            c *= a**k
-                image = tuple(exps)
+                image, c = _image(form, e, coef[e])
                 old = coef.get(image)
                 if old is None:
                     coef[image] = c
@@ -308,11 +329,40 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, int |
     return out
 
 
+def _sums(group: MatGroup, action: str, d: int):
+    """The degree-d monomials of a substitution action (monomials_of_degree
+    under phi_dagger, xilinear_monomials under psi) and the orbit sums of
+    its monomial generators over them.  Memoised on the group, so
+    fixed_basis and leader_rows share one walk."""
+    key = ("sums", action, d)
+    if key not in group._derived:
+        monos = (monomials_of_degree if action == PHI_DAGGER else xilinear_monomials)(group.n, d)
+        forms = [f for f in _monomial_forms(group, action).values() if f is not None]
+        group._derived[key] = monos, _orbit_sums(forms, monos)
+    return group._derived[key]
+
+
+def leader_rows(group: MatGroup, action: str, d: int) -> list[int]:
+    """The index of each orbit sum's first monomial among the degree-d
+    monomials of the action (_sums): under psi that of x^alpha xi_i is
+    alpha * n + i.  Every monomial when no generator is monomial.
+
+    A polynomial fixed by the monomial generators is a combination of
+    their orbit sums, each monic on its first monomial and zero on the
+    orbits that cancel, so its coefficients at these rows determine it:
+    restricting a linear system over fixed polynomials to them loses no
+    equation.
+    """
+    return [s[0][0] for s in _sums(group, action, d)[1]]
+
+
 def _table(group: MatGroup, action: str, g: int) -> ProductTable:
     """The ProductTable of the linear forms (M v)_i, M the substitution
     matrix of generator g: the column of v^a is the image g . v^a, so
-    substitute(q) is g . q.  Memoised on the group, so the fixed spaces and
-    the invariance checks read the same columns at every degree."""
+    substitute(q) is g . q.  Built only for a generator that is not
+    monomial, whose images the orbit sums and _relabel do not give, and
+    memoised on the group, so the fixed spaces and the invariance checks
+    read the same columns at every degree."""
     key = ("table", action, g)
     if key not in group._derived:
         m = _substitution_matrix(group, action, g)
@@ -369,12 +419,10 @@ def fixed_basis(group: MatGroup, action: str, d: int) -> list[MultiPoly]:
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    monos = (monomials_of_degree if action == PHI_DAGGER else xilinear_monomials)(group.n, d)
-    forms = _monomial_forms(group, action)
-    sums = _orbit_sums([f for f in forms.values() if f is not None], monos)
+    monos, sums = _sums(group, action, d)
     nums = iter(clear_denominators([c for s in sums for _, c in s])[1])
     int_sums = [[(j, next(nums)) for j, _ in s] for s in sums]
-    others = [g for g, f in forms.items() if f is None]
+    others = [g for g, f in _monomial_forms(group, action).items() if f is None]
     rows = [r for g in others for r in zip(*_restricted_columns(group, action, g, d, int_sums))]
     return [
         MultiPoly._of(len(monos[0]), {monos[j]: x * c for x, s in zip(v, sums) if x for j, c in s})
@@ -413,19 +461,28 @@ def is_invariant(group: MatGroup, obj, action: str | None = None) -> InvarianceC
 
     Generator invariance suffices for full invariance because each action is
     a group homomorphism, and it costs O(#generators) instead of O(|G|).
-    Each image g . obj is read off the generator's table (_table).  Raises
-    DimensionMismatch, before any image, when the action does not act on obj
-    (_check_fit): on its type or on its size.
+    The image g . obj of a monomial generator (one nonzero per row of its
+    substitution) relabels the terms, x_i -> a_i x_j(i), as the orbit sums
+    do (_relabel); that of any other generator is read off its table
+    (_table).  Under theta the substitution acts on the components of the
+    mixed field g V.  Raises DimensionMismatch, before any image, when the
+    action does not act on obj (_check_fit): on its type or on its size.
     """
     if action is None:
         action = infer_action(group, obj)
     _check_fit(group, action, obj)
+    sub = PHI_DAGGER if action == THETA else action
+    forms = _monomial_forms(group, sub)
     for g in group.gen_indices:
-        if action == THETA:  # the pushforward g (V o g^-1) is (g V) o g^-1
-            table = _table(group, PHI_DAGGER, g)
-            moved = PolyVectorField([table.substitute(c) for c in obj.mix(group.matrix(g)).comps])
+        form = forms[g]
+        if form is None:
+            move = _table(group, sub, g).substitute
         else:
-            moved = _table(group, action, g).substitute(obj)
+            move = partial(_relabel, form)
+        if action == THETA:  # the pushforward g (V o g^-1) is (g V) o g^-1
+            moved = PolyVectorField([move(c) for c in obj.mix(group.matrix(g)).comps])
+        else:
+            moved = move(obj)
         if moved != obj:
             return InvarianceCheck(False, g, obj - moved)
     return InvarianceCheck(True)

@@ -18,7 +18,10 @@ columns, each from the ring's poly.ProductTable: the coefficient column of
 p^a, memoised by a and built from a cached column times one generator.  One
 solve (_express_over) writes elements over the same columns, for express,
 reduction and express_equivariant, and relations takes the kernel of the
-rank-1 columns.
+rank-1 columns.  Both pose their systems on the leader rows of the monomial
+generators' orbits (actions.leader_rows) alone, since every column and
+every target is fixed by the group; the degree loop keeps every row, since
+its span's rank is the check on the fixed spaces.
 
 Polynomials in the generators themselves ("P-polynomials") are ordinary
 MultiPoly values in k variables, where variable i stands for generator i and
@@ -35,7 +38,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .actions import PHI_DAGGER, fixed_basis, is_invariant
+from .actions import PHI_DAGGER, fixed_basis, is_invariant, leader_rows
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
 from .linalg import Echelon, kernel_basis, solve_free_zero
@@ -75,7 +78,8 @@ class InvariantGens:
     then by descending leading monomial.  The Hilbert map sends a point x to
     the tuple of generator values; its image models the orbit space.
 
-    The degrees are read off the generators, through their ProductTable.
+    The degrees are read off the generators, through their ProductTable, so
+    each must be homogeneous of positive degree (ValueError otherwise).
     A computed set records how its degree loop ended: `bound` is the last
     degree it ran, `stop` the rule that ended it ("noether", "hsop" or
     "explicit"), and `hsop` the indices of the generators that certified the
@@ -93,6 +97,8 @@ class InvariantGens:
         stop: str | None = None,
         hsop: Sequence[int] | None = None,
     ) -> None:
+        for p in gens:
+            _check_generator(p)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "gens", tuple(gens))
         object.__setattr__(self, "_table", ProductTable(group.n, self.gens))
@@ -110,8 +116,7 @@ class InvariantGens:
         positive degree: a constant generates nothing and has weight 0."""
         checked = []
         for p in polys:
-            if p.is_zero or not p.is_homogeneous() or not p.total_degree():
-                raise ValueError(f"generator {p!r} is not homogeneous of positive degree")
+            _check_generator(p)
             chk = is_invariant(group, p, PHI_DAGGER)
             if not chk:
                 raise NotInvariant(
@@ -140,6 +145,14 @@ class InvariantGens:
     def __repr__(self) -> str:
         inner = ", ".join(g.format() for g in self.gens)
         return f"InvariantGens([{inner}], degrees={list(self.degrees)})"
+
+
+def _check_generator(p: MultiPoly) -> None:
+    """ValueError unless p is homogeneous of positive degree: a constant
+    generates nothing and has weight 0, and the product table files the
+    columns of a generator under its one degree."""
+    if p.is_zero or not p.is_homogeneous() or not p.total_degree():
+        raise ValueError(f"generator {p!r} is not homogeneous of positive degree")
 
 
 def invariant_basis(group: MatGroup, degree: int) -> list[MultiPoly]:
@@ -344,21 +357,28 @@ def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
 def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]:
     """express for each polynomial, each already known invariant."""
     unit = [[MultiPoly.constant(inv.group.n, 1)]]
-    fs = _express_over(inv._table, unit, [0], [[q] for q in qs], "generator")
+    fs = _express_over(inv, PHI_DAGGER, unit, [0], [[q] for q in qs], "generator")
     return [f for f, in fs]
 
 
 def _express_over(
-    table: ProductTable, ws, w_degrees: Sequence[int], targets, noun: str
+    inv: InvariantGens, action: str, ws, w_degrees: Sequence[int], targets, noun: str
 ) -> list[list[MultiPoly]]:
     """For each target (r components), the P-polynomials f_j with
-    sum_j f_j(p) W_j equal to it, one per module generator.
+    sum_j f_j(p) W_j equal to it, one per module generator, p inv's
+    generators; each target is fixed by inv's group under the action, as
+    the products are: phi_dagger for the ring (r = 1), psi, through the
+    pairing, for the fields.
 
     Each degree's columns (_module_products) are eliminated once, with the
-    components of every target at that degree as right-hand sides; free
-    coordinates are set to zero.  The first failing target, then degree,
-    raises as if they were solved one at a time.
+    components of every target at that degree as right-hand sides, on the
+    leader rows only (actions.leader_rows): those rows determine a fixed
+    polynomial, so the restricted system has the same solutions, free
+    coordinates are set to zero in both, and a target lies in the span of
+    the columns exactly when it does on those rows.  The first failing
+    target, then degree, raises as if they were solved one at a time.
     """
+    table = inv._table
     parts = [[c.homogeneous_components() for c in comps] for comps in targets]
     target_degrees = [sorted(set().union(*hcs)) for hcs in parts]
     zero = MultiPoly.zero(table.n)
@@ -367,8 +387,9 @@ def _express_over(
         idx = [i for i, ds in enumerate(target_degrees) if d in ds]
         labels, cols, dens = _module_products(table, ws, w_degrees, d)
         if cols:
+            rows = leader_rows(inv.group, action, d)
             rhss = [_vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d)) for i in idx]
-            for i, sol in zip(idx, solve_free_zero(list(zip(*cols)), rhss)):
+            for i, sol in zip(idx, solve_free_zero(_rows(cols, rows), [[v[k] for k in rows] for v in rhss])):
                 sols[i, d] = None if sol is None else list(zip(labels, _unscale(sol, dens)))
     out = []
     for i, ds in enumerate(target_degrees):
@@ -426,6 +447,11 @@ def _vector(comps: Sequence[MultiPoly], monos: Sequence[Exponents]) -> list[Frac
     return vec
 
 
+def _rows(cols: Sequence[Sequence[int]], rows: Sequence[int]) -> list[list[int]]:
+    """The given rows of the matrix with these columns."""
+    return [[col[k] for col in cols] for k in rows]
+
+
 def _unscale(y: Sequence[Fraction], dens: Sequence[int]) -> list[Fraction]:
     """x_j = den_j * y_j: a solution of an integer system of _module_products
     read back as a solution of the rational one."""
@@ -467,7 +493,8 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
 
     At each weighted degree d the kernel of (P-monomials of weight d) ->
     (degree-d polynomials in x) is computed exactly, on the integer columns
-    of the product table; relations that are P-polynomial multiples of
+    of the product table at the leader rows (actions.leader_rows), which
+    determine every invariant; relations that are P-polynomial multiples of
     lower-degree ones are dropped.  Relations are normalized monic in
     graded-lex on P-exponents.
     """
@@ -486,7 +513,8 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
         if len(cols) < 2:
             continue
         candidates = [a for _, a in labels]
-        kernel = [_unscale(y, dens) for y in kernel_basis(list(zip(*cols)), len(cols))]
+        rows = _rows(cols, leader_rows(inv.group, PHI_DAGGER, d))
+        kernel = [_unscale(y, dens) for y in kernel_basis(rows, len(cols))]
         if not kernel:
             continue
         cand_index = {a: i for i, a in enumerate(candidates)}

@@ -5,7 +5,9 @@ rational conjugates.
 The oracles here recompute dimensions and fixed spaces by stacking action
 matrices and rank-counting, independently of both the production
 fixed-space pipeline (orbit sums, then the generator kernel) and the Molien series,
-so the three agree only if all are right.
+so the three agree only if all are right.  The solves behind express and
+relations are kept here on every row of their systems, the reference for
+the production solves on the orbit leaders' rows.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from equivar import (
 )
 from equivar import invariants, reduction
 from equivar.equivariants import xilinear_monomials
-from equivar.errors import DimensionMismatchWithMolien
-from equivar.linalg import Echelon, _reduced_rows
+from equivar.errors import DimensionMismatchWithMolien, NoSolution
+from equivar.linalg import Echelon, _reduced_rows, kernel_basis, solve_free_zero
 from equivar.poly import poly_to_vector
 
 
@@ -153,6 +155,65 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
         if span.rank != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")
+
+
+def express_over_full_rows(inv, ws, w_degrees, targets, noun):
+    """invariants._express_over posed on every row of the products: each
+    degree's columns, with every target's components as right-hand sides,
+    over all monomials.  The reference the leader-row solve must match in
+    every solution and every NoSolution message."""
+    table = inv._table
+    parts = [[c.homogeneous_components() for c in comps] for comps in targets]
+    target_degrees = [sorted(set().union(*hcs)) for hcs in parts]
+    zero = MultiPoly.zero(table.n)
+    sols = {}
+    for d in set().union(*target_degrees):
+        idx = [i for i, ds in enumerate(target_degrees) if d in ds]
+        labels, cols, dens = invariants._module_products(table, ws, w_degrees, d)
+        if cols:
+            rhss = [invariants._vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d))
+                    for i in idx]
+            for i, sol in zip(idx, solve_free_zero(list(zip(*cols)), rhss)):
+                sols[i, d] = None if sol is None else list(zip(labels, invariants._unscale(sol, dens)))
+    out = []
+    for i, ds in enumerate(target_degrees):
+        coeffs = [{} for _ in ws]
+        for d in ds:
+            if (i, d) not in sols:
+                raise NoSolution(f"no {noun} products exist at degree {d}")
+            if sols[i, d] is None:
+                raise NoSolution(f"degree-{d} component is outside the {noun} span")
+            for (j, a), c in sols[i, d]:
+                if c:
+                    coeffs[j][a] = c
+        out.append([MultiPoly._of(len(table.degrees), t) for t in coeffs])
+    return out
+
+
+def relations_full_rows(inv, weighted_degree_bound: int) -> list[MultiPoly]:
+    """The relations of invariants.relations, each kernel taken over every
+    row of the products: the reference for the leader-row kernels."""
+    unit = [[MultiPoly.constant(inv.group.n, 1)]]
+    rels, rel_degrees = [], []
+    for d in range(1, weighted_degree_bound + 1):
+        labels, cols, dens = invariants._module_products(inv._table, unit, [0], d)
+        if len(cols) < 2:
+            continue
+        candidates = [a for _, a in labels]
+        kernel = [invariants._unscale(y, dens) for y in kernel_basis(list(zip(*cols)), len(cols))]
+        cand_index = {a: i for i, a in enumerate(candidates)}
+        known = Echelon()
+        for rel, rd in zip(rels, rel_degrees):
+            for m in invariants.weighted_monomials(inv.degrees, d - rd):
+                vec = [0] * len(candidates)
+                for a, c in rel.sorted_terms():
+                    vec[cand_index[tuple(x + y for x, y in zip(a, m))]] = c
+                known.add(vec)
+        for v in kernel:
+            if known.add(v):
+                rels.append(MultiPoly._of(inv.k, {a: c for a, c in zip(candidates, v) if c}).monic())
+                rel_degrees.append(d)
+    return rels
 
 
 def field_to_vector(field: PolyVectorField, basis) -> list[Fraction]:

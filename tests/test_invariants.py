@@ -283,6 +283,19 @@ def test_from_polys_validates(z2_line):
         InvariantGens.from_polys(z2_line, [MultiPoly.constant(1, 1), x**2])  # degree 0
 
 
+@pytest.mark.parametrize("gen", ["x1^2 + x2^2 + x1^4 + x2^4", "1", "0"])
+def test_constructor_refuses_generators_that_are_not_homogeneous(c4, gen):
+    # the product table files each generator's columns under its one
+    # degree; a mixed-degree one made substitute die on a missing key
+    x1, x2 = variables(2)
+    p = {"x1^2 + x2^2 + x1^4 + x2^4": x1**2 + x2**2 + x1**4 + x2**4,
+         "1": MultiPoly.constant(2, 1), "0": MultiPoly.zero(2)}[gen]
+    with pytest.raises(ValueError, match="is not homogeneous of positive degree$"):
+        InvariantGens(c4, [p])
+    with pytest.raises(ValueError, match="is not homogeneous of positive degree$"):
+        InvariantGens.from_polys(c4, [p])
+
+
 def test_from_polys_normalizes_order_and_scale(swap2):
     x1, x2 = variables(2)
     gens = InvariantGens.from_polys(swap2, [3 * x1 * x2, x1 + x2])

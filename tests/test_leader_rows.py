@@ -1,0 +1,276 @@
+"""The monomial generators' orbits in the invariance checks and the solves,
+against the routes they replaced.
+
+A generator whose substitution has one nonzero per row sends each term to
+one term, so is_invariant relabels terms (actions._relabel) where it read
+the generator's product table, and an invariant's coefficients are fixed
+along each orbit of monomials, so express, express_equivariant and
+relations solve on the first monomial of each orbit (actions.leader_rows)
+where they solved on every monomial.  The oracles are the product tables'
+substitution and the full-row solves kept in conftest.
+"""
+
+import json
+from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equivar import (
+    PHI_DAGGER,
+    PSI,
+    THETA,
+    InvariantGens,
+    MultiPoly,
+    PolyVectorField,
+    RatMatrix,
+    close_group,
+    equivariant_module_generators,
+    express,
+    express_equivariant,
+    invariant_ring_generators,
+    is_invariant,
+    monomials_of_degree,
+    reduce_field,
+    reynolds,
+    relations,
+    xilinear_monomials,
+)
+from equivar import invariants
+from equivar.actions import _monomial_forms, _relabel, _table, leader_rows
+from equivar.equivariants import EquivariantGens
+from equivar.errors import NoSolution, NotInvariant
+from equivar.serialize import group_from_doc
+
+from conftest import (
+    BASE_GROUPS,
+    closed_or_reject,
+    coeffs,
+    express_over_full_rows,
+    mixed_group,
+    relations_full_rows,
+    signed_permutations,
+)
+
+GROUPS_DIR = Path(__file__).parent / "golden" / "groups"
+
+# name: (generators or golden group file, invariants bound, equivariants
+# bound); None keeps the default.  -I on Q^3 and B3 have orbits that cancel
+# (every monomial of odd degree, and under B3's sign changes every monomial
+# with an odd exponent); d6_hex, S3xZ2 and BT mix monomial and non-monomial
+# generators; d4_conj has no monomial generator, so every row leads; the
+# generator of swap_frac, [[0,2],[1/2,0]], has entries that are not integers.
+POOL = {
+    "z2_line": ([[[-1]]], None, None),
+    "z2_diag": ([[[-1, 0], [0, -1]]], None, None),
+    "swap2": (BASE_GROUPS["C2"], None, None),
+    "c4": (BASE_GROUPS["C4"], None, None),
+    "s3": (BASE_GROUPS["S3"], None, None),
+    "minus_i3": ([[[-int(i == j) for j in range(3)] for i in range(3)]], None, None),
+    "b3": ("b3.json", 6, 5),
+    "s4": ("s4.json", 4, 3),
+    "d6_hex": ("d6_hex.json", None, None),
+    "S3xZ2": ("S3xZ2", 6, 5),
+    "bt": ("bt.json", 6, 1),
+    "d4_conj": ("d4_conj.json", None, None),
+    "swap_frac": ("swap_frac.json", None, None),
+}
+
+
+@lru_cache(maxsize=None)
+def pool_generators(name: str):
+    """(invariant generators, module generators) of one pool group."""
+    spec, inv_bound, eq_bound = POOL[name]
+    if isinstance(spec, list):
+        group = close_group([RatMatrix.from_rows(g) for g in spec])
+    elif spec.endswith(".json"):
+        group = group_from_doc(json.loads((GROUPS_DIR / spec).read_text()))
+    else:
+        group = mixed_group(spec)
+    inv = invariant_ring_generators(group, inv_bound)
+    return inv, equivariant_module_generators(group, inv, eq_bound)
+
+
+def polys(nvars: int, max_degree: int):
+    """Polynomials of up to five terms, each a product of at most max_degree
+    variables: sparse in many variables, where conftest.polys filters."""
+    exps = st.lists(st.integers(0, nvars - 1), max_size=max_degree).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    return st.dictionaries(exps, coeffs, max_size=5).map(lambda d: MultiPoly(nvars, d))
+
+
+def outcome(solve):
+    """The solution, or the NoSolution message."""
+    try:
+        return solve()
+    except NoSolution as exc:
+        return f"NoSolution: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(POOL))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_express_on_leader_rows_matches_every_row(name, data):
+    inv, _ = pool_generators(name)
+    f = data.draw(polys(inv.k, 2))
+    q = inv.substitute(f)
+    unit = [[MultiPoly.constant(inv.group.n, 1)]]
+    if not q.is_zero:
+        want = express_over_full_rows(inv, unit, [0], [[q]], "generator")[0][0]
+        assert express(inv, q) == want
+        assert inv.substitute(want) == q
+    # without its last generator the ring misses the dropped generator's
+    # products, and both solves refuse them with one message
+    fewer = InvariantGens(inv.group, inv.gens[:-1])
+    target = inv.gens[-1] + q
+    assert outcome(lambda: express(fewer, target)) == outcome(
+        lambda: express_over_full_rows(fewer, unit, [0], [[target]], "generator")[0][0])
+
+
+@pytest.mark.parametrize("name", sorted(POOL))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_express_equivariant_on_leader_rows_matches_every_row(name, data):
+    inv, eg = pool_generators(name)
+    fs = [data.draw(polys(inv.k, 1)) for _ in eg.vgens]
+    field = PolyVectorField.zero(inv.group.n)
+    for f, v in zip(fs, eg.vgens):
+        field = field + v.scale(inv.substitute(f))
+    ws = [v.comps for v in eg.vgens]
+    if not field.is_zero:
+        want = express_over_full_rows(inv, ws, eg.degrees, [field.comps], "module")[0]
+        assert express_equivariant(eg, field) == want
+    fewer = EquivariantGens(eg.vgens[:-1], inv)
+    target = field + eg.vgens[-1]
+    assert outcome(lambda: express_equivariant(fewer, target)) == outcome(
+        lambda: express_over_full_rows(inv, ws[:-1], fewer.degrees, [target.comps], "module")[0])
+
+
+@pytest.mark.parametrize("name", sorted(POOL))
+def test_relations_on_leader_rows_match_every_row(name):
+    inv, _ = pool_generators(name)
+    bound = 2 * max(inv.degrees)
+    assert list(relations(inv, bound).rels) == relations_full_rows(inv, bound)
+
+
+def test_pool_relations_are_not_all_empty():
+    # the kernels compared above hold relations where orbits lead: -I's and
+    # C4's monomial generators, and BT's mixed set
+    counts = {name: len(relations(pool_generators(name)[0], 2 * max(pool_generators(name)[0].degrees)))
+              for name in ("z2_diag", "c4", "minus_i3", "bt")}
+    assert all(counts.values()), counts
+
+
+def test_leader_rows():
+    b3, _ = pool_generators("b3")
+    minus_i3, _ = pool_generators("minus_i3")
+    d4_conj, _ = pool_generators("d4_conj")
+    # every monomial of odd degree cancels under -I, and every one is its
+    # own orbit at even degree
+    assert leader_rows(minus_i3.group, PHI_DAGGER, 3) == []
+    assert leader_rows(minus_i3.group, PHI_DAGGER, 4) == list(range(len(monomials_of_degree(3, 4))))
+    # the phase action of -I fixes x^alpha xi_i exactly when |alpha| is odd
+    assert leader_rows(minus_i3.group, PSI, 2) == []
+    assert leader_rows(minus_i3.group, PSI, 1) == list(range(9))
+    # B3 permutes and changes signs: one leader per partition with even
+    # parts, the first monomial of its orbit
+    monos = monomials_of_degree(3, 6)
+    assert [monos[i] for i in leader_rows(b3.group, PHI_DAGGER, 6)] == [(6, 0, 0), (4, 2, 0), (2, 2, 2)]
+    assert leader_rows(b3.group, PHI_DAGGER, 5) == []
+    # no monomial generator: every row
+    assert leader_rows(d4_conj.group, PSI, 3) == list(range(len(xilinear_monomials(2, 3))))
+
+
+# ---------------------------------------------------------------------------
+# The relabelled images of monomial generators against their tables.
+
+SCALES = [Fraction(x) for x in (1, 1, 2, -3)] + [Fraction(1, 2), Fraction(-1, 3)]
+
+
+@st.composite
+def scaled_monomial_groups(draw):
+    """Groups generated by signed permutations of Q^2..Q^3 conjugated by a
+    diagonal matrix with entries among 1, 2, -3, 1/2 and -1/3, so that their
+    monomial entries are signed and may be fractions."""
+    gens = draw(signed_permutations(3))
+    n = gens[0].rows
+    scale = draw(st.lists(st.sampled_from(SCALES), min_size=n, max_size=n))
+    diag = RatMatrix.from_rows([[scale[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return closed_or_reject([diag @ g @ diag.inverse() for g in gens], 48)
+
+
+def table_invariance(group, obj, action):
+    """is_invariant on every generator's table: (first failing generator,
+    difference), or None when obj is fixed."""
+    sub = PHI_DAGGER if action == THETA else action
+    for g in group.gen_indices:
+        table = _table(group, sub, g)
+        if action == THETA:
+            moved = PolyVectorField([table.substitute(c) for c in obj.mix(group.matrix(g)).comps])
+        else:
+            moved = table.substitute(obj)
+        if moved != obj:
+            return g, obj - moved
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(scaled_monomial_groups(), st.data())
+def test_relabel_matches_table_substitution(group, data):
+    n = group.n
+    field = PolyVectorField(data.draw(st.lists(polys(n, 3), min_size=n, max_size=n)))
+    cases = [(PHI_DAGGER, data.draw(polys(n, 4))), (PSI, data.draw(polys(2 * n, 3))), (THETA, field)]
+    for action, obj in cases:
+        sub = PHI_DAGGER if action == THETA else action
+        forms = _monomial_forms(group, sub)
+        for g in group.gen_indices:
+            table = _table(group, sub, g)
+            parts = obj.mix(group.matrix(g)).comps if action == THETA else [obj]
+            assert [_relabel(forms[g], p) for p in parts] == [table.substitute(p) for p in parts]
+        chk = is_invariant(group, obj, action)
+        want = table_invariance(group, obj, action)
+        assert (None if chk else (chk.generator_index, chk.difference)) == want
+        # the Reynolds average is fixed, and both routes say so
+        avg = reynolds(group, action, obj)
+        assert is_invariant(group, avg, action) and table_invariance(group, avg, action) is None
+
+
+def test_tables_only_for_generators_that_are_not_monomial():
+    inv, eg = pool_generators("s4")
+    group = inv.group
+    field = eg.vgens[-1].scale(inv.gens[1])
+    assert is_invariant(group, field, THETA)
+    express(inv, inv.gens[0] * inv.gens[2])
+    reduce_field(field, inv)
+    assert not [k for k in group._derived if k[0] == "table"]
+    inv, eg = pool_generators("d6_hex")
+    is_invariant(inv.group, eg.vgens[-1], THETA)
+    is_invariant(inv.group, inv.gens[-1], PHI_DAGGER)
+    forms = _monomial_forms(inv.group, PHI_DAGGER)
+    built = {k[2] for k in inv.group._derived if k[0] == "table"}
+    assert built == {g for g, f in forms.items() if f is None} and len(built) == 1
+
+
+@pytest.mark.parametrize("name", ["c4", "s4", "d6_hex", "d4_conj", "swap_frac"])
+def test_non_invariant_targets_raise_before_any_solve(name, monkeypatch):
+    inv, eg = pool_generators(name)
+    n = inv.group.n
+    x1 = MultiPoly(n, {tuple(int(i == 0) for i in range(n)): 1})
+    moved = PolyVectorField([x1 * x1] + [MultiPoly.zero(n)] * (n - 1))
+    assert not is_invariant(inv.group, x1 * x1, PHI_DAGGER)
+    assert not is_invariant(inv.group, moved, THETA)
+
+    def refuse(*args):
+        raise AssertionError("solved a system for a target that is not invariant")
+
+    monkeypatch.setattr(invariants, "solve_free_zero", refuse)
+    monkeypatch.setattr(invariants, "leader_rows", refuse)
+    with pytest.raises(NotInvariant):
+        express(inv, x1 * x1 + inv.gens[0])
+    with pytest.raises(NotInvariant):
+        express_equivariant(eg, moved)
+    with pytest.raises(NotInvariant):
+        reduce_field(moved, inv)
