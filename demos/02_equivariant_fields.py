@@ -65,14 +65,14 @@ for m in range(5):
 banner("Module generators over the invariant ring")
 for name, g in [("swap", swap), ("quarter turn", c4)]:
     inv = invariant_ring_generators(g)
-    eg = equivariant_module_generators(g, inv)
+    eg = equivariant_module_generators(inv)
     print(f"  {name}: degrees {list(eg.degrees)}")
     for vg in eg.vgens:
         print(f"    {vg!r}")
 
 banner("Expressing a field over the generators")
 inv = invariant_ring_generators(swap)
-eg = equivariant_module_generators(swap, inv)
+eg = equivariant_module_generators(inv)
 coeffs = express_equivariant(eg, PolyVectorField([x2, x1]))
 pnames = [f"P{i + 1}" for i in range(inv.k)]
 for c, vg in zip(coeffs, eg.vgens):

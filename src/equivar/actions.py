@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotXiLinear
 from .groups import MatGroup
-from .linalg import RatMatrix, block_diag, clear_denominators, kernel_rref
+from .linalg import Immutable, RatMatrix, block_diag, clear_denominators, kernel_rref
 from .poly import Exponents, MultiPoly, ProductTable, monomials_of_degree
 
 PHI_DAGGER = "phi_dagger"
@@ -45,7 +45,7 @@ PSI = "psi"
 ACTIONS = (PHI_DAGGER, THETA, PSI)
 
 
-class PolyVectorField:
+class PolyVectorField(Immutable):
     """An n-tuple of polynomials in n variables, read as a vector field."""
 
     __slots__ = ("n", "comps")
@@ -62,9 +62,6 @@ class PolyVectorField:
                 )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "comps", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "PolyVectorField":
@@ -211,14 +208,19 @@ def act_psi(group: MatGroup, g: int, q: MultiPoly) -> MultiPoly:
 
 
 def infer_action(group: MatGroup, obj) -> str:
+    """The action that acts on obj: theta on a vector field, phi_dagger on a
+    polynomial in n variables and psi on a phase polynomial, in 2n."""
     if isinstance(obj, PolyVectorField):
         return THETA
-    if isinstance(obj, MultiPoly):
-        if obj.nvars == group.n:
-            return PHI_DAGGER
-        if obj.nvars == 2 * group.n:
-            return PSI
-    raise DimensionMismatch(f"cannot infer an action for {obj!r} on a group of dimension {group.n}")
+    if not isinstance(obj, MultiPoly):
+        raise DimensionMismatch(f"no action acts on a {type(obj).__name__}")
+    n = group.n
+    if obj.nvars == n:
+        return PHI_DAGGER
+    if obj.nvars == 2 * n:
+        return PSI
+    raise DimensionMismatch(
+        f"polynomial has {obj.nvars} variables, group acts on {n} ({2 * n} for a phase polynomial)")
 
 
 def reynolds(group: MatGroup, action: str, obj):
@@ -254,12 +256,9 @@ def _monomial_form(m: RatMatrix) -> tuple[tuple[int, Fraction], ...] | None:
 def _monomial_forms(group: MatGroup, action: str) -> dict[int, tuple | None]:
     """The _monomial_form of each generator's substitution matrix, by index.
     Memoised on the group, as _table is, so no degree rebuilds them."""
-    key = ("forms", action)
-    if key not in group._derived:
-        group._derived[key] = {
-            g: _monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices
-        }
-    return group._derived[key]
+    return group.derived(("forms", action), lambda: {
+        g: _monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices
+    })
 
 
 def _relabelling(form) -> tuple[list[int], list[tuple[int, int | Fraction]]]:
@@ -334,12 +333,12 @@ def _sums(group: MatGroup, action: str, d: int):
     under phi_dagger, xilinear_monomials under psi) and the orbit sums of
     its monomial generators over them.  Memoised on the group, so
     fixed_basis and leader_rows share one walk."""
-    key = ("sums", action, d)
-    if key not in group._derived:
+    def walk():
         monos = (monomials_of_degree if action == PHI_DAGGER else xilinear_monomials)(group.n, d)
         forms = [f for f in _monomial_forms(group, action).values() if f is not None]
-        group._derived[key] = monos, _orbit_sums(forms, monos)
-    return group._derived[key]
+        return monos, _orbit_sums(forms, monos)
+
+    return group.derived(("sums", action, d), walk)
 
 
 def leader_rows(group: MatGroup, action: str, d: int) -> list[int]:
@@ -363,13 +362,13 @@ def _table(group: MatGroup, action: str, g: int) -> ProductTable:
     monomial, whose images the orbit sums and _relabel do not give, and
     memoised on the group, so the fixed spaces and the invariance checks
     read the same columns at every degree."""
-    key = ("table", action, g)
-    if key not in group._derived:
+    def build():
         m = _substitution_matrix(group, action, g)
         unit = monomials_of_degree(m.rows, 1)
         forms = [MultiPoly(m.rows, zip(unit, m.row(i))) for i in range(m.rows)]
-        group._derived[key] = ProductTable(m.rows, forms)
-    return group._derived[key]
+        return ProductTable(m.rows, forms)
+
+    return group.derived(("table", action, g), build)
 
 
 def _restricted_columns(group: MatGroup, action: str, g: int, d: int, sums) -> list[list[int]]:

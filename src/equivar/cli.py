@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-from .actions import ACTIONS, THETA, PolyVectorField, infer_action, is_invariant
+from .actions import PolyVectorField, infer_action, is_invariant
 from .equivariants import equivariant_module_generators
 from .errors import EquivarError, NotInvariant, ParseError
 from .groups import MatGroup
@@ -82,7 +82,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_equivariants(args) -> int:
     group = _load_group(args)
     inv = _load_or_compute_invariants(args, group)
-    eg = equivariant_module_generators(group, inv, degree_bound=args.bound)
+    eg = equivariant_module_generators(inv, degree_bound=args.bound)
     _emit(args, sz.equivariant_gens_to_doc(eg, molien_equivariant(group)))
     return 0
 
@@ -148,13 +148,11 @@ def _cmd_check_invariance(args) -> int:
     group = _load_group(args)
     if (args.poly is None) == (args.field is None):
         raise ParseError("exactly one of --poly or --field is required")
-    if args.action is not None and (args.action == THETA) != (args.field is not None):
-        raise ParseError(f"--action {args.action} needs --{'field' if args.action == THETA else 'poly'}")
     if args.poly:
         obj = sz.poly_from_doc(sz.load_json(args.poly))
     else:
         obj = sz.field_from_doc(sz.load_json(args.field))
-    action = args.action or infer_action(group, obj)
+    action = infer_action(group, obj)
     chk = is_invariant(group, obj, action)
     if not chk:
         raise NotInvariant("object is not invariant", chk.generator_index, chk.difference)
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check-invariance", _cmd_check_invariance, help="test invariance of a polynomial or field")
     p.add_argument("--poly", help="polynomial JSON file")
     p.add_argument("--field", help="vector field JSON file")
-    p.add_argument("--action", choices=ACTIONS, help="action to test (inferred when omitted)")
 
     p = add("check-related", _cmd_check_related, help="verify a (field, reduced system) pair")
     p.add_argument("--invariants", help="invariant generators JSON (computed when omitted)")

@@ -10,10 +10,12 @@ monomials x^alpha xi_i, actions.xilinear_monomials (actions.fixed_basis,
 one pipeline for every group).
 
 The fields form a module of rank n over the ring Q[p] of the given invariant
-generators p.  Its generators come from the same degree loop as the
-invariant ring's (invariants._graded_generators), checked against the
-trace-weighted Molien series, and express_equivariant is the same solve as
-express (invariants._express_over), both over the products p^a W_j.
+generators p, under p's group: equivariant_module_generators,
+express_equivariant and EquivariantGens all read the group off p.  The
+module's generators come from the same degree loop as the invariant ring's
+(invariants._graded_generators), checked against the trace-weighted Molien
+series, and express_equivariant is the same solve as express
+(invariants._express_over), both over the products p^a W_j.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .actions import xilinear_monomials  # noqa: F401  re-exported
 from .errors import NotInvariant
 from .groups import MatGroup
 from .invariants import InvariantGens, _express_over, _graded_generators
+from .linalg import Immutable
 from .molien import molien_equivariant
 from .poly import MultiPoly
 
@@ -42,7 +45,7 @@ def equivariant_basis(group: MatGroup, m: int) -> list[PolyVectorField]:
     return [unpairing(q) for q in fixed_basis(group, PSI, m)]
 
 
-class EquivariantGens:
+class EquivariantGens(Immutable):
     """Module generators for the equivariant fields over the invariant ring.
 
     The group is invariant_gens', and each degree is that of its homogeneous
@@ -69,9 +72,6 @@ class EquivariantGens:
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "hsop", None if hsop is None else tuple(hsop))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EquivariantGens is immutable")
-
     def __len__(self) -> int:
         return len(self.vgens)
 
@@ -79,22 +79,19 @@ class EquivariantGens:
         return f"EquivariantGens({len(self.vgens)} generators, degrees={list(self.degrees)})"
 
 
-def equivariant_module_generators(
-    group: MatGroup, inv: InvariantGens, degree_bound: int | None = None
-) -> EquivariantGens:
-    """Generators of the equivariant fields as a module over the invariants.
+def equivariant_module_generators(inv: InvariantGens, degree_bound: int | None = None) -> EquivariantGens:
+    """Generators of the equivariant fields as a module over the ring inv
+    generates, under inv's group.
 
-    The rank-n case of invariants._graded_generators over the ring inv
-    generates, so every field up to the bound is reached over that ring.
-    With no bound given, the loop runs to deg N_eq, N_eq(t) = M_eq(t) *
-    prod (1 - t^d_i), for the first hsop theta among inv's generators that
-    beats |G| - 1: the fields are free over Q[theta] with basis degrees
-    counted by N_eq.  Without one the bound is |G| - 1: a xi-linear
-    generator of the phase invariants has total degree at most |G| by
-    Noether's bound.
+    The rank-n case of invariants._graded_generators over that ring, so
+    every field up to the bound is reached over it.  With no bound given,
+    the loop runs to deg N_eq, N_eq(t) = M_eq(t) * prod (1 - t^d_i), for
+    the first hsop theta among inv's generators that beats |G| - 1: the
+    fields are free over Q[theta] with basis degrees counted by N_eq.
+    Without one the bound is |G| - 1: a xi-linear generator of the phase
+    invariants has total degree at most |G| by Noether's bound.
     """
-    if inv.group is not group and inv.group.elements != group.elements:
-        raise ValueError("invariant generators were computed for a different group")
+    group = inv.group
     bound = group.order - 1 if degree_bound is None else degree_bound
     if bound < 0:
         raise ValueError("degree bound must be non-negative")

@@ -20,19 +20,21 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ClosureExceedsCap, DimensionMismatch, NonInvertibleGenerator
-from .linalg import RatMatrix
+from .linalg import Immutable, RatMatrix
 
 DEFAULT_CAP = 10000
 
 Key = tuple[int, tuple[int, ...]]
 
 
-class MatGroup:
+class MatGroup(Immutable):
     """Closed list of invertible rational matrices.
 
     elements[0] is the identity; the remaining order is BFS insertion order
     from the generators, which makes the whole object deterministic.
-    inverses[i] is the index of the inverse of elements[i].
+    inverses[i] is the index of the inverse of elements[i].  Values that
+    depend on the group alone (Molien series, generator action tables) are
+    memoised on it, through derived.
     """
 
     __slots__ = ("n", "elements", "gen_indices", "_inverses", "_derived")
@@ -45,12 +47,13 @@ class MatGroup:
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "gen_indices", tuple(gen_indices))
         object.__setattr__(self, "_inverses", tuple(inverses))
-        # values that depend on the group alone (Molien series, generator
-        # action tables), filled on first use by the module that computes them
         object.__setattr__(self, "_derived", {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MatGroup is immutable")
+    def derived(self, key, compute):
+        """The value memoised under key, computed as compute() on first use."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     @property
     def order(self) -> int:

@@ -41,7 +41,7 @@ from typing import Sequence
 from .actions import PHI_DAGGER, fixed_basis, is_invariant, leader_rows
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
-from .linalg import Echelon, kernel_basis, solve_free_zero
+from .linalg import Echelon, Immutable, kernel_basis, solve_free_zero
 from .molien import MolienSeries, molien
 from .poly import (
     Exponents,
@@ -71,7 +71,7 @@ def weighted_monomials(weights: Sequence[int], total: int) -> list[Exponents]:
     return sorted(rec(0, total), key=grlex_key, reverse=True)
 
 
-class InvariantGens:
+class InvariantGens(Immutable):
     """An ordered generating set for the invariant ring of a group.
 
     Generators are homogeneous, monic in graded-lex, and sorted by degree,
@@ -106,9 +106,6 @@ class InvariantGens:
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "stop", stop)
         object.__setattr__(self, "hsop", None if hsop is None else tuple(hsop))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InvariantGens is immutable")
 
     @classmethod
     def from_polys(cls, group: MatGroup, polys: Sequence[MultiPoly]) -> "InvariantGens":
@@ -458,7 +455,7 @@ def _unscale(y: Sequence[Fraction], dens: Sequence[int]) -> list[Fraction]:
     return [c * den if den != 1 else c for c, den in zip(y, dens)]
 
 
-class RelationSet:
+class RelationSet(Immutable):
     """Polynomial relations among invariant generators.
 
     Each relation r satisfies r(p_1, ..., p_k) == 0 identically; together
@@ -473,9 +470,6 @@ class RelationSet:
         object.__setattr__(self, "rels", tuple(rels))
         object.__setattr__(self, "weighted_degrees", tuple(
             sum(x * w for x, w in zip(r.leading_term()[0], gens.degrees)) for r in self.rels))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RelationSet is immutable")
 
     def __len__(self) -> int:
         return len(self.rels)

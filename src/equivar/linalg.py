@@ -3,7 +3,8 @@
 No floats enter: the degree-by-degree fixed-space computations downstream
 are only trustworthy in exact arithmetic.  Vectors are plain lists of
 Fraction; matrices for elimination are lists of row lists.  RatMatrix is the
-immutable matrix type used for group elements.
+immutable matrix type used for group elements.  Immutable is the base of
+every value type of the library: it refuses to set or delete an attribute.
 
 All elimination runs one fraction-free step over the integers (_eliminate):
 rows are cleared of denominators (clear_denominators), combined as
@@ -32,7 +33,19 @@ def as_rational(x, what: str = "expected exact rational") -> Fraction:
     raise TypeError(f"{what}, got {type(x).__name__}")
 
 
-class RatMatrix:
+class Immutable:
+    """Slotted base of the value types.  Each constructor sets its slots with
+    object.__setattr__; afterwards no attribute can be set or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class RatMatrix(Immutable):
     """Immutable matrix over the rationals, row-major storage."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -44,9 +57,6 @@ class RatMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", ents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":

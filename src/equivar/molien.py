@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatchWithMolien
 from .groups import MatGroup
-from .linalg import RatMatrix, clear_denominators
+from .linalg import Immutable, RatMatrix, clear_denominators
 
 UPoly = list[Fraction]
 
@@ -126,7 +126,7 @@ def det_one_minus_t(m: RatMatrix) -> UPoly:
     return _utrim(coeffs)
 
 
-class MolienSeries:
+class MolienSeries(Immutable):
     """A reduced rational function of t with memoized power-series expansion."""
 
     __slots__ = ("numer", "denom", "_coeffs")
@@ -149,9 +149,6 @@ class MolienSeries:
         object.__setattr__(self, "numer", tuple(Fraction(x * den_scale, scale) for x in num))
         object.__setattr__(self, "denom", tuple(Fraction(x, den[0]) for x in den))
         object.__setattr__(self, "_coeffs", [])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MolienSeries is immutable")
 
     def coefficient(self, d: int) -> int:
         """The t^d coefficient; an exact non-negative dimension count.
@@ -225,8 +222,7 @@ class MolienSeries:
 def _determinants(group: MatGroup) -> dict[tuple[int, ...], int]:
     """How many elements g have each det(I - t g), keyed by its integer
     coefficients: one pass over the group, shared by both series."""
-    key = "det_one_minus_t"
-    if key not in group._derived:
+    def count():
         counts: dict[tuple[int, ...], int] = {}
         for m in group.elements:
             coeffs = det_one_minus_t(m)
@@ -236,8 +232,9 @@ def _determinants(group: MatGroup) -> dict[tuple[int, ...], int]:
                 )
             d_g = tuple(c.numerator for c in coeffs)
             counts[d_g] = counts.get(d_g, 0) + 1
-        group._derived[key] = counts
-    return group._derived[key]
+        return counts
+
+    return group.derived("det_one_minus_t", count)
 
 
 def _averaged_series(group: MatGroup, equivariant: bool) -> MolienSeries:
@@ -269,10 +266,7 @@ def _averaged_series(group: MatGroup, equivariant: bool) -> MolienSeries:
 def _series(group: MatGroup, equivariant: bool) -> MolienSeries:
     """The series, built once per group: a generator loop and the CLI command
     that writes its output both ask for it."""
-    key = ("molien", equivariant)
-    if key not in group._derived:
-        group._derived[key] = _averaged_series(group, equivariant)
-    return group._derived[key]
+    return group.derived(("molien", equivariant), lambda: _averaged_series(group, equivariant))
 
 
 def molien(group: MatGroup) -> MolienSeries:

@@ -32,7 +32,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .linalg import RatMatrix, as_rational, clear_denominators
+from .linalg import Immutable, RatMatrix, as_rational, clear_denominators
 
 Exponents = tuple[int, ...]
 
@@ -57,7 +57,7 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
 _COEFFICIENT = "coefficient must be an exact rational"
 
 
-class MultiPoly:
+class MultiPoly(Immutable):
     """Immutable sparse polynomial with exact rational coefficients.
 
     MultiPoly(nvars, terms) validates its terms (a mapping or pairs of
@@ -103,9 +103,6 @@ class MultiPoly:
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "_terms", terms)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     # -- constructors -------------------------------------------------------
 

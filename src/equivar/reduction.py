@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .actions import THETA, PolyVectorField, is_invariant
+from .actions import THETA, PolyVectorField, _check_fit, is_invariant
 from .errors import DimensionMismatch, NoSolution, NonFiniteState, NotInvariant
 from .invariants import InvariantGens, _express_all
 from .poly import Exponents, MultiPoly, dot, grlex_key
@@ -50,9 +50,14 @@ class ReducedSystem(PolyVectorField):
         return f"ReducedSystem({inner})"
 
 
-def _reduced_system(reduced: ReducedSystem | Sequence[MultiPoly], inv: InvariantGens) -> ReducedSystem:
+def _reduced_system(
+    field: PolyVectorField, reduced: ReducedSystem | Sequence[MultiPoly], inv: InvariantGens
+) -> ReducedSystem:
     """reduced as a ReducedSystem, a sequence checked by its constructor;
-    DimensionMismatch unless it has one component per generator of inv."""
+    DimensionMismatch, as reduce_field raises it, unless field is of the
+    dimension inv's group acts on, and unless reduced has one component per
+    generator of inv."""
+    _check_fit(inv.group, THETA, field)
     if not isinstance(reduced, ReducedSystem):
         reduced = ReducedSystem(reduced)
     if reduced.k != inv.k:
@@ -112,8 +117,9 @@ def check_related(
     reduced: ReducedSystem | Sequence[MultiPoly],
     inv: InvariantGens,
 ) -> RelatednessCheck:
-    """Verify sum_j X_j dp_i/dx_j == Y_i(p_1,..,p_k) for every i, exactly."""
-    reduced = _reduced_system(reduced, inv)
+    """Verify sum_j X_j dp_i/dx_j == Y_i(p_1,..,p_k) for every i, exactly.
+    Raises DimensionMismatch when a size is wrong (_reduced_system)."""
+    reduced = _reduced_system(field, reduced, inv)
     return _related(directional_derivatives(field, inv), reduced.comps, inv)
 
 
@@ -373,6 +379,7 @@ def integrate_pair(
     Hilbert-map image of the float start, so a constant pair has defect
     exactly zero.
 
+    Raises DimensionMismatch when a size is wrong (_reduced_system, x0).
     Raises NonFiniteState on overflow or NaN, with the time of the first
     non-finite state; the full system is reported whenever it diverges,
     else the reduced one.  Raises ValueError unless step and t_end are
@@ -391,7 +398,7 @@ def integrate_pair(
         raise ValueError(f"step {step} is longer than t_end {t_end}; no step would be taken")
     if abs(nsteps * step - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end {t_end} is not a whole number of steps of {step}")
-    reduced = _reduced_system(reduced, inv)
+    reduced = _reduced_system(field, reduced, inv)
     n = field.n
     if len(x0) != n:
         raise DimensionMismatch(f"x0 has length {len(x0)}, field dimension is {n}")

@@ -230,44 +230,40 @@ def test_check_invariance(files, capsys):
                                    "message": "exactly one of --poly or --field is required"}
 
 
-@pytest.mark.parametrize("action, kind", [
-    ("theta", "--poly"), ("phi_dagger", "--field"), ("psi", "--field"),
-])
-def test_check_invariance_action_object_mismatch_exit_2(files, capsys, action, kind):
-    # theta acts on fields, phi_dagger and psi on polynomials: any other
-    # pairing is a usage error, not a traceback
-    _, write = files
-    group = write("c4.json", C4_DOC)
-    obj = {"--poly": {"nvars": 2, "terms": [{"c": "1", "e": [2, 0]}, {"c": "1", "e": [0, 2]}]},
-           "--field": {"n": 2, "comps": [{"nvars": 2, "terms": [{"c": "1", "e": [1, 0]}]},
-                                         {"nvars": 2, "terms": [{"c": "1", "e": [0, 1]}]}]}}[kind]
-    path = write("obj.json", obj)
-    code, out, err = run(["check-invariance", "--group", group, kind, path, "--action", action], capsys)
-    assert (code, out) == (2, "")
-    doc = json.loads(err)
-    assert doc["error"] == "ParseError"
-    assert doc["message"] == f"--action {action} needs --{'poly' if kind == '--field' else 'field'}"
-
-
 THREE_VARS = {"nvars": 3, "terms": [{"c": "1", "e": [2, 0, 0]}, {"c": "1", "e": [0, 0, 2]}]}
 THREE_COMPONENTS = {"n": 3, "comps": [
     {"nvars": 3, "terms": [{"c": "1", "e": [int(i == j) for j in range(3)]}]} for i in range(3)
+]}
+# (-x1, -x2, x3^2), with the reduced system (-2 P1, -4 P2, -4 P3) that
+# matches C4's three invariants in its size
+THREE_VAR_FIELD = {"n": 3, "comps": [
+    {"nvars": 3, "terms": [{"c": "-1", "e": [1, 0, 0]}]},
+    {"nvars": 3, "terms": [{"c": "-1", "e": [0, 1, 0]}]},
+    {"nvars": 3, "terms": [{"c": "1", "e": [0, 0, 2]}]},
+]}
+C4_SIZED_REDUCED = {"k": 3, "comps": [
+    {"nvars": 3, "terms": [{"c": str(c), "e": [int(i == j) for j in range(3)]}]}
+    for i, c in enumerate((-2, -4, -4))
 ]}
 
 
 @pytest.mark.parametrize("argv, obj, message", [
     (["express", "--poly"], THREE_VARS, "polynomial has 3 variables, group acts on 2"),
-    (["check-invariance", "--action", "psi", "--poly"], THREE_VARS,
-     "phase polynomial has 3 variables, expected 4"),
     (["check-invariance", "--field"], THREE_COMPONENTS, "field dimension 3, group acts on 2"),
     (["reduce", "--field"], THREE_COMPONENTS, "field dimension 3, group acts on 2"),
     (["check-invariance", "--poly"], THREE_VARS,
-     "cannot infer an action for MultiPoly(x1^2 + x3^2) on a group of dimension 2"),
-], ids=["express", "check-invariance-psi", "check-invariance-field", "reduce", "check-invariance-infer"])
+     "polynomial has 3 variables, group acts on 2 (4 for a phase polynomial)"),
+    (["check-related", "--reduced", "R", "--field"], THREE_VAR_FIELD, "field dimension 3, group acts on 2"),
+    (["integrate-check", "--reduced", "R", "--x0=1/2,1/3,1/5", "--field"], THREE_VAR_FIELD,
+     "field dimension 3, group acts on 2"),
+], ids=["express", "check-invariance-field", "reduce", "check-invariance-infer", "check-related",
+        "integrate-check"])
 def test_object_size_mismatch_exit_1(files, capsys, argv, obj, message):
     # the size is checked against the action before any image is computed
     _, write = files
     group = write("c4.json", C4_DOC)
+    paths = {"R": write("reduced.json", C4_SIZED_REDUCED)}
+    argv = [paths.get(a, a) for a in argv]
     code, out, err = run([*argv, write("obj.json", obj), "--group", group], capsys)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "DimensionMismatch", "message": message}

@@ -88,7 +88,7 @@ def test_a4_stops_at_the_secondary_degree():
     inv = invariant_ring_generators(A4)
     assert inv.degrees == (2, 3, 4, 6)
     assert (inv.bound, inv.stop, inv.hsop) == (6, "hsop", (0, 1, 2))
-    eg = equivariant_module_generators(A4, inv)
+    eg = equivariant_module_generators(inv)
     assert (eg.bound, eg.stop, eg.hsop) == (5, "hsop", (0, 1, 2))
 
 
@@ -97,7 +97,7 @@ def test_q8_stops_at_noether_without_a_rank_test():
     # not beat Noether's 8 / 7: the degree sums alone rule every subset out
     with mock.patch.object(invariants, "_ideal_spans_degree", side_effect=AssertionError):
         inv = invariant_ring_generators(Q8)
-        eg = equivariant_module_generators(Q8, inv)
+        eg = equivariant_module_generators(inv)
     assert (inv.bound, inv.stop, inv.hsop) == (8, "noether", None)
     assert (eg.bound, eg.stop, eg.hsop) == (7, "noether", None)
 
@@ -106,7 +106,7 @@ def test_explicit_bound_computes_no_certificate():
     # find_hsop has one call site, the degree loop both commands share
     with mock.patch("equivar.invariants.find_hsop", side_effect=AssertionError):
         inv = invariant_ring_generators(A4, degree_bound=4)
-        eg = equivariant_module_generators(A4, inv, degree_bound=3)
+        eg = equivariant_module_generators(inv, degree_bound=3)
     assert (inv.bound, inv.stop, inv.hsop) == (4, "explicit", None)
     assert (eg.bound, eg.stop, eg.hsop) == (3, "explicit", None)
 
@@ -129,8 +129,8 @@ def test_certified_run_equals_noether_run(group):
     noether = invariant_ring_generators(group, degree_bound=group.order)
     assert inv.gens == noether.gens
     assert inv.bound <= group.order
-    eg = equivariant_module_generators(group, inv)
-    eg_noether = equivariant_module_generators(group, noether, degree_bound=group.order - 1)
+    eg = equivariant_module_generators(inv)
+    eg_noether = equivariant_module_generators(noether, degree_bound=group.order - 1)
     assert eg.vgens == eg_noether.vgens
     assert eg.bound <= group.order - 1
 
@@ -156,8 +156,8 @@ def test_conjugation_keeps_series_degrees_and_stop(groups):
     assert molien(conj) == molien(group)
     assert molien_equivariant(conj) == molien_equivariant(group)
     inv, inv_conj = invariant_ring_generators(group), invariant_ring_generators(conj)
-    eg = equivariant_module_generators(group, inv)
-    eg_conj = equivariant_module_generators(conj, inv_conj)
+    eg = equivariant_module_generators(inv)
+    eg_conj = equivariant_module_generators(inv_conj)
     assert inv_conj.degrees == inv.degrees
     assert eg_conj.degrees == eg.degrees
     assert (inv_conj.bound, inv_conj.stop) == (inv.bound, inv.stop)
@@ -195,7 +195,7 @@ def test_no_fixed_space_above_the_reported_bound(name, inv_bound, eq_bound):
     with mock.patch.object(invariants, "invariant_basis", record("inv", invariants.invariant_basis)), \
             mock.patch.object(equivariants, "equivariant_basis", record("eq", equivariants.equivariant_basis)):
         inv = invariant_ring_generators(group, degree_bound=inv_bound)
-        eg = equivariant_module_generators(group, inv, degree_bound=eq_bound)
+        eg = equivariant_module_generators(inv, degree_bound=eq_bound)
     # a fixed space is computed where the products fall short of Molien, and
     # only there, once each: exactly the degrees of the new generators
     assert seen["inv"] == sorted(set(inv.degrees))
@@ -223,7 +223,7 @@ def test_products_first_matches_every_degree_loop(group, inv_bound, eq_bound):
     # short returns what the one computing it at every degree returns
     def run():
         inv = invariant_ring_generators(group, degree_bound=inv_bound)
-        eg = equivariant_module_generators(group, inv, degree_bound=eq_bound)
+        eg = equivariant_module_generators(inv, degree_bound=eq_bound)
         docs = (sz.invariant_gens_to_doc(inv, molien(group)),
                 sz.equivariant_gens_to_doc(eg, molien_equivariant(group)))
         return inv.gens, eg.vgens, [sz.dumps(doc) for doc in docs]

@@ -91,7 +91,7 @@ def pool_generators(name: str):
     else:
         group = mixed_group(spec)
     inv = invariant_ring_generators(group, inv_bound)
-    return inv, equivariant_module_generators(group, inv, eq_bound)
+    return inv, equivariant_module_generators(inv, eq_bound)
 
 
 def polys(nvars: int, max_degree: int):

@@ -14,7 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivar import MultiPoly
+from equivar import (
+    MultiPoly,
+    PolyVectorField,
+    close_group,
+    equivariant_module_generators,
+    invariant_ring_generators,
+    molien,
+    reduce_field,
+    relations,
+    variables,
+)
 from equivar.linalg import (
     Echelon,
     RatMatrix,
@@ -331,3 +341,34 @@ def test_core_edge_cases():
     assert rref([[2, 4], [1, 3]]) == ([[F(1), F(0)], [F(0), F(1)]], [0, 1])
     big = F(999_983, 999_979)
     assert rref([[big, F(1)], [F(1), 1 / big]]) == ([[F(1), 1 / big]], [0])
+
+
+def _values() -> dict:
+    """One fresh value of each immutable type, on the quarter turn: built
+    here, not shared, so a guard that gave way could spoil no other test."""
+    group = close_group([RatMatrix.from_rows([[0, -1], [1, 0]])])
+    inv = invariant_ring_generators(group)
+    field = PolyVectorField(variables(2))
+    return {
+        "MultiPoly": inv.gens[0], "RatMatrix": group.matrix(1), "MatGroup": group,
+        "PolyVectorField": field, "ReducedSystem": reduce_field(field, inv),
+        "MolienSeries": molien(group), "InvariantGens": inv,
+        "EquivariantGens": equivariant_module_generators(inv), "RelationSet": relations(inv, 8),
+    }
+
+
+@pytest.mark.parametrize("name", ["MultiPoly", "RatMatrix", "MatGroup", "PolyVectorField",
+                                  "ReducedSystem", "MolienSeries", "InvariantGens",
+                                  "EquivariantGens", "RelationSet"])
+def test_value_types_refuse_assignment_and_deletion(name):
+    value = _values()[name]
+    assert type(value).__name__ == name
+    slots = [s for cls in type(value).__mro__ for s in getattr(cls, "__slots__", ())]
+    assert slots
+    for attr in slots + ["extra"]:
+        before = getattr(value, attr, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, attr)
+        assert getattr(value, attr, None) is before

@@ -724,3 +724,20 @@ def test_reduced_system_validation(radial_plane):
     # with no generators there is no orbit-space coordinate to reduce to
     with pytest.raises(ValueError, match="at least one component"):
         reduce_field(field, InvariantGens.from_polys(inv.group, []))
+
+
+def test_field_of_another_dimension_is_refused(c4):
+    # C4 acts on the plane and has three invariants (degrees 2, 4, 4), so a
+    # reduced system of three components fits it; the field does not, and
+    # both checks refuse it as reduce_field does, before any derivative
+    inv = invariant_ring_generators(c4)
+    x1, x2, x3 = variables(3)
+    p1, p2, p3 = variables(3)
+    reduced = [-2 * p1, -4 * p2, -4 * p3]
+    (t,) = variables(1)
+    for field, n in ((PolyVectorField([-x1, -x2, x3**2]), 3), (PolyVectorField([-t]), 1)):
+        for use in (lambda: reduce_field(field, inv),
+                    lambda: check_related(field, reduced, inv),
+                    lambda: integrate_pair(field, reduced, inv, [Fraction(1, 2)] * n, 1.0, 0.1)):
+            with pytest.raises(DimensionMismatch, match=f"^field dimension {n}, group acts on 2$"):
+                use()
