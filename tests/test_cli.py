@@ -234,13 +234,7 @@ THREE_VARS = {"nvars": 3, "terms": [{"c": "1", "e": [2, 0, 0]}, {"c": "1", "e": 
 THREE_COMPONENTS = {"n": 3, "comps": [
     {"nvars": 3, "terms": [{"c": "1", "e": [int(i == j) for j in range(3)]}]} for i in range(3)
 ]}
-# (-x1, -x2, x3^2), with the reduced system (-2 P1, -4 P2, -4 P3) that
-# matches C4's three invariants in its size
-THREE_VAR_FIELD = {"n": 3, "comps": [
-    {"nvars": 3, "terms": [{"c": "-1", "e": [1, 0, 0]}]},
-    {"nvars": 3, "terms": [{"c": "-1", "e": [0, 1, 0]}]},
-    {"nvars": 3, "terms": [{"c": "1", "e": [0, 0, 2]}]},
-]}
+# (-2 P1, -4 P2, -4 P3): one component per invariant of C4 (degrees 2, 4, 4)
 C4_SIZED_REDUCED = {"k": 3, "comps": [
     {"nvars": 3, "terms": [{"c": str(c), "e": [int(i == j) for j in range(3)]}]}
     for i, c in enumerate((-2, -4, -4))
@@ -253,8 +247,8 @@ C4_SIZED_REDUCED = {"k": 3, "comps": [
     (["reduce", "--field"], THREE_COMPONENTS, "field dimension 3, group acts on 2"),
     (["check-invariance", "--poly"], THREE_VARS,
      "polynomial has 3 variables, group acts on 2 (4 for a phase polynomial)"),
-    (["check-related", "--reduced", "R", "--field"], THREE_VAR_FIELD, "field dimension 3, group acts on 2"),
-    (["integrate-check", "--reduced", "R", "--x0=1/2,1/3,1/5", "--field"], THREE_VAR_FIELD,
+    (["check-related", "--reduced", "R", "--field"], THREE_COMPONENTS, "field dimension 3, group acts on 2"),
+    (["integrate-check", "--reduced", "R", "--x0=1/2,1/3,1/5", "--field"], THREE_COMPONENTS,
      "field dimension 3, group acts on 2"),
 ], ids=["express", "check-invariance-field", "reduce", "check-invariance-infer", "check-related",
         "integrate-check"])
