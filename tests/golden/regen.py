@@ -42,6 +42,18 @@ GENERATOR_CASES = [(g, "{root}/demos/data/%s.json" % g, None, None) for g in DEM
 # with one monomial and one non-monomial generator, and swap_frac.
 RELATION_GROUPS = DEMO_GROUPS + ("s4", "b3", "d6_hex", "swap_frac")
 
+# relations above a relation's degree, where the multiples of the lower
+# relations fill part of each kernel: (group, invariants file or None to
+# compute them, weighted degree bound).  -I on Q^4 has 20 relations at degree
+# 4 whose multiples span all of degree 6; C4 (the orbit benchmark's job) has
+# one at degree 8 and only its multiples at degrees 10-16; Q8 has 104 at
+# degrees 8, 10 and 12, where the multiples fall short without being empty.
+RELATION_BOUND_CASES = [
+    ("minus_i4", "{groups}/minus_i4.json", None, 6),
+    ("c4", "{root}/demos/data/c4.json", "{out}/c4.invariants.json", 16),
+    ("q8", "{groups}/q8.json", "{out}/q8.invariants.json", 12),
+]
+
 # The two monomial groups again at the CLI defaults, where both loops stop on
 # an hsop certificate (S4 at 4 / 3, B3 at 6 / 5); run to Noether's bound
 # (24 / 23 and 48 / 47) the same outputs took minutes.
@@ -109,6 +121,9 @@ def cases() -> list[tuple[str, list[str]]]:
                         ["relations", "--group", group, "--invariants", inv]))
     for name, group in DEFAULT_CASES + EXTRA_CASES:
         out += _generator_cases(name, group, None, None)
+    for name, group, inv, bound in RELATION_BOUND_CASES:
+        given = ["--group", group] + ([] if inv is None else ["--invariants", inv])
+        out.append((f"{name}.dmax{bound}.relations.json", ["relations", *given, "--dmax", str(bound)]))
     out.append(("bt.invariants.json",
                 ["invariants", "--group", "{groups}/bt.json", "--bound", str(BT_BOUND)]))
     for name in MOLIEN_CASES:
