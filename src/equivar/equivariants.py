@@ -113,5 +113,6 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
     chk = is_invariant(eg.group, field, THETA)
     if not chk:
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
+    inv = eg.invariant_gens
     ws = [v.comps for v in eg.vgens]
-    return _express_over(eg.invariant_gens, PSI, ws, eg.degrees, [field.comps], "module")[0]
+    return _express_over(inv, PSI, ws, eg.degrees, [inv._table.columns(field.comps)], "module")[0]

@@ -41,18 +41,9 @@ from typing import Sequence
 from .actions import PHI_DAGGER, fixed_basis, is_invariant, leader_rows
 from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
-from .linalg import Echelon, Immutable, kernel_basis, solve_free_zero
+from .linalg import Echelon, Immutable, clear_denominators, kernel_basis, solve_free_zero
 from .molien import MolienSeries, molien
-from .poly import (
-    Exponents,
-    MultiPoly,
-    ProductTable,
-    _pack,
-    _packed,
-    grlex_key,
-    monomials_of_degree,
-    poly_to_vector,
-)
+from .poly import Exponents, MultiPoly, ProductTable, _pack, _packed, grlex_key, monomials_of_degree
 
 
 def weighted_monomials(weights: Sequence[int], total: int) -> list[Exponents]:
@@ -238,9 +229,8 @@ def _graded_generators(
             if len(elements) != expected:
                 raise DimensionMismatchWithMolien(
                     f"degree {d}: {nouns[0]} dimension {len(elements)}, Molien says {expected}")
-            monos = table.monomials(d)
             for element, comps in elements:
-                if span.add(_vector(comps, monos)):
+                if span.add(table.columns(comps)[d][0]):
                     new.append(element)
                     if inv is None:
                         table.append(element)
@@ -348,50 +338,48 @@ def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
     chk = is_invariant(inv.group, q, PHI_DAGGER)
     if not chk:
         raise NotInvariant("polynomial is not invariant", chk.generator_index, chk.difference)
-    return _express_all(inv, [q])[0]
+    return _express_all(inv, [inv._table.columns([q])])[0]
 
 
-def _express_all(inv: InvariantGens, qs: Sequence[MultiPoly]) -> list[MultiPoly]:
-    """express for each polynomial, each already known invariant."""
+def _express_all(inv: InvariantGens, targets) -> list[MultiPoly]:
+    """express for each polynomial, given as its graded integer columns
+    (ProductTable.columns) and already known invariant."""
     unit = [[MultiPoly.constant(inv.group.n, 1)]]
-    fs = _express_over(inv, PHI_DAGGER, unit, [0], [[q] for q in qs], "generator")
-    return [f for f, in fs]
+    return [f for f, in _express_over(inv, PHI_DAGGER, unit, [0], targets, "generator")]
 
 
 def _express_over(
     inv: InvariantGens, action: str, ws, w_degrees: Sequence[int], targets, noun: str
 ) -> list[list[MultiPoly]]:
-    """For each target (r components), the P-polynomials f_j with
-    sum_j f_j(p) W_j equal to it, one per module generator, p inv's
-    generators; each target is fixed by inv's group under the action, as
-    the products are: phi_dagger for the ring (r = 1), psi, through the
-    pairing, for the fields.
+    """For each target, the P-polynomials f_j with sum_j f_j(p) W_j equal
+    to it, one per module generator, p inv's generators; each target is
+    fixed by inv's group under the action, as the products are: phi_dagger
+    for the ring (r = 1), psi, through the pairing, for the fields.  A
+    target is given as the graded integer columns of its r components
+    (ProductTable.columns), in the rows of _module_products.
 
-    Each degree's columns (_module_products) are eliminated once, with the
-    components of every target at that degree as right-hand sides, on the
-    leader rows only (actions.leader_rows): those rows determine a fixed
+    Each degree's columns (_module_products) are eliminated once, with every
+    target's numerators at that degree as right-hand sides, on the leader
+    rows only (actions.leader_rows): those rows determine a fixed
     polynomial, so the restricted system has the same solutions, free
     coordinates are set to zero in both, and a target lies in the span of
     the columns exactly when it does on those rows.  The first failing
     target, then degree, raises as if they were solved one at a time.
     """
     table = inv._table
-    parts = [[c.homogeneous_components() for c in comps] for comps in targets]
-    target_degrees = [sorted(set().union(*hcs)) for hcs in parts]
-    zero = MultiPoly.zero(table.n)
     sols: dict[tuple[int, int], list | None] = {}
-    for d in set().union(*target_degrees):
-        idx = [i for i, ds in enumerate(target_degrees) if d in ds]
+    for d in set().union(*targets):
+        idx = [i for i, target in enumerate(targets) if d in target]
         labels, cols, dens = _module_products(table, ws, w_degrees, d)
         if cols:
             rows = leader_rows(inv.group, action, d)
-            rhss = [_vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d)) for i in idx]
-            for i, sol in zip(idx, solve_free_zero(_rows(cols, rows), [[v[k] for k in rows] for v in rhss])):
-                sols[i, d] = None if sol is None else list(zip(labels, _unscale(sol, dens)))
+            rhss = [[targets[i][d][0][k] for k in rows] for i in idx]
+            for i, sol in zip(idx, solve_free_zero(_rows(cols, rows), rhss)):
+                sols[i, d] = None if sol is None else list(zip(labels, _unscale(sol, dens, targets[i][d][1])))
     out = []
-    for i, ds in enumerate(target_degrees):
+    for i, target in enumerate(targets):
         coeffs: list[dict[Exponents, Fraction]] = [{} for _ in ws]
-        for d in ds:  # the degrees have disjoint supports
+        for d in sorted(target):  # the degrees have disjoint supports
             if (i, d) not in sols:
                 raise NoSolution(f"no {noun} products exist at degree {d}")
             if sols[i, d] is None:
@@ -436,23 +424,16 @@ def _module_products(
     return labels, cols, dens
 
 
-def _vector(comps: Sequence[MultiPoly], monos: Sequence[Exponents]) -> list[Fraction]:
-    """The components' coefficients over monos in the rows of _module_products."""
-    vec = [Fraction(0)] * (len(comps) * len(monos))
-    for i, c in enumerate(comps):
-        vec[i::len(comps)] = poly_to_vector(c, monos)
-    return vec
-
-
 def _rows(cols: Sequence[Sequence[int]], rows: Sequence[int]) -> list[list[int]]:
     """The given rows of the matrix with these columns."""
     return [[col[k] for col in cols] for k in rows]
 
 
-def _unscale(y: Sequence[Fraction], dens: Sequence[int]) -> list[Fraction]:
-    """x_j = den_j * y_j: a solution of an integer system of _module_products
-    read back as a solution of the rational one."""
-    return [c * den if den != 1 else c for c, den in zip(y, dens)]
+def _unscale(y: Sequence[Fraction], dens: Sequence[int], den: int = 1) -> list[Fraction]:
+    """x_j = den_j * y_j / den: a solution of an integer system of
+    _module_products, with right-hand side den * b, read back as a solution
+    of the rational one with right-hand side b."""
+    return [c * Fraction(dj, den) if dj != den else c for c, dj in zip(y, dens)]
 
 
 class RelationSet(Immutable):
@@ -485,12 +466,22 @@ class RelationSet(Immutable):
 def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
     """Kernel of the substitution map, weighted degree by weighted degree.
 
-    At each weighted degree d the kernel of (P-monomials of weight d) ->
-    (degree-d polynomials in x) is computed exactly, on the integer columns
-    of the product table at the leader rows (actions.leader_rows), which
-    determine every invariant; relations that are P-polynomial multiples of
-    lower-degree ones are dropped.  Relations are normalized monic in
-    graded-lex on P-exponents.
+    At each weighted degree d the relations of weight d are the kernel of
+    (P-monomials of weight d) -> (degree-d polynomials in x).  One
+    elimination of the integer columns of the product table at the leader
+    rows (actions.leader_rows), which determine every invariant, gives its
+    free columns; a kernel vector is fixed by its entries there, and the
+    kernel basis has one vector per free column f, 1 at f and 0 at the
+    others.  The P-monomial multiples of the lower relations lie in the
+    kernel, so the basis vector at f lies in the span of the multiples and
+    of the basis vectors before it exactly when some combination of the
+    multiples ends, among the free columns, at f (_multiple_leads).  Only
+    where the multiples lead fewer free columns than there are is the
+    kernel basis read off the same elimination (kernel_basis of its echelon
+    rows), and the vectors at the free columns they do not lead are the new
+    relations: the ones a span of the multiples and the basis vectors, added
+    in turn, would have kept.  Relations are normalized monic in graded-lex
+    on P-exponents.
     """
     if not inv.gens:
         return RelationSet(inv, [])
@@ -501,29 +492,53 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
         )
     unit = [[MultiPoly.constant(inv.group.n, 1)]]
     rels: list[MultiPoly] = []
-    rel_degrees: list[int] = []
+    lower: list[tuple[int, tuple[Exponents, ...], list[int]]] = []  # (weight, exponents, numerators)
     for d in range(1, weighted_degree_bound + 1):
         labels, cols, dens = _module_products(inv._table, unit, [0], d)
         if len(cols) < 2:
             continue
+        span = Echelon()
+        for row in _rows(cols, leader_rows(inv.group, PHI_DAGGER, d)):
+            span.add(row)
+        free = sorted(set(range(len(cols))) - set(span.pivots))
         candidates = [a for _, a in labels]
-        rows = _rows(cols, leader_rows(inv.group, PHI_DAGGER, d))
-        kernel = [_unscale(y, dens) for y in kernel_basis(rows, len(cols))]
-        if not kernel:
+        leads = _multiple_leads(inv.degrees, lower, candidates, free, d)
+        if len(leads) == len(free):
             continue
-        cand_index = {a: i for i, a in enumerate(candidates)}
-        known = Echelon()
-        for rel, rd in zip(rels, rel_degrees):
-            terms = rel.sorted_terms()
-            for m in weighted_monomials(inv.degrees, d - rd):
-                # the coefficients of the multiple P^m * rel
-                vec = [0] * len(candidates)
-                for a, c in terms:
-                    vec[cand_index[tuple(x + y for x, y in zip(a, m))]] = c
-                known.add(vec)
-        for v in kernel:
-            if known.add(v):
+        for f, y in zip(free, kernel_basis(span.rows, len(cols))):
+            if f not in leads:
+                v = _unscale(y, dens)
                 rel = MultiPoly._of(inv.k, {a: c for a, c in zip(candidates, v) if c}).monic()
                 rels.append(rel)
-                rel_degrees.append(d)
+                exps, coeffs = zip(*rel.sorted_terms())
+                lower.append((d, exps, clear_denominators(coeffs)[1]))
     return RelationSet(inv, rels)
+
+
+def _multiple_leads(degrees: Sequence[int], lower, candidates: Sequence[Exponents],
+                    free: Sequence[int], d: int) -> set[int]:
+    """The free columns at which some combination of the weight-d multiples
+    P^m r of the relations r in lower, each given by its weight, exponents
+    and integer numerators, has its last nonzero entry among the free
+    columns.  The multiples go into an Echelon as integer rows over the free
+    columns in reverse order, so each pivot is such a last entry; it stops
+    once every free column leads.  The shifts m of each weight are listed
+    once."""
+    position = {candidates[f]: len(free) - 1 - i for i, f in enumerate(free)}
+    span = Echelon()
+    shifts: dict[int, list[Exponents]] = {}
+    for rd, exps, nums in lower:
+        if span.rank == len(free):
+            break
+        if rd not in shifts:
+            shifts[rd] = weighted_monomials(degrees, d - rd)
+        for m in shifts[rd]:
+            vec = [0] * len(free)
+            for a, c in zip(exps, nums):
+                k = position.get(tuple(x + y for x, y in zip(a, m)))
+                if k is not None:
+                    vec[k] = c
+            span.add(vec)
+            if span.rank == len(free):
+                break
+    return {free[len(free) - 1 - p] for p in span.pivots}

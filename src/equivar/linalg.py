@@ -35,7 +35,9 @@ def as_rational(x, what: str = "expected exact rational") -> Fraction:
 
 class Immutable:
     """Slotted base of the value types.  Each constructor sets its slots with
-    object.__setattr__; afterwards no attribute can be set or deleted."""
+    object.__setattr__; afterwards no attribute can be set or deleted.
+    copy, deepcopy and pickle restore the slots through __setstate__, which
+    sets them the same way."""
 
     __slots__ = ()
 
@@ -43,6 +45,10 @@ class Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __setstate__(self, state) -> None:
+        for name, value in state[1].items():  # (None, slots) for a slotted object
+            object.__setattr__(self, name, value)
 
 
 class RatMatrix(Immutable):
@@ -199,6 +205,17 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """The stored rows: an echelon form of the span, which kernel_basis
+        reduces without combining two of them again."""
+        return self._rows
+
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot column of each stored row: the span's pivot columns."""
+        return self._pivots
 
     def add(self, vec: Sequence) -> bool:
         v = clear_denominators(vec)[1]

@@ -19,9 +19,12 @@ nonzero Fraction values, and every arithmetic result goes through it.
 ProductTable is the one integer engine for products of homogeneous
 polynomials and substitutions into them.  The invariant generators' table
 gives the generator products, the module products p^a W_j of the
-equivariant fields and f(p_1, ..., p_k); a group generator's table of the
+equivariant fields, f(p_1, ..., p_k) and the directional derivatives
+X(p_i) = sum_j X_j dp_i/dx_j of a field; a group generator's table of the
 linear forms of its substitution gives the images of the monomials, which
-the fixed spaces and the invariance checks read.
+the fixed spaces and the invariance checks read.  Its results are graded
+integer columns: by degree d, (numerators over monomials_of_degree(n, d),
+one positive denominator).
 """
 
 from __future__ import annotations
@@ -371,20 +374,6 @@ def dot(xs: Sequence[MultiPoly], ys: Sequence[MultiPoly]) -> MultiPoly:
     return MultiPoly._of(nvars, {e: c for e, c in out.items() if c})
 
 
-def poly_to_vector(p: MultiPoly, basis: Sequence[Exponents]) -> list[Fraction]:
-    """Coefficient vector of p over an explicit monomial basis.
-
-    Raises if p has support outside the basis.
-    """
-    index = {e: i for i, e in enumerate(basis)}
-    v = [Fraction(0)] * len(basis)
-    for e, c in p._terms.items():
-        if e not in index:
-            raise ValueError(f"monomial {e} outside the given basis")
-        v[index[e]] = c
-    return v
-
-
 class ProductTable:
     """Coefficient columns of the generator products p^a, memoised by a.
 
@@ -394,12 +383,13 @@ class ProductTable:
     column times one generator, col(a) = col(a - e_i) * p_i with i the last
     nonzero index of a, so each product costs a single multiplication by a
     generator however high its degree; times() multiplies a cached column by
-    any other homogeneous polynomial the same way.  Keys drop trailing zero
+    any other homogeneous polynomial the same way, and directional() a field
+    by the generators' partial derivatives.  Keys drop trailing zero
     exponents, so every column stays valid while generators are appended.
     The table keeps columns, not MultiPoly values: a dense list of ints is
     much smaller than a dict of Fractions.  Inside, a monomial is packed into
     one int, _SHIFT bits per exponent, so that multiplying monomials is
-    adding ints.
+    adding ints; every product is summed by one loop, _dot.
     """
 
     __slots__ = ("n", "degrees", "_gens", "_cols", "_graded")
@@ -445,8 +435,43 @@ class ProductTable:
         pden, terms = _packed(p)
         return self._times(nums, self._weight(a), terms, p.total_degree()), den * pden
 
-    def substitute(self, f: MultiPoly) -> MultiPoly:
-        """f(p_1, ..., p_k) in the n variables, read off the table as
+    def columns(self, comps: Sequence[MultiPoly]) -> dict[int, tuple[list[int], int]]:
+        """The homogeneous parts of r polynomials in the n variables as one
+        graded integer column each: component i of the degree-d part in row
+        alpha * r + i, alpha over monomials(d), over the lcm of the part's
+        denominators.  Degrees where every component vanishes are left out."""
+        r = len(comps)
+        out = {}
+        for d, (den, parts) in _packed_by_degree(comps).items():
+            index = self._degree(d)[2]
+            col = [0] * (r * len(index))
+            for i, terms in enumerate(parts):
+                for k, c in terms:
+                    col[index[k] * r + i] = c
+            out[d] = (col, den)
+        return out
+
+    def directional(self, comps: Sequence[MultiPoly]) -> list[dict[int, tuple[list[int], int]]]:
+        """X(p_i) = sum_j X_j dp_i/dx_j for each generator p_i, X the field
+        with components comps, as graded integer columns: no Fraction is
+        multiplied.  The field's parts are packed once per degree e over one
+        denominator, and each X(p_i)_(e + deg p_i - 1) is summed in one pass
+        of _dot over the packed partial derivatives of p_i.  Degrees where
+        X(p_i) vanishes are left out."""
+        parts = _packed_by_degree(comps)
+        out = []
+        for (gden, terms), deg in zip(self._gens, self.degrees):
+            partials = [_packed_diff(terms, self.n, j) for j in range(self.n)]
+            graded = {}
+            for e, (den, packed) in parts.items():
+                nums = self._dot(zip(packed, partials), e + deg - 1)
+                if any(nums):
+                    graded[e + deg - 1] = (nums, den * gden)
+            out.append(graded)
+        return out
+
+    def substitution(self, f: MultiPoly) -> dict[int, tuple[list[int], int]]:
+        """f(p_1, ..., p_k) as graded integer columns, read off the table as
         sum_a c_a col(a): the terms of each degree are summed in integers over
         the lcm of their denominators, so no product is multiplied out again."""
         if f.nvars != len(self._gens):
@@ -455,25 +480,43 @@ class ProductTable:
         for a, c in f.sorted_terms():
             nums, den = self.column(a)
             parts.setdefault(self._weight(a), []).append((c, nums, den))
-        terms: dict[Exponents, Fraction] = {}
+        out = {}
         for d, part in parts.items():
             common = lcm(*(c.denominator * den for c, _, den in part))
             total = [0] * len(part[0][1])
             for c, nums, den in part:
                 s = c.numerator * (common // (c.denominator * den))
                 total = [t + s * x for t, x in zip(total, nums)]
-            terms.update((e, Fraction(t, common)) for e, t in zip(self.monomials(d), total) if t)
+            out[d] = (total, common)
+        return out
+
+    def substitute(self, f: MultiPoly) -> MultiPoly:
+        """f(p_1, ..., p_k) in the n variables: the polynomial of its columns
+        (substitution)."""
+        return self.polynomial(self.substitution(f))
+
+    def polynomial(self, graded: dict[int, tuple[list[int], int]]) -> MultiPoly:
+        """The polynomial in the n variables with these graded columns (r = 1)."""
+        terms: dict[Exponents, Fraction] = {}
+        for d, (nums, den) in graded.items():
+            terms.update((e, Fraction(t, den)) for e, t in zip(self.monomials(d), nums) if t)
         return MultiPoly._of(self.n, terms)
 
     def _times(self, nums: list[int], d: int, terms: list[tuple[int, int]], e: int) -> list[int]:
         """The numerators of a degree-d column times packed degree-e terms."""
-        keys = self._degree(d)[1]
-        index = self._degree(d + e)[2]
+        return self._dot([(zip(self._degree(d)[1], nums), terms)], d + e)
+
+    def _dot(self, pairs, d: int) -> list[int]:
+        """The numerators over monomials(d) of sum xs * ys over the pairs
+        (xs, ys) of packed terms, (packed monomial, numerator) pairs whose
+        products have degree d: the one product loop of the table."""
+        index = self._degree(d)[2]
         out = [0] * len(index)
-        for k, c in zip(keys, nums):
-            if c:
-                for m, tc in terms:
-                    out[index[k + m]] += c * tc
+        for xs, ys in pairs:
+            for k, c in xs:
+                if c:
+                    for m, tc in ys:
+                        out[index[k + m]] += c * tc
         return out
 
     def _weight(self, a: Sequence[int]) -> int:
@@ -491,6 +534,7 @@ class ProductTable:
 # Bits per exponent in a packed monomial: exponents stay far below 2**32,
 # so adding packed monomials never carries from one exponent into the next.
 _SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
 
 
 def _pack(e: Exponents) -> int:
@@ -505,6 +549,35 @@ def _packed(p: MultiPoly) -> tuple[int, list[tuple[int, int]]]:
     terms = p.sorted_terms()
     den, nums = clear_denominators([c for _, c in terms])
     return den, [(_pack(e), x) for (e, _), x in zip(terms, nums)]
+
+
+def _packed_by_degree(comps: Sequence[MultiPoly]) -> dict[int, tuple[int, list[list[tuple[int, int]]]]]:
+    """The homogeneous parts of polynomials, packed: degree d -> (den, the
+    packed terms of each polynomial's degree-d part as numerators over den),
+    den the lcm of the part's denominators, degrees ascending."""
+    grouped: dict[int, list[list[tuple[Exponents, Fraction]]]] = {}
+    for i, p in enumerate(comps):
+        for e, c in p._terms.items():
+            grouped.setdefault(sum(e), [[] for _ in comps])[i].append((e, c))
+    out = {}
+    for d in sorted(grouped):
+        parts = grouped[d]
+        den, nums = clear_denominators([c for part in parts for _, c in part])
+        it = iter(nums)
+        out[d] = (den, [[(_pack(e), next(it)) for e, _ in part] for part in parts])
+    return out
+
+
+def _packed_diff(terms: list[tuple[int, int]], n: int, j: int) -> list[tuple[int, int]]:
+    """d/dx_j of packed terms in n variables: each term with a positive
+    exponent k of x_j, that exponent lowered by one and its numerator times k."""
+    shift = _SHIFT * (n - 1 - j)
+    out = []
+    for key, c in terms:
+        k = (key >> shift) & _MASK
+        if k:
+            out.append((key - (1 << shift), c * k))
+    return out
 
 
 def _strip(a: Exponents) -> Exponents:

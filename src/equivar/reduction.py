@@ -5,6 +5,16 @@ functions X(p_i) = sum_j X_j dp_i/dx_j are again invariant, so each can be
 written as a polynomial Y_i in the generators.  The resulting k-dimensional
 system Y is the reduced dynamics: sigma-images of X-trajectories solve it.
 
+The exact side runs on integer columns.  Each X(p_i) is built once, degree
+by degree, as integer numerators over the generators' table's monomials with
+one denominator (poly.ProductTable.directional).  Those columns are the
+right-hand sides of reduce_field's solve, read at the leader rows, and the
+left-hand sides of the identity that reduce_field re-verifies and
+check_related checks: Y_i(p) is summed in the same form
+(ProductTable.substitution), the two are compared as lhs * den_Y ==
+Y * den_lhs row by row, and a MultiPoly difference is built only for the
+first failing component.
+
 check_related verifies the defining identity for a given (X, Y) pair, and
 integrate_pair witnesses it numerically by running classical fixed-step RK4
 in double precision.  Exact arithmetic stops at that boundary.  One Python
@@ -29,7 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 from .actions import THETA, PolyVectorField, _check_fit, is_invariant
 from .errors import DimensionMismatch, NoSolution, NonFiniteState, NotInvariant
 from .invariants import InvariantGens, _express_all
-from .poly import Exponents, MultiPoly, dot, grlex_key
+from .poly import Exponents, MultiPoly, grlex_key
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,8 +77,12 @@ def _reduced_system(
 
 def directional_derivatives(field: PolyVectorField, inv: InvariantGens) -> list[MultiPoly]:
     """The polynomials X(p_i) = sum_j X_j dp_i/dx_j, one per generator,
-    each summed in one dict (poly.dot): no partial sum is built."""
-    return [dot(field.comps, [p.diff(j) for j in range(field.n)]) for p in inv.gens]
+    built from their integer columns (ProductTable.directional).  Raises
+    DimensionMismatch unless the field is of the dimension inv's group acts
+    on."""
+    _check_fit(inv.group, THETA, field)
+    table = inv._table
+    return [table.polynomial(graded) for graded in table.directional(field.comps)]
 
 
 def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:
@@ -78,13 +92,13 @@ def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:
     DimensionMismatch when it is not of the group's dimension), which makes
     every X(p_i) invariant, so they are expressed without a second
     invariance check.  The identity comps_i(p_1(x),..,p_k(x)) ==
-    X(p_i)(x) is re-verified by substitution, read off the product table of
-    inv, before returning.
+    X(p_i)(x) is re-verified on the same integer columns of X(p_i) that
+    the solve read, before returning.
     """
     chk = is_invariant(inv.group, field, THETA)
     if not chk:
         raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
-    derivs = directional_derivatives(field, inv)
+    derivs = inv._table.directional(field.comps)
     comps = _express_all(inv, derivs)
     chk = _related(derivs, comps, inv)
     if not chk:
@@ -120,18 +134,35 @@ def check_related(
     """Verify sum_j X_j dp_i/dx_j == Y_i(p_1,..,p_k) for every i, exactly.
     Raises DimensionMismatch when a size is wrong (_reduced_system)."""
     reduced = _reduced_system(field, reduced, inv)
-    return _related(directional_derivatives(field, inv), reduced.comps, inv)
+    return _related(inv._table.directional(field.comps), reduced.comps, inv)
 
 
-def _related(derivs: Sequence[MultiPoly], comps: Sequence[MultiPoly], inv: InvariantGens) -> RelatednessCheck:
-    """X(p_i) == Y_i(p_1,..,p_k) checked exactly, derivs holding the X(p_i)
-    and comps the Y_i: the first failing i with X(p_i) - Y_i(p), built only
-    for it (on S4 a comparison costs a fifth of a subtraction), else related."""
+def _related(derivs, comps: Sequence[MultiPoly], inv: InvariantGens) -> RelatednessCheck:
+    """X(p_i) == Y_i(p_1,..,p_k) checked exactly, derivs holding the graded
+    integer columns of the X(p_i) (ProductTable.directional) and comps the
+    Y_i, summed in the same form: the first failing i with X(p_i) - Y_i(p),
+    built only for it, else related."""
+    table = inv._table
     for i, (lhs, y_i) in enumerate(zip(derivs, comps)):
-        rhs = inv.substitute(y_i)
-        if lhs != rhs:
-            return RelatednessCheck(False, i, lhs - rhs)
+        rhs = table.substitution(y_i)
+        if not _same(lhs, rhs):
+            return RelatednessCheck(False, i, table.polynomial(lhs) - table.polynomial(rhs))
     return RelatednessCheck(True)
+
+
+def _same(a: dict, b: dict) -> bool:
+    """Whether two graded integer columns hold one polynomial: at every
+    degree the numerators agree across the denominators, a row of one side
+    times the other's denominator, and a degree on one side alone is zero."""
+    for d in a.keys() | b.keys():
+        if d not in a or d not in b:
+            if any((a.get(d) or b[d])[0]):
+                return False
+            continue
+        (x, dx), (y, dy) = a[d], b[d]
+        if any(s * dy != t * dx for s, t in zip(x, y)):
+            return False
+    return True
 
 
 class TrajectoryReport:

@@ -12,15 +12,18 @@ the production solves on the orbit leaders' rows.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from equivar import (
+    PHI_DAGGER,
     ClosureExceedsCap,
     MatGroup,
     MultiPoly,
@@ -29,14 +32,17 @@ from equivar import (
     act_phi_dagger,
     act_theta,
     close_group,
+    equivariant_module_generators,
+    invariant_ring_generators,
     monomials_of_degree,
     pairing,
 )
 from equivar import invariants, reduction
+from equivar.actions import leader_rows
 from equivar.equivariants import xilinear_monomials
 from equivar.errors import DimensionMismatchWithMolien, NoSolution
 from equivar.linalg import Echelon, _reduced_rows, kernel_basis, solve_free_zero
-from equivar.poly import poly_to_vector
+from equivar.serialize import group_from_doc
 
 
 @pytest.fixture(scope="session")
@@ -145,7 +151,7 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
         for col in invariants._module_products(table, ws, w_degrees, d)[1]:
             span.add(col)
         for element, comps in elements:
-            if span.add(invariants._vector(comps, monos)):
+            if span.add(vector(comps, monos)):
                 new.append(element)
                 if inv is None:
                     table.append(element)
@@ -157,11 +163,34 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
                 f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")
 
 
+def poly_to_vector(p: MultiPoly, basis) -> list[Fraction]:
+    """The Fraction coefficients of p over an explicit monomial basis;
+    ValueError if p has support outside it."""
+    index = {e: i for i, e in enumerate(basis)}
+    v = [Fraction(0)] * len(basis)
+    for e, c in p.sorted_terms():
+        if e not in index:
+            raise ValueError(f"monomial {e} outside the given basis")
+        v[index[e]] = c
+    return v
+
+
+def vector(comps, monos) -> list[Fraction]:
+    """The components' Fraction coefficients over monos, component i in the
+    rows alpha * r + i of invariants._module_products: the reference for
+    the integer columns of ProductTable.columns."""
+    vec = [Fraction(0)] * (len(comps) * len(monos))
+    for i, c in enumerate(comps):
+        vec[i::len(comps)] = poly_to_vector(c, monos)
+    return vec
+
+
 def express_over_full_rows(inv, ws, w_degrees, targets, noun):
     """invariants._express_over posed on every row of the products: each
-    degree's columns, with every target's components as right-hand sides,
-    over all monomials.  The reference the leader-row solve must match in
-    every solution and every NoSolution message."""
+    degree's columns, with every target's Fraction components as right-hand
+    sides, over all monomials.  The reference the leader-row solve over
+    integer columns must match in every solution and every NoSolution
+    message."""
     table = inv._table
     parts = [[c.homogeneous_components() for c in comps] for comps in targets]
     target_degrees = [sorted(set().union(*hcs)) for hcs in parts]
@@ -171,8 +200,7 @@ def express_over_full_rows(inv, ws, w_degrees, targets, noun):
         idx = [i for i, ds in enumerate(target_degrees) if d in ds]
         labels, cols, dens = invariants._module_products(table, ws, w_degrees, d)
         if cols:
-            rhss = [invariants._vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d))
-                    for i in idx]
+            rhss = [vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d)) for i in idx]
             for i, sol in zip(idx, solve_free_zero(list(zip(*cols)), rhss)):
                 sols[i, d] = None if sol is None else list(zip(labels, invariants._unscale(sol, dens)))
     out = []
@@ -188,6 +216,38 @@ def express_over_full_rows(inv, ws, w_degrees, targets, noun):
                     coeffs[j][a] = c
         out.append([MultiPoly._of(len(table.degrees), t) for t in coeffs])
     return out
+
+
+def relations_every_kernel(inv, weighted_degree_bound: int) -> list[MultiPoly]:
+    """invariants.relations with the kernel read at every degree, on the
+    leader rows, and every multiple of the lower relations spanned: the
+    reference for the loop that builds kernel vectors only where the
+    multiples fall short of the nullity."""
+    unit = [[MultiPoly.constant(inv.group.n, 1)]]
+    rels, rel_degrees = [], []
+    for d in range(1, weighted_degree_bound + 1):
+        labels, cols, dens = invariants._module_products(inv._table, unit, [0], d)
+        if len(cols) < 2:
+            continue
+        candidates = [a for _, a in labels]
+        rows = invariants._rows(cols, leader_rows(inv.group, PHI_DAGGER, d))
+        kernel = [invariants._unscale(y, dens) for y in kernel_basis(rows, len(cols))]
+        if not kernel:
+            continue
+        cand_index = {a: i for i, a in enumerate(candidates)}
+        known = Echelon()
+        for rel, rd in zip(rels, rel_degrees):
+            terms = rel.sorted_terms()
+            for m in invariants.weighted_monomials(inv.degrees, d - rd):
+                vec = [0] * len(candidates)
+                for a, c in terms:
+                    vec[cand_index[tuple(x + y for x, y in zip(a, m))]] = c
+                known.add(vec)
+        for v in kernel:
+            if known.add(v):
+                rels.append(MultiPoly._of(inv.k, {a: c for a, c in zip(candidates, v) if c}).monic())
+                rel_degrees.append(d)
+    return rels
 
 
 def relations_full_rows(inv, weighted_degree_bound: int) -> list[MultiPoly]:
@@ -286,6 +346,14 @@ def polys(nvars: int, max_degree: int = 4):
         lambda e: sum(e) <= max_degree
     )
     return st.dictionaries(exps, coeffs, max_size=6).map(lambda d: MultiPoly(nvars, d))
+
+
+def sparse_polys(nvars: int, max_degree: int):
+    """Polynomials of up to five terms, each a product of at most max_degree
+    variables: sparse in many variables, where polys filters."""
+    exps = st.lists(st.integers(0, nvars - 1), max_size=max_degree).map(
+        lambda vs: tuple(vs.count(i) for i in range(nvars)))
+    return st.dictionaries(exps, coeffs, max_size=5).map(lambda d: MultiPoly(nvars, d))
 
 
 @st.composite
@@ -419,3 +487,43 @@ def mixed_generating_sets(draw) -> list[RatMatrix]:
     name = draw(st.sampled_from(sorted(MIXED_GROUPS)))
     picks = draw(st.permutations(draw(st.sampled_from(mixed_subsets(name)))))
     return [mixed_group(name).matrix(i) for i in picks]
+
+
+GROUPS_DIR = Path(__file__).parent / "golden" / "groups"
+
+# The pool the integer routes are held against their oracles on.
+# name: (generators or golden group file, invariants bound, equivariants
+# bound); None keeps the default.  -I on Q^3 and B3 have orbits that cancel
+# (every monomial of odd degree, and under B3's sign changes every monomial
+# with an odd exponent); d6_hex, S3xZ2 and BT mix monomial and non-monomial
+# generators; d4_conj has no monomial generator, so every row leads; the
+# generator of swap_frac, [[0,2],[1/2,0]], has entries that are not integers.
+POOL = {
+    "z2_line": ([[[-1]]], None, None),
+    "z2_diag": ([[[-1, 0], [0, -1]]], None, None),
+    "swap2": (BASE_GROUPS["C2"], None, None),
+    "c4": (BASE_GROUPS["C4"], None, None),
+    "s3": (BASE_GROUPS["S3"], None, None),
+    "minus_i3": ([[[-int(i == j) for j in range(3)] for i in range(3)]], None, None),
+    "b3": ("b3.json", 6, 5),
+    "s4": ("s4.json", 4, 3),
+    "d6_hex": ("d6_hex.json", None, None),
+    "S3xZ2": ("S3xZ2", 6, 5),
+    "bt": ("bt.json", 6, 1),
+    "d4_conj": ("d4_conj.json", None, None),
+    "swap_frac": ("swap_frac.json", None, None),
+}
+
+
+@lru_cache(maxsize=None)
+def pool_generators(name: str):
+    """(invariant generators, module generators) of one pool group."""
+    spec, inv_bound, eq_bound = POOL[name]
+    if isinstance(spec, list):
+        group = close_group([RatMatrix.from_rows(g) for g in spec])
+    elif spec.endswith(".json"):
+        group = group_from_doc(json.loads((GROUPS_DIR / spec).read_text()))
+    else:
+        group = mixed_group(spec)
+    inv = invariant_ring_generators(group, inv_bound)
+    return inv, equivariant_module_generators(inv, eq_bound)

@@ -34,9 +34,9 @@ from equivar import equivariants
 from equivar.equivariants import xilinear_monomials
 from equivar.invariants import _module_products
 from equivar.linalg import Echelon
-from equivar.poly import monomials_of_degree, poly_to_vector
+from equivar.poly import monomials_of_degree
 
-from conftest import field_to_vector, monomial, power_product, random_field
+from conftest import field_to_vector, monomial, poly_to_vector, power_product, random_field
 
 
 def direct_theta_basis(group, m):

@@ -42,7 +42,6 @@ from equivar import (
 )
 from equivar.actions import _monomial_form, _orbit_sums, _substitution_matrix
 from equivar.molien import _averaged_series, det_one_minus_t
-from equivar.poly import poly_to_vector
 from equivar.serialize import group_from_doc
 
 from conftest import (
@@ -53,6 +52,7 @@ from conftest import (
     mixed_group,
     monomial,
     poly_action_matrix,
+    poly_to_vector,
     rational_conjugates,
     rref,
     signed_permutation_groups,

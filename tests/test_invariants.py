@@ -30,9 +30,9 @@ from equivar import (
 from equivar import invariants
 from equivar.poly import ProductTable
 from equivar.linalg import Echelon
-from equivar.poly import monomials_of_degree, poly_to_vector
+from equivar.poly import monomials_of_degree
 
-from conftest import fixed_space_dim, power_product, random_poly
+from conftest import fixed_space_dim, poly_to_vector, power_product, random_poly
 
 P1 = ["P1"]
 P2 = ["P1", "P2"]
@@ -175,15 +175,19 @@ def test_express_all_raises_first_failure_in_polynomial_order(z2_diag):
     # one elimination per degree serves every polynomial, but the error is
     # the one that solving them in turn, each degree ascending, meets first
     x, y = variables(2)
+
+    def express_all(inv, qs):
+        return invariants._express_all(inv, [inv._table.columns([q]) for q in qs])
+
     partial = InvariantGens.from_polys(z2_diag, [x**2])
     qs = [x**2 + x**4, x**2 + y**4, y**2 + x**3]
     with pytest.raises(NoSolution, match="^degree-4 component is outside the generator span$"):
-        invariants._express_all(partial, qs)
+        express_all(partial, qs)
     with pytest.raises(NoSolution, match="^no generator products exist at degree 3$"):
-        invariants._express_all(partial, [x**4, x**3 + y**4])
+        express_all(partial, [x**4, x**3 + y**4])
     full = invariant_ring_generators(z2_diag)
     qs = [x**2 + y**4, y**2, x**4 + x * y**3, MultiPoly.zero(2)]
-    assert invariants._express_all(full, qs) == [express(full, q) for q in qs]
+    assert express_all(full, qs) == [express(full, q) for q in qs]
 
 
 @pytest.mark.parametrize("gname", ["z2_line", "z2_diag", "swap2", "c4"])

@@ -10,10 +10,7 @@ where they solved on every monomial.  The oracles are the product tables'
 substitution and the full-row solves kept in conftest.
 """
 
-import json
 from fractions import Fraction
-from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +24,8 @@ from equivar import (
     MultiPoly,
     PolyVectorField,
     RatMatrix,
-    close_group,
-    equivariant_module_generators,
     express,
     express_equivariant,
-    invariant_ring_generators,
     is_invariant,
     monomials_of_degree,
     reduce_field,
@@ -43,64 +37,16 @@ from equivar import invariants
 from equivar.actions import _monomial_forms, _relabel, _table, leader_rows
 from equivar.equivariants import EquivariantGens
 from equivar.errors import NoSolution, NotInvariant
-from equivar.serialize import group_from_doc
 
 from conftest import (
-    BASE_GROUPS,
+    POOL,
     closed_or_reject,
-    coeffs,
     express_over_full_rows,
-    mixed_group,
+    pool_generators,
     relations_full_rows,
     signed_permutations,
+    sparse_polys,
 )
-
-GROUPS_DIR = Path(__file__).parent / "golden" / "groups"
-
-# name: (generators or golden group file, invariants bound, equivariants
-# bound); None keeps the default.  -I on Q^3 and B3 have orbits that cancel
-# (every monomial of odd degree, and under B3's sign changes every monomial
-# with an odd exponent); d6_hex, S3xZ2 and BT mix monomial and non-monomial
-# generators; d4_conj has no monomial generator, so every row leads; the
-# generator of swap_frac, [[0,2],[1/2,0]], has entries that are not integers.
-POOL = {
-    "z2_line": ([[[-1]]], None, None),
-    "z2_diag": ([[[-1, 0], [0, -1]]], None, None),
-    "swap2": (BASE_GROUPS["C2"], None, None),
-    "c4": (BASE_GROUPS["C4"], None, None),
-    "s3": (BASE_GROUPS["S3"], None, None),
-    "minus_i3": ([[[-int(i == j) for j in range(3)] for i in range(3)]], None, None),
-    "b3": ("b3.json", 6, 5),
-    "s4": ("s4.json", 4, 3),
-    "d6_hex": ("d6_hex.json", None, None),
-    "S3xZ2": ("S3xZ2", 6, 5),
-    "bt": ("bt.json", 6, 1),
-    "d4_conj": ("d4_conj.json", None, None),
-    "swap_frac": ("swap_frac.json", None, None),
-}
-
-
-@lru_cache(maxsize=None)
-def pool_generators(name: str):
-    """(invariant generators, module generators) of one pool group."""
-    spec, inv_bound, eq_bound = POOL[name]
-    if isinstance(spec, list):
-        group = close_group([RatMatrix.from_rows(g) for g in spec])
-    elif spec.endswith(".json"):
-        group = group_from_doc(json.loads((GROUPS_DIR / spec).read_text()))
-    else:
-        group = mixed_group(spec)
-    inv = invariant_ring_generators(group, inv_bound)
-    return inv, equivariant_module_generators(inv, eq_bound)
-
-
-def polys(nvars: int, max_degree: int):
-    """Polynomials of up to five terms, each a product of at most max_degree
-    variables: sparse in many variables, where conftest.polys filters."""
-    exps = st.lists(st.integers(0, nvars - 1), max_size=max_degree).map(
-        lambda vs: tuple(vs.count(i) for i in range(nvars)))
-    return st.dictionaries(exps, coeffs, max_size=5).map(lambda d: MultiPoly(nvars, d))
-
 
 def outcome(solve):
     """The solution, or the NoSolution message."""
@@ -115,7 +61,7 @@ def outcome(solve):
 @given(data=st.data())
 def test_express_on_leader_rows_matches_every_row(name, data):
     inv, _ = pool_generators(name)
-    f = data.draw(polys(inv.k, 2))
+    f = data.draw(sparse_polys(inv.k, 2))
     q = inv.substitute(f)
     unit = [[MultiPoly.constant(inv.group.n, 1)]]
     if not q.is_zero:
@@ -135,7 +81,7 @@ def test_express_on_leader_rows_matches_every_row(name, data):
 @given(data=st.data())
 def test_express_equivariant_on_leader_rows_matches_every_row(name, data):
     inv, eg = pool_generators(name)
-    fs = [data.draw(polys(inv.k, 1)) for _ in eg.vgens]
+    fs = [data.draw(sparse_polys(inv.k, 1)) for _ in eg.vgens]
     field = PolyVectorField.zero(inv.group.n)
     for f, v in zip(fs, eg.vgens):
         field = field + v.scale(inv.substitute(f))
@@ -221,8 +167,8 @@ def table_invariance(group, obj, action):
 @given(scaled_monomial_groups(), st.data())
 def test_relabel_matches_table_substitution(group, data):
     n = group.n
-    field = PolyVectorField(data.draw(st.lists(polys(n, 3), min_size=n, max_size=n)))
-    cases = [(PHI_DAGGER, data.draw(polys(n, 4))), (PSI, data.draw(polys(2 * n, 3))), (THETA, field)]
+    field = PolyVectorField(data.draw(st.lists(sparse_polys(n, 3), min_size=n, max_size=n)))
+    cases = [(PHI_DAGGER, data.draw(sparse_polys(n, 4))), (PSI, data.draw(sparse_polys(2 * n, 3))), (THETA, field)]
     for action, obj in cases:
         sub = PHI_DAGGER if action == THETA else action
         forms = _monomial_forms(group, sub)

@@ -7,6 +7,8 @@ form read back from it (conftest.rref, and through it kernel_basis,
 kernel_rref and solve_free_zero) against a plain Fraction Gauss-Jordan.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -357,9 +359,40 @@ def _values() -> dict:
     }
 
 
-@pytest.mark.parametrize("name", ["MultiPoly", "RatMatrix", "MatGroup", "PolyVectorField",
-                                  "ReducedSystem", "MolienSeries", "InvariantGens",
-                                  "EquivariantGens", "RelationSet"])
+VALUE_TYPES = ["MultiPoly", "RatMatrix", "MatGroup", "PolyVectorField", "ReducedSystem",
+               "MolienSeries", "InvariantGens", "EquivariantGens", "RelationSet"]
+
+
+def _slots(value) -> list[str]:
+    return [s for cls in type(value).__mro__ for s in getattr(cls, "__slots__", ())]
+
+
+def _state(value):
+    """What a value holds: itself for a type with an __eq__ of its own,
+    else its type and its slots, recursively, less the memos
+    (MatGroup._derived, InvariantGens._table)."""
+    if isinstance(value, tuple):
+        return tuple(_state(v) for v in value)
+    if type(value).__eq__ is not object.__eq__:
+        return value
+    return type(value), tuple(_state(getattr(value, s)) for s in _slots(value)
+                              if s not in ("_derived", "_table"))
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_copy_and_pickle(name):
+    # copy, deepcopy and pickle restore slots through __setstate__; through
+    # setattr, which the types refuse, all three raised "... is immutable"
+    value = _values()[name]
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert _state(twin) == _state(value)
+        for attr in _slots(twin) + ["extra"]:
+            with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+                setattr(twin, attr, None)
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
 def test_value_types_refuse_assignment_and_deletion(name):
     value = _values()[name]
     assert type(value).__name__ == name

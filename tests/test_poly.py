@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivar import DimensionMismatch, MultiPoly, RatMatrix, variables
-from equivar.poly import ProductTable, grlex_key, monomials_of_degree, poly_to_vector
+from equivar.poly import ProductTable, grlex_key, monomials_of_degree
 
-from conftest import coeffs, poly_cases, polys
+from conftest import coeffs, poly_cases, poly_to_vector, polys
 
 
 def test_add_cancels_to_zero():

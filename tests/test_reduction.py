@@ -128,7 +128,7 @@ def test_reduce_field_rechecks_the_identity(radial_plane, monkeypatch):
     monkeypatch.setattr(reduction, "_express_all", wrong_second)
     with pytest.raises(NoSolution, match="internal: reduced component 1 fails the defining identity"):
         reduce_field(field, inv)
-    chk = check_related(field, wrong_second(inv, directional_derivatives(field, inv)), inv)
+    chk = check_related(field, wrong_second(inv, inv._table.directional(field.comps)), inv)
     assert (chk.index, chk.difference) == (1, MultiPoly.constant(2, -1))
 
 
@@ -729,7 +729,8 @@ def test_reduced_system_validation(radial_plane):
 def test_field_of_another_dimension_is_refused(c4):
     # C4 acts on the plane and has three invariants (degrees 2, 4, 4), so a
     # reduced system of three components fits it; the field does not, and
-    # both checks refuse it as reduce_field does, before any derivative
+    # both checks and directional_derivatives refuse it as reduce_field
+    # does, before any derivative
     inv = invariant_ring_generators(c4)
     x1, x2, x3 = variables(3)
     p1, p2, p3 = variables(3)
@@ -737,6 +738,7 @@ def test_field_of_another_dimension_is_refused(c4):
     (t,) = variables(1)
     for field, n in ((PolyVectorField([-x1, -x2, x3**2]), 3), (PolyVectorField([-t]), 1)):
         for use in (lambda: reduce_field(field, inv),
+                    lambda: directional_derivatives(field, inv),
                     lambda: check_related(field, reduced, inv),
                     lambda: integrate_pair(field, reduced, inv, [Fraction(1, 2)] * n, 1.0, 0.1)):
             with pytest.raises(DimensionMismatch, match=f"^field dimension {n}, group acts on 2$"):
