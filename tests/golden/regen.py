@@ -68,9 +68,14 @@ DEFAULT_CASES = [("s4_default", "{groups}/s4.json"), ("b3_default", "{groups}/b3
 EXTRA_CASES = [(g, "{groups}/%s.json" % g) for g in ("q8", "a4", "o")]
 BT_BOUND = 18
 
-# Groups whose set-up is the cost: S6 (order 720) and F4 (order 1152) on
-# their own, by the Molien series alone.
-MOLIEN_CASES = ("s6", "f4")
+# Groups whose set-up is the cost, by the Molien series alone: S6 (order
+# 720) and F4 (order 1152); the Weyl groups W(D5) (order 1920) and W(E6)
+# (order 51,840, past the default cap, so its file carries "cap": 60000) in
+# root coordinates, whose generators are integer and none monomial; and
+# f4_conj, F4 conjugated by the dense unimodular [[6,-4,-4,-1],
+# [5,-3,-5,-2], [-4,3,3,1], [-2,1,2,1]], whose coordinate rows have an
+# orbit of 1,872 vectors where F4's have one of 24.
+MOLIEN_CASES = ("s6", "f4", "d5", "e6", "f4_conj")
 
 # (group, field) pairs for which the field is equivariant.
 REDUCE_CASES = [

@@ -311,7 +311,9 @@ def test_phase_orbit_sums_of_scaled_monomial_match_fraction_routine():
 # The integer Molien sums against a per-element Fraction sum.
 
 GROUPS_DIR = Path(__file__).parent / "golden" / "groups"
-SERIES_GROUPS = sorted(p.name for p in GROUPS_DIR.glob("*.json")) + sorted(MIXED_GROUPS)
+# W(E6) is left out: its 51,840 elements take about 100 s in the per-element
+# Fraction sums below; its series is held by its golden.
+SERIES_GROUPS = sorted(p.name for p in GROUPS_DIR.glob("*.json") if p.name != "e6.json") + sorted(MIXED_GROUPS)
 
 
 def _group(name: str) -> MatGroup:
