@@ -4,18 +4,27 @@ A group is built by breadth-first closure of its generators under
 multiplication.  Finiteness does the work of compactness here: every
 averaging sum in the library runs over the closed element list.
 
-The closure runs in integers.  Each element is keyed by its lowest-terms
-pair (D, A): D the lcm of its denominators and A its integer numerators,
-row-major, so equal matrices have equal keys.  Each new element y = x g
-records the element x and the generator g it came from, which gives its
-inverse as y^-1 = g^-1 x^-1: only the generators are ever inverted.  The
-RatMatrix of each element is built once, at the end.
+The closure is an orbit algorithm (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 4.1).  It first closes the coordinate rows e_i
+under r -> r g_k for every generator g_k: a finite set R of row vectors,
+since every row of every element lies in it, with one index table per
+generator.  An element is then keyed by the R-indices of its n rows.  Row i
+of x g_k is (row i of x) g_k, so the key of a child is read off the parent's
+key through the generator's table: n lookups and no matrix product.  Each
+new element y = x g_k records the element x and the generator g_k it came
+from, which gives its inverse as y^-1 = g_k^-1 x^-1, each row of it a
+combination of rows of x^-1: only the generators are ever inverted.
+
+Rows are kept in integers, as lowest-terms pairs (D, A): D the lcm of the
+row's denominators and A its integer numerators, so equal rows have equal
+pairs.  No element's RatMatrix is built until it is asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -24,27 +33,32 @@ from .linalg import Immutable, RatMatrix
 
 DEFAULT_CAP = 10000
 
-Key = tuple[int, tuple[int, ...]]
+Row = tuple[int, tuple[int, ...]]
 
 
 class MatGroup(Immutable):
     """Closed list of invertible rational matrices.
 
-    elements[0] is the identity; the remaining order is BFS insertion order
-    from the generators, which makes the whole object deterministic.
-    inverses[i] is the index of the inverse of elements[i].  Values that
-    depend on the group alone (Molien series, generator action tables) are
-    memoised on it, through derived.
+    rows are the row vectors of the elements, each as a lowest-terms pair
+    (D, A) for A / D, and keys[i] holds the indices into rows of the n rows
+    of element i.  keys[0] is the identity; the remaining order is BFS
+    insertion order from the generators, which makes the whole object
+    deterministic.  inverses[i] is the index of the inverse of element i.
+    The RatMatrix of an element is built on first use (matrix), and that of
+    every element only when elements is read.  Values that depend on the
+    group alone (element matrices, Molien series, generator action tables)
+    are memoised on it, through derived.
     """
 
-    __slots__ = ("n", "elements", "gen_indices", "_inverses", "_derived")
+    __slots__ = ("n", "rows", "keys", "gen_indices", "_inverses", "_derived")
 
     def __init__(
-        self, n: int, elements: Sequence[RatMatrix], gen_indices: Sequence[int],
-        inverses: Sequence[int],
+        self, n: int, rows: Sequence[Row], keys: Sequence[tuple[int, ...]],
+        gen_indices: Sequence[int], inverses: Sequence[int],
     ) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "elements", tuple(elements))
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "gen_indices", tuple(gen_indices))
         object.__setattr__(self, "_inverses", tuple(inverses))
         object.__setattr__(self, "_derived", {})
@@ -57,10 +71,19 @@ class MatGroup(Immutable):
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
+
+    @property
+    def elements(self) -> tuple[RatMatrix, ...]:
+        """Every element's RatMatrix, in index order."""
+        return self.derived("elements", lambda: tuple(map(self.matrix, range(self.order))))
 
     def matrix(self, idx: int) -> RatMatrix:
-        return self.elements[idx]
+        return self.derived(("matrix", idx), partial(self._element, idx))
+
+    def _element(self, idx: int) -> RatMatrix:
+        rows = [self.rows[r] for r in self.keys[idx]]
+        return RatMatrix(self.n, self.n, [Fraction(x, den) for den, nums in rows for x in nums])
 
     def inverse_index(self, idx: int) -> int:
         """Index of the inverse of elements[idx]."""
@@ -70,17 +93,64 @@ class MatGroup(Immutable):
         return f"MatGroup(n={self.n}, order={self.order})"
 
 
-def _product(a: Key, b: Key, n: int) -> Key:
-    """The key of the product of the matrices keyed a and b."""
-    den, nums = a[0] * b[0], a[1]
-    rows = [nums[i * n:(i + 1) * n] for i in range(n)]
-    cols = [b[1][j::n] for j in range(n)]
-    prod = tuple(sum(map(mul, row, col)) for row in rows for col in cols)
-    if den > 1:
-        c = gcd(den, *prod)
-        if c > 1:
-            den, prod = den // c, tuple(x // c for x in prod)
-    return den, prod
+def _lowest(den: int, nums) -> Row:
+    """(den, nums) divided by their gcd, nums as a tuple."""
+    c = gcd(den, *nums)
+    if c > 1:
+        return den // c, tuple(x // c for x in nums)
+    return den, tuple(nums)
+
+
+def _row_orbit(gens: list[Row], n: int, cap: int):
+    """R, the orbit of the coordinate rows e_i under r -> r g_k, as a list
+    and as a dict from row to index, and one table per generator:
+    tables[k][r] is the index of R[r] g_k.  R holds the
+    rows of every element, at most n of each, so past n * cap rows the
+    group has more than cap elements."""
+    cols = [[nums[j::n] for j in range(n)] for _, nums in gens]
+    rows: list[Row] = [(1, tuple(int(i == j) for j in range(n))) for i in range(n)]
+    index = {r: i for i, r in enumerate(rows)}
+    tables: list[list[int]] = [[] for _ in gens]
+    for den, nums in rows:  # rows grows as it is read: a FIFO queue
+        for (g_den, _), g_cols, table in zip(gens, cols, tables):
+            y = _lowest(den * g_den, [sum(map(mul, nums, col)) for col in g_cols])
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(rows)
+                rows.append(y)
+                if len(rows) > n * cap:
+                    raise ClosureExceedsCap(f"closure exceeded cap={cap}; group may not be finite")
+            table.append(j)
+    return rows, index, tables
+
+
+def _left_multiplier(h: Row, n: int, rows: list[Row], index: dict[Row, int]):
+    """The map from the key of z to that of h z, h = A / D: row i of h z is
+    (1/D) sum_j A_ij (row j of z), and a row of h that is e_j just copies
+    row j of z."""
+    den, nums = h
+    plan = []
+    for i in range(n):
+        terms = [(j, c) for j, c in enumerate(nums[i * n:(i + 1) * n]) if c]
+        plan.append(terms[0][0] if terms == [(terms[0][0], den)] else terms)
+
+    def times(key: tuple[int, ...]) -> tuple[int, ...]:
+        out = []
+        for terms in plan:
+            if isinstance(terms, int):
+                out.append(key[terms])
+                continue
+            parts = [rows[key[j]] for j, _ in terms]
+            scale = lcm(*(d for d, _ in parts))
+            coeffs = [c * (scale // d) for (_, c), (d, _) in zip(terms, parts)]
+            acc = [sum(map(mul, coeffs, col)) for col in zip(*(v for _, v in parts))]
+            r = index.get(_lowest(scale * den, acc))
+            if r is None:
+                raise ValueError("element list is not closed under inversion")
+            out.append(r)
+        return tuple(out)
+
+    return times
 
 
 def close_group(generators: Sequence[RatMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
@@ -106,15 +176,15 @@ def close_group(generators: Sequence[RatMatrix], cap: int = DEFAULT_CAP) -> MatG
         except ValueError:
             raise NonInvertibleGenerator(f"generator {g!r} is singular") from None
 
-    gens = [g.integer_form() for g in generators]
-    identity = RatMatrix.identity(n).integer_form()
-    keys: list[Key] = [identity]
-    # words[i] = (index of x, generator k) with elements[i] = x g_k
+    rows, index, tables = _row_orbit([g.integer_form() for g in generators], n, cap)
+    identity = tuple(range(n))
+    keys = [identity]
+    # words[i] = (index of x, generator k) with element i = x g_k
     words: list[tuple[int, int]] = [(0, -1)]
     seen = {identity: 0}
     for x, key in enumerate(keys):  # keys grows as it is read: a FIFO queue
-        for k, g in enumerate(gens):
-            y = _product(key, g, n)
+        for k, table in enumerate(tables):
+            y = tuple(map(table.__getitem__, key))
             if y not in seen:
                 seen[y] = len(keys)
                 keys.append(y)
@@ -124,11 +194,11 @@ def close_group(generators: Sequence[RatMatrix], cap: int = DEFAULT_CAP) -> MatG
                         f"closure exceeded cap={cap}; group may not be finite"
                     )
 
+    left = [_left_multiplier(h, n, rows, index) for h in gen_inverses]
     inverses = [0]
     for x, k in words[1:]:
-        j = seen.get(_product(gen_inverses[k], keys[inverses[x]], n))
+        j = seen.get(left[k](keys[inverses[x]]))
         if j is None:
             raise ValueError("element list is not closed under inversion")
         inverses.append(j)
-    elements = [RatMatrix(n, n, [Fraction(x, den) for x in nums]) for den, nums in keys]
-    return MatGroup(n, elements, [seen[g] for g in gens], inverses)
+    return MatGroup(n, rows, keys, [seen[tuple(table[:n])] for table in tables], inverses)

@@ -9,9 +9,12 @@ have d-th coefficients equal to the dimensions of the degree-d invariant
 polynomials and of the degree-d equivariant polynomial vector fields.  They
 are the cross-checks for every fixed-space computation in this library.
 
-Both series come from one pass over the group, cached on it: each element's
-det(I - t g), by Faddeev-LeVerrier on its integer numerators, counted per
-distinct determinant.  No inverse is needed: for g of finite order,
+Both series come from one pass over the group, cached on it.  Each element
+g = A / D gives its power traces tr(g^m), m = 1..n, from the integer powers
+A, A^2, ..., A^ceil(n/2) paired above half, tr(A^(a+b)) = sum_ij
+(A^a)_ij (A^b)_ji, each divided by D^m.  The elements are counted per
+distinct trace tuple, and Newton's identities turn each tuple into its
+det(I - t g) once.  No inverse is needed: for g of finite order,
 det(I - t g^-1) = det(I - t g), since the eigenvalues of g^-1 are the
 complex conjugates of those of g and a real spectrum already contains them.
 Its trace, the equivariant weight, is minus the t coefficient.
@@ -28,14 +31,14 @@ and denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchWithMolien
 from .groups import MatGroup
-from .linalg import Immutable, RatMatrix, clear_denominators
+from .linalg import Immutable, clear_denominators
 
 UPoly = list[Fraction]
 
@@ -101,29 +104,6 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
             for i, cb in enumerate(b):
                 rem[shift + i] -= q * cb
     return quot
-
-
-def det_one_minus_t(m: RatMatrix) -> UPoly:
-    """Coefficients of det(I - t M) via the Faddeev-LeVerrier recursion.
-
-    It runs on the integer numerators A of M = A / D.  With
-    char(A) = lambda^n + a_1 lambda^(n-1) + ... + a_n, the a_k are integers,
-    so every division by k in the recursion is exact, and
-    det(I - t M) = 1 + (a_1/D) t + ... + (a_n/D^n) t^n.
-    """
-    n = m.rows
-    den, nums = m.integer_form()
-    rows = [nums[i * n:(i + 1) * n] for i in range(n)]
-    coeffs = [Fraction(1)]
-    aux = rows  # A M_k, with M_1 = I and M_(k+1) = A M_k + a_k I
-    for k in range(1, n + 1):
-        a_k = -sum(aux[i][i] for i in range(n)) // k
-        coeffs.append(Fraction(a_k, den ** k))
-        if k < n:
-            shifted = [[x + a_k if i == j else x for j, x in enumerate(r)] for i, r in enumerate(aux)]
-            cols = list(zip(*shifted))
-            aux = [[sum(map(mul, row, col)) for col in cols] for row in rows]
-    return _utrim(coeffs)
 
 
 class MolienSeries(Immutable):
@@ -219,20 +199,75 @@ class MolienSeries(Immutable):
         return f"MolienSeries(({fmt(self.numer)}) / ({fmt(self.denom)}))"
 
 
+def _power_traces(den: int, a: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """tr(g^m) for m = 1..n, g = A / D with A the rows a and D = den.
+
+    It forms A, A^2, ..., A^h, h = ceil(n/2), and pairs them above h:
+    tr(A^(h+b)) = sum_ij (A^h)_ij (A^b)_ji.  For g of finite order tr(g^m)
+    is a sum of roots of unity and rational, so an integer, and D^m divides
+    tr(A^m).
+    """
+    n = len(a)
+    half = (n + 1) // 2
+    powers = [a]
+    cols = list(zip(*a))
+    for _ in range(half - 1):
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in powers[-1]])
+    top = [x for row in powers[-1] for x in row]
+    traces = []
+    for m in range(1, n + 1):
+        if m <= half:
+            t = sum(row[i] for i, row in enumerate(powers[m - 1]))
+        else:
+            t = sum(map(mul, top, (x for col in zip(*powers[m - half - 1]) for x in col)))
+        q, r = divmod(t, den ** m)
+        if r:
+            raise DimensionMismatchWithMolien(
+                f"internal: tr(g^{m}) = {Fraction(t, den ** m)} is not integral, "
+                "so g has infinite order"
+            )
+        traces.append(q)
+    return tuple(traces)
+
+
+def _newton(traces: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients c_k of det(I - t g) from p_m = tr(g^m), by Newton's
+    identities: c_0 = 1 and k c_k = -(p_1 c_(k-1) + ... + p_k c_0)."""
+    coeffs = [1]
+    for k in range(1, len(traces) + 1):
+        c_k, r = divmod(-sum(p * c for p, c in zip(traces, reversed(coeffs))), k)
+        if r:
+            raise DimensionMismatchWithMolien(
+                f"internal: the t^{k} coefficient of det(I - t g) is not integral, "
+                "so g has infinite order"
+            )
+        coeffs.append(c_k)
+    return tuple(_utrim(coeffs))
+
+
+def _trace_tuples(group: MatGroup):
+    """(tr(g), tr(g^2), ..., tr(g^n)) for each element g, in index order,
+    each from the element's integer rows (_power_traces)."""
+    rows = group.rows
+    integral = all(den == 1 for den, _ in rows)
+    for key in group.keys:
+        if integral:
+            yield _power_traces(1, [rows[r][1] for r in key])
+        else:
+            den = lcm(*(rows[r][0] for r in key))
+            yield _power_traces(den, [tuple(x * (den // d) for x in nums)
+                                      for d, nums in map(rows.__getitem__, key)])
+
+
 def _determinants(group: MatGroup) -> dict[tuple[int, ...], int]:
     """How many elements g have each det(I - t g), keyed by its integer
-    coefficients: one pass over the group, shared by both series."""
+    coefficients: one pass over the group, shared by both series.  Newton's
+    identities turn each distinct trace tuple into its determinant once."""
     def count():
         counts: dict[tuple[int, ...], int] = {}
-        for m in group.elements:
-            coeffs = det_one_minus_t(m)
-            if any(c.denominator != 1 for c in coeffs):
-                raise DimensionMismatchWithMolien(
-                    f"internal: det(I - t g) = {coeffs} is not integral, so g has infinite order"
-                )
-            d_g = tuple(c.numerator for c in coeffs)
-            counts[d_g] = counts.get(d_g, 0) + 1
-        return counts
+        for traces in _trace_tuples(group):
+            counts[traces] = counts.get(traces, 0) + 1
+        return {_newton(traces): count for traces, count in counts.items()}
 
     return group.derived("det_one_minus_t", count)
 

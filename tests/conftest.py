@@ -7,7 +7,10 @@ matrices and rank-counting, independently of both the production
 fixed-space pipeline (orbit sums, then the generator kernel) and the Molien series,
 so the three agree only if all are right.  The solves behind express and
 relations are kept here on every row of their systems, the reference for
-the production solves on the orbit leaders' rows.
+the production solves on the orbit leaders' rows.  So are the group
+set-up's earlier routes: a closure by integer matrix products and
+det(I - t g) by Faddeev-LeVerrier, the references for the row-orbit closure
+and the power-trace determinants.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -77,6 +82,67 @@ def sample_groups(z2_line, z2_diag, swap2, c4):
 def monomial(exps, c=1) -> MultiPoly:
     """c x^exps in len(exps) variables."""
     return MultiPoly(len(exps), {tuple(exps): c})
+
+
+def det_one_minus_t(m: RatMatrix) -> list[Fraction]:
+    """Coefficients of det(I - t M) via the Faddeev-LeVerrier recursion.
+
+    It runs on the integer numerators A of M = A / D.  With
+    char(A) = lambda^n + a_1 lambda^(n-1) + ... + a_n, the a_k are integers,
+    so every division by k in the recursion is exact, and
+    det(I - t M) = 1 + (a_1/D) t + ... + (a_n/D^n) t^n.
+    """
+    n = m.rows
+    den, nums = m.integer_form()
+    rows = [nums[i * n:(i + 1) * n] for i in range(n)]
+    coeffs = [Fraction(1)]
+    aux = rows  # A M_k, with M_1 = I and M_(k+1) = A M_k + a_k I
+    for k in range(1, n + 1):
+        a_k = -sum(aux[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(a_k, den ** k))
+        if k < n:
+            shifted = [[x + a_k if i == j else x for j, x in enumerate(r)] for i, r in enumerate(aux)]
+            cols = list(zip(*shifted))
+            aux = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _key_product(a, b, n: int):
+    """The lowest-terms (D, A) key of the product of the matrices keyed a and b."""
+    den, nums = a[0] * b[0], a[1]
+    rows = [nums[i * n:(i + 1) * n] for i in range(n)]
+    cols = [b[1][j::n] for j in range(n)]
+    prod = tuple(sum(map(mul, row, col)) for row in rows for col in cols)
+    if den > 1:
+        c = gcd(den, *prod)
+        if c > 1:
+            den, prod = den // c, tuple(x // c for x in prod)
+    return den, prod
+
+
+def product_closure(gens: list[RatMatrix]) -> tuple[list[RatMatrix], list[int], list[int]]:
+    """(elements, gen_indices, inverse indices) of a BFS closure keyed by
+    whole integer matrices, one matrix product per element and generator;
+    each inverse is g^-1 x^-1 for the element x g it was reached as."""
+    n = gens[0].rows
+    forms = [g.integer_form() for g in gens]
+    gen_inverses = [g.inverse().integer_form() for g in gens]
+    keys = [RatMatrix.identity(n).integer_form()]
+    words, seen = [(0, -1)], {keys[0]: 0}
+    for x, key in enumerate(keys):
+        for k, g in enumerate(forms):
+            y = _key_product(key, g, n)
+            if y not in seen:
+                seen[y] = len(keys)
+                keys.append(y)
+                words.append((x, k))
+    inverses = [0]
+    for x, k in words[1:]:
+        inverses.append(seen[_key_product(gen_inverses[k], keys[inverses[x]], n)])
+    elements = [RatMatrix(n, n, [Fraction(x, den) for x in nums]) for den, nums in keys]
+    return elements, [seen[g] for g in forms], inverses
 
 
 def power_product(polys, exps) -> MultiPoly:

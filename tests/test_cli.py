@@ -98,19 +98,19 @@ def test_each_series_built_once_per_command(files, capsys):
     with mock.patch.object(
         molien_module, "_averaged_series", wraps=molien_module._averaged_series
     ) as built, mock.patch.object(
-        molien_module, "det_one_minus_t", wraps=molien_module.det_one_minus_t
-    ) as dets:
+        molien_module, "_power_traces", wraps=molien_module._power_traces
+    ) as traces:
         assert run(["invariants", "--group", group], capsys)[0] == 0
         assert built.call_count == 1
-        assert dets.call_count == 4  # one determinant per element of C4
+        assert traces.call_count == 4  # one trace tuple per element of C4
         built.reset_mock()
-        dets.reset_mock()
+        traces.reset_mock()
         # the invariant series for the ring computed on the way, then the
         # equivariant one, each shared by its loop and the output document;
-        # both read the same determinants
+        # both read the same determinants, from one pass over the elements
         assert run(["equivariants", "--group", group], capsys)[0] == 0
         assert built.call_count == 2
-        assert dets.call_count == 4
+        assert traces.call_count == 4
 
 
 def test_non_dimension_series_coefficient_exit_1(files, capsys):

@@ -41,12 +41,13 @@ from equivar import (
     xilinear_monomials,
 )
 from equivar.actions import _monomial_form, _orbit_sums, _substitution_matrix
-from equivar.molien import _averaged_series, det_one_minus_t
+from equivar.molien import _averaged_series
 from equivar.serialize import group_from_doc
 
 from conftest import (
     BASE_GROUPS,
     MIXED_GROUPS,
+    det_one_minus_t,
     field_action_matrix,
     mixed_generating_sets,
     mixed_group,

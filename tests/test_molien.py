@@ -18,9 +18,16 @@ from equivar import (
     molien_equivariant,
 )
 from equivar import serialize as sz
-from equivar.molien import MolienSeries, det_one_minus_t
+from equivar.molien import MolienSeries
 
-from conftest import MIXED_GROUPS, field_action_matrix, fixed_space_dim, mixed_group, rref
+from conftest import (
+    MIXED_GROUPS,
+    det_one_minus_t,
+    field_action_matrix,
+    fixed_space_dim,
+    mixed_group,
+    rref,
+)
 
 # the package's `molien` attribute is the function of that name
 molien_module = importlib.import_module("equivar.molien")
@@ -107,8 +114,9 @@ def test_non_dimension_coefficient_is_a_domain_error():
 
 def test_non_integral_determinant_is_an_internal_error():
     # not a group: 1/2 has infinite order, so det(I - t/2) = 1 - t/2 is not
-    # integral, and the series must not be summed from truncated coefficients
-    group = MatGroup(1, [RatMatrix.identity(1), RatMatrix.from_rows([[F(1, 2)]])], [1], [0, 1])
+    # integral, and the series must not be summed from truncated coefficients;
+    # the elements are [1] and [1/2], rows (1, (1,)) and (2, (1,)) as (D, A)
+    group = MatGroup(1, [(1, (1,)), (2, (1,))], [(0,), (1,)], [1], [0, 1])
     with pytest.raises(DimensionMismatchWithMolien, match="is not integral"):
         molien(group)
 

@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from equivar import MultiPoly
 from equivar.linalg import RatMatrix, kernel_basis, kernel_rref, solve_free_zero
-from equivar.molien import det_one_minus_t
 from equivar.poly import ProductTable
 
-from conftest import coeffs, poly_cases
+from conftest import coeffs, det_one_minus_t, poly_cases
 
 sympy = pytest.importorskip("sympy")
 
