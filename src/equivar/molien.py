@@ -248,15 +248,10 @@ def _newton(traces: tuple[int, ...]) -> tuple[int, ...]:
 def _trace_tuples(group: MatGroup):
     """(tr(g), tr(g^2), ..., tr(g^n)) for each element g, in index order,
     each from the element's integer rows (_power_traces)."""
-    rows = group.rows
-    integral = all(den == 1 for den, _ in rows)
     for key in group.keys:
-        if integral:
-            yield _power_traces(1, [rows[r][1] for r in key])
-        else:
-            den = lcm(*(rows[r][0] for r in key))
-            yield _power_traces(den, [tuple(x * (den // d) for x in nums)
-                                      for d, nums in map(rows.__getitem__, key)])
+        parts = [group.rows[r] for r in key]
+        den = lcm(*(d for d, _ in parts))
+        yield _power_traces(den, [v if d == den else [x * (den // d) for x in v] for d, v in parts])
 
 
 def _determinants(group: MatGroup) -> dict[tuple[int, ...], int]:
