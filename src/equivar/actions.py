@@ -160,7 +160,7 @@ def unpairing(q: MultiPoly) -> PolyVectorField:
 
 def _substitution_matrix(group: MatGroup, action: str, g: int) -> RatMatrix:
     """M with (g . q)(v) = q(M v), for the two actions that are substitutions."""
-    inv = group.matrix(group.inverse_index(g))
+    inv = group.inverse(g)
     if action == PHI_DAGGER:
         return inv
     if action == PSI:
@@ -192,7 +192,7 @@ def act_phi_dagger(group: MatGroup, g: int, p: MultiPoly) -> MultiPoly:
 def act_theta(group: MatGroup, g: int, field: PolyVectorField) -> PolyVectorField:
     """Pushforward g . V = g (V o g^-1)."""
     _check_fit(group, THETA, field)
-    inv = group.matrix(group.inverse_index(g))
+    inv = group.inverse(g)
     substituted = PolyVectorField([c.compose_linear(inv) for c in field.comps])
     return substituted.mix(group.matrix(g))
 

@@ -10,10 +10,9 @@ under r -> r g_k for every generator g_k: a finite set R of row vectors,
 since every row of every element lies in it, with one index table per
 generator.  An element is then keyed by the R-indices of its n rows.  Row i
 of x g_k is (row i of x) g_k, so the key of a child is read off the parent's
-key through the generator's table: n lookups and no matrix product.  Each
-new element y = x g_k records the element x and the generator g_k it came
-from, which gives its inverse as y^-1 = g_k^-1 x^-1, each row of it a
-combination of rows of x^-1: only the generators are ever inverted.
+key through the generator's table: n lookups and no matrix product.  The
+closure inverts only the generators, to refuse a singular one; an element's
+inverse is the inverse of its matrix, built only when it is asked for.
 
 Rows are kept in integers, as lowest-terms pairs (D, A): D the lcm of the
 row's denominators and A its integer numerators, so equal rows have equal
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -43,24 +42,23 @@ class MatGroup(Immutable):
     (D, A) for A / D, and keys[i] holds the indices into rows of the n rows
     of element i.  keys[0] is the identity; the remaining order is BFS
     insertion order from the generators, which makes the whole object
-    deterministic.  inverses[i] is the index of the inverse of element i.
-    The RatMatrix of an element is built on first use (matrix), and that of
-    every element only when elements is read.  Values that depend on the
-    group alone (element matrices, Molien series, generator action tables)
-    are memoised on it, through derived.
+    deterministic.  The RatMatrix of an element is built on first use
+    (matrix), as is that of its inverse (inverse), and every element's only
+    when elements is read.  Values that depend on the group alone (element
+    matrices and inverses, Molien series, generator action tables) are
+    memoised on it, through derived.
     """
 
-    __slots__ = ("n", "rows", "keys", "gen_indices", "_inverses", "_derived")
+    __slots__ = ("n", "rows", "keys", "gen_indices", "_derived")
 
     def __init__(
         self, n: int, rows: Sequence[Row], keys: Sequence[tuple[int, ...]],
-        gen_indices: Sequence[int], inverses: Sequence[int],
+        gen_indices: Sequence[int],
     ) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "keys", tuple(keys))
         object.__setattr__(self, "gen_indices", tuple(gen_indices))
-        object.__setattr__(self, "_inverses", tuple(inverses))
         object.__setattr__(self, "_derived", {})
 
     def derived(self, key, compute):
@@ -85,9 +83,9 @@ class MatGroup(Immutable):
         rows = [self.rows[r] for r in self.keys[idx]]
         return RatMatrix(self.n, self.n, [Fraction(x, den) for den, nums in rows for x in nums])
 
-    def inverse_index(self, idx: int) -> int:
-        """Index of the inverse of elements[idx]."""
-        return self._inverses[idx]
+    def inverse(self, idx: int) -> RatMatrix:
+        """The inverse of element idx's matrix."""
+        return self.derived(("inverse", idx), lambda: self.matrix(idx).inverse())
 
     def __repr__(self) -> str:
         return f"MatGroup(n={self.n}, order={self.order})"
@@ -102,10 +100,9 @@ def _lowest(den: int, nums) -> Row:
 
 
 def _row_orbit(gens: list[Row], n: int, cap: int):
-    """R, the orbit of the coordinate rows e_i under r -> r g_k, as a list
-    and as a dict from row to index, and one table per generator:
-    tables[k][r] is the index of R[r] g_k.  R holds the
-    rows of every element, at most n of each, so past n * cap rows the
+    """R, the orbit of the coordinate rows e_i under r -> r g_k, and one
+    table per generator: tables[k][r] is the index of R[r] g_k.  R holds
+    the rows of every element, at most n of each, so past n * cap rows the
     group has more than cap elements."""
     cols = [[nums[j::n] for j in range(n)] for _, nums in gens]
     rows: list[Row] = [(1, tuple(int(i == j) for j in range(n))) for i in range(n)]
@@ -121,36 +118,7 @@ def _row_orbit(gens: list[Row], n: int, cap: int):
                 if len(rows) > n * cap:
                     raise ClosureExceedsCap(f"closure exceeded cap={cap}; group may not be finite")
             table.append(j)
-    return rows, index, tables
-
-
-def _left_multiplier(h: Row, n: int, rows: list[Row], index: dict[Row, int]):
-    """The map from the key of z to that of h z, h = A / D: row i of h z is
-    (1/D) sum_j A_ij (row j of z), and a row of h that is e_j just copies
-    row j of z."""
-    den, nums = h
-    plan = []
-    for i in range(n):
-        terms = [(j, c) for j, c in enumerate(nums[i * n:(i + 1) * n]) if c]
-        plan.append(terms[0][0] if terms == [(terms[0][0], den)] else terms)
-
-    def times(key: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for terms in plan:
-            if isinstance(terms, int):
-                out.append(key[terms])
-                continue
-            parts = [rows[key[j]] for j, _ in terms]
-            scale = lcm(*(d for d, _ in parts))
-            coeffs = [c * (scale // d) for (_, c), (d, _) in zip(terms, parts)]
-            acc = [sum(map(mul, coeffs, col)) for col in zip(*(v for _, v in parts))]
-            r = index.get(_lowest(scale * den, acc))
-            if r is None:
-                raise ValueError("element list is not closed under inversion")
-            out.append(r)
-        return tuple(out)
-
-    return times
+    return rows, tables
 
 
 def close_group(generators: Sequence[RatMatrix], cap: int = DEFAULT_CAP) -> MatGroup:
@@ -165,40 +133,28 @@ def close_group(generators: Sequence[RatMatrix], cap: int = DEFAULT_CAP) -> MatG
     n = generators[0].rows
     if n < 1:
         raise DimensionMismatch("generators must be at least 1x1")
-    gen_inverses = []
     for g in generators:
         if not g.is_square or g.rows != n:
             raise DimensionMismatch(
                 f"generators must all be square of one size; got {g.rows}x{g.cols} vs n={n}"
             )
         try:
-            gen_inverses.append(g.inverse().integer_form())
+            g.inverse()  # only to refuse a singular generator
         except ValueError:
             raise NonInvertibleGenerator(f"generator {g!r} is singular") from None
 
-    rows, index, tables = _row_orbit([g.integer_form() for g in generators], n, cap)
+    rows, tables = _row_orbit([g.integer_form() for g in generators], n, cap)
     identity = tuple(range(n))
     keys = [identity]
-    # words[i] = (index of x, generator k) with element i = x g_k
-    words: list[tuple[int, int]] = [(0, -1)]
     seen = {identity: 0}
-    for x, key in enumerate(keys):  # keys grows as it is read: a FIFO queue
-        for k, table in enumerate(tables):
+    for key in keys:  # keys grows as it is read: a FIFO queue
+        for table in tables:
             y = tuple(map(table.__getitem__, key))
             if y not in seen:
                 seen[y] = len(keys)
                 keys.append(y)
-                words.append((x, k))
                 if len(keys) > cap:
                     raise ClosureExceedsCap(
                         f"closure exceeded cap={cap}; group may not be finite"
                     )
-
-    left = [_left_multiplier(h, n, rows, index) for h in gen_inverses]
-    inverses = [0]
-    for x, k in words[1:]:
-        j = seen.get(left[k](keys[inverses[x]]))
-        if j is None:
-            raise ValueError("element list is not closed under inversion")
-        inverses.append(j)
-    return MatGroup(n, rows, keys, [seen[tuple(table[:n])] for table in tables], inverses)
+    return MatGroup(n, rows, keys, [seen[tuple(table[:n])] for table in tables])

@@ -252,19 +252,6 @@ class MultiPoly(Immutable):
             out[e[:index] + (k - 1,) + e[index + 1 :]] = c * k
         return MultiPoly._of(self.nvars, out)
 
-    def homogeneous_part(self, degree: int) -> "MultiPoly":
-        """Sum of terms of total degree exactly `degree`."""
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        return MultiPoly._of(self.nvars, {e: c for e, c in self._terms.items() if sum(e) == degree})
-
-    def homogeneous_components(self) -> dict[int, "MultiPoly"]:
-        """Nonzero homogeneous components keyed by degree, ascending."""
-        by_deg: dict[int, dict[Exponents, Fraction]] = {}
-        for e, c in self._terms.items():
-            by_deg.setdefault(sum(e), {})[e] = c
-        return {d: MultiPoly._of(self.nvars, t) for d, t in sorted(by_deg.items())}
-
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point."""
         if len(point) != self.nvars:

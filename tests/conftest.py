@@ -84,6 +84,19 @@ def monomial(exps, c=1) -> MultiPoly:
     return MultiPoly(len(exps), {tuple(exps): c})
 
 
+def homogeneous_part(p: MultiPoly, degree: int) -> MultiPoly:
+    """The sum of the terms of p of total degree exactly `degree`."""
+    return MultiPoly(p.nvars, {e: c for e, c in p if sum(e) == degree})
+
+
+def homogeneous_components(p: MultiPoly) -> dict[int, MultiPoly]:
+    """The nonzero homogeneous components of p keyed by degree, ascending."""
+    by_deg: dict[int, dict] = {}
+    for e, c in p:
+        by_deg.setdefault(sum(e), {})[e] = c
+    return {d: MultiPoly(p.nvars, t) for d, t in sorted(by_deg.items())}
+
+
 def det_one_minus_t(m: RatMatrix) -> list[Fraction]:
     """Coefficients of det(I - t M) via the Faddeev-LeVerrier recursion.
 
@@ -258,7 +271,7 @@ def express_over_full_rows(inv, ws, w_degrees, targets, noun):
     integer columns must match in every solution and every NoSolution
     message."""
     table = inv._table
-    parts = [[c.homogeneous_components() for c in comps] for comps in targets]
+    parts = [[homogeneous_components(c) for c in comps] for comps in targets]
     target_degrees = [sorted(set().union(*hcs)) for hcs in parts]
     zero = MultiPoly.zero(table.n)
     sols = {}
@@ -433,7 +446,7 @@ def poly_cases(draw):
         st.lists(
             polys(n, 2)
             .filter(lambda p: p.total_degree() >= 1)
-            .map(lambda p: p.homogeneous_part(p.total_degree())),
+            .map(lambda p: homogeneous_part(p, p.total_degree())),
             min_size=1,
             max_size=3,
         )

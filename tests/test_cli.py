@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from equivar.cli import build_parser, main
+from equivar.cli import _MAX_DEGREES, build_parser, main
+from equivar.errors import ParseError
 from equivar import serialize as sz
 
 # the package's `molien` attribute is the function of that name
@@ -624,6 +625,31 @@ def test_molien_negative_degrees_exit_2(files, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("degrees", [_MAX_DEGREES + 1, 10**11])
+def test_molien_too_many_degrees_refused_before_the_group_is_set_up(files, capsys, degrees):
+    # the table grows with --degrees: never run these for real
+    _, write = files
+    group = write("c4.json", C4_DOC)
+    with mock.patch.object(molien_module.MolienSeries, "coefficient", side_effect=AssertionError), \
+            mock.patch.object(sz, "group_from_doc", side_effect=AssertionError):
+        code, out, err = run(["molien", "--group", group, "--degrees", str(degrees)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "ParseError",
+        "message": f"--degrees must be in 0..{_MAX_DEGREES}, got {degrees}",
+    }
+
+
+def test_molien_degrees_at_the_limit_go_on_to_the_group(files, capsys):
+    _, write = files
+    group = write("c4.json", C4_DOC)
+    with mock.patch.object(sz, "group_from_doc", side_effect=ParseError("group reached")):
+        code, _, err = run(["molien", "--group", group, "--degrees", str(_MAX_DEGREES)], capsys)
+    assert code == 2
+    assert json.loads(err)["message"] == "group reached"
 
 
 def test_bad_bound_exit_2(files, capsys):

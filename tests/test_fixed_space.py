@@ -89,7 +89,7 @@ def elementwise_series(group: MatGroup, weight) -> MolienSeries:
     """(1/|G|) sum_g weight(g) / det(I - t g^-1), one term per element."""
     num, den = [Fraction(0)], [Fraction(1)]
     for g in range(group.order):
-        d_g = det_one_minus_t(group.matrix(group.inverse_index(g)))
+        d_g = det_one_minus_t(group.inverse(g))
         num = _upoly_add(_upoly_mul(num, d_g), [weight(g) * c for c in den])
         den = _upoly_mul(den, d_g)
     return MolienSeries([c / group.order for c in num], den)

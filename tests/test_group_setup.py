@@ -3,8 +3,9 @@
 close_group keys each element by the indices of its rows in the orbit of
 the coordinate rows, and the Molien pass reads det(I - t g) off power
 traces.  The references, kept in conftest, are the closure by integer matrix
-products and Faddeev-LeVerrier.  The CLI builds element matrices only for
-the generators and their inverses.
+products and Faddeev-LeVerrier.  The CLI builds element matrices, and
+inverts them, only for the generators; any other element's inverse is
+built only when it is asked for.
 """
 
 import os
@@ -61,13 +62,44 @@ def test_row_orbit_closure_matches_product_closure(name):
     elements, gen_indices, inverses = product_closure([group.matrix(i) for i in group.gen_indices])
     assert list(group.elements) == elements
     assert list(group.gen_indices) == gen_indices
-    assert [group.inverse_index(i) for i in range(group.order)] == inverses
+    assert [group.inverse(i) for i in range(group.order)] == [elements[j] for j in inverses]
+
+
+def assert_inverses_memoised(group: MatGroup) -> None:
+    identity = RatMatrix.identity(group.n)
+    elements = set(group.elements)
+    real = RatMatrix.inverse
+    with mock.patch.object(RatMatrix, "inverse", autospec=True, side_effect=real) as inverse:
+        first = [group.inverse(i) for i in range(group.order)]
+        calls = inverse.call_count
+        assert calls == group.order  # one inversion per element of a fresh group
+        assert [group.inverse(i) for i in range(group.order)] == first
+        assert inverse.call_count == calls  # the second pass built nothing
+    for i, inv in enumerate(first):
+        assert inv @ group.matrix(i) == identity
+        assert group.matrix(i) @ inv == identity
+        assert inv in elements
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(
+    signed_permutation_groups(),
+    rational_conjugates(),
+    mixed_generating_sets().map(close_group),
+))
+def test_inverse_is_memoised_two_sided_and_an_element(group):
+    assert_inverses_memoised(group)
+
+
+@pytest.mark.parametrize("name", ["f4_conj", "d5", "d4_frac"])
+def test_file_group_inverse_is_memoised_two_sided_and_an_element(name):
+    assert_inverses_memoised(_file_group(name))
 
 
 def test_non_integral_power_trace_is_an_internal_error():
     # not a group: [[1, -1/2], [1, 0]] has trace 1 and tr(g^2) = 0, both
     # integers, but det g = 1/2, which Newton's identities must refuse
-    group = MatGroup(2, [(1, (1, 0)), (1, (0, 1)), (2, (2, -1))], [(0, 1), (2, 0)], [1], [0, 1])
+    group = MatGroup(2, [(1, (1, 0)), (1, (0, 1)), (2, (2, -1))], [(0, 1), (2, 0)], [1])
     with pytest.raises(DimensionMismatchWithMolien, match="is not integral"):
         molien(group)
 
@@ -80,7 +112,7 @@ def test_non_integral_power_trace_is_an_internal_error():
 def test_cli_builds_only_generator_matrices(argv, tmp_path, capsys):
     path = os.path.join(GROUPS_DIR, "b3.json")
     b3 = _file_group("b3")
-    allowed = set(b3.gen_indices) | {b3.inverse_index(g) for g in b3.gen_indices}
+    allowed = set(b3.gen_indices)
     built = []
     real = MatGroup._element
 

@@ -116,7 +116,7 @@ def test_non_integral_determinant_is_an_internal_error():
     # not a group: 1/2 has infinite order, so det(I - t/2) = 1 - t/2 is not
     # integral, and the series must not be summed from truncated coefficients;
     # the elements are [1] and [1/2], rows (1, (1,)) and (2, (1,)) as (D, A)
-    group = MatGroup(1, [(1, (1,)), (2, (1,))], [(0,), (1,)], [1], [0, 1])
+    group = MatGroup(1, [(1, (1,)), (2, (1,))], [(0,), (1,)], [1])
     with pytest.raises(DimensionMismatchWithMolien, match="is not integral"):
         molien(group)
 
