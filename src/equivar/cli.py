@@ -206,7 +206,7 @@ def _cmd_integrate_check(args) -> int:
         "pass": ok,
         "t_end": args.t_end,
         "step": args.step,
-        "samples": int(len(report.t_grid)),
+        "samples": report.samples,
     }
     _emit(args, doc)
     sys.stderr.write(f"max_defect={report.max_defect:.6e} tol={args.tol:.6e} {'PASS' if ok else 'FAIL'}\n")

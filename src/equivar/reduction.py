@@ -28,21 +28,21 @@ is a call of a numpy evaluator that builds a table of integer powers of
 every coordinate and ends in one matrix-vector product.  Each block reads
 only its own coordinates, so each path is bit for bit the one RK4 gives its
 system alone.  The path is checked for non-finite states once, afterwards.
+numpy is loaded only for a map on that evaluator or when a report's arrays
+are read.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .actions import THETA, PolyVectorField, _check_fit, is_invariant
 from .errors import DimensionMismatch, NoSolution, NonFiniteState, NotInvariant
 from .invariants import InvariantGens, _express_all
 from .poly import Exponents, MultiPoly, grlex_key
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ReducedSystem(PolyVectorField):
@@ -169,22 +169,34 @@ class TrajectoryReport:
     """Sampled trajectories of the full and reduced systems.
 
     max_defect is the sup-norm distance between the Hilbert-map image of the
-    full trajectory and the reduced trajectory over the whole grid.
+    full trajectory and the reduced trajectory over the whole grid, and
+    samples the number of grid points.  The times t_grid and the paths
+    x_path and p_path are numpy arrays, built from the kernel's flat list of
+    states on first read (which loads numpy) and kept from then on.
     """
 
-    __slots__ = ("t_grid", "x_path", "p_path", "max_defect")
+    __slots__ = ("samples", "max_defect", "_states", "_n", "_step", "_arrays")
 
-    def __init__(self, t_grid, x_path, p_path, max_defect: float) -> None:
-        self.t_grid = t_grid
-        self.x_path = x_path
-        self.p_path = p_path
+    def __init__(self, states: list[float], samples: int, n: int, step: float, max_defect: float) -> None:
+        self.samples = samples
         self.max_defect = max_defect
+        self._states, self._n, self._step, self._arrays = states, n, step, None
+
+    def _paths(self) -> tuple:
+        if self._arrays is None:
+            import numpy as np
+
+            path = np.fromiter(self._states, float, len(self._states)).reshape(self.samples, -1)
+            t_grid = np.arange(self.samples, dtype=float) * self._step
+            self._arrays, self._states = (t_grid, path[:, :self._n], path[:, self._n:]), None
+        return self._arrays
+
+    t_grid = property(lambda self: self._paths()[0], doc="The sample times i * step.")
+    x_path = property(lambda self: self._paths()[1], doc="The full system's states, one row each.")
+    p_path = property(lambda self: self._paths()[2], doc="The reduced system's states, one row each.")
 
     def __repr__(self) -> str:
-        return (
-            f"TrajectoryReport({len(self.t_grid)} samples, "
-            f"max_defect={self.max_defect:.3e})"
-        )
+        return f"TrajectoryReport({self.samples} samples, max_defect={self.max_defect:.3e})"
 
 
 def _float(v, what: str) -> float:
@@ -219,6 +231,12 @@ _STRAIGHT_LINE_TERMS = 300
 _MAX_STEPS = 10**6
 
 
+def _vectorised(polys: Sequence[MultiPoly]) -> bool:
+    """Whether _map_lines gives a map the numpy evaluator: more than
+    _STRAIGHT_LINE_TERMS terms, summed over its components."""
+    return sum(len(p) for p in polys) > _STRAIGHT_LINE_TERMS
+
+
 def _map_lines(polys: Sequence[MultiPoly], inputs: Sequence[str], outputs: Sequence[str],
                tag: str, scope: dict) -> list[str]:
     """The statements that set the names in outputs to the values of a
@@ -236,7 +254,7 @@ def _map_lines(polys: Sequence[MultiPoly], inputs: Sequence[str], outputs: Seque
     changes no bit of the sum.  A larger map becomes one call of its numpy
     evaluator (_power_table), stored in scope under tag.
     """
-    if sum(len(p) for p in polys) > _STRAIGHT_LINE_TERMS:
+    if _vectorised(polys):
         scope[tag] = _power_table(polys, len(inputs))
         return [f"{_targets(outputs)}= {tag}([{', '.join(inputs)}])"]
 
@@ -404,11 +422,13 @@ def integrate_pair(
     Classical fixed-step RK4 in Python floats, run by one kernel generated
     for this call (_rk4_kernel) over the stacked state z = (x, p), so each
     path is the one RK4 gives its system alone; the same kernel tracks the
-    defect.  The paths are returned as numpy arrays.  Each start value
-    becomes a double once (_float), before the kernel is generated, and
-    exact coefficients only inside it.  P starts from the kernel's own
-    Hilbert-map image of the float start, so a constant pair has defect
-    exactly zero.
+    defect.  The report keeps the kernel's flat list of states and builds
+    the numpy arrays of the paths when they are first read; numpy is loaded
+    during the run only when X, Y or sigma takes the numpy evaluator.  Each
+    start value becomes a double once (_float), before the kernel is
+    generated, and exact coefficients only inside it.  P starts from the
+    kernel's own Hilbert-map image of the float start, so a constant pair
+    has defect exactly zero.
 
     Raises DimensionMismatch when a size is wrong (_reduced_system, x0).
     Raises NonFiniteState on overflow or NaN, with the time of the first
@@ -434,23 +454,28 @@ def integrate_pair(
     if len(x0) != n:
         raise DimensionMismatch(f"x0 has length {len(x0)}, field dimension is {n}")
     x0_float = [_float(v, "x0 entry") for v in x0]
-    # numpy is imported here rather than with the module: only the integrator
-    # needs it, and it takes several times longer to load than all of equivar
-    import numpy as np
+    maps = field.comps, reduced.comps, inv.gens
+    rk4 = _rk4_kernel(*maps)
+    quiet = contextlib.nullcontext()
+    # numpy is loaded only for a map on its evaluator (it takes longer to load
+    # than all of equivar); Python float arithmetic overflows without a word,
+    # and divergence is reported through NonFiniteState, not numpy warnings
+    if any(map(_vectorised, maps)):
+        import numpy as np
 
-    t_grid = np.arange(nsteps + 1, dtype=float) * step
-    rk4 = _rk4_kernel(field.comps, reduced.comps, inv.gens)
-    # divergence is reported through NonFiniteState, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    with quiet:
         states, defect = rk4(x0_float, nsteps, step)
-    path = np.fromiter(states, float, len(states)).reshape(nsteps + 1, -1)
-    x_path, p_path = path[:, :n], path[:, n:]
-    # the first non-finite row after the start is the step at which a check
-    # after every step would have stopped that system alone; a non-finite
-    # start (sigma(x0) overflowing) is thus reported after one step
-    for label, block in (("full", x_path), ("reduced", p_path)):
-        bad = ~np.isfinite(block[1:]).all(axis=1)
-        if bad.any():
-            t = (int(bad.argmax()) + 1) * step
-            raise NonFiniteState(f"{label} trajectory became non-finite at t={t}", t)
-    return TrajectoryReport(t_grid, x_path, p_path, defect)
+    # a float sum is finite only if every term is, so the rows are scanned
+    # only when it is not: the first non-finite row after the start is the
+    # step at which a check after every step would have stopped that system
+    # alone; a non-finite start (sigma(x0) overflowing) is thus reported
+    # after one step
+    if not math.isfinite(sum(states)):
+        width = n + reduced.k
+        for label, lo, hi in (("full", 0, n), ("reduced", n, width)):
+            for i in range(1, nsteps + 1):
+                if not all(map(math.isfinite, states[i * width + lo:i * width + hi])):
+                    t = i * step
+                    raise NonFiniteState(f"{label} trajectory became non-finite at t={t}", t)
+    return TrajectoryReport(states, nsteps + 1, n, step, defect)

@@ -3,6 +3,8 @@
 import importlib
 import json
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -337,6 +339,38 @@ def test_integrate_check_out_is_deterministic(tmp_path, capsys):
         texts.append((tmp_path / name).read_bytes())
     assert texts[0] == texts[1]
     assert abs(json.loads(texts[0])["max_defect"] - 1.8318679906315083e-15) <= 1e-12
+
+
+def test_integrate_check_on_straight_line_maps_leaves_numpy_unloaded(tmp_path):
+    # the radial field on C4 from demos/data: X, Y and sigma are all small
+    # enough for straight-line code, so a fresh interpreter running the
+    # command never imports numpy; reading the report's arrays then does
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """if True:
+        import sys
+        from equivar.cli import main
+        from equivar.reduction import TrajectoryReport
+        code = main(["integrate-check", "--group", "demos/data/c4.json",
+                     "--field", "demos/data/radial_plane_field.json",
+                     "--x0", "1/2,1/3", "--out", sys.argv[1]])
+        print(code, "numpy" in sys.modules)
+        report = TrajectoryReport([0.5, 0.25, 0.5, 0.25], 2, 1, 0.1, 0.0)
+        print(repr(report), "numpy" in sys.modules)
+        print(report.t_grid.tolist(), report.p_path.tolist(), "numpy" in sys.modules)
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "c4.integrate-check.json"
+    proc = subprocess.run([sys.executable, "-c", script, str(out)], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "0 False",
+        "TrajectoryReport(2 samples, max_defect=0.000e+00) False",
+        "[0.0, 0.1] [[0.25], [0.25]] True",
+    ]
+    doc = json.loads(out.read_text())
+    assert (doc["pass"], doc["samples"]) == (True, 1001)
 
 
 @pytest.mark.parametrize(

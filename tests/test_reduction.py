@@ -222,6 +222,19 @@ def test_non_finite_state_in_one_component(z2_diag):
     assert "full" in str(err.value)
 
 
+def test_finite_states_whose_sum_overflows_are_not_divergence():
+    # the zero field on the trivial group of Q^1 from 10^308: every state is
+    # finite, but their float sum overflows, so the run's quick check (the
+    # sum of all states) fails and the row-by-row scan must find nothing
+    x, = variables(1)
+    inv = InvariantGens.from_polys(close_group([RatMatrix.from_rows([[1]])]), [x])
+    zero = PolyVectorField.zero(1)
+    report = integrate_pair(zero, [MultiPoly.zero(1)], inv, [10**308], 1.0, 1e-2)
+    assert report.max_defect == 0.0
+    assert (report.x_path == 1e308).all() and (report.p_path == 1e308).all()
+    assert sum(report.x_path.ravel().tolist()) == float("inf")
+
+
 # -- the compiled float evaluator against exact evaluation ----------------------
 
 
@@ -454,8 +467,13 @@ def assert_matches_separate_loops_once(field, comps, inv, x0, t_end, step):
         assert err.value.time == want.time
         return
     report = integrate_pair(field, comps, inv, x0, t_end, step)
+    # the report builds its arrays on first read, as the eager ones were
+    # built, and hands out the same arrays from then on
+    assert report.samples == len(x_path)
+    assert np.array_equal(report.t_grid, np.arange(len(x_path), dtype=float) * step)
     assert np.array_equal(report.x_path, x_path)
     assert np.array_equal(report.p_path, p_path)
+    assert report.x_path is report.x_path and report.t_grid is report.t_grid
     assert report.max_defect == defect
 
 
