@@ -58,7 +58,6 @@ from .reduction import (
     ReducedSystem,
     TrajectoryReport,
     check_related,
-    directional_derivatives,
     integrate_pair,
     reduce_field,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "block_diag",
     "check_related",
     "close_group",
-    "directional_derivatives",
     "equivariant_basis",
     "equivariant_module_generators",
     "express",

@@ -37,7 +37,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, NotXiLinear
 from .groups import MatGroup
 from .linalg import Immutable, RatMatrix, block_diag, clear_denominators, kernel_rref
-from .poly import Exponents, MultiPoly, ProductTable, monomials_of_degree
+from .poly import Exponents, MultiPoly, ProductTable, _monomial_table, monomials_of_degree
 
 PHI_DAGGER = "phi_dagger"
 THETA = "theta"
@@ -135,8 +135,8 @@ def xilinear_monomials(n: int, m: int) -> list[Exponents]:
     """Monomials x^alpha xi_i with |alpha| = m, as 2n-exponent tuples, in
     descending graded-lex order on the full tuple: the x block dominates,
     and xi_1 outranks xi_2 within one alpha."""
-    units = monomials_of_degree(n, 1)  # xi_1, ..., xi_n
-    return [alpha + xi for alpha in monomials_of_degree(n, m) for xi in units]
+    units = _monomial_table(n, 1)[0]  # xi_1, ..., xi_n
+    return [alpha + xi for alpha in _monomial_table(n, m)[0] for xi in units]
 
 
 def unpairing(q: MultiPoly) -> PolyVectorField:
@@ -334,7 +334,7 @@ def _sums(group: MatGroup, action: str, d: int):
     its monomial generators over them.  Memoised on the group, so
     fixed_basis and leader_rows share one walk."""
     def walk():
-        monos = (monomials_of_degree if action == PHI_DAGGER else xilinear_monomials)(group.n, d)
+        monos = _monomial_table(group.n, d)[0] if action == PHI_DAGGER else xilinear_monomials(group.n, d)
         forms = [f for f in _monomial_forms(group, action).values() if f is not None]
         return monos, _orbit_sums(forms, monos)
 

@@ -35,6 +35,7 @@ keeps outputs identical across runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 from typing import Sequence
 
@@ -43,13 +44,20 @@ from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
 from .groups import MatGroup
 from .linalg import Echelon, Immutable, clear_denominators, kernel_basis, solve_free_zero
 from .molien import MolienSeries, molien
-from .poly import Exponents, MultiPoly, ProductTable, _pack, _packed, grlex_key, monomials_of_degree
+from .poly import Exponents, MultiPoly, ProductTable, _monomial_table, _packed, grlex_key
 
 
 def weighted_monomials(weights: Sequence[int], total: int) -> list[Exponents]:
     """Exponent tuples a with sum a_i * weights_i == total, descending grlex."""
+    return list(_weighted_monomials(tuple(weights), total))
+
+
+@cache
+def _weighted_monomials(weights: tuple[int, ...], total: int) -> tuple[Exponents, ...]:
+    """weighted_monomials, kept for the whole process like the monomial
+    tables (poly._monomial_table), so read-only."""
     if total < 0:
-        return []
+        return ()
 
     def rec(i: int, remaining: int) -> list[Exponents]:
         if i == len(weights):
@@ -59,7 +67,7 @@ def weighted_monomials(weights: Sequence[int], total: int) -> list[Exponents]:
             out.extend((e,) + rest for rest in rec(i + 1, remaining - e * weights[i]))
         return out
 
-    return sorted(rec(0, total), key=grlex_key, reverse=True)
+    return tuple(sorted(rec(0, total), key=grlex_key, reverse=True))
 
 
 class InvariantGens(Immutable):
@@ -312,12 +320,11 @@ def _ideal_spans_degree(thetas: Sequence[MultiPoly]) -> bool:
     coefficients of theta_i, shifted by the packed exponents of m."""
     n = thetas[0].nvars
     degree = sum(theta.total_degree() - 1 for theta in thetas) + 1
-    index = {_pack(e): j for j, e in enumerate(monomials_of_degree(n, degree))}
+    index = _monomial_table(n, degree)[2]
     span = Echelon()
     for theta in thetas:
         terms = _packed(theta)[1]
-        for m in monomials_of_degree(n, degree - theta.total_degree()):
-            shift = _pack(m)
+        for shift in _monomial_table(n, degree - theta.total_degree())[1]:
             row = [0] * len(index)
             for e, c in terms:
                 row[index[shift + e]] = c
@@ -409,13 +416,13 @@ def _module_products(
     labels, cols, dens = [], [], []
     for j, (w, m_w) in enumerate(zip(ws, w_degrees)):
         r, unit = len(w), list(w) == [one]
-        for a in weighted_monomials(table.degrees, d - m_w):
+        for a in _weighted_monomials(tuple(table.degrees), d - m_w):
             if unit:
                 col, den = table.column(a)
             else:
                 parts = [(i, *table.times(a, c)) for i, c in enumerate(w) if not c.is_zero]
                 den = lcm(*(e for _, _, e in parts))
-                col = [0] * (r * len(table.monomials(d)))
+                col = [0] * (r * len(parts[0][1]))
                 for i, nums, e in parts:
                     col[i::r] = [x * (den // e) for x in nums]
             labels.append((j, a))
@@ -531,7 +538,7 @@ def _multiple_leads(degrees: Sequence[int], lower, candidates: Sequence[Exponent
         if span.rank == len(free):
             break
         if rd not in shifts:
-            shifts[rd] = weighted_monomials(degrees, d - rd)
+            shifts[rd] = _weighted_monomials(tuple(degrees), d - rd)
         for m in shifts[rd]:
             vec = [0] * len(free)
             for a, c in zip(exps, nums):

@@ -1,20 +1,20 @@
 """Exact rational matrices and row reduction.
 
 No floats enter: the degree-by-degree fixed-space computations downstream
-are only trustworthy in exact arithmetic.  Vectors are plain lists of
-Fraction; matrices for elimination are lists of row lists.  RatMatrix is the
+are only trustworthy in exact arithmetic.  Vectors are plain lists of ints or
+Fractions; matrices for elimination are lists of row lists.  RatMatrix is the
 immutable matrix type used for group elements.  Immutable is the base of
 every value type of the library: it refuses to set or delete an attribute.
 
 All elimination runs one fraction-free step over the integers (_eliminate):
-rows are cleared of denominators (clear_denominators), combined as
-p*row - f*pivot_row and divided by their content, and the pivots are divided
-out only when a result is read back as Fraction.  The incremental spans of
-Echelon run it in add; kernel_basis, kernel_rref, solve_free_zero and the
-matrix inverse fill an Echelon and run it once more to read back the
-reduced row echelon form (_reduced_rows).  That form is unique, so it is
-the same as Fraction elimination gives, and a span keeps the same rank and
-membership.
+rows of ints are taken as they are, rows with a Fraction are cleared of
+denominators (clear_denominators), and rows are combined as p*row -
+f*pivot_row and divided by their content; the pivots are divided out only
+when a result is read back as Fraction.  The incremental spans of Echelon
+run it in add; kernel_basis, kernel_rref, solve_free_zero and the matrix
+inverse fill an Echelon and run it once more to read back the reduced row
+echelon form (_reduced_rows).  That form is unique, so it is the same as
+Fraction elimination gives, and a span keeps the same rank and membership.
 """
 
 from __future__ import annotations
@@ -190,12 +190,13 @@ def _eliminate(v: list[int], rows: list[list[int]], pivots: list[int]) -> list[i
 class Echelon:
     """Incremental row space over the integers.
 
-    add() returns True when the vector enlarges the span.  Each vector is
-    cleared of denominators and content, then reduced against the stored
-    rows in insertion order (_eliminate).  A vector that stays nonzero is
-    stored as a coprime integer row, with its pivot at its first nonzero
-    entry.  Every stored row is zero in the pivots of the rows before it, so
-    insertion-order elimination stays sound.
+    add() returns True when the vector enlarges the span.  A vector is
+    cleared of denominators only if it holds a Fraction (math.gcd refuses
+    one), divided by its content into a new list, never the caller's, and
+    reduced against the stored rows in insertion order (_eliminate).  One
+    that stays nonzero is stored as a coprime integer row, with its pivot at
+    its first nonzero entry.  Every stored row is zero in the pivots of the
+    rows before it, so insertion-order elimination stays sound.
     """
 
     def __init__(self) -> None:
@@ -218,11 +219,12 @@ class Echelon:
         return self._pivots
 
     def add(self, vec: Sequence) -> bool:
-        v = clear_denominators(vec)[1]
-        c = gcd(*v)
-        if c > 1:
-            v = [x // c for x in v]
-        v = _eliminate(v, self._rows, self._pivots)
+        try:
+            c = gcd(*vec) or 1
+        except TypeError:  # a Fraction entry
+            vec = clear_denominators(vec)[1]
+            c = gcd(*vec) or 1
+        v = _eliminate([x // c for x in vec], self._rows, self._pivots)
         p = next((i for i, x in enumerate(v) if x), None)
         if p is None:
             return False

@@ -75,16 +75,6 @@ def _reduced_system(
     return reduced
 
 
-def directional_derivatives(field: PolyVectorField, inv: InvariantGens) -> list[MultiPoly]:
-    """The polynomials X(p_i) = sum_j X_j dp_i/dx_j, one per generator,
-    built from their integer columns (ProductTable.directional).  Raises
-    DimensionMismatch unless the field is of the dimension inv's group acts
-    on."""
-    _check_fit(inv.group, THETA, field)
-    table = inv._table
-    return [table.polynomial(graded) for graded in table.directional(field.comps)]
-
-
 def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:
     """Reduce an equivariant field to the orbit space.
 

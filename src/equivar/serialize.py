@@ -1,9 +1,11 @@
 """JSON forms for every value the CLI reads or writes.
 
-Rationals travel as decimal-free strings ("3", "-1/2"); floats are rejected
-on input so no coefficient is ever corrupted.  Terms are listed in
-descending graded-lex order and documents are dumped with sorted keys, so
-identical inputs always produce byte-identical files.
+Rationals travel as decimal-free strings ("3", "-1/2") of ASCII digits;
+floats are rejected on input so no coefficient is ever corrupted.  A
+polynomial document is read with one Fraction per distinct coefficient
+string, parsed where it first occurs.  Terms are listed in descending
+graded-lex order and documents are dumped with sorted keys, so identical
+inputs always produce byte-identical files.
 
 Phase polynomials use the same polynomial form with nvars = 2n; the first n
 exponents belong to the x block and the last n to the dual block.
@@ -25,7 +27,7 @@ from .molien import MolienSeries
 from .poly import Exponents, MultiPoly
 from .reduction import ReducedSystem
 
-_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def frac_to_str(c: Fraction) -> str:
@@ -78,18 +80,26 @@ def poly_to_doc(p: MultiPoly) -> dict:
 
 def poly_from_doc(doc) -> MultiPoly:
     """Each term is checked here, once; equal exponents are summed and zero
-    sums dropped, as the MultiPoly constructor does."""
+    sums dropped, as the MultiPoly constructor does.  Each distinct
+    coefficient string is parsed once, at its first occurrence."""
     nvars = _expect(doc, "nvars", int, "polynomial")
     terms = _expect(doc, "terms", list, "polynomial")
     if nvars < 0:
         raise ParseError("invalid polynomial: nvars must be non-negative")
     acc: dict[Exponents, Fraction] = {}
+    parsed: dict[str, Fraction] = {}
     for t in terms:
-        c = frac_from_json(_expect(t, "c", None, "polynomial term"))
+        c = _expect(t, "c", None, "polynomial term")
+        if type(c) is str:
+            if c not in parsed:
+                parsed[c] = frac_from_json(c)
+            c = parsed[c]
+        else:
+            c = frac_from_json(c)
         e = _expect(t, "e", list, "polynomial term")
-        if not all(_is_int(x) and x >= 0 for x in e):
+        if not all(type(x) is int and x >= 0 for x in e):
             raise ParseError(f"polynomial term exponents must be non-negative ints: {e!r}")
-        e = tuple(map(int, e))
+        e = tuple(e)
         if len(e) != nvars:
             raise ParseError(
                 f"invalid polynomial: exponent tuple {e} has length {len(e)}, expected {nvars}"

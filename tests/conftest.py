@@ -10,7 +10,9 @@ relations are kept here on every row of their systems, the reference for
 the production solves on the orbit leaders' rows.  So are the group
 set-up's earlier routes: a closure by integer matrix products and
 det(I - t g) by Faddeev-LeVerrier, the references for the row-orbit closure
-and the power-trace determinants.
+and the power-trace determinants.  The directional derivatives X(p_i),
+multiplied out in Fractions, are the reference for the integer columns of
+ProductTable.directional.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from equivar.actions import leader_rows
 from equivar.equivariants import xilinear_monomials
 from equivar.errors import DimensionMismatchWithMolien, NoSolution
 from equivar.linalg import Echelon, _reduced_rows, kernel_basis, solve_free_zero
+from equivar.poly import dot
 from equivar.serialize import group_from_doc
 
 
@@ -166,6 +169,13 @@ def power_product(polys, exps) -> MultiPoly:
         if e:
             acc = acc * p**e
     return acc
+
+
+def directional_derivatives(field: PolyVectorField, inv) -> list[MultiPoly]:
+    """X(p_i) = sum_j X_j dp_i/dx_j for each generator p_i, multiplied out
+    in Fraction arithmetic by poly.dot: the oracle for
+    ProductTable.directional."""
+    return [dot(field.comps, [p.diff(j) for j in range(field.n)]) for p in inv.gens]
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:

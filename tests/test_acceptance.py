@@ -18,7 +18,6 @@ from equivar import (
     act_psi,
     act_theta,
     check_related,
-    directional_derivatives,
     equivariant_basis,
     equivariant_module_generators,
     express_equivariant,
@@ -40,7 +39,7 @@ from equivar.equivariants import xilinear_monomials
 from equivar.linalg import Echelon
 from equivar import serialize as sz
 
-from conftest import field_to_vector, random_field, random_poly
+from conftest import directional_derivatives, field_to_vector, random_field, random_poly
 from test_equivariants import direct_theta_basis
 
 

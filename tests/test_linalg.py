@@ -32,6 +32,7 @@ from equivar.linalg import (
     RatMatrix,
     as_rational,
     block_diag,
+    clear_denominators,
     kernel_basis,
     kernel_rref,
     solve_free_zero,
@@ -283,10 +284,24 @@ class FractionEchelon:
         return True
 
 
+def _in_form(v, form):
+    """The vector v of Fractions as the caller may hand it over: as it is,
+    as a row of ints on the same line (its denominators cleared), with its
+    integral entries as ints, or as bools (nonzero entries true)."""
+    if form == "ints":
+        return clear_denominators(v)[1]
+    if form == "mixed":
+        return [int(x) if x.denominator == 1 else x for x in v]
+    if form == "bools":
+        return [bool(x) for x in v]
+    return v
+
+
 @st.composite
 def echelon_sequences(draw):
     """add/contains calls on zero vectors, repeats of a small pool, rational
-    combinations of the pool and fresh vectors, denominators up to 10**6."""
+    combinations of the pool and fresh vectors, denominators up to 10**6,
+    each handed over as Fractions, ints, a mix of both, or bools."""
     ncols = draw(st.integers(1, 7))
     vectors = st.lists(_entries(10**6), min_size=ncols, max_size=ncols)
     pool = draw(st.lists(vectors, min_size=1, max_size=5))
@@ -303,6 +318,7 @@ def echelon_sequences(draw):
             v = [s * x + t * y for x, y in zip(a, b)]
         else:
             v = draw(vectors)
+        v = _in_form(v, draw(st.sampled_from(["fractions", "ints", "mixed", "bools"])))
         ops.append((draw(st.sampled_from(["add", "contains"])), v))
     return ops
 
@@ -331,6 +347,21 @@ def test_echelon_matches_fraction_echelon(ops):
     # the stored rows are coprime integer rows, not Fractions
     assert all(type(x) is int for row in fast._rows for x in row)
     assert all(gcd(*row) == 1 for row in fast._rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(echelon_sequences())
+def test_echelon_keeps_no_list_it_was_given(ops):
+    # after each add the caller's list is emptied and refilled: the span must
+    # keep the rank and rows that a twin fed copies of the vectors keeps
+    span, twin = Echelon(), Echelon()
+    for _, v in ops:
+        given = list(v)
+        assert span.add(given) == twin.add(list(v))
+        given[:] = [7] * len(given)
+        given.append(1)
+        assert span.rank == twin.rank and span.rows == twin.rows
+    assert all(type(x) is int for row in span.rows for x in row)
 
 
 def test_core_edge_cases():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivar import DimensionMismatch, MultiPoly, RatMatrix, variables
+from equivar import DimensionMismatch, MultiPoly, RatMatrix, variables, weighted_monomials
+from equivar.equivariants import xilinear_monomials
 from equivar.poly import ProductTable, grlex_key, monomials_of_degree
 
 from conftest import (
@@ -250,3 +251,28 @@ def test_unchecked_results_are_canonical(case, k, q, m):
         assert_canonical(p)
     assert (a - a).is_zero and (a * 0).is_zero
     assert ProductTable(a.nvars, gens).substitute(f) == f.substitute(gens)
+
+
+def test_monomial_lists_are_fresh_copies():
+    # the library keeps one monomial table per (n, d) for the whole process;
+    # a caller that mutates what a public function returned must change
+    # neither a later call's result nor the table's own products
+    x, y = variables(2)
+    table = ProductTable(2, [x + y, x * y])
+    calls = {
+        "monomials_of_degree": lambda: monomials_of_degree(3, 4),
+        "weighted_monomials": lambda: weighted_monomials([1, 2, 2], 6),
+        "xilinear_monomials": lambda: xilinear_monomials(2, 3),
+        "ProductTable.monomials": lambda: table.monomials(3),
+    }
+    for name, call in calls.items():
+        want = list(call())
+        for got in (call(), call()):
+            assert got == want, name
+            got.reverse()
+            got[0] = (99,)
+            got.append((7, 7))
+        assert call() == want, name
+        assert call() is not call(), name
+    p = table.substitute(MultiPoly(2, {(1, 1): 1}))
+    assert p == (x + y) * (x * y) and table.monomials(3) == monomials_of_degree(2, 3)

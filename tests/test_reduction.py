@@ -21,7 +21,6 @@ from equivar import (
     ReducedSystem,
     check_related,
     close_group,
-    directional_derivatives,
     integrate_pair,
     invariant_ring_generators,
     reduce_field,
@@ -32,7 +31,7 @@ from equivar import reduction
 from equivar.poly import monomials_of_degree
 from equivar.reduction import _MAX_STEPS, _STRAIGHT_LINE_TERMS, _rk4_kernel
 
-from conftest import compile_polys, monomial
+from conftest import compile_polys, directional_derivatives, monomial
 
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "data")
 
@@ -747,8 +746,7 @@ def test_reduced_system_validation(radial_plane):
 def test_field_of_another_dimension_is_refused(c4):
     # C4 acts on the plane and has three invariants (degrees 2, 4, 4), so a
     # reduced system of three components fits it; the field does not, and
-    # both checks and directional_derivatives refuse it as reduce_field
-    # does, before any derivative
+    # both checks refuse it as reduce_field does, before any derivative
     inv = invariant_ring_generators(c4)
     x1, x2, x3 = variables(3)
     p1, p2, p3 = variables(3)
@@ -756,7 +754,6 @@ def test_field_of_another_dimension_is_refused(c4):
     (t,) = variables(1)
     for field, n in ((PolyVectorField([-x1, -x2, x3**2]), 3), (PolyVectorField([-t]), 1)):
         for use in (lambda: reduce_field(field, inv),
-                    lambda: directional_derivatives(field, inv),
                     lambda: check_related(field, reduced, inv),
                     lambda: integrate_pair(field, reduced, inv, [Fraction(1, 2)] * n, 1.0, 0.1)):
             with pytest.raises(DimensionMismatch, match=f"^field dimension {n}, group acts on 2$"):
