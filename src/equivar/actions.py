@@ -34,7 +34,7 @@ from functools import partial
 from math import lcm
 from typing import Sequence
 
-from .errors import DimensionMismatch, NotXiLinear
+from .errors import DimensionMismatch, NotInvariant, NotXiLinear
 from .groups import MatGroup
 from .linalg import Immutable, RatMatrix, block_diag, clear_denominators, kernel_rref
 from .poly import Exponents, MultiPoly, ProductTable, _monomial_table, monomials_of_degree
@@ -485,3 +485,12 @@ def is_invariant(group: MatGroup, obj, action: str | None = None) -> InvarianceC
         if moved != obj:
             return InvarianceCheck(False, g, obj - moved)
     return InvarianceCheck(True)
+
+
+def _require_invariant(group: MatGroup, obj, action: str, message: str) -> None:
+    """The one refusal of input that is not invariant: NotInvariant with
+    message.format(obj), formatted only then, the first failing generator
+    and the exact difference."""
+    chk = is_invariant(group, obj, action)
+    if not chk:
+        raise NotInvariant(message.format(obj), chk.generator_index, chk.difference)

@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-from .actions import PolyVectorField, infer_action, is_invariant
+from .actions import PolyVectorField, _require_invariant, infer_action
 from .equivariants import equivariant_module_generators
 from .errors import EquivarError, NotInvariant, ParseError
 from .groups import MatGroup
@@ -75,7 +75,7 @@ def _poly_error_doc(exc: NotInvariant) -> dict:
 def _cmd_invariants(args) -> int:
     group = _load_group(args)
     inv = invariant_ring_generators(group, degree_bound=args.bound)
-    _emit(args, sz.invariant_gens_to_doc(inv, molien(group)))
+    _emit(args, sz.invariant_gens_to_doc(inv))
     return 0
 
 
@@ -83,7 +83,7 @@ def _cmd_equivariants(args) -> int:
     group = _load_group(args)
     inv = _load_or_compute_invariants(args, group)
     eg = equivariant_module_generators(inv, degree_bound=args.bound)
-    _emit(args, sz.equivariant_gens_to_doc(eg, molien_equivariant(group)))
+    _emit(args, sz.equivariant_gens_to_doc(eg))
     return 0
 
 
@@ -159,9 +159,7 @@ def _cmd_check_invariance(args) -> int:
     else:
         obj = sz.field_from_doc(sz.load_json(args.field))
     action = infer_action(group, obj)
-    chk = is_invariant(group, obj, action)
-    if not chk:
-        raise NotInvariant("object is not invariant", chk.generator_index, chk.difference)
+    _require_invariant(group, obj, action, "object is not invariant")
     _emit(args, {"invariant": True, "action": action})
     return 0
 

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .actions import PSI, THETA, PolyVectorField, fixed_basis, is_invariant, unpairing
-from .actions import xilinear_monomials  # noqa: F401  re-exported
-from .errors import NotInvariant
+from .actions import PSI, THETA, PolyVectorField, _require_invariant, fixed_basis, unpairing
 from .groups import MatGroup
-from .invariants import InvariantGens, _express_over, _graded_generators
+from .invariants import InvariantGens, _degree, _express_over, _graded_generators
 from .linalg import Immutable
 from .molien import molien_equivariant
 from .poly import MultiPoly
@@ -49,8 +47,9 @@ class EquivariantGens(Immutable):
     """Module generators for the equivariant fields over the invariant ring.
 
     The group is invariant_gens', and each degree is that of its homogeneous
-    generator.  `bound`, `stop` and `hsop` record how the degree loop ended,
-    as on InvariantGens; hsop indexes the invariant generators.
+    generator (invariants._degree).  `bound`, `stop` and `hsop` record how
+    the degree loop ended, as on InvariantGens; hsop indexes the invariant
+    generators.
     """
 
     __slots__ = ("group", "vgens", "degrees", "invariant_gens", "bound", "stop", "hsop")
@@ -66,7 +65,7 @@ class EquivariantGens(Immutable):
     ) -> None:
         object.__setattr__(self, "group", invariant_gens.group)
         object.__setattr__(self, "vgens", tuple(vgens))
-        object.__setattr__(self, "degrees", tuple(max(c.total_degree() for c in v.comps) for v in self.vgens))
+        object.__setattr__(self, "degrees", tuple(_degree(v.comps) for v in self.vgens))
         object.__setattr__(self, "invariant_gens", invariant_gens)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "stop", stop)
@@ -110,9 +109,7 @@ def express_equivariant(eg: EquivariantGens, field: PolyVectorField) -> list[Mul
     the same solve as scalar expression (invariants._express_over): free
     coordinates are set to zero.
     """
-    chk = is_invariant(eg.group, field, THETA)
-    if not chk:
-        raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
+    _require_invariant(eg.group, field, THETA, "field is not equivariant")
     inv = eg.invariant_gens
     ws = [v.comps for v in eg.vgens]
-    return _express_over(inv, PSI, ws, eg.degrees, [inv._table.columns(field.comps)], "module")[0]
+    return _express_over(inv, PSI, ws, [inv._table.columns(field.comps)], "module")[0]

@@ -15,13 +15,14 @@ bound when no certificate beats it.
 
 One product builder (_module_products) gives those products as integer
 columns, each from the ring's poly.ProductTable: the coefficient column of
-p^a, memoised by a and built from a cached column times one generator.  One
-solve (_express_over) writes elements over the same columns, for express,
-reduction and express_equivariant, and relations takes the kernel of the
-rank-1 columns.  Both pose their systems on the leader rows of the monomial
-generators' orbits (actions.leader_rows) alone, since every column and
-every target is fixed by the group; the degree loop keeps every row, since
-its span's rank is the check on the fixed spaces.
+p^a, memoised by a and built from a cached column times one generator, and
+W_j's degree read off its components (_degree).  One solve (_express_over)
+writes elements over the same columns, for express, reduction and
+express_equivariant, and relations takes the kernel of the rank-1 columns.
+Both pose their systems on the leader rows of the monomial generators'
+orbits (actions.leader_rows) alone, since every column and every target is
+fixed by the group; the degree loop keeps every row, since its span's rank
+is the check on the fixed spaces.
 
 Polynomials in the generators themselves ("P-polynomials") are ordinary
 MultiPoly values in k variables, where variable i stands for generator i and
@@ -36,11 +37,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import lcm
 from typing import Sequence
 
-from .actions import PHI_DAGGER, fixed_basis, is_invariant, leader_rows
-from .errors import DimensionMismatchWithMolien, NoSolution, NotInvariant
+from .actions import PHI_DAGGER, _require_invariant, fixed_basis, leader_rows
+from .errors import DimensionMismatchWithMolien, NoSolution
 from .groups import MatGroup
 from .linalg import Echelon, Immutable, clear_denominators, kernel_basis, solve_free_zero
 from .molien import MolienSeries, molien
@@ -113,13 +114,7 @@ class InvariantGens(Immutable):
         checked = []
         for p in polys:
             _check_generator(p)
-            chk = is_invariant(group, p, PHI_DAGGER)
-            if not chk:
-                raise NotInvariant(
-                    f"generator {p!r} is not invariant",
-                    chk.generator_index,
-                    chk.difference,
-                )
+            _require_invariant(group, p, PHI_DAGGER, "generator {!r} is not invariant")
             checked.append(p.monic())
         checked.sort(key=lambda p: (p.total_degree(), tuple(-e for e in p.leading_term()[0])))
         return cls(group, checked)
@@ -207,20 +202,19 @@ def _graded_generators(
     lowers the bound to max(d, deg N).  Returns the new elements, the bound,
     the stop rule and the hsop.
     """
-    n = group.n
     new: list = []
     if inv is None:  # the new elements are the ring's generators
-        gens, table, rank, certified = new, ring_table, 1, None
-        ws, w_degrees = [[MultiPoly.constant(n, 1)]], [0]
+        gens, table, certified = new, ring_table, None
+        ws = [[MultiPoly.constant(group.n, 1)]]
     else:  # the new elements are the module's generators
-        gens, table, rank, certified = inv.gens, inv._table, n, inv.hsop
-        ws, w_degrees = [], []
+        gens, table, certified = inv.gens, inv._table, inv.hsop
+        ws = []
     stop, hsop = ("explicit" if explicit else "noether"), None
     searched = 0
-    d = max(w_degrees, default=-1)  # the last degree spanned: 0 by the generator 1
+    d = max(map(_degree, ws), default=-1)  # the last degree spanned: 0 by the generator 1
     while True:
         if not explicit and len(gens) > searched and d < bound:
-            found = find_hsop(group, gens, series, rank, bound, searched, certified)
+            found = find_hsop(gens, series, bound, searched, certified)
             searched = len(gens)
             if found is not None:
                 hsop, deg_n = found
@@ -230,7 +224,7 @@ def _graded_generators(
         d += 1
         expected = series.coefficient(d)
         span = Echelon()
-        for col in _module_products(table, ws, w_degrees, d)[1]:
+        for col in _module_products(table, ws, d)[1]:
             span.add(col)
         if span.rank < expected:  # only then can the fixed space hold a new element
             elements = basis(d)
@@ -244,50 +238,42 @@ def _graded_generators(
                         table.append(element)
                     else:
                         ws.append(comps)
-                        w_degrees.append(d)
         if span.rank != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")
 
 
-def find_hsop(
-    group: MatGroup,
-    gens: Sequence[MultiPoly],
-    series: MolienSeries,
-    rank: int,
-    limit: int,
-    first_new: int = 0,
-    certified: Sequence[int] | None = None,
-) -> tuple[tuple[int, ...], int] | None:
+def find_hsop(gens: Sequence[MultiPoly], series: MolienSeries, limit: int, first_new: int = 0,
+              certified: Sequence[int] | None = None) -> tuple[tuple[int, ...], int] | None:
     """The first hsop among the generators that certifies a bound below limit.
 
-    Homogeneous invariants theta_1..theta_n (n = group.n) of degrees d_i form
-    a homogeneous system of parameters exactly when their ideal contains
-    every monomial of degree D = sum_i (d_i - 1) + 1.  Then the polynomial
-    ring, and so each of its direct summands the invariant ring and the
-    equivariant fields, is a free module over Q[theta] (Hochster-Eagon), with
-    basis degrees counted by the polynomial N(t) = series(t) prod (1 - t^d_i):
-    the module generators over any ring containing theta lie in degrees at
-    most deg N.  series is the Molien series of a module of rank `rank` over
-    the invariants (1 for the invariant ring itself, n for the fields), so
-    N(1) = rank * prod d_i / |G|.
+    Homogeneous invariants theta_1..theta_n (n = gens[0].nvars) of degrees
+    d_i form a homogeneous system of parameters exactly when their ideal
+    contains every monomial of degree D = sum_i (d_i - 1) + 1.  Then the
+    polynomial ring, and so each of its direct summands the invariant ring
+    and the equivariant fields, is a free module over Q[theta]
+    (Hochster-Eagon), with basis degrees counted by the polynomial
+    N(t) = series(t) prod (1 - t^d_i): the module generators over any ring
+    containing theta lie in degrees at most deg N.
+
+    N(1) needs no test: it is the limit of (1 - t)^n series(t) prod d_i at
+    t = 1, where of all group elements only the identity gives the Molien
+    average a pole of order n (Stanley, Bull. AMS 1979), of weight 1 for the
+    ring and tr I = n for the fields.  So N(1) = r prod d_i / |G|, r the
+    module's rank, for every subset that makes N a polynomial.
 
     n-subsets of indices are tried by degree sum, then index; the degrees of
-    gens must ascend, and every subset holds an index >= first_new.  Two
-    cheap conditions come first, that N is a polynomial with non-negative
-    integer coefficients and that N(1) is right, and the rank test runs only
-    when deg N < limit, and not for the subset `certified`, already known to
-    be an hsop.  Returns (indices, deg N) or None.
+    gens must ascend, and every subset holds an index >= first_new.  One
+    cheap condition comes first, that N is a polynomial with non-negative
+    integer coefficients, and the rank test runs only when deg N < limit,
+    and not for the subset `certified`, already known to be an hsop.
+    Returns (indices, deg N) or None.
     """
-    n = group.n
     degrees = [p.total_degree() for p in gens]
     excess = len(series.numer) - len(series.denom)  # deg N - sum d_i, whatever the subset
-    for subset in _subsets(degrees, n, limit - excess, first_new):
-        ds = [degrees[i] for i in subset]
-        numer = series.hsop_numerator(ds)
+    for subset in _subsets(degrees, gens[0].nvars, limit - excess, first_new):
+        numer = series.hsop_numerator([degrees[i] for i in subset])
         if numer is None or any(c < 0 or c.denominator != 1 for c in numer):
-            continue
-        if sum(numer) * group.order != rank * prod(ds):
             continue
         if subset == certified or _ideal_spans_degree([gens[i] for i in subset]):
             return subset, len(numer) - 1
@@ -342,9 +328,7 @@ def express(inv: InvariantGens, q: MultiPoly) -> MultiPoly:
     if q is not invariant, NoSolution if the generators cannot reach q
     (which means they are incomplete).
     """
-    chk = is_invariant(inv.group, q, PHI_DAGGER)
-    if not chk:
-        raise NotInvariant("polynomial is not invariant", chk.generator_index, chk.difference)
+    _require_invariant(inv.group, q, PHI_DAGGER, "polynomial is not invariant")
     return _express_all(inv, [inv._table.columns([q])])[0]
 
 
@@ -352,12 +336,10 @@ def _express_all(inv: InvariantGens, targets) -> list[MultiPoly]:
     """express for each polynomial, given as its graded integer columns
     (ProductTable.columns) and already known invariant."""
     unit = [[MultiPoly.constant(inv.group.n, 1)]]
-    return [f for f, in _express_over(inv, PHI_DAGGER, unit, [0], targets, "generator")]
+    return [f for f, in _express_over(inv, PHI_DAGGER, unit, targets, "generator")]
 
 
-def _express_over(
-    inv: InvariantGens, action: str, ws, w_degrees: Sequence[int], targets, noun: str
-) -> list[list[MultiPoly]]:
+def _express_over(inv: InvariantGens, action: str, ws, targets, noun: str) -> list[list[MultiPoly]]:
     """For each target, the P-polynomials f_j with sum_j f_j(p) W_j equal
     to it, one per module generator, p inv's generators; each target is
     fixed by inv's group under the action, as the products are: phi_dagger
@@ -377,7 +359,7 @@ def _express_over(
     sols: dict[tuple[int, int], list | None] = {}
     for d in set().union(*targets):
         idx = [i for i, target in enumerate(targets) if d in target]
-        labels, cols, dens = _module_products(table, ws, w_degrees, d)
+        labels, cols, dens = _module_products(table, ws, d)
         if cols:
             rows = leader_rows(inv.group, action, d)
             rhss = [[targets[i][d][0][k] for k in rows] for i in idx]
@@ -398,8 +380,14 @@ def _express_over(
     return out
 
 
+def _degree(w: Sequence[MultiPoly]) -> int:
+    """The degree of a module generator: the largest total degree among its
+    components, so a zero component (degree -1) counts for nothing."""
+    return max(map(MultiPoly.total_degree, w))
+
+
 def _module_products(
-    table: ProductTable, ws, w_degrees: Sequence[int], d: int
+    table: ProductTable, ws, d: int
 ) -> tuple[list[tuple[int, Exponents]], list[list[int]], list[int]]:
     """Labels (j, a), integer columns and denominators of the degree-d
     products p^a W_j (p the table's generators, of degrees table.degrees;
@@ -414,9 +402,9 @@ def _module_products(
     """
     one = MultiPoly.constant(table.n, 1)
     labels, cols, dens = [], [], []
-    for j, (w, m_w) in enumerate(zip(ws, w_degrees)):
+    for j, w in enumerate(ws):
         r, unit = len(w), list(w) == [one]
-        for a in _weighted_monomials(tuple(table.degrees), d - m_w):
+        for a in _weighted_monomials(tuple(table.degrees), d - _degree(w)):
             if unit:
                 col, den = table.column(a)
             else:
@@ -501,7 +489,7 @@ def relations(inv: InvariantGens, weighted_degree_bound: int) -> RelationSet:
     rels: list[MultiPoly] = []
     lower: list[tuple[int, tuple[Exponents, ...], list[int]]] = []  # (weight, exponents, numerators)
     for d in range(1, weighted_degree_bound + 1):
-        labels, cols, dens = _module_products(inv._table, unit, [0], d)
+        labels, cols, dens = _module_products(inv._table, unit, d)
         if len(cols) < 2:
             continue
         span = Echelon()

@@ -39,8 +39,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .actions import THETA, PolyVectorField, _check_fit, is_invariant
-from .errors import DimensionMismatch, NoSolution, NonFiniteState, NotInvariant
+from .actions import THETA, PolyVectorField, _check_fit, _require_invariant
+from .errors import DimensionMismatch, NoSolution, NonFiniteState
 from .invariants import InvariantGens, _express_all
 from .poly import Exponents, MultiPoly, grlex_key
 
@@ -85,9 +85,7 @@ def reduce_field(field: PolyVectorField, inv: InvariantGens) -> ReducedSystem:
     X(p_i)(x) is re-verified on the same integer columns of X(p_i) that
     the solve read, before returning.
     """
-    chk = is_invariant(inv.group, field, THETA)
-    if not chk:
-        raise NotInvariant("field is not equivariant", chk.generator_index, chk.difference)
+    _require_invariant(inv.group, field, THETA, "field is not equivariant")
     derivs = inv._table.directional(field.comps)
     comps = _express_all(inv, derivs)
     chk = _related(derivs, comps, inv)

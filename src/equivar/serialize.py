@@ -8,7 +8,8 @@ graded-lex order and documents are dumped with sorted keys, so identical
 inputs always produce byte-identical files.
 
 Phase polynomials use the same polynomial form with nvars = 2n; the first n
-exponents belong to the x block and the last n to the dual block.
+exponents belong to the x block and the last n to the dual block.  A
+generator set's document takes its Molien series from the set's group.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import DimensionMismatch, ParseError
 from .groups import DEFAULT_CAP, MatGroup, close_group
 from .invariants import InvariantGens
 from .linalg import RatMatrix
-from .molien import MolienSeries
+from .molien import MolienSeries, molien, molien_equivariant
 from .poly import Exponents, MultiPoly
 from .reduction import ReducedSystem
 
@@ -178,28 +179,8 @@ def series_doc(series: MolienSeries) -> dict:
     }
 
 
-def _dimension_table(series: MolienSeries, upto: int) -> list:
-    return [{"degree": d, "dim": series.coefficient(d)} for d in range(upto + 1)]
-
-
-def _stop_doc(gens: InvariantGens | EquivariantGens) -> dict:
-    """The degree the loop stopped at, the rule that stopped it, and the
-    hsop's generator indices when that rule is "hsop"."""
-    doc = {"bound": gens.bound, "stop": gens.stop}
-    if gens.stop == "hsop":
-        doc["hsop"] = list(gens.hsop)
-    return doc
-
-
-def invariant_gens_to_doc(inv: InvariantGens, series: MolienSeries) -> dict:
-    return {
-        "n": inv.group.n,
-        **_stop_doc(inv),
-        "generators": [poly_to_doc(g) for g in inv.gens],
-        "degrees": list(inv.degrees),
-        "molien": series_doc(series),
-        "dimensions": _dimension_table(series, inv.bound),
-    }
+def invariant_gens_to_doc(inv: InvariantGens) -> dict:
+    return _generators_doc(inv, [poly_to_doc(g) for g in inv.gens], "molien", molien(inv.group))
 
 
 def invariant_gens_from_doc(doc, group: MatGroup) -> InvariantGens:
@@ -213,15 +194,29 @@ def invariant_gens_from_doc(doc, group: MatGroup) -> InvariantGens:
     return InvariantGens.from_polys(group, polys)
 
 
-def equivariant_gens_to_doc(eg: EquivariantGens, series: MolienSeries) -> dict:
-    return {
-        "n": eg.group.n,
-        **_stop_doc(eg),
-        "generators": [field_to_doc(v) for v in eg.vgens],
-        "degrees": list(eg.degrees),
-        "equivariant_molien": series_doc(series),
-        "dimensions": _dimension_table(series, eg.bound),
+def equivariant_gens_to_doc(eg: EquivariantGens) -> dict:
+    return _generators_doc(eg, [field_to_doc(v) for v in eg.vgens],
+                           "equivariant_molien", molien_equivariant(eg.group))
+
+
+def _generators_doc(gens: InvariantGens | EquivariantGens, generators: list, key: str,
+                    series: MolienSeries) -> dict:
+    """A computed generator set: its generators and their degrees, the degree
+    its loop stopped at, the rule that stopped it (and the hsop's generator
+    indices when that rule is "hsop"), and, under key, the series of its
+    group with the dimensions it gives up to that degree."""
+    doc = {
+        "n": gens.group.n,
+        "bound": gens.bound,
+        "stop": gens.stop,
+        "generators": generators,
+        "degrees": list(gens.degrees),
+        key: series_doc(series),
+        "dimensions": [{"degree": d, "dim": series.coefficient(d)} for d in range(gens.bound + 1)],
     }
+    if gens.stop == "hsop":
+        doc["hsop"] = list(gens.hsop)
+    return doc
 
 
 def reduced_to_doc(rs: ReducedSystem) -> dict:

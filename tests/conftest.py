@@ -43,10 +43,10 @@ from equivar import (
     invariant_ring_generators,
     monomials_of_degree,
     pairing,
+    xilinear_monomials,
 )
 from equivar import invariants, reduction
 from equivar.actions import leader_rows
-from equivar.equivariants import xilinear_monomials
 from equivar.errors import DimensionMismatchWithMolien, NoSolution
 from equivar.linalg import Echelon, _reduced_rows, kernel_basis, solve_free_zero
 from equivar.poly import dot
@@ -209,20 +209,19 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
     size checked, at every degree, before the products are spanned: the
     reference the products-first loop must match in every output, since
     both put the products into the span before any fixed-space element."""
-    n = group.n
     new: list = []
     if inv is None:
-        gens, table, rank, certified = new, ring_table, 1, None
-        ws, w_degrees = [[MultiPoly.constant(n, 1)]], [0]
+        gens, table, certified = new, ring_table, None
+        ws = [[MultiPoly.constant(group.n, 1)]]
     else:
-        gens, table, rank, certified = inv.gens, inv._table, n, inv.hsop
-        ws, w_degrees = [], []
+        gens, table, certified = inv.gens, inv._table, inv.hsop
+        ws = []
     stop, hsop = ("explicit" if explicit else "noether"), None
     searched = 0
-    d = max(w_degrees, default=-1)
+    d = max(map(invariants._degree, ws), default=-1)
     while True:
         if not explicit and len(gens) > searched and d < bound:
-            found = invariants.find_hsop(group, gens, series, rank, bound, searched, certified)
+            found = invariants.find_hsop(gens, series, bound, searched, certified)
             searched = len(gens)
             if found is not None:
                 hsop, deg_n = found
@@ -237,7 +236,7 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
                 f"degree {d}: {nouns[0]} dimension {len(elements)}, Molien says {expected}")
         monos = table.monomials(d)
         span = Echelon()
-        for col in invariants._module_products(table, ws, w_degrees, d)[1]:
+        for col in invariants._module_products(table, ws, d)[1]:
             span.add(col)
         for element, comps in elements:
             if span.add(vector(comps, monos)):
@@ -246,7 +245,6 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
                     table.append(element)
                 else:
                     ws.append(comps)
-                    w_degrees.append(d)
         if span.rank != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {d}: {nouns[1]} dimension {span.rank}, Molien says {expected}")
@@ -274,7 +272,7 @@ def vector(comps, monos) -> list[Fraction]:
     return vec
 
 
-def express_over_full_rows(inv, ws, w_degrees, targets, noun):
+def express_over_full_rows(inv, ws, targets, noun):
     """invariants._express_over posed on every row of the products: each
     degree's columns, with every target's Fraction components as right-hand
     sides, over all monomials.  The reference the leader-row solve over
@@ -287,7 +285,7 @@ def express_over_full_rows(inv, ws, w_degrees, targets, noun):
     sols = {}
     for d in set().union(*target_degrees):
         idx = [i for i, ds in enumerate(target_degrees) if d in ds]
-        labels, cols, dens = invariants._module_products(table, ws, w_degrees, d)
+        labels, cols, dens = invariants._module_products(table, ws, d)
         if cols:
             rhss = [vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d)) for i in idx]
             for i, sol in zip(idx, solve_free_zero(list(zip(*cols)), rhss)):
@@ -315,7 +313,7 @@ def relations_every_kernel(inv, weighted_degree_bound: int) -> list[MultiPoly]:
     unit = [[MultiPoly.constant(inv.group.n, 1)]]
     rels, rel_degrees = [], []
     for d in range(1, weighted_degree_bound + 1):
-        labels, cols, dens = invariants._module_products(inv._table, unit, [0], d)
+        labels, cols, dens = invariants._module_products(inv._table, unit, d)
         if len(cols) < 2:
             continue
         candidates = [a for _, a in labels]
@@ -345,7 +343,7 @@ def relations_full_rows(inv, weighted_degree_bound: int) -> list[MultiPoly]:
     unit = [[MultiPoly.constant(inv.group.n, 1)]]
     rels, rel_degrees = [], []
     for d in range(1, weighted_degree_bound + 1):
-        labels, cols, dens = invariants._module_products(inv._table, unit, [0], d)
+        labels, cols, dens = invariants._module_products(inv._table, unit, d)
         if len(cols) < 2:
             continue
         candidates = [a for _, a in labels]
@@ -605,14 +603,19 @@ POOL = {
 
 
 @lru_cache(maxsize=None)
+def pool_group(name: str) -> MatGroup:
+    """One pool group, closed once."""
+    spec = POOL[name][0]
+    if isinstance(spec, list):
+        return close_group([RatMatrix.from_rows(g) for g in spec])
+    if spec.endswith(".json"):
+        return group_from_doc(json.loads((GROUPS_DIR / spec).read_text()))
+    return mixed_group(spec)
+
+
+@lru_cache(maxsize=None)
 def pool_generators(name: str):
     """(invariant generators, module generators) of one pool group."""
-    spec, inv_bound, eq_bound = POOL[name]
-    if isinstance(spec, list):
-        group = close_group([RatMatrix.from_rows(g) for g in spec])
-    elif spec.endswith(".json"):
-        group = group_from_doc(json.loads((GROUPS_DIR / spec).read_text()))
-    else:
-        group = mixed_group(spec)
-    inv = invariant_ring_generators(group, inv_bound)
+    _, inv_bound, eq_bound = POOL[name]
+    inv = invariant_ring_generators(pool_group(name), inv_bound)
     return inv, equivariant_module_generators(inv, eq_bound)

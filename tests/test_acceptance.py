@@ -33,9 +33,9 @@ from equivar import (
     reynolds,
     unpairing,
     variables,
+    xilinear_monomials,
 )
 from equivar.cli import main as cli_main
-from equivar.equivariants import xilinear_monomials
 from equivar.linalg import Echelon
 from equivar import serialize as sz
 

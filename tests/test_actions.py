@@ -11,7 +11,9 @@ from equivar import (
     PSI,
     THETA,
     DimensionMismatch,
+    InvariantGens,
     MultiPoly,
+    NotInvariant,
     NotXiLinear,
     PolyVectorField,
     RatMatrix,
@@ -19,13 +21,19 @@ from equivar import (
     act_psi,
     act_theta,
     close_group,
+    equivariant_module_generators,
+    express,
+    express_equivariant,
     infer_action,
+    invariant_ring_generators,
     is_invariant,
     pairing,
+    reduce_field,
     reynolds,
     unpairing,
     variables,
 )
+from equivar.actions import _require_invariant
 
 from equivar.poly import ProductTable
 
@@ -175,6 +183,28 @@ def test_reynolds_idempotent_and_invariant(sample_groups, gname):
 
 
 # -- invariance checks ----------------------------------------------------------
+
+
+def test_every_refusal_carries_the_first_failing_generator_and_difference(c4):
+    x1, x2 = variables(2)
+    p, field = x1**2, PolyVectorField([x1, 2 * x2])
+    inv = invariant_ring_generators(c4)
+    eg = equivariant_module_generators(inv)
+    assert _require_invariant(c4, x1**2 + x2**2, PHI_DAGGER, "unused") is None
+    refusals = [
+        (lambda: _require_invariant(c4, p, PHI_DAGGER, "some message"), p, "some message"),
+        (lambda: express(inv, p), p, "polynomial is not invariant"),
+        (lambda: InvariantGens.from_polys(c4, [p]), p, f"generator {p!r} is not invariant"),
+        (lambda: reduce_field(field, inv), field, "field is not equivariant"),
+        (lambda: express_equivariant(eg, field), field, "field is not equivariant"),
+    ]
+    for refuse, obj, message in refusals:
+        chk = is_invariant(c4, obj)
+        with pytest.raises(NotInvariant) as err:
+            refuse()
+        assert str(err.value) == message
+        assert (err.value.generator_index, err.value.difference) == (chk.generator_index, chk.difference)
+        assert not chk.difference.is_zero
 
 
 def test_is_invariant_examples(z2_line, swap2):

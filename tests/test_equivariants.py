@@ -29,9 +29,9 @@ from equivar import (
     unpairing,
     variables,
     weighted_monomials,
+    xilinear_monomials,
 )
 from equivar import equivariants
-from equivar.equivariants import xilinear_monomials
 from equivar.invariants import _module_products
 from equivar.linalg import Echelon
 from equivar.poly import monomials_of_degree
@@ -226,7 +226,7 @@ def test_module_products_match_power_product(inputs):
     gens, fields, field_degrees, m = inputs
     n = gens[0].nvars
     inv = InvariantGens(close_group([RatMatrix.identity(n)]), gens)
-    labels, cols, dens = _module_products(inv._table, [f.comps for f in fields], field_degrees, m)
+    labels, cols, dens = _module_products(inv._table, [f.comps for f in fields], m)
     assert labels == [
         (j, a) for j, m_w in enumerate(field_degrees) for a in weighted_monomials(inv.degrees, m - m_w)
     ]
@@ -234,6 +234,27 @@ def test_module_products_match_power_product(inputs):
     for (j, a), col, den in zip(labels, cols, dens):
         want = poly_to_vector(pairing(fields[j].scale(power_product(gens, a))), monos)
         assert [Fraction(x, den) for x in col] == want
+
+
+def test_module_generator_with_a_zero_component():
+    # under the reflection diag(-1, 1) the fields are free over Q[x2, x1^2]
+    # on (0, 1) and (x1, 0): a generator's degree is its largest component
+    # degree, so the zero component of (0, 1), of degree -1, counts for nothing
+    group = close_group([RatMatrix.from_rows([[-1, 0], [0, 1]])])
+    eg = equivariant_module_generators(invariant_ring_generators(group))
+    x1, x2 = variables(2)
+    zero, one = MultiPoly.zero(2), MultiPoly.constant(2, 1)
+    assert eg.vgens == (PolyVectorField([zero, one]), PolyVectorField([x1, zero]))
+    assert eg.degrees == (0, 1)
+    labels, cols, dens = _module_products(eg.invariant_gens._table, [v.comps for v in eg.vgens], 2)
+    # P1^2 W1 = (0, x2^2), P2 W1 = (0, x1^2) and P1 W2 = (x1 x2, 0), component
+    # i of monomial alpha in row 2 alpha + i, over x1^2, x1 x2, x2^2
+    assert labels == [(0, (2, 0)), (0, (0, 1)), (1, (1, 0))]
+    assert cols == [[0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
+    assert dens == [1, 1, 1]
+    p1, p2 = variables(2)
+    field = PolyVectorField([x1 * x2 + 2 * x1, x2**2 + x1**2 + 3 * one])
+    assert express_equivariant(eg, field) == [p1**2 + p2 + 3 * one, p1 + 2 * one]
 
 
 def test_module_over_incomplete_invariants(c4):

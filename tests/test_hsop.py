@@ -10,6 +10,7 @@ returns.
 
 import os
 from fractions import Fraction
+from math import prod
 from unittest import mock
 
 import pytest
@@ -30,12 +31,14 @@ from equivar import equivariants, invariants
 from equivar import serialize as sz
 from equivar.invariants import _ideal_spans_degree, find_hsop
 
+import conftest
 from conftest import (
     BASE_GROUPS,
     MIXED_GROUPS,
     closed_or_reject,
     conjugators,
     graded_generators_every_degree,
+    pool_group,
     rational_conjugates,
     signed_permutation_groups,
     signed_permutations,
@@ -77,11 +80,38 @@ def test_ideal_spans_degree():
 
 def test_find_hsop_skips_a_subset_that_fails_the_rank_test(z2_diag):
     inv = invariant_ring_generators(z2_diag)  # x1^2, x1 x2, x2^2
-    # (0, 1) passes both cheap conditions, N = 1 + t^2, but not the rank test
-    assert find_hsop(z2_diag, inv.gens, molien(z2_diag), 1, 10) == ((0, 2), 2)
+    # (0, 1) passes the one cheap condition, N = 1 + t^2, but not the rank test
+    assert find_hsop(inv.gens, molien(z2_diag), 10) == ((0, 2), 2)
     # deg N = 2 does not beat a limit of 2, so nothing is tried
     with mock.patch.object(invariants, "_ideal_spans_degree", side_effect=AssertionError):
-        assert find_hsop(z2_diag, inv.gens, molien(z2_diag), 1, 2) is None
+        assert find_hsop(inv.gens, molien(z2_diag), 2) is None
+
+
+@settings(max_examples=300, deadline=None)
+@example("s4", [1, 2, 3, 4])
+@example("b3", [2, 4, 6, 1])
+@example("bt", [4, 4, 6, 6])
+@example("d4_conj", [2, 4, 1, 1])
+@given(st.sampled_from(sorted(conftest.POOL)), st.lists(st.integers(1, 8), min_size=4, max_size=4))
+def test_hsop_numerator_at_one_is_fixed_by_the_degrees(name, degrees):
+    # find_hsop tests no N(1): wherever N(t) = M(t) prod (1 - t^d_i) is a
+    # polynomial, N(1) = rank * prod d_i / |G|, since only the identity gives
+    # the Molien series a pole of order n at t = 1, of weight 1 in the ring's
+    # series and tr I = n in the fields'
+    group = pool_group(name)
+    ds = degrees[:group.n]
+    for series, rank in ((molien(group), 1), (molien_equivariant(group), group.n)):
+        numer = series.hsop_numerator(ds)
+        if numer is not None:
+            assert sum(numer) * group.order == rank * prod(ds)
+
+
+@pytest.mark.parametrize("name, degrees", [("s4", [1, 2, 3, 4]), ("b3", [2, 4, 6]), ("bt", [4, 4, 6, 6])])
+def test_hsop_degrees_give_a_polynomial_numerator(name, degrees):
+    # the identity above is exercised: these are the degrees of an hsop
+    group = pool_group(name)
+    assert molien(group).hsop_numerator(degrees) is not None
+    assert molien_equivariant(group).hsop_numerator(degrees) is not None
 
 
 def test_a4_stops_at_the_secondary_degree():
@@ -224,8 +254,7 @@ def test_products_first_matches_every_degree_loop(group, inv_bound, eq_bound):
     def run():
         inv = invariant_ring_generators(group, degree_bound=inv_bound)
         eg = equivariant_module_generators(inv, degree_bound=eq_bound)
-        docs = (sz.invariant_gens_to_doc(inv, molien(group)),
-                sz.equivariant_gens_to_doc(eg, molien_equivariant(group)))
+        docs = (sz.invariant_gens_to_doc(inv), sz.equivariant_gens_to_doc(eg))
         return inv.gens, eg.vgens, [sz.dumps(doc) for doc in docs]
 
     got = run()

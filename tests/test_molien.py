@@ -197,7 +197,7 @@ def test_equivariant_molien_matches_fixed_space_oracle(sample_groups, gname):
 
 
 def _equivariant_dim(group, d):
-    from equivar.equivariants import xilinear_monomials
+    from equivar import xilinear_monomials
 
     basis = xilinear_monomials(group.n, d)
     stacked = []

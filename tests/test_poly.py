@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivar import DimensionMismatch, MultiPoly, RatMatrix, variables, weighted_monomials
-from equivar.equivariants import xilinear_monomials
+from equivar import DimensionMismatch, MultiPoly, RatMatrix, variables, weighted_monomials, xilinear_monomials
 from equivar.poly import ProductTable, grlex_key, monomials_of_degree
 
 from conftest import (
