@@ -77,6 +77,12 @@ BT_BOUND = 18
 # orbit of 1,872 vectors where F4's have one of 24.
 MOLIEN_CASES = ("s6", "f4", "d5", "e6", "f4_conj")
 
+# S6 (order 720) on Q^6 at bounds 8 / 7: the only goldens in six variables,
+# so monomial tables in 6 variables and relabellings in 12 (the phase
+# action).  Its own list, since GENERATOR_CASES also writes a molien case,
+# whose name would clash with MOLIEN_CASES' s6.molien.json.
+S6_CASES = [("s6", "{groups}/s6.json", 8, 7)]
+
 # (group, field) pairs for which the field is equivariant.
 REDUCE_CASES = [
     ("z2_line", "cubic_line_field"),
@@ -134,6 +140,8 @@ def cases() -> list[tuple[str, list[str]]]:
     for name in MOLIEN_CASES:
         out.append((f"{name}.molien.json",
                     ["molien", "--group", "{groups}/%s.json" % name, "--degrees", "12"]))
+    for name, group, inv_bound, eq_bound in S6_CASES:
+        out += _generator_cases(name, group, inv_bound, eq_bound)
     for name, field in REDUCE_CASES:
         given = [
             "--group", "{root}/demos/data/%s.json" % name,
