@@ -48,11 +48,10 @@ from .invariants import (
     invariant_basis,
     invariant_ring_generators,
     relations,
-    weighted_monomials,
 )
 from .linalg import RatMatrix, block_diag
 from .molien import MolienSeries, molien, molien_equivariant
-from .poly import MultiPoly, grlex_key, monomials_of_degree, variables
+from .poly import MultiPoly, grlex_key, monomials_of_degree, variables, weighted_monomials
 from .reduction import (
     RelatednessCheck,
     ReducedSystem,

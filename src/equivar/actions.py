@@ -16,14 +16,16 @@ A generator whose substitution has one nonzero per row (a monomial
 generator) sends each term to one term, x_i -> a_i x_j(i).  Its images are
 relabelled terms: the orbit sums of the monomial generators, which fix an
 invariant's coefficients along each orbit of monomials, and is_invariant's
-images of them.  Every other generator keeps, on the group, the
-poly.ProductTable of the linear forms of its substitution, whose columns are
-the images of the monomials.  fixed_basis gives the canonical basis of the
-fixed points of one degree, over the monomials it builds for it (orbit
-sums, cut down by the kernel of the other generators' columns), and
-leader_rows the first monomial of each orbit sum: the rows on which a
-linear system over fixed polynomials can be solved.  The act_* functions
-and the Reynolds projector, which averages over the whole group, stay in
+images of them.  Both read one _relabelling per generator and action, built
+from its substitution matrix once and kept on the group (_relabellings),
+which is None for the other generators.  Every other generator keeps, on the
+group, the poly.ProductTable of the linear forms of its substitution, whose
+columns are the images of the monomials.  fixed_basis gives the canonical
+basis of the fixed points of one degree, over the monomials it builds for it
+(orbit sums, cut down by the kernel of the other generators' columns), and
+leader_rows the first monomial of each orbit sum: the rows on which a linear
+system over fixed polynomials can be solved.  The act_* functions and the
+Reynolds projector, which averages over the whole group, stay in
 Fraction arithmetic as oracles.
 """
 
@@ -37,7 +39,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, NotInvariant, NotXiLinear
 from .groups import MatGroup
 from .linalg import Immutable, RatMatrix, block_diag, clear_denominators, kernel_rref
-from .poly import Exponents, MultiPoly, ProductTable, _monomial_table, monomials_of_degree
+from .poly import Exponents, MultiPoly, ProductTable, _monomial_table
 
 PHI_DAGGER = "phi_dagger"
 THETA = "theta"
@@ -241,35 +243,31 @@ def reynolds(group: MatGroup, action: str, obj):
     return acc * factor
 
 
-def _monomial_form(m: RatMatrix) -> tuple[tuple[int, Fraction], ...] | None:
-    """(column, entry) of the single nonzero in each row, or None when some
-    row of m has more than one nonzero entry."""
-    form = []
+def _relabelling(m: RatMatrix) -> tuple[list[int], list[tuple[int, int | Fraction]]] | None:
+    """The substitution x_i -> a_i x_j(i) of a matrix m with one nonzero per
+    row, as (src, scaled): the image of x^e has exponent e[src[j]] at j, and
+    its coefficient is multiplied by a_i**e_i for each (i, a_i) in scaled,
+    the entries other than 1, each read as an int when its denominator is 1.
+    None when some row of m has more than one nonzero entry."""
+    src = [0] * m.rows
+    scaled = []
     for i in range(m.rows):
-        nonzero = [(j, c) for j, c in enumerate(m.row(i)) if c != 0]
+        nonzero = [(j, a) for j, a in enumerate(m.row(i)) if a != 0]
         if len(nonzero) != 1:
             return None
-        form.append(nonzero[0])
-    return tuple(form)
-
-
-def _monomial_forms(group: MatGroup, action: str) -> dict[int, tuple | None]:
-    """The _monomial_form of each generator's substitution matrix, by index.
-    Memoised on the group, as _table is, so no degree rebuilds them."""
-    return group.derived(("forms", action), lambda: {
-        g: _monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices
-    })
-
-
-def _relabelling(form) -> tuple[list[int], list[tuple[int, int | Fraction]]]:
-    """The substitution x_i -> a_i x_j(i) of a monomial form as (src, scaled):
-    the image of x^e has exponent e[src[j]] at j, and its coefficient is
-    multiplied by a_i**e_i for each (i, a_i) in scaled, the entries other
-    than 1, each read as an int when its denominator is 1."""
-    src = [0] * len(form)
-    for i, (j, _) in enumerate(form):
+        (j, a), = nonzero
         src[j] = i
-    return src, [(i, a.numerator if a.denominator == 1 else a) for i, (_, a) in enumerate(form) if a != 1]
+        if a != 1:
+            scaled.append((i, a.numerator if a.denominator == 1 else a))
+    return src, scaled
+
+
+def _relabellings(group: MatGroup, action: str) -> dict[int, tuple | None]:
+    """The _relabelling of each generator's substitution matrix, by index.
+    Memoised on the group, as _table is, so no degree rebuilds them."""
+    return group.derived(("relabellings", action), lambda: {
+        g: _relabelling(_substitution_matrix(group, action, g)) for g in group.gen_indices
+    })
 
 
 def _image(relabelling, e: Exponents, c):
@@ -281,14 +279,13 @@ def _image(relabelling, e: Exponents, c):
     return tuple(map(e.__getitem__, src)), c
 
 
-def _relabel(form, q: MultiPoly) -> MultiPoly:
-    """q after the substitution of a monomial form, term by term (_image):
-    the form permutes the variables, so distinct terms stay distinct."""
-    relabelling = _relabelling(form)
+def _relabel(relabelling, q: MultiPoly) -> MultiPoly:
+    """q after a _relabelling, term by term (_image): it permutes the
+    variables, so distinct terms stay distinct."""
     return MultiPoly._of(q.nvars, dict(_image(relabelling, e, c) for e, c in q._terms.items()))
 
 
-def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, int | Fraction]]]:
+def _orbit_sums(relabellings, monos: Sequence[Exponents]) -> list[list[tuple[int, int | Fraction]]]:
     """Fixed-space basis of monomial substitutions: one sum per orbit, as
     (index into monos, coefficient) pairs, in the order of its first monomial.
 
@@ -302,7 +299,6 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, int |
     entry with denominator 1 is read as an int (_relabelling), and only the
     others stay Fractions.
     """
-    forms = [_relabelling(form) for form in forms]
     index = {e: j for j, e in enumerate(monos)}
     seen: set[Exponents] = set()
     out = []
@@ -314,8 +310,8 @@ def _orbit_sums(forms, monos: Sequence[Exponents]) -> list[list[tuple[int, int |
         cancels = False
         while stack:
             e = stack.pop()
-            for form in forms:
-                image, c = _image(form, e, coef[e])
+            for relabelling in relabellings:
+                image, c = _image(relabelling, e, coef[e])
                 old = coef.get(image)
                 if old is None:
                     coef[image] = c
@@ -335,8 +331,8 @@ def _sums(group: MatGroup, action: str, d: int):
     fixed_basis and leader_rows share one walk."""
     def walk():
         monos = _monomial_table(group.n, d)[0] if action == PHI_DAGGER else xilinear_monomials(group.n, d)
-        forms = [f for f in _monomial_forms(group, action).values() if f is not None]
-        return monos, _orbit_sums(forms, monos)
+        relabellings = [r for r in _relabellings(group, action).values() if r is not None]
+        return monos, _orbit_sums(relabellings, monos)
 
     return group.derived(("sums", action, d), walk)
 
@@ -364,7 +360,7 @@ def _table(group: MatGroup, action: str, g: int) -> ProductTable:
     read the same columns at every degree."""
     def build():
         m = _substitution_matrix(group, action, g)
-        unit = monomials_of_degree(m.rows, 1)
+        unit = _monomial_table(m.rows, 1)[0]
         forms = [MultiPoly(m.rows, zip(unit, m.row(i))) for i in range(m.rows)]
         return ProductTable(m.rows, forms)
 
@@ -382,7 +378,7 @@ def _restricted_columns(group: MatGroup, action: str, g: int, d: int, sums) -> l
     row i of E g^T, E the lcm of g^T's denominators.
     """
     table = _table(group, PHI_DAGGER, g)
-    cols = [table.column(alpha) for alpha in table.monomials(d)]
+    cols = [table.column(alpha) for alpha in _monomial_table(group.n, d)[0]]
     scale = lcm(*(den for _, den in cols))
     images = [nums if den == scale else [x * (scale // den) for x in nums] for nums, den in cols]
     if action == PSI:
@@ -421,7 +417,7 @@ def fixed_basis(group: MatGroup, action: str, d: int) -> list[MultiPoly]:
     monos, sums = _sums(group, action, d)
     nums = iter(clear_denominators([c for s in sums for _, c in s])[1])
     int_sums = [[(j, next(nums)) for j, _ in s] for s in sums]
-    others = [g for g, f in _monomial_forms(group, action).items() if f is None]
+    others = [g for g, r in _relabellings(group, action).items() if r is None]
     rows = [r for g in others for r in zip(*_restricted_columns(group, action, g, d, int_sums))]
     return [
         MultiPoly._of(len(monos[0]), {monos[j]: x * c for x, s in zip(v, sums) if x for j, c in s})
@@ -471,13 +467,13 @@ def is_invariant(group: MatGroup, obj, action: str | None = None) -> InvarianceC
         action = infer_action(group, obj)
     _check_fit(group, action, obj)
     sub = PHI_DAGGER if action == THETA else action
-    forms = _monomial_forms(group, sub)
+    relabellings = _relabellings(group, sub)
     for g in group.gen_indices:
-        form = forms[g]
-        if form is None:
+        relabelling = relabellings[g]
+        if relabelling is None:
             move = _table(group, sub, g).substitute
         else:
-            move = partial(_relabel, form)
+            move = partial(_relabel, relabelling)
         if action == THETA:  # the pushforward g (V o g^-1) is (g V) o g^-1
             moved = PolyVectorField([move(c) for c in obj.mix(group.matrix(g)).comps])
         else:

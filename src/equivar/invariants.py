@@ -36,7 +36,6 @@ keeps outputs identical across runs and platforms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import lcm
 from typing import Sequence
 
@@ -45,30 +44,7 @@ from .errors import DimensionMismatchWithMolien, NoSolution
 from .groups import MatGroup
 from .linalg import Echelon, Immutable, clear_denominators, kernel_basis, solve_free_zero
 from .molien import MolienSeries, molien
-from .poly import Exponents, MultiPoly, ProductTable, _monomial_table, _packed, grlex_key
-
-
-def weighted_monomials(weights: Sequence[int], total: int) -> list[Exponents]:
-    """Exponent tuples a with sum a_i * weights_i == total, descending grlex."""
-    return list(_weighted_monomials(tuple(weights), total))
-
-
-@cache
-def _weighted_monomials(weights: tuple[int, ...], total: int) -> tuple[Exponents, ...]:
-    """weighted_monomials, kept for the whole process like the monomial
-    tables (poly._monomial_table), so read-only."""
-    if total < 0:
-        return ()
-
-    def rec(i: int, remaining: int) -> list[Exponents]:
-        if i == len(weights):
-            return [()] if remaining == 0 else []
-        out = []
-        for e in range(remaining // weights[i], -1, -1):
-            out.extend((e,) + rest for rest in rec(i + 1, remaining - e * weights[i]))
-        return out
-
-    return tuple(sorted(rec(0, total), key=grlex_key, reverse=True))
+from .poly import Exponents, MultiPoly, ProductTable, _monomial_table, _packed, _weighted_monomials
 
 
 class InvariantGens(Immutable):
@@ -393,8 +369,9 @@ def _module_products(
     products p^a W_j (p the table's generators, of degrees table.degrees;
     W_j the module generators, r components each), by j, then descending
     graded-lex on a.  Component i fills the rows alpha * r + i, alpha over
-    table.monomials(d), over the lcm of the components' denominators; for
-    the generator 1 of the ring itself the column is the table's own.
+    monomials_of_degree(n, d), over the lcm of the components'
+    denominators; for the generator 1 of the ring itself the column is the
+    table's own.
 
     Scaling a column leaves its pivot status alone, so a solution y of the
     integer system gives the solution x_j = den_j * y_j of the rational one,

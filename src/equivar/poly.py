@@ -28,14 +28,16 @@ one positive denominator).
 
 Those rows come from one read-only monomial table per (n, d), kept for the
 whole process and shared with the orbit sums and the hsop rank test
-(_monomial_table); the public lists are fresh copies.  A table holds
-C(n + d - 1, d) monomials: 20,349 for S6's rank test at d = 16.
+(_monomial_table).  It reads the one enumerator, _weighted_monomials, with
+weights 1; the public lists are fresh copies.  A table holds C(n + d - 1, d)
+monomials: 20,349 for S6's rank test at d = 16.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -52,29 +54,38 @@ def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
     """All exponent tuples of the given total degree, in descending grlex order."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    if nvars == 1:
-        return [(degree,)]
-    out = []
-    for e0 in range(degree, -1, -1):
-        out.extend((e0,) + rest for rest in monomials_of_degree(nvars - 1, degree - e0))
-    return out
+    return list(_monomial_table(nvars, degree)[0])
 
 
-_TABLES: dict[tuple[int, int], tuple[tuple[Exponents, ...], tuple[int, ...], dict[int, int]]] = {}
+def weighted_monomials(weights: Sequence[int], total: int) -> list[Exponents]:
+    """Exponent tuples a with sum a_i * weights_i == total, descending grlex."""
+    return list(_weighted_monomials(tuple(weights), total))
 
 
+@cache
+def _weighted_monomials(weights: tuple[int, ...], total: int) -> tuple[Exponents, ...]:
+    """The one enumerator of monomial lists: weighted_monomials, kept for the
+    whole process, so read-only.  The recursion yields descending lex order,
+    and a stable sort by descending total degree keeps it among equal
+    degrees, which is descending grlex."""
+    def rec(i: int, remaining: int) -> list[Exponents]:
+        if i == len(weights):
+            return [()] if remaining == 0 else []
+        return [(e,) + rest for e in range(remaining // weights[i], -1, -1)
+                for rest in rec(i + 1, remaining - e * weights[i])]
+
+    return tuple(sorted(rec(0, total), key=sum, reverse=True))
+
+
+@cache
 def _monomial_table(nvars: int, degree: int) -> tuple[tuple[Exponents, ...], tuple[int, ...], dict[int, int]]:
-    """The degree-d monomials in n variables in descending grlex order, their
-    packed keys (_pack) and the row of each key, built on first use and
-    shared, read-only, by every caller for the rest of the process."""
-    got = _TABLES.get((nvars, degree))
-    if got is None:
-        monos = tuple(monomials_of_degree(nvars, degree))
-        keys = tuple(map(_pack, monos))
-        got = _TABLES[nvars, degree] = (monos, keys, {k: j for j, k in enumerate(keys)})
-    return got
+    """The degree-d monomials in n variables in descending grlex order (the
+    weighted monomials of weights 1), their packed keys (_pack) and the row
+    of each key, built on first use and shared, read-only, by every caller
+    for the rest of the process."""
+    monos = _weighted_monomials((1,) * nvars, degree)
+    keys = tuple(map(_pack, monos))
+    return monos, keys, {k: j for j, k in enumerate(keys)}
 
 
 _COEFFICIENT = "coefficient must be an exact rational"
@@ -415,12 +426,8 @@ class ProductTable:
         self._gens.append(_packed(p))
         self.degrees.append(p.total_degree())
 
-    def monomials(self, d: int) -> list[Exponents]:
-        """The degree-d monomials, descending graded-lex: the rows of every column."""
-        return list(_monomial_table(self.n, d)[0])
-
     def column(self, a: Sequence[int]) -> tuple[list[int], int]:
-        """(numerators, denominator) of p^a over monomials(sum_i a_i deg(p_i))."""
+        """(numerators, denominator) of p^a over monomials_of_degree(n, sum_i a_i deg(p_i))."""
         key = _strip(tuple(a))
         chain = []
         a = key
@@ -436,7 +443,7 @@ class ProductTable:
         return self._cols[key]
 
     def times(self, a: Sequence[int], p: MultiPoly) -> tuple[list[int], int]:
-        """(numerators, denominator) of p^a * p over monomials(deg p^a + deg p),
+        """(numerators, denominator) of p^a * p over monomials_of_degree(n, deg p^a + deg p),
         for a nonzero homogeneous p; the product itself is not cached."""
         nums, den = self.column(a)
         pden, terms = _packed(p)
@@ -445,7 +452,7 @@ class ProductTable:
     def columns(self, comps: Sequence[MultiPoly]) -> dict[int, tuple[list[int], int]]:
         """The homogeneous parts of r polynomials in the n variables as one
         graded integer column each: component i of the degree-d part in row
-        alpha * r + i, alpha over monomials(d), over the lcm of the part's
+        alpha * r + i, alpha over monomials_of_degree(n, d), over the lcm of the part's
         denominators.  Degrees where every component vanishes are left out."""
         r = len(comps)
         out = {}
@@ -514,7 +521,7 @@ class ProductTable:
         return self._dot([(zip(_monomial_table(self.n, d)[1], nums), terms)], d + e)
 
     def _dot(self, pairs, d: int) -> list[int]:
-        """The numerators over monomials(d) of sum xs * ys over the pairs
+        """The numerators over monomials_of_degree(n, d) of sum xs * ys over the pairs
         (xs, ys) of packed terms, (packed monomial, numerator) pairs whose
         products have degree d: the one product loop of the table."""
         index = _monomial_table(self.n, d)[2]

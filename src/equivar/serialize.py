@@ -204,7 +204,10 @@ def _generators_doc(gens: InvariantGens | EquivariantGens, generators: list, key
     """A computed generator set: its generators and their degrees, the degree
     its loop stopped at, the rule that stopped it (and the hsop's generator
     indices when that rule is "hsop"), and, under key, the series of its
-    group with the dimensions it gives up to that degree."""
+    group with the dimensions it gives up to that degree.  A set that no
+    degree loop computed has no such degree, and is refused."""
+    if gens.bound is None:
+        raise ValueError("no degree loop computed this generator set, so it has no bound to write")
     doc = {
         "n": gens.group.n,
         "bound": gens.bound,

@@ -43,6 +43,7 @@ from equivar import (
     invariant_ring_generators,
     monomials_of_degree,
     pairing,
+    weighted_monomials,
     xilinear_monomials,
 )
 from equivar import invariants, reduction
@@ -234,7 +235,7 @@ def graded_generators_every_degree(group, inv, series, basis, bound, explicit, n
         if len(elements) != expected:
             raise DimensionMismatchWithMolien(
                 f"degree {d}: {nouns[0]} dimension {len(elements)}, Molien says {expected}")
-        monos = table.monomials(d)
+        monos = monomials_of_degree(table.n, d)
         span = Echelon()
         for col in invariants._module_products(table, ws, d)[1]:
             span.add(col)
@@ -287,7 +288,7 @@ def express_over_full_rows(inv, ws, targets, noun):
         idx = [i for i, ds in enumerate(target_degrees) if d in ds]
         labels, cols, dens = invariants._module_products(table, ws, d)
         if cols:
-            rhss = [vector([hc.get(d, zero) for hc in parts[i]], table.monomials(d)) for i in idx]
+            rhss = [vector([hc.get(d, zero) for hc in parts[i]], monomials_of_degree(table.n, d)) for i in idx]
             for i, sol in zip(idx, solve_free_zero(list(zip(*cols)), rhss)):
                 sols[i, d] = None if sol is None else list(zip(labels, invariants._unscale(sol, dens)))
     out = []
@@ -325,7 +326,7 @@ def relations_every_kernel(inv, weighted_degree_bound: int) -> list[MultiPoly]:
         known = Echelon()
         for rel, rd in zip(rels, rel_degrees):
             terms = rel.sorted_terms()
-            for m in invariants.weighted_monomials(inv.degrees, d - rd):
+            for m in weighted_monomials(inv.degrees, d - rd):
                 vec = [0] * len(candidates)
                 for a, c in terms:
                     vec[cand_index[tuple(x + y for x, y in zip(a, m))]] = c
@@ -351,7 +352,7 @@ def relations_full_rows(inv, weighted_degree_bound: int) -> list[MultiPoly]:
         cand_index = {a: i for i, a in enumerate(candidates)}
         known = Echelon()
         for rel, rd in zip(rels, rel_degrees):
-            for m in invariants.weighted_monomials(inv.degrees, d - rd):
+            for m in weighted_monomials(inv.degrees, d - rd):
                 vec = [0] * len(candidates)
                 for a, c in rel.sorted_terms():
                     vec[cand_index[tuple(x + y for x, y in zip(a, m))]] = c

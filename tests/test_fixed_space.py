@@ -8,7 +8,7 @@ summed once per distinct det(I - t g), is held against the plain sum of
 1 / det(I - t g^-1) over every element.
 
 Both run on Python ints where the data allow: the orbit sums while the
-monomial forms' entries are integers, the Molien sums always, since
+monomial generators' entries are integers, the Molien sums always, since
 det(I - t g) is integral for g of finite order.  Each is held against the
 Fraction routine it replaced.
 """
@@ -40,7 +40,7 @@ from equivar import (
     unpairing,
     xilinear_monomials,
 )
-from equivar.actions import _monomial_form, _orbit_sums, _substitution_matrix
+from equivar.actions import _orbit_sums, _relabelling, _relabellings, _substitution_matrix
 from equivar.molien import _averaged_series
 from equivar.serialize import group_from_doc
 
@@ -273,12 +273,20 @@ def scaled_monomial_forms(draw):
 
 
 def _forms(group: MatGroup, action: str):
-    forms = (_monomial_form(_substitution_matrix(group, action, g)) for g in group.gen_indices)
-    return [f for f in forms if f is not None]
+    """(column, entry) of the one nonzero in each row, for the substitution
+    matrix of each monomial generator."""
+    monomial = [g for g, r in _relabellings(group, action).items() if r is not None]
+    mats = [_substitution_matrix(group, action, g) for g in monomial]
+    return [tuple(next((j, a) for j, a in enumerate(m.row(i)) if a) for i in range(m.rows)) for m in mats]
+
+
+def _form_matrix(form) -> RatMatrix:
+    """The matrix with entry a at (i, j) for the i-th pair (j, a) of a form."""
+    return RatMatrix.from_rows([[a if k == j else 0 for k in range(len(form))] for j, a in form])
 
 
 def assert_orbit_sums_match(forms, monos):
-    fast = _orbit_sums(forms, monos)
+    fast = _orbit_sums([_relabelling(_form_matrix(form)) for form in forms], monos)
     assert fast == fraction_orbit_sums(forms, monos)
     if all(a.denominator == 1 for form in forms for _, a in form):
         assert all(type(c) is int for s in fast for _, c in s)

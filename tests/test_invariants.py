@@ -353,7 +353,6 @@ def test_product_table_matches_power_product(gs, data):
     for a in order:
         d = sum(x * w for x, w in zip(a, degrees))
         nums, den = table.column(a)
-        assert table.monomials(d) == monomials_of_degree(n, d)
         want = poly_to_vector(power_product(gens, a), monomials_of_degree(n, d))
         assert [Fraction(x, den) for x in nums] == want
 

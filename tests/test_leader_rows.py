@@ -34,7 +34,7 @@ from equivar import (
     xilinear_monomials,
 )
 from equivar import invariants
-from equivar.actions import _monomial_forms, _relabel, _table, leader_rows
+from equivar.actions import _relabel, _relabellings, _table, leader_rows
 from equivar.equivariants import EquivariantGens
 from equivar.errors import NoSolution, NotInvariant
 
@@ -171,11 +171,11 @@ def test_relabel_matches_table_substitution(group, data):
     cases = [(PHI_DAGGER, data.draw(sparse_polys(n, 4))), (PSI, data.draw(sparse_polys(2 * n, 3))), (THETA, field)]
     for action, obj in cases:
         sub = PHI_DAGGER if action == THETA else action
-        forms = _monomial_forms(group, sub)
+        relabellings = _relabellings(group, sub)
         for g in group.gen_indices:
             table = _table(group, sub, g)
             parts = obj.mix(group.matrix(g)).comps if action == THETA else [obj]
-            assert [_relabel(forms[g], p) for p in parts] == [table.substitute(p) for p in parts]
+            assert [_relabel(relabellings[g], p) for p in parts] == [table.substitute(p) for p in parts]
         chk = is_invariant(group, obj, action)
         want = table_invariance(group, obj, action)
         assert (None if chk else (chk.generator_index, chk.difference)) == want
@@ -195,9 +195,9 @@ def test_tables_only_for_generators_that_are_not_monomial():
     inv, eg = pool_generators("d6_hex")
     is_invariant(inv.group, eg.vgens[-1], THETA)
     is_invariant(inv.group, inv.gens[-1], PHI_DAGGER)
-    forms = _monomial_forms(inv.group, PHI_DAGGER)
+    relabellings = _relabellings(inv.group, PHI_DAGGER)
     built = {k[2] for k in inv.group._derived if k[0] == "table"}
-    assert built == {g for g, f in forms.items() if f is None} and len(built) == 1
+    assert built == {g for g, r in relabellings.items() if r is None} and len(built) == 1
 
 
 @pytest.mark.parametrize("name", ["c4", "s4", "d6_hex", "d4_conj", "swap_frac"])

@@ -1,6 +1,8 @@
 """Core polynomial arithmetic: worked examples plus algebraic laws."""
 
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivar import DimensionMismatch, MultiPoly, RatMatrix, variables, weighted_monomials, xilinear_monomials
-from equivar.poly import ProductTable, grlex_key, monomials_of_degree
+from equivar.poly import ProductTable, _monomial_table, grlex_key, monomials_of_degree
 
 from conftest import (
     coeffs,
@@ -121,6 +123,37 @@ def test_monomials_of_degree_descending_grlex():
     assert monos == [(2, 0), (1, 1), (0, 2)]
     assert monos == sorted(monos, key=grlex_key, reverse=True)
     assert monomials_of_degree(3, 2)[0] == (2, 0, 0)
+
+
+def brute_monomials(weights, total):
+    """Every exponent tuple of weighted total `total`, found by trying each
+    tuple of exponents up to total // weight, sorted descending grlex."""
+    tuples = product(*(range(total // w + 1) for w in weights))
+    found = [e for e in tuples if sum(a * w for a, w in zip(e, weights)) == total]
+    return sorted(found, key=lambda e: (sum(e), e), reverse=True)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_monomial_enumerator_matches_brute_force(n):
+    for d in range(8):
+        want = brute_monomials((1,) * n, d)
+        assert monomials_of_degree(n, d) == want, (n, d)
+        assert weighted_monomials((1,) * n, d) == want, (n, d)
+        monos, keys, index = _monomial_table(n, d)
+        assert list(monos) == want and len(keys) == len(index) == len(want)
+        assert all(index[k] == j for j, k in enumerate(keys)), (n, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=5), st.integers(-1, 12))
+def test_weighted_monomials_match_brute_force(weights, total):
+    assert weighted_monomials(weights, total) == brute_monomials(weights, total)
+
+
+def test_s6_rank_test_table_size():
+    # S6's hsop rank test runs over every monomial of degree 16 in 6 variables
+    monos, keys, index = _monomial_table(6, 16)
+    assert len(monos) == len(keys) == len(index) == comb(21, 5) == 20349
 
 
 def test_vector_round_trip():
@@ -262,7 +295,6 @@ def test_monomial_lists_are_fresh_copies():
         "monomials_of_degree": lambda: monomials_of_degree(3, 4),
         "weighted_monomials": lambda: weighted_monomials([1, 2, 2], 6),
         "xilinear_monomials": lambda: xilinear_monomials(2, 3),
-        "ProductTable.monomials": lambda: table.monomials(3),
     }
     for name, call in calls.items():
         want = list(call())
@@ -274,4 +306,4 @@ def test_monomial_lists_are_fresh_copies():
         assert call() == want, name
         assert call() is not call(), name
     p = table.substitute(MultiPoly(2, {(1, 1): 1}))
-    assert p == (x + y) * (x * y) and table.monomials(3) == monomials_of_degree(2, 3)
+    assert p == (x + y) * (x * y)

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equivar import (
+    EquivariantGens,
+    InvariantGens,
     MultiPoly,
     ParseError,
     PolyVectorField,
@@ -219,6 +221,28 @@ def test_invariant_gens_round_trip(swap2):
     assert back.gens == inv.gens
     assert back.degrees == inv.degrees
     assert doc["dimensions"][2] == {"degree": 2, "dim": 2}
+
+
+def _swap_gens_from_polys(swap2):
+    # generators given as polynomials, as a document is read back: no degree
+    # loop ran, so the set carries no bound
+    x1, x2 = variables(2)
+    return x1, x2, InvariantGens.from_polys(swap2, [x1 + x2, x1 * x2])
+
+
+def test_invariant_gens_to_doc_refuses_a_set_no_loop_computed(swap2):
+    _, _, inv = _swap_gens_from_polys(swap2)
+    assert inv.bound is None
+    with pytest.raises(ValueError, match="no degree loop computed this generator set"):
+        sz.invariant_gens_to_doc(inv)
+
+
+def test_equivariant_gens_to_doc_refuses_a_set_no_loop_computed(swap2):
+    x1, x2, inv = _swap_gens_from_polys(swap2)
+    eg = EquivariantGens([PolyVectorField([x1, x2])], inv)
+    assert eg.bound is None
+    with pytest.raises(ValueError, match="no degree loop computed this generator set"):
+        sz.equivariant_gens_to_doc(eg)
 
 
 def test_reduced_round_trip():
