@@ -288,7 +288,8 @@ def express_over_full_rows(inv, ws, targets, noun):
         idx = [i for i, ds in enumerate(target_degrees) if d in ds]
         labels, cols, dens = invariants._module_products(table, ws, d)
         if cols:
-            rhss = [vector([hc.get(d, zero) for hc in parts[i]], monomials_of_degree(table.n, d)) for i in idx]
+            monos = monomials_of_degree(table.n, d)
+            rhss = [vector([hc.get(d, zero) for hc in parts[i]], monos) for i in idx]
             for i, sol in zip(idx, solve_free_zero(list(zip(*cols)), rhss)):
                 sols[i, d] = None if sol is None else list(zip(labels, invariants._unscale(sol, dens)))
     out = []
