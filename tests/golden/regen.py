@@ -56,8 +56,13 @@ RELATION_BOUND_CASES = [
 
 # The two monomial groups again at the CLI defaults, where both loops stop on
 # an hsop certificate (S4 at 4 / 3, B3 at 6 / 5); run to Noether's bound
-# (24 / 23 and 48 / 47) the same outputs took minutes.
-DEFAULT_CASES = [("s4_default", "{groups}/s4.json"), ("b3_default", "{groups}/b3.json")]
+# (24 / 23 and 48 / 47) the same outputs took minutes.  B4 (order 384) and
+# S5 (order 120) on Q^4 and Q^5, and F4 (order 1152) on Q^4, stop on an
+# hsop too, but their rank tests run over hundreds to thousands of monomials
+# of degree sum(d_i - 1) + 1: these cases hold the certificate's output
+# where the rank test is most of the run.
+DEFAULT_CASES = [("s4_default", "{groups}/s4.json"), ("b3_default", "{groups}/b3.json")] + [
+    (f"{g}_default", "{groups}/%s.json" % g) for g in ("b4", "s5", "f4")]
 
 # Groups that are not in the demos, at the CLI defaults: A4 and O (the cube's
 # rotations) on Q^3 stop on an hsop, and Q8 on Q^4 runs to Noether's bound
