@@ -42,7 +42,7 @@ from typing import Sequence
 from .actions import PHI_DAGGER, _require_invariant, fixed_basis, leader_rows
 from .errors import DimensionMismatchWithMolien, NoSolution
 from .groups import MatGroup
-from .linalg import Echelon, Immutable, clear_denominators, kernel_basis, solve_free_zero
+from .linalg import Echelon, Immutable, SparseEchelon, clear_denominators, kernel_basis, solve_free_zero
 from .molien import MolienSeries, molien
 from .poly import Exponents, MultiPoly, ProductTable, _monomial_table, _packed, _weighted_monomials
 
@@ -279,18 +279,16 @@ def _subsets(degrees: Sequence[int], n: int, limit: int, first_new: int) -> list
 def _ideal_spans_degree(thetas: Sequence[MultiPoly]) -> bool:
     """Whether the products m * theta_i, m a monomial, span every monomial of
     degree D = sum_i (deg theta_i - 1) + 1: the rows are the integer
-    coefficients of theta_i, shifted by the packed exponents of m."""
+    coefficients of theta_i, shifted by the packed exponents of m, as sparse
+    rows."""
     n = thetas[0].nvars
     degree = sum(theta.total_degree() - 1 for theta in thetas) + 1
     index = _monomial_table(n, degree)[2]
-    span = Echelon()
+    span = SparseEchelon()
     for theta in thetas:
         terms = _packed(theta)[1]
         for shift in _monomial_table(n, degree - theta.total_degree())[1]:
-            row = [0] * len(index)
-            for e, c in terms:
-                row[index[shift + e]] = c
-            span.add(row)
+            span.add({index[shift + e]: c for e, c in terms})
             if span.rank == len(index):
                 return True
     return False
@@ -492,12 +490,12 @@ def _multiple_leads(degrees: Sequence[int], lower, candidates: Sequence[Exponent
     """The free columns at which some combination of the weight-d multiples
     P^m r of the relations r in lower, each given by its weight, exponents
     and integer numerators, has its last nonzero entry among the free
-    columns.  The multiples go into an Echelon as integer rows over the free
-    columns in reverse order, so each pivot is such a last entry; it stops
-    once every free column leads.  The shifts m of each weight are listed
-    once."""
+    columns.  The multiples go into a SparseEchelon as integer rows over the
+    free columns in reverse order, so each pivot is such a last entry; it
+    stops once every free column leads.  The shifts m of each weight are
+    listed once."""
     position = {candidates[f]: len(free) - 1 - i for i, f in enumerate(free)}
-    span = Echelon()
+    span = SparseEchelon()
     shifts: dict[int, list[Exponents]] = {}
     for rd, exps, nums in lower:
         if span.rank == len(free):
@@ -505,7 +503,7 @@ def _multiple_leads(degrees: Sequence[int], lower, candidates: Sequence[Exponent
         if rd not in shifts:
             shifts[rd] = _weighted_monomials(tuple(degrees), d - rd)
         for m in shifts[rd]:
-            vec = [0] * len(free)
+            vec = {}
             for a, c in zip(exps, nums):
                 k = position.get(tuple(x + y for x, y in zip(a, m)))
                 if k is not None:

@@ -1,10 +1,12 @@
 """Exact matrices and row reduction.
 
-The one integer elimination engine, Echelon, is held against Fraction
+The integer elimination engine, Echelon, is held against Fraction
 arithmetic kept here as the oracle, on random rational matrices: its
 incremental spans against a Fraction echelon, and the reduced row echelon
 form read back from it (conftest.rref, and through it kernel_basis,
 kernel_rref and solve_free_zero) against a plain Fraction Gauss-Jordan.
+Its sparse twin, SparseEchelon, is held against Echelon on random integer
+rows.
 """
 
 import copy
@@ -30,6 +32,7 @@ from equivar import (
 from equivar.linalg import (
     Echelon,
     RatMatrix,
+    SparseEchelon,
     as_rational,
     block_diag,
     clear_denominators,
@@ -362,6 +365,58 @@ def test_echelon_keeps_no_list_it_was_given(ops):
         given.append(1)
         assert span.rank == twin.rank and span.rows == twin.rows
     assert all(type(x) is int for row in span.rows for x in row)
+
+
+@st.composite
+def sparse_sequences(draw):
+    """Integer rows for add on up to 30 columns: a pool of sparse rows (a
+    few nonzeros) and dense ones, then zero rows, repeats and integer
+    multiples of the pool, integer combinations of two of its rows and fresh
+    rows, with entries up to 10**30."""
+    ncols = draw(st.integers(1, 30))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    sparse = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=4).map(
+        lambda d: [d.get(k, 0) for k in range(ncols)])
+    dense = st.lists(entry, min_size=ncols, max_size=ncols)
+    fresh = st.one_of(sparse, dense)
+    pool = draw(st.lists(fresh, min_size=1, max_size=6))
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["zero", "repeat", "multiple", "combination", "fresh"]))
+        if kind == "zero":
+            v = [0] * ncols
+        elif kind == "repeat":
+            v = draw(st.sampled_from(pool))
+        elif kind == "multiple":
+            s = draw(entry)
+            v = [s * x for x in draw(st.sampled_from(pool))]
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+            s, t = draw(entry), draw(entry)
+            v = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            v = draw(fresh)
+        rows.append(v)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_sequences(), st.booleans())
+def test_sparse_echelon_matches_echelon(rows, with_zeros):
+    # the same rows as dicts and as lists: each add answers alike, and the
+    # rank and pivot set agree after every step; a dict may carry explicit
+    # zeros, and the stored rows never do
+    sparse, dense = SparseEchelon(), Echelon()
+    for v in rows:
+        vec = {k: x for k, x in enumerate(v) if x or with_zeros}
+        copy_of = dict(vec)
+        assert sparse.add(vec) == dense.add(v)
+        assert vec == copy_of
+        assert sparse.rank == dense.rank
+        assert set(sparse.pivots) == set(dense.pivots)
+    for p, row in sparse._rows.items():
+        assert all(type(x) is int and x for x in row.values())
+        assert p == min(row) and gcd(*row.values()) == 1
 
 
 def test_core_edge_cases():

@@ -6,13 +6,14 @@ dependency of the library.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equivar import MultiPoly
-from equivar.linalg import RatMatrix, kernel_basis, kernel_rref, solve_free_zero
+from equivar import MultiPoly, invariant_ring_generators, invariants
+from equivar.linalg import RatMatrix, SparseEchelon, kernel_basis, kernel_rref, solve_free_zero
 from equivar.poly import ProductTable
 
 import conftest
@@ -149,6 +150,36 @@ def test_inverse_matches_sympy(rows):
             m.inverse()
     else:
         assert m.inverse() == RatMatrix.from_rows(to_fractions(a.inv()))
+
+
+@pytest.mark.parametrize("subset, spans", [((0, 2), True), ((0, 1), False)])
+def test_ideal_spans_degree_matches_sympy_rank(z2_diag, subset, spans):
+    # z2_diag's invariants x1^2, x1 x2, x2^2: x1^2, x2^2 span the cubics,
+    # x1^2, x1 x2 vanish on x1 = 0 and do not.  The sparse rows the rank test
+    # hands its SparseEchelon, as a sympy Matrix, have the rank sympy gives
+    # the products m * theta_i it writes out itself; the passing subset stops
+    # at full rank, the failing one hands over every row.
+    thetas = [invariant_ring_generators(z2_diag).gens[i] for i in subset]
+    rows = []
+
+    class Recorder(SparseEchelon):
+        def add(self, vec):
+            rows.append(dict(vec))
+            return super().add(vec)
+
+    with mock.patch.object(invariants, "SparseEchelon", Recorder):
+        assert invariants._ideal_spans_degree(thetas) is spans
+    xs = symbols(2)
+    degree = sum(t.total_degree() - 1 for t in thetas) + 1
+    monomials = sorted(sympy.itermonomials(xs, degree, degree), key=str)
+    products = [sympy.Poly(m * to_sympy(t, xs).as_expr(), *xs) for t in thetas
+                for m in sympy.itermonomials(xs, degree - t.total_degree(), degree - t.total_degree())]
+    want = sympy.Matrix([[p.coeff_monomial(m) for m in monomials] for p in products])
+    got = sympy.Matrix([[row.get(k, 0) for k in range(len(monomials))] for row in rows])
+    assert got.rank() == want.rank()
+    assert (want.rank() == len(monomials)) is spans
+    if not spans:
+        assert len(rows) == len(products)
 
 
 @settings(max_examples=60, deadline=None)
